@@ -28,7 +28,7 @@ struct Variant {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const bench::Scale scale = bench::parse_scale(argc, argv, 10, 15'000);
   bench::print_header("EXP-A2", "move-class ablation", scale);
 
@@ -101,4 +101,8 @@ int main(int argc, char** argv) {
                "for other instances (e.g. software ordering\nmatters once the "
                "processor is the bottleneck).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

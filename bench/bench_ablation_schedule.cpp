@@ -18,7 +18,7 @@
 
 using namespace rdse;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const bench::Scale scale = bench::parse_scale(argc, argv, 10, 15'000);
   bench::print_header("EXP-A1", "cooling-schedule ablation", scale);
 
@@ -74,4 +74,8 @@ int main(int argc, char** argv) {
                "match or beat\nthe tuned geometric schedule; hill climbing "
                "shows the cost of greediness.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -1,7 +1,8 @@
 #pragma once
 /// \file bench_common.hpp
 /// \brief Shared scaffolding for the experiment harnesses: scale knobs
-/// (environment / command line) and uniform headers.
+/// (environment / command line), uniform headers and the `main` wrapper
+/// that turns a bad flag into a one-line error.
 ///
 /// Knobs (command line beats environment):
 ///   --runs    / RDSE_RUNS     repetitions per sweep point (paper: 100)
@@ -12,6 +13,7 @@
 ///                             are identical for any value)
 
 #include <cstdint>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -54,6 +56,20 @@ inline void print_header(const std::string& experiment_id,
             << " warmup=" << scale.warmup << " seed=" << scale.seed
             << (scale.full ? " (paper scale)" : "")
             << "\n############################################################\n";
+}
+
+/// Every bench `main` forwards here, so a bad flag (or any other failure)
+/// is reported the way `rdse` reports it: one "<bench>: <message>" line on
+/// stderr and exit status 1, never an uncaught-exception abort.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  const std::string_view path = argc > 0 ? argv[0] : "bench";
+  const std::string_view name = path.substr(path.find_last_of('/') + 1);
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {  // rdse::Error among them
+    std::cerr << name << ": " << e.what() << '\n';
+    return 1;
+  }
 }
 
 }  // namespace rdse::bench

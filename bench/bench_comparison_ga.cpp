@@ -22,7 +22,7 @@
 
 using namespace rdse;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const bench::Scale scale = bench::parse_scale(argc, argv, 5, 15'000);
   bench::print_header("EXP-T1", "§5 comparison: SA vs GA [6] vs baselines",
                       scale);
@@ -147,4 +147,8 @@ int main(int argc, char** argv) {
       .cell(std::string(mean_of(sa_best) < mean_of(rs_best) ? "yes" : "NO"));
   anchors.print(std::cout, "EXP-T1 paper vs measured");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -20,7 +20,7 @@
 
 using namespace rdse;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const bench::Scale scale = bench::parse_scale(argc, argv, 1, 20'000);
   bench::print_header("EXP-F2", "Figure 2: typical run at 2000 CLBs", scale);
 
@@ -106,4 +106,8 @@ int main(int argc, char** argv) {
             << "\nmove statistics:\n"
             << describe_move_stats(r.move_stats);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

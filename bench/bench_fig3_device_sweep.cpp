@@ -24,7 +24,7 @@
 
 using namespace rdse;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const bench::Scale scale = bench::parse_scale(argc, argv, 20, 12'000);
   bench::print_header("EXP-F3", "Figure 3: device-size sweep", scale);
 
@@ -118,4 +118,8 @@ int main(int argc, char** argv) {
             format_double(init_rcf.y.back() + dyn_rcf.y.back(), 1));
   anchors.print(std::cout, "EXP-F3 paper vs measured");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

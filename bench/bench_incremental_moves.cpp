@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/problem.hpp"
 #include "model/generators.hpp"
 #include "model/motion_detection.hpp"
@@ -305,7 +306,7 @@ void write_json(const std::string& path, std::int64_t moves,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const Options opts = Options::parse(argc, argv);
   const std::int64_t moves = opts.get_int("moves", 20'000, "RDSE_MOVES");
   const auto seed =
@@ -346,4 +347,8 @@ int main(int argc, char** argv) {
   print_table(reports);
   if (!json.empty()) write_json(json, moves, seed, repeats, reports);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -16,7 +16,7 @@
 
 using namespace rdse;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const bench::Scale scale = bench::parse_scale(argc, argv, 8, 0);
   bench::print_header("EXP-Q1", "quality vs optimization budget", scale);
 
@@ -68,4 +68,8 @@ int main(int argc, char** argv) {
             << format_double(curve.y.back(), 2)
             << (monotoneish ? "  (holds)" : "  (VIOLATED)") << '\n';
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

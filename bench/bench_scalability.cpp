@@ -15,7 +15,7 @@
 
 using namespace rdse;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const bench::Scale scale = bench::parse_scale(argc, argv, 3, 8'000);
   bench::print_header("EXP-S1", "scalability on synthetic task graphs",
                       scale);
@@ -74,4 +74,8 @@ int main(int argc, char** argv) {
                "cost grows roughly linearly with graph size (O(V+E)\n"
                "evaluation).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

@@ -10,7 +10,7 @@
 
 using namespace rdse;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   const bench::Scale scale = bench::parse_scale(argc, argv, 1, 0);
   bench::print_header("EXP-C1", "§5 solution-space size analysis", scale);
 
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
             << u128_to_string(count_linear_extensions_bruteforce(g))
             << " on a 7-node sibling structure\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_bench);
 }

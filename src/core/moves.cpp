@@ -41,37 +41,22 @@ bool apply_reorder_sw(const TaskGraph& tg, const Architecture& arch,
   if (arch.resource(ps.resource).kind() != ResourceKind::kProcessor) {
     return false;  // §4.2: on an ASIC or RC context no move is performed
   }
-  const auto order = sol.processor_order(ps.resource);
-
-  // Index of vd in the order with vs removed.
-  std::size_t vd_idx = 0;
-  std::size_t vs_idx = 0;
-  for (std::size_t i = 0, j = 0; i < order.size(); ++i) {
-    if (order[i] == vs) {
-      vs_idx = i;
-      continue;
-    }
-    if (order[i] == vd) vd_idx = j;
-    ++j;
-  }
-  std::size_t target = vd_idx + (after ? 1 : 0);
+  // Positions come from the solution's O(1) order mirror; "without vs"
+  // indices shift every task behind vs one slot forward.
+  const std::size_t vs_idx = sol.order_position(vs);
+  const auto index_without_vs = [&](TaskId t) {
+    const std::size_t pos = sol.order_position(t);
+    return pos - (pos > vs_idx ? 1 : 0);
+  };
+  std::size_t target = index_without_vs(vd) + (after ? 1 : 0);
 
   // Clamp into the window allowed by *direct* same-processor precedence so
   // most draws stay coherent (§4.2); transitive conflicts through other
-  // resources are still caught by the cycle check at evaluation.
-  std::size_t lo = 0;
-  std::size_t hi = order.size() - 1;  // order without vs
+  // resources are still caught by the cycle check at evaluation. The window
+  // costs O(deg(vs)).
+  std::size_t lo = 0;  // slots of the order without vs: [0, |order| - 1]
+  std::size_t hi = sol.processor_order(ps.resource).size() - 1;
   const Digraph& g = tg.digraph();
-  auto index_without_vs = [&](TaskId t) {
-    std::size_t j = 0;
-    for (TaskId u : order) {
-      if (u == vs) continue;
-      if (u == t) return j;
-      ++j;
-    }
-    RDSE_ASSERT_MSG(false, "task missing from its processor order");
-    return j;
-  };
   for (EdgeId e : g.in_edges(vs)) {
     const TaskId p = g.edge(e).src;
     if (sol.placement(p).resource == ps.resource &&
@@ -108,11 +93,8 @@ bool apply_reassign(const TaskGraph& tg, const Architecture& arch,
     case ResourceKind::kProcessor: {
       if (ps.resource == pd_before.resource) return false;  // m1 territory
       sol.remove_task(vs);
-      const auto order = sol.processor_order(pd_before.resource);
-      const auto it = std::find(order.begin(), order.end(), vd);
-      RDSE_ASSERT(it != order.end());
-      const auto base = static_cast<std::size_t>(it - order.begin());
-      const std::size_t pos = base + (rng.bernoulli(0.5) ? 1 : 0);
+      const std::size_t pos =
+          sol.order_position(vd) + (rng.bernoulli(0.5) ? 1 : 0);
       sol.insert_on_processor(vs, pd_before.resource, pos);
       return true;
     }

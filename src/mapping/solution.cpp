@@ -36,7 +36,9 @@ bool slots_equal(const Slots& a, const Slots& b) {
 }  // namespace
 
 Solution::Solution(std::size_t task_count)
-    : placement_(task_count), task_clb_(task_count, -1) {}
+    : placement_(task_count),
+      order_pos_(task_count, 0),
+      task_clb_(task_count, -1) {}
 
 bool Solution::operator==(const Solution& other) const {
   return placement_ == other.placement_ &&
@@ -130,15 +132,6 @@ ResourceId Solution::resource_of(TaskId task) const {
   return placement(task).resource;
 }
 
-std::size_t Solution::order_position(TaskId task) const {
-  const Placement& p = placement(task);
-  const auto order = processor_order(p.resource);
-  RDSE_REQUIRE(!order.empty(), "order_position: task is not on a processor");
-  const auto pos = std::find(order.begin(), order.end(), task);
-  RDSE_ASSERT(pos != order.end());
-  return static_cast<std::size_t>(pos - order.begin());
-}
-
 std::int32_t Solution::context_clbs(const TaskGraph& tg, ResourceId rc,
                                     std::size_t ctx) const {
   const std::int32_t cached = context_clbs_cached(rc, ctx);
@@ -169,6 +162,13 @@ std::size_t Solution::tasks_on(ResourceId id) const {
   return n;
 }
 
+void Solution::renumber(std::span<const TaskId> order, std::size_t begin,
+                        std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    order_pos_[order[i]] = static_cast<std::uint32_t>(i);
+  }
+}
+
 void Solution::touch(ResourceId id) {
   if (std::find(touched_.begin(), touched_.end(), id) == touched_.end()) {
     touched_.push_back(id);
@@ -191,9 +191,10 @@ void Solution::remove_task(TaskId task) {
 
   if (p.resource < proc_order_.size()) {
     auto& order = proc_order_[p.resource];
-    const auto pos = std::find(order.begin(), order.end(), task);
-    if (pos != order.end()) {
-      order.erase(pos);
+    const std::size_t pos = order_pos_[task];
+    if (pos < order.size() && order[pos] == task) {
+      order.erase(order.begin() + static_cast<std::ptrdiff_t>(pos));
+      renumber(order, pos, order.size());
       p = Placement{};
       return;
     }
@@ -250,6 +251,7 @@ void Solution::insert_on_processor(TaskId task, ResourceId processor,
   auto& order = slot_at(proc_order_, processor);
   position = std::min(position, order.size());
   order.insert(order.begin() + static_cast<std::ptrdiff_t>(position), task);
+  renumber(order, position, order.size());
   placement_[task] = Placement{processor, -1, 0};
 }
 
@@ -314,19 +316,24 @@ std::size_t Solution::spawn_context_after(ResourceId rc, std::size_t after) {
 }
 
 void Solution::reposition(TaskId task, std::size_t new_position) {
-  const Placement p = placement(task);
-  RDSE_REQUIRE(p.resource < proc_order_.size() &&
-                   !proc_order_[p.resource].empty(),
-               "reposition: task is not on a processor");
-  touch(p.resource);
+  const std::size_t old_position = order_position(task);  // on a processor
+  const ResourceId processor = placement_[task].resource;
+  touch(processor);
   touch_task(task);
-  auto& order = proc_order_[p.resource];
-  const auto pos = std::find(order.begin(), order.end(), task);
-  RDSE_ASSERT(pos != order.end());
-  order.erase(pos);
-  new_position = std::min(new_position, order.size());
-  order.insert(order.begin() + static_cast<std::ptrdiff_t>(new_position),
-               task);
+  auto& order = proc_order_[processor];
+  new_position = std::min(new_position, order.size() - 1);
+  // Same result as erase-then-insert, but only the span between the two
+  // slots moves, so only that span is renumbered.
+  const auto at = [&order](std::size_t i) {
+    return order.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  if (new_position < old_position) {
+    std::rotate(at(new_position), at(old_position), at(old_position + 1));
+    renumber(order, new_position, old_position + 1);
+  } else if (new_position > old_position) {
+    std::rotate(at(old_position), at(old_position + 1), at(new_position + 1));
+    renumber(order, old_position, new_position + 1);
+  }
 }
 
 void Solution::set_impl(TaskId task, std::uint32_t impl, std::int32_t clbs) {
@@ -366,10 +373,14 @@ void Solution::swap_contexts(ResourceId rc, std::size_t a, std::size_t b) {
 void Solution::check_mirrors() const {
   std::vector<int> seen(placement_.size(), 0);
   for (ResourceId proc = 0; proc < proc_order_.size(); ++proc) {
-    for (TaskId t : proc_order_[proc]) {
+    const auto& order = proc_order_[proc];
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const TaskId t = order[i];
       RDSE_ASSERT(t < placement_.size());
       RDSE_ASSERT(placement_[t].resource == proc);
       RDSE_ASSERT(placement_[t].context == -1);
+      RDSE_ASSERT_MSG(order_pos_[t] == i,
+                      "Solution: order-position mirror out of step");
       ++seen[t];
     }
   }

@@ -63,7 +63,7 @@ class Solution {
   }
   [[nodiscard]] ResourceId resource_of(TaskId task) const;
 
-  // The three accessors below sit on the annealing hot path (realization,
+  // The accessors below sit on the annealing hot path (realization,
   // reconciliation, move generation) — with flat id-indexed mirrors they
   // are single indexed loads, defined inline.
   /// Total order of tasks on a processor (empty if none assigned).
@@ -72,8 +72,15 @@ class Solution {
     if (processor >= proc_order_.size()) return {};
     return proc_order_[processor];
   }
-  /// Position of a processor task within its order.
-  [[nodiscard]] std::size_t order_position(TaskId task) const;
+  /// Position of a processor task within its order: an O(1) read of the
+  /// position mirror, confirmed against the order slot it names.
+  [[nodiscard]] std::size_t order_position(TaskId task) const {
+    const auto order = processor_order(placement(task).resource);
+    const std::size_t pos = order_pos_[task];
+    RDSE_REQUIRE(pos < order.size() && order[pos] == task,
+                 "order_position: task is not on a processor");
+    return pos;
+  }
 
   /// Number of contexts currently allocated on an RC.
   [[nodiscard]] std::size_t context_count(ResourceId rc) const {
@@ -176,6 +183,9 @@ class Solution {
  private:
   void touch(ResourceId id);
   void touch_task(TaskId id);
+  /// Refresh the position mirror for order slots [begin, end).
+  void renumber(std::span<const TaskId> order, std::size_t begin,
+                std::size_t end);
 
   std::vector<Placement> placement_;
   // The mirrors are flat slots indexed by the dense, never-reused resource
@@ -185,6 +195,11 @@ class Solution {
   // walk, and the per-move candidate copy reuses inner capacity.
   /// processor id -> total order
   std::vector<std::vector<TaskId>> proc_order_;
+  /// task id -> index in its processor's total order. Meaningful only for
+  /// tasks in a processor order (stale otherwise, which order_position
+  /// detects); the mutators that shift an order renumber exactly the slots
+  /// they shift. Derived from proc_order_, so excluded from operator==.
+  std::vector<std::uint32_t> order_pos_;
   /// rc id -> ordered context list (members unordered within a context)
   std::vector<std::vector<std::vector<TaskId>>> rc_contexts_;
   /// rc id -> per-context CLB sums, structurally parallel to rc_contexts_

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -11,13 +13,28 @@
 namespace rdse {
 namespace {
 
-std::string lane_of(const Architecture& arch, const Solution& sol,
-                    TaskId t) {
+/// Gantt row order: resources by id; on an RC its contexts by number and
+/// then its reconfiguration lane; the bus after every resource. (Sorting
+/// the lane names themselves would put "fpga0/C10" before "fpga0/C2".)
+struct LaneKey {
+  ResourceId resource = kInvalidResource;  ///< the bus keeps the default
+  std::int32_t row = 0;                    ///< context index on an RC
+  auto operator<=>(const LaneKey&) const = default;
+};
+constexpr std::int32_t kReconfRow = std::numeric_limits<std::int32_t>::max();
+using LaneKeys = std::map<std::string, LaneKey>;
+
+/// The lane a task's slot renders in; records the lane's sort key.
+std::string lane_of(const Architecture& arch, const Solution& sol, TaskId t,
+                    LaneKeys& keys) {
   const Placement& p = sol.placement(t);
   const Resource& res = arch.resource(p.resource);
   if (res.kind() == ResourceKind::kReconfigurable) {
-    return res.name() + "/C" + std::to_string(p.context + 1);
+    std::string lane = res.name() + "/C" + std::to_string(p.context + 1);
+    keys.emplace(lane, LaneKey{p.resource, p.context});
+    return lane;
   }
+  keys.emplace(res.name(), LaneKey{p.resource, 0});
   return res.name();
 }
 
@@ -84,10 +101,11 @@ Timeline build_timeline(const TaskGraph& tg, const Architecture& arch,
   // ---- slots -------------------------------------------------------------
   Timeline tl;
   tl.makespan = lp.makespan;
+  LaneKeys lane_keys{{"bus", LaneKey{}}};
   for (TaskId t = 0; t < n; ++t) {
-    tl.slots.push_back(TimelineSlot{lane_of(arch, sol, t), tg.task(t).name,
-                                    SlotKind::kTask, lp.start[t],
-                                    lp.finish[t]});
+    tl.slots.push_back(TimelineSlot{lane_of(arch, sol, t, lane_keys),
+                                    tg.task(t).name, SlotKind::kTask,
+                                    lp.start[t], lp.finish[t]});
   }
   for (const Transfer& tr : transfers) {
     const CommEdge& c = tg.comm(tr.comm);
@@ -102,6 +120,7 @@ Timeline build_timeline(const TaskGraph& tg, const Architecture& arch,
     const auto& dev = arch.reconfigurable(rc);
     // Initial load: finishes exactly at the first context's release time.
     const TimeNs first = dev.reconfiguration_time(sol.context_clbs(tg, rc, 0));
+    lane_keys.emplace(dev.name() + "/reconf", LaneKey{rc, kReconfRow});
     tl.slots.push_back(TimelineSlot{dev.name() + "/reconf", "load C1",
                                     SlotKind::kReconfig, 0, first});
     for (std::size_t c = 0; c + 1 < n_ctx; ++c) {
@@ -118,7 +137,10 @@ Timeline build_timeline(const TaskGraph& tg, const Architecture& arch,
     }
   }
   std::sort(tl.slots.begin(), tl.slots.end(),
-            [](const TimelineSlot& a, const TimelineSlot& b) {
+            [&lane_keys](const TimelineSlot& a, const TimelineSlot& b) {
+              const LaneKey& ka = lane_keys.at(a.lane);
+              const LaneKey& kb = lane_keys.at(b.lane);
+              if (ka != kb) return ka < kb;
               if (a.lane != b.lane) return a.lane < b.lane;
               if (a.start != b.start) return a.start < b.start;
               return a.label < b.label;

@@ -27,14 +27,16 @@ enum class SlotKind : std::uint8_t { kTask, kReconfig, kTransfer };
 
 /// One rendered occupation interval.
 struct TimelineSlot {
-  std::string lane;   ///< "cpu0", "fpga0/ctx1", "bus"
-  std::string label;  ///< task name, "reconf C2", "A->B"
+  std::string lane;   ///< "cpu0", "fpga0/C1", "fpga0/reconf", "bus"
+  std::string label;  ///< task name, "load C2", "A->B"
   SlotKind kind = SlotKind::kTask;
   TimeNs start = 0;
   TimeNs end = 0;
 };
 
 struct Timeline {
+  /// Grouped by lane — resources by id, an RC's contexts by number and then
+  /// its reconfiguration lane, the bus last — and by start time within one.
   std::vector<TimelineSlot> slots;
   TimeNs makespan = 0;
 

@@ -3,8 +3,10 @@
 /// \brief Leveled diagnostic logging to stderr.
 ///
 /// The library itself is silent at default level; examples and benches raise
-/// the level for progress reporting. Not thread-safe by design — all rdse
-/// experiments are single-threaded for reproducibility.
+/// the level for progress reporting. Safe to call from many threads (serve
+/// logs from its connection and worker threads): each message is written by
+/// a single `fprintf`, which stdio serializes per call, so concurrent log
+/// lines never interleave; the level is a `std::atomic`.
 
 #include <sstream>
 #include <string>

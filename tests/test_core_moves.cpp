@@ -1,11 +1,15 @@
 /// Tests for the §4.2 move classes: realization semantics, §4.3 spawn rule,
-/// null-move cases, and a fuzz property — no move sequence may ever corrupt
-/// the solution (cyclic realizations are legal and rejected by evaluation).
+/// null-move cases, a fuzz property — no move sequence may ever corrupt the
+/// solution (cyclic realizations are legal and rejected by evaluation) — and
+/// draw-for-draw equivalence of m1 with its linear-walk reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/moves.hpp"
 #include "mapping/validation.hpp"
+#include "model/generators.hpp"
 #include "model/motion_detection.hpp"
 #include "sched/evaluator.hpp"
 
@@ -280,6 +284,157 @@ TEST_P(MoveFuzz, NoMoveSequenceCorruptsTheSolution) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MoveFuzz,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
+
+// ---- order-position mirror: equivalence with the linear walk ---------------
+
+/// m1 as realized before Solution kept its order-position mirror: every
+/// position comes from a linear walk of the processor order, once per
+/// in/out edge of vs. This is the reference apply_reorder_sw must match
+/// draw for draw; it exists only here.
+bool reference_reorder_sw(const TaskGraph& tg, const Architecture& arch,
+                          Solution& sol, TaskId vs, TaskId vd, bool after) {
+  if (vs == vd) return false;
+  const Placement& ps = sol.placement(vs);
+  const Placement& pd = sol.placement(vd);
+  if (!ps.assigned() || ps.resource != pd.resource) return false;
+  if (arch.resource(ps.resource).kind() != ResourceKind::kProcessor) {
+    return false;
+  }
+  const auto order = sol.processor_order(ps.resource);
+  std::size_t vd_idx = 0;
+  std::size_t vs_idx = 0;
+  for (std::size_t i = 0, j = 0; i < order.size(); ++i) {
+    if (order[i] == vs) {
+      vs_idx = i;
+      continue;
+    }
+    if (order[i] == vd) vd_idx = j;
+    ++j;
+  }
+  std::size_t target = vd_idx + (after ? 1 : 0);
+  std::size_t lo = 0;
+  std::size_t hi = order.size() - 1;
+  const Digraph& g = tg.digraph();
+  auto index_without_vs = [&](TaskId t) {
+    std::size_t j = 0;
+    for (TaskId u : order) {
+      if (u == vs) continue;
+      if (u == t) return j;
+      ++j;
+    }
+    ADD_FAILURE() << "task " << t << " missing from its processor order";
+    return j;
+  };
+  for (EdgeId e : g.in_edges(vs)) {
+    const TaskId p = g.edge(e).src;
+    if (sol.placement(p).resource == ps.resource &&
+        sol.placement(p).context == -1) {
+      lo = std::max(lo, index_without_vs(p) + 1);
+    }
+  }
+  for (EdgeId e : g.out_edges(vs)) {
+    const TaskId s = g.edge(e).dst;
+    if (sol.placement(s).resource == ps.resource &&
+        sol.placement(s).context == -1) {
+      hi = std::min(hi, index_without_vs(s));
+    }
+  }
+  if (lo > hi) return false;
+  target = std::clamp(target, lo, hi);
+  if (target == vs_idx) return false;
+  sol.reposition(vs, target);
+  return true;
+}
+
+std::size_t total_contexts(const Solution& sol, const Architecture& arch) {
+  std::size_t n = 0;
+  for (ResourceId rc : arch.reconfigurable_ids()) n += sol.context_count(rc);
+  return n;
+}
+
+/// Dense graphs (narrow layers, high edge probability) so most tasks share
+/// direct precedence with many others on the processor; odd seeds add a
+/// second processor so m2 moves tasks between two orders.
+class ReorderSwReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReorderSwReference, MirrorMatchesLinearWalkDrawForDraw) {
+  Rng gen(GetParam());
+  AppGenParams params;
+  params.dag.node_count = 30 + gen.index(40);
+  params.dag.max_width = 2 + gen.index(2);
+  params.dag.edge_probability = 0.8;
+  params.hw_capable_fraction = 0.8;
+  const Application app = random_application(params, gen);
+  const TaskGraph& tg = app.graph;
+  const std::size_t n = tg.task_count();
+  Architecture arch = make_cpu_fpga_architecture(250, from_us(10), 1'000'000);
+  if (GetParam() % 2 == 1) arch.add_processor("cpu1");
+  const auto ids = arch.live_ids();
+
+  for (const bool random_start : {false, true}) {
+    SCOPED_TRACE(random_start ? "random_partition" : "all_software");
+    Rng rng(GetParam() * 7919 + (random_start ? 1 : 0));
+    Solution sol = Solution::all_software(tg, 0);
+    if (random_start) sol = Solution::random_partition(tg, arch, 0, 1, rng);
+    sol.check_mirrors();
+    int m1_draws = 0;
+    int m1_applied = 0;
+    int m2_applied = 0;
+    int spawns = 0;
+    int collapses = 0;
+    while (m1_draws < 600) {
+      if (rng.bernoulli(0.2)) {
+        // m2, task- or resource-addressed: moves tasks between the orders
+        // and the RC, spawning and collapsing contexts on the way.
+        const std::size_t contexts_before = total_contexts(sol, arch);
+        const auto vs = static_cast<TaskId>(rng.index(n));
+        bool applied = false;
+        if (rng.bernoulli(0.5)) {
+          const auto vd = static_cast<TaskId>(rng.index(n));
+          applied = apply_reassign(tg, arch, sol, vs, vd, rng);
+        } else {
+          const ResourceId target = ids[rng.index(ids.size())];
+          applied = apply_reassign_to_resource(tg, arch, sol, vs, target, rng);
+        }
+        sol.check_mirrors();
+        m2_applied += applied ? 1 : 0;
+        const std::size_t contexts_after = total_contexts(sol, arch);
+        spawns += contexts_after > contexts_before ? 1 : 0;
+        collapses += contexts_after < contexts_before ? 1 : 0;
+        continue;
+      }
+      // m1: mostly vd from vs's own order (a real reorder attempt), some
+      // unconstrained draws for the cross-resource null cases.
+      ++m1_draws;
+      const auto vs = static_cast<TaskId>(rng.index(n));
+      const auto order = sol.processor_order(sol.placement(vs).resource);
+      auto vd = static_cast<TaskId>(rng.index(n));
+      if (!order.empty() && rng.bernoulli(0.85)) {
+        vd = order[rng.index(order.size())];
+      }
+      const bool after = rng.bernoulli(0.5);
+      SCOPED_TRACE("vs=" + std::to_string(vs) + " vd=" + std::to_string(vd));
+      Solution got = sol;
+      Solution want = sol;
+      const bool got_applied =
+          apply_reorder_sw(tg, arch, got, vs, vd, after, rng);
+      const bool want_applied =
+          reference_reorder_sw(tg, arch, want, vs, vd, after);
+      ASSERT_EQ(got_applied, want_applied) << "after=" << after;
+      ASSERT_EQ(got, want) << "after=" << after;
+      got.check_mirrors();
+      m1_applied += got_applied ? 1 : 0;
+      sol = std::move(got);
+    }
+    EXPECT_GT(m1_applied, 50);
+    EXPECT_GT(m2_applied, 20);
+    EXPECT_GT(spawns, 0);
+    EXPECT_GT(collapses, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DenseGraphs, ReorderSwReference,
+                         ::testing::Range<std::uint64_t>(1, 25));
 
 TEST(MoveNames, AllKindsHaveNames) {
   for (std::size_t k = 0; k < kMoveKindCount; ++k) {

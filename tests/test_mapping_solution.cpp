@@ -18,6 +18,17 @@ Task hw_task(const std::string& name, double ms, std::int32_t clbs) {
   return t;
 }
 
+/// Processor 0's order must be exactly `want`, and the O(1) position read
+/// must agree with it for every task.
+void expect_order(const Solution& sol, const std::vector<TaskId>& want) {
+  const auto order = sol.processor_order(0);
+  ASSERT_EQ(std::vector<TaskId>(order.begin(), order.end()), want);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(sol.order_position(want[i]), i) << "task " << want[i];
+  }
+  sol.check_mirrors();
+}
+
 class SolutionFixture : public ::testing::Test {
  protected:
   SolutionFixture()
@@ -56,6 +67,21 @@ TEST_F(SolutionFixture, InsertRemoveOnProcessor) {
   EXPECT_FALSE(sol.placement(1).assigned());
   EXPECT_EQ(sol.processor_order(0).size(), 1u);
   sol.check_mirrors();
+  EXPECT_THROW((void)sol.order_position(1), Error);  // no longer placed
+
+  sol.insert_on_processor(2, 0, 99);  // beyond the size: clamped (append)
+  expect_order(sol, {0, 2});
+  sol.insert_on_processor(3, 0, 1);  // middle: shifts the tail
+  sol.insert_on_processor(4, 0, 3);  // exactly at the size: append
+  sol.insert_on_processor(1, 0, 0);  // front
+  expect_order(sol, {1, 0, 3, 2, 4});
+  sol.remove_task(1);  // front
+  expect_order(sol, {0, 3, 2, 4});
+  sol.remove_task(3);  // middle
+  expect_order(sol, {0, 2, 4});
+  sol.remove_task(4);  // back
+  expect_order(sol, {0, 2});
+  EXPECT_THROW((void)sol.order_position(4), Error);
 }
 
 TEST_F(SolutionFixture, DoubleInsertThrows) {
@@ -74,6 +100,8 @@ TEST_F(SolutionFixture, ContextLifecycle) {
   EXPECT_EQ(sol.context_tasks(1, 0).size(), 2u);
   // 50 CLB base: impl0 = 50, impl1 = 75 (ratio 1.5).
   EXPECT_EQ(sol.context_clbs(tg, 1, 0), 50 + 75);
+
+  EXPECT_THROW((void)sol.order_position(0), Error);  // not on a processor
 
   // Removing the last member collapses the context.
   sol.remove_task(0);
@@ -131,6 +159,19 @@ TEST_F(SolutionFixture, RepositionWithinOrder) {
   sol.reposition(4, 99);  // clamped to the end
   EXPECT_EQ(sol.processor_order(0)[4], 4u);
   sol.check_mirrors();
+
+  sol.reposition(3, 0);  // to the front
+  expect_order(sol, {3, 0, 1, 2, 4});
+  sol.reposition(0, 4);  // to the back
+  expect_order(sol, {3, 1, 2, 4, 0});
+  sol.reposition(2, 2);  // same slot: order unchanged
+  expect_order(sol, {3, 1, 2, 4, 0});
+  sol.reposition(4, 1);  // backwards inside the order
+  expect_order(sol, {3, 4, 1, 2, 0});
+  sol.reposition(3, 2);  // forwards inside the order
+  expect_order(sol, {4, 1, 3, 2, 0});
+  Solution unplaced(tg.task_count());
+  EXPECT_THROW(unplaced.reposition(0, 0), Error);
 }
 
 TEST_F(SolutionFixture, SetImplOnlyOnRc) {

@@ -141,6 +141,64 @@ TEST(Timeline, AsciiRenderingContainsLanes) {
   EXPECT_THROW((void)tl.to_ascii(5), Error);
 }
 
+TEST(Timeline, LanesFollowResourceThenContextNumber) {
+  // A CPU source feeding a chain of 11 tasks, one per FPGA context: lane
+  // names sort as "fpga0/C1" < "fpga0/C10" < "fpga0/C2" as strings, but the
+  // Gantt must list the contexts by number, the reconfiguration lane after
+  // them and the bus after every resource.
+  constexpr int kContexts = 11;
+  TaskGraph tg;
+  const TaskId src = tg.add_task(hw_task("src", 1.0, 100));
+  TaskId prev = src;
+  for (int i = 0; i < kContexts; ++i) {
+    const TaskId t = tg.add_task(hw_task("k" + std::to_string(i), 1.0, 100));
+    tg.add_comm(prev, t, 1000);
+    prev = t;
+  }
+  Architecture arch = make_cpu_fpga_architecture(150, from_us(1), 1'000'000);
+  Solution sol(tg.task_count());
+  sol.insert_on_processor(src, 0, 0);
+  std::size_t ctx = Solution::kFront;
+  for (TaskId t = 1; t < tg.task_count(); ++t) {
+    ctx = sol.spawn_context_after(1, ctx);
+    sol.insert_in_context(t, 1, ctx, 0);
+  }
+
+  const Timeline tl = build_timeline(tg, arch, sol);
+  std::vector<std::string> lanes;
+  for (const TimelineSlot& s : tl.slots) {
+    if (lanes.empty() || lanes.back() != s.lane) lanes.push_back(s.lane);
+  }
+  std::vector<std::string> want{"cpu0"};
+  for (int c = 1; c <= kContexts; ++c) {
+    want.push_back("fpga0/C" + std::to_string(c));
+  }
+  want.push_back("fpga0/reconf");
+  want.push_back("bus");
+  EXPECT_EQ(lanes, want);  // each lane contiguous, in this order
+
+  // Start order within a lane: the reconfigurations load C1 .. C11.
+  std::vector<std::string> loads;
+  for (std::size_t i = 0; i < tl.slots.size(); ++i) {
+    const TimelineSlot& s = tl.slots[i];
+    if (i > 0 && tl.slots[i - 1].lane == s.lane) {
+      EXPECT_LE(tl.slots[i - 1].start, s.start) << s.lane;
+    }
+    if (s.kind == SlotKind::kReconfig) loads.push_back(s.label);
+  }
+  ASSERT_EQ(loads.size(), static_cast<std::size_t>(kContexts));
+  for (int c = 0; c < kContexts; ++c) {
+    EXPECT_EQ(loads[static_cast<std::size_t>(c)],
+              "load C" + std::to_string(c + 1));
+  }
+
+  // The rendered chart lists its rows in the same order.
+  const std::string art = tl.to_ascii(60);
+  EXPECT_LT(art.find("fpga0/C2 "), art.find("fpga0/C10"));
+  EXPECT_LT(art.find("fpga0/C11"), art.find("fpga0/reconf"));
+  EXPECT_LT(art.find("fpga0/reconf"), art.find("bus"));
+}
+
 TEST(Timeline, InfeasibleSolutionThrows) {
   TaskGraph tg;
   const TaskId a = tg.add_task(hw_task("a", 1.0, 10));

@@ -114,6 +114,11 @@ struct ModelReport {
   double profile_relax_ns_per_eval = 0.0;      ///< delta relaxation
   std::int64_t clbs_delta_hits = 0;    ///< CLB sums served without a walk
   std::int64_t clbs_delta_misses = 0;  ///< CLB sums re-summed over members
+  /// Candidates rejected by the parked-edge order check, never relaxed.
+  std::int64_t order_rejects = 0;
+  /// Communication edges parked at the end of the run, of `comm_edges`.
+  std::int64_t comm_edges_parked = 0;
+  std::size_t comm_edges = 0;
 };
 
 ModelReport compare(const std::string& name, const TaskGraph& tg,
@@ -122,6 +127,7 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
   ModelReport rep;
   rep.model = name;
   rep.tasks = tg.task_count();
+  rep.comm_edges = tg.comm_count();
   rep.moves = moves;
 
   rep.full_ns_per_move = rep.inc_ns_per_move = 0.0;
@@ -197,6 +203,8 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
         static_cast<double>(stats->builds);
     rep.clbs_delta_hits = stats->clbs_reused;
     rep.clbs_delta_misses = stats->clbs_computed;
+    rep.order_rejects = stats->order_rejects;
+    rep.comm_edges_parked = stats->comm_edges_parked;
   }
 
   // One extra pass with the phase clocks on. Profiling is kept out of the
@@ -248,6 +256,13 @@ void print_table(const std::vector<ModelReport>& reports) {
                 static_cast<long long>(r.clbs_delta_hits),
                 static_cast<long long>(r.clbs_delta_misses));
   }
+  std::printf("%-16s %5s | %13s %18s\n", "sparse graph", "", "order rejects",
+              "comm edges parked");
+  for (const ModelReport& r : reports) {
+    std::printf("%-16s %5s | %13lld %10lld / %5zu\n", r.model.c_str(), "",
+                static_cast<long long>(r.order_rejects),
+                static_cast<long long>(r.comm_edges_parked), r.comm_edges);
+  }
   std::printf("\n");
 }
 
@@ -291,6 +306,8 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("profile_relax_ns_per_eval", r.profile_relax_ns_per_eval);
     row.set("clbs_delta_hits", r.clbs_delta_hits);
     row.set("clbs_delta_misses", r.clbs_delta_misses);
+    row.set("order_rejects", r.order_rejects);
+    row.set("comm_edges_parked", r.comm_edges_parked);
     results.push_back(std::move(row));
   }
   doc.set("results", std::move(results));

@@ -23,17 +23,10 @@ DseProblem::DseProblem(const TaskGraph& tg, Architecture arch,
       batch_(batch) {
   RDSE_REQUIRE(batch_ >= 1, "DseProblem: batch must be >= 1");
   require_valid(*tg_, arch_, sol_);
-  const Evaluator ev(*tg_, arch_);
-  const auto m = ev.evaluate(sol_);
-  RDSE_REQUIRE(m.has_value(), "DseProblem: initial solution is infeasible");
-  metrics_ = *m;
+  if (!full_eval) inc_ = std::make_unique<IncrementalEvaluator>(*tg_);
+  metrics_ = evaluate_current("DseProblem: initial solution");
   cost_ = cost_of(metrics_, arch_);
   best_metrics_ = metrics_;
-
-  if (!full_eval) {
-    inc_ = std::make_unique<IncrementalEvaluator>(*tg_);
-    inc_->reset(arch_, sol_);
-  }
 
   if (adaptive_move_mix) {
     std::vector<std::string> names;
@@ -58,18 +51,24 @@ double DseProblem::cost_of(const Metrics& m, const Architecture& arch) const {
   return c;
 }
 
+Metrics DseProblem::evaluate_current(const std::string& what) {
+  // The incremental evaluator's reset already relaxes the (sparse) search
+  // graph of the current state, so its metrics are the start's metrics —
+  // no second full evaluation.
+  if (inc_) return inc_->reset(arch_, sol_);
+  const auto m = Evaluator(*tg_, arch_).evaluate(sol_);
+  RDSE_REQUIRE(m.has_value(), what + " is infeasible");
+  return *m;
+}
+
 void DseProblem::reset_state(Architecture arch, Solution sol) {
-  require_valid(*tg_, arch, sol);
-  const Evaluator ev(*tg_, arch);
-  const auto m = ev.evaluate(sol);
-  RDSE_REQUIRE(m.has_value(), "reset_state: injected solution is infeasible");
+  require_valid(*tg_, arch, sol);  // feasible: evaluation cannot throw
   arch_ = std::move(arch);
   sol_ = std::move(sol);
-  metrics_ = *m;
+  metrics_ = evaluate_current("reset_state: injected solution");
   cost_ = cost_of(metrics_, arch_);
   cand_arch_stale_ = true;
   cand_sol_stale_ = true;
-  if (inc_) inc_->reset(arch_, sol_);
 }
 
 void DseProblem::restore_best_state(Architecture arch, Solution sol) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "anneal/annealer.hpp"
 #include "anneal/move_control.hpp"
@@ -119,6 +120,11 @@ class DseProblem final : public AnnealProblem {
   }
 
  private:
+  /// Metrics of the current state (arch_, sol_), which require_valid has
+  /// accepted: from the incremental evaluator's reset, or from a full
+  /// evaluation when full_eval is set. `what` names the state in the
+  /// infeasibility error.
+  Metrics evaluate_current(const std::string& what);
   /// One §4.2 move draw into the candidate buffers (adaptive-mix forcing
   /// included) — shared by the single and batched propose paths.
   MoveOutcome generate_candidate_move(Rng& rng);

@@ -23,21 +23,26 @@ EdgeId Digraph::add_edge(NodeId src, NodeId dst, TimeNs weight) {
     free_.pop_back();
     edges_[id] = Edge{src, dst};
     weight_[id] = weight;
-    alive_[id] = true;
+    state_[id] = EdgeState::kLive;
   } else {
     id = static_cast<EdgeId>(edges_.size());
     edges_.push_back(Edge{src, dst});
     weight_.push_back(weight);
-    alive_.push_back(true);
+    state_.push_back(EdgeState::kLive);
     out_pos_.push_back(0);
     in_pos_.push_back(0);
   }
-  out_pos_[id] = static_cast<std::uint32_t>(out_[src].size());
-  out_[src].push_back(HalfEdge{dst, id, weight});
-  in_pos_[id] = static_cast<std::uint32_t>(in_[dst].size());
-  in_[dst].push_back(HalfEdge{src, id, weight});
-  ++live_edges_;
+  attach(id);
   return id;
+}
+
+void Digraph::attach(EdgeId edge) {
+  const Edge& e = edges_[edge];
+  out_pos_[edge] = static_cast<std::uint32_t>(out_[e.src].size());
+  out_[e.src].push_back(HalfEdge{e.dst, edge, weight_[edge]});
+  in_pos_[edge] = static_cast<std::uint32_t>(in_[e.dst].size());
+  in_[e.dst].push_back(HalfEdge{e.src, edge, weight_[edge]});
+  ++live_edges_;
 }
 
 void Digraph::detach(std::vector<std::vector<HalfEdge>>& lists,
@@ -52,15 +57,30 @@ void Digraph::detach(std::vector<std::vector<HalfEdge>>& lists,
   list.pop_back();
 }
 
-void Digraph::remove_edge(EdgeId edge) {
-  RDSE_REQUIRE(edge < edges_.size() && alive_[edge],
-               "Digraph::remove_edge: edge not alive");
-  const Edge e = edges_[edge];
+void Digraph::detach(EdgeId edge) {
+  const Edge& e = edges_[edge];
   detach(out_, out_pos_, e.src, edge);
   detach(in_, in_pos_, e.dst, edge);
-  alive_[edge] = false;
-  free_.push_back(edge);
   --live_edges_;
+}
+
+void Digraph::remove_edge(EdgeId edge) {
+  RDSE_REQUIRE(edge_alive(edge), "Digraph::remove_edge: edge not alive");
+  detach(edge);
+  state_[edge] = EdgeState::kFree;
+  free_.push_back(edge);
+}
+
+void Digraph::park_edge(EdgeId edge) {
+  RDSE_REQUIRE(edge_alive(edge), "Digraph::park_edge: edge not alive");
+  detach(edge);
+  state_[edge] = EdgeState::kParked;
+}
+
+void Digraph::unpark_edge(EdgeId edge) {
+  RDSE_REQUIRE(edge_parked(edge), "Digraph::unpark_edge: edge not parked");
+  attach(edge);
+  state_[edge] = EdgeState::kLive;
 }
 
 bool Digraph::has_edge(NodeId src, NodeId dst) const {
@@ -83,15 +103,17 @@ void Digraph::clear_edges() {
   weight_.clear();
   out_pos_.clear();
   in_pos_.clear();
-  alive_.clear();
+  state_.clear();
   free_.clear();
   live_edges_ = 0;
 }
 
 void Digraph::check_consistency() const {
   std::size_t live = 0;
+  std::size_t free_slots = 0;
   for (EdgeId id = 0; id < edges_.size(); ++id) {
-    if (!alive_[id]) continue;
+    if (state_[id] == EdgeState::kFree) ++free_slots;
+    if (state_[id] != EdgeState::kLive) continue;
     ++live;
     const Edge& e = edges_[id];
     RDSE_ASSERT(e.src < node_count() && e.dst < node_count());
@@ -107,17 +129,23 @@ void Digraph::check_consistency() const {
                 hi.weight == weight_[id]);
   }
   RDSE_ASSERT(live == live_edges_);
+  // The free list holds removed ids only, as many as there are — a parked
+  // id must never be on it (add_edge would hand it out while reserved).
+  RDSE_ASSERT(free_.size() == free_slots);
+  for (const EdgeId id : free_) {
+    RDSE_ASSERT(id < edges_.size() && state_[id] == EdgeState::kFree);
+  }
   std::size_t half_out = 0;
   std::size_t half_in = 0;
   for (NodeId v = 0; v < node_count(); ++v) {
     half_out += out_[v].size();
     half_in += in_[v].size();
     for (const HalfEdge& h : out_[v]) {
-      RDSE_ASSERT(alive_[h.edge] && edges_[h.edge].src == v &&
+      RDSE_ASSERT(edge_alive(h.edge) && edges_[h.edge].src == v &&
                   edges_[h.edge].dst == h.node);
     }
     for (const HalfEdge& h : in_[v]) {
-      RDSE_ASSERT(alive_[h.edge] && edges_[h.edge].dst == v &&
+      RDSE_ASSERT(edge_alive(h.edge) && edges_[h.edge].dst == v &&
                   edges_[h.edge].src == h.node);
     }
   }

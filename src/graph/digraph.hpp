@@ -21,6 +21,13 @@
 /// same values, so the mirror cannot drift from what full recomputation
 /// sees. A per-edge back-index into each adjacency array makes
 /// `remove_edge` and weight updates O(1) (swap-and-pop, no linear scan).
+///
+/// An edge can also be *parked*: detached from both adjacency arrays like a
+/// removed edge, but its id stays reserved (never handed out again by
+/// `add_edge`) together with its endpoints and weight, so `unpark_edge`
+/// re-attaches it under the same id. A parked edge is not live: traversals,
+/// `edge_count()` and `edge()` do not see it. The incremental evaluator
+/// parks the communication edges a processor's total order already implies.
 
 #include <cstdint>
 #include <span>
@@ -106,7 +113,7 @@ class Digraph {
   NodeId add_node();
 
   [[nodiscard]] std::size_t node_count() const { return out_.size(); }
-  /// Number of live (non-removed) edges.
+  /// Number of live edges (neither removed nor parked).
   [[nodiscard]] std::size_t edge_count() const { return live_edges_; }
   /// Upper bound over edge ids ever allocated (for dense per-edge arrays).
   [[nodiscard]] std::size_t edge_capacity() const { return edges_.size(); }
@@ -119,6 +126,15 @@ class Digraph {
   /// Remove a live edge by id — O(1) via the per-edge back-index
   /// (swap-and-pop in both adjacency arrays).
   void remove_edge(EdgeId edge);
+
+  /// Detach a live edge from the adjacency but keep its id, endpoints and
+  /// weight reserved — O(1), like remove_edge, except that the id does not
+  /// return to the free list.
+  void park_edge(EdgeId edge);
+
+  /// Re-attach a parked edge under its id with the weight it was parked
+  /// with — O(1).
+  void unpark_edge(EdgeId edge);
 
   /// Update a live edge's weight in the dense array and both half-edge
   /// mirrors — O(1) via the back-index.
@@ -136,7 +152,10 @@ class Digraph {
   // Release (RDSE_DCHECK — full checks stay on in Debug and sanitizer
   // builds).
   [[nodiscard]] bool edge_alive(EdgeId edge) const {
-    return edge < edges_.size() && alive_[edge];
+    return edge < edges_.size() && state_[edge] == EdgeState::kLive;
+  }
+  [[nodiscard]] bool edge_parked(EdgeId edge) const {
+    return edge < edges_.size() && state_[edge] == EdgeState::kParked;
   }
   [[nodiscard]] const Edge& edge(EdgeId edge) const {
     RDSE_REQUIRE(edge_alive(edge), "Digraph::edge: edge not alive");
@@ -198,10 +217,19 @@ class Digraph {
   void clear_edges();
 
   /// Validate internal adjacency consistency, including the half-edge
-  /// mirrors and back-indexes (tests / debugging).
+  /// mirrors, back-indexes and the free/parked id bookkeeping (tests /
+  /// debugging).
   void check_consistency() const;
 
  private:
+  enum class EdgeState : std::uint8_t { kFree, kLive, kParked };
+
+  /// Append `edge`'s half-edge records (and back-indexes) to both
+  /// adjacency arrays; the edge counts as live from here on.
+  void attach(EdgeId edge);
+  /// Swap-and-pop `edge`'s half-edge records out of both adjacency arrays;
+  /// the edge no longer counts as live.
+  void detach(EdgeId edge);
   void detach(std::vector<std::vector<HalfEdge>>& lists,
               std::vector<std::uint32_t>& pos, NodeId node, EdgeId edge);
 
@@ -213,7 +241,7 @@ class Digraph {
   /// — what makes detach and weight updates O(1).
   std::vector<std::uint32_t> out_pos_;
   std::vector<std::uint32_t> in_pos_;
-  std::vector<bool> alive_;
+  std::vector<EdgeState> state_;
   std::vector<EdgeId> free_;
   std::size_t live_edges_ = 0;
 };

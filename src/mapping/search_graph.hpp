@@ -21,6 +21,12 @@
 /// The paper rejects moves whose realization creates a cycle; here a cyclic
 /// solution simply fails evaluation (topological sort fails), which the
 /// move layer treats as infeasible.
+///
+/// The builder always emits the full G'. The incremental evaluator's copy
+/// (sched/incremental_eval.hpp) parks the communication edges between two
+/// tasks on the same processor: the processor's Esw chain already orders
+/// such a pair, so the sparse copy has the same longest path and the same
+/// feasibility as long as every parked edge runs forward in the order.
 
 #include <cstdint>
 #include <span>

@@ -72,14 +72,20 @@ class Solution {
     if (processor >= proc_order_.size()) return {};
     return proc_order_[processor];
   }
+  /// Whether `task` sits in its resource's processor order at the slot the
+  /// position mirror names — what order_position requires, without
+  /// throwing (the validator's per-task check).
+  [[nodiscard]] bool in_processor_order(TaskId task) const {
+    const auto order = processor_order(placement(task).resource);
+    const std::size_t pos = order_pos_[task];
+    return pos < order.size() && order[pos] == task;
+  }
   /// Position of a processor task within its order: an O(1) read of the
   /// position mirror, confirmed against the order slot it names.
   [[nodiscard]] std::size_t order_position(TaskId task) const {
-    const auto order = processor_order(placement(task).resource);
-    const std::size_t pos = order_pos_[task];
-    RDSE_REQUIRE(pos < order.size() && order[pos] == task,
+    RDSE_REQUIRE(in_processor_order(task),
                  "order_position: task is not on a processor");
-    return pos;
+    return order_pos_[task];
   }
 
   /// Number of contexts currently allocated on an RC.

@@ -20,6 +20,10 @@ std::vector<std::string> validate_solution(const TaskGraph& tg,
     return bad;
   }
 
+  // Tasks placed on each processor, against which each order's length is
+  // checked below.
+  std::vector<std::size_t> placed_on(arch.slot_count(), 0);
+
   for (TaskId t = 0; t < tg.task_count(); ++t) {
     const Placement& p = sol.placement(t);
     const std::string& name = tg.task(t).name;
@@ -37,8 +41,8 @@ std::vector<std::string> validate_solution(const TaskGraph& tg,
         if (p.context != -1) {
           complain("task '" + name + "' on a processor has a context index");
         }
-        const auto order = sol.processor_order(p.resource);
-        if (std::count(order.begin(), order.end(), t) != 1) {
+        ++placed_on[p.resource];
+        if (!sol.in_processor_order(t)) {
           complain("task '" + name +
                    "' does not appear exactly once in its processor order");
         }
@@ -85,6 +89,17 @@ std::vector<std::string> validate_solution(const TaskGraph& tg,
         }
         break;
       }
+    }
+  }
+  // Every placed task sits at the order slot its position mirror names
+  // (distinct slots), so an order exactly as long as the number of tasks
+  // placed on its processor holds each of them once and nothing else.
+  for (ResourceId proc : arch.processor_ids()) {
+    const std::size_t listed = sol.processor_order(proc).size();
+    if (listed != placed_on[proc]) {
+      complain("processor '" + arch.resource(proc).name() + "' order lists " +
+               std::to_string(listed) + " tasks, " +
+               std::to_string(placed_on[proc]) + " are placed on it");
     }
   }
   if (!bad.empty()) {

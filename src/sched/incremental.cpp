@@ -449,20 +449,15 @@ bool DeltaRelaxer::repair_ranks(const Digraph& g,
     // Re-pack the union into its own rank slots: x's ancestors first (in
     // their old relative order), then y's descendants — every other node
     // keeps its rank, so all previously-ascending edges still ascend.
-    // The affected sets are tiny (a handful of nodes per repair), so plain
-    // insertion sorts beat std::sort's dispatch overhead here, and the
-    // slot pool is just the merge of the two already-sorted rank runs.
-    const auto insertion_by_rank = [&](std::vector<NodeId>& v) {
-      for (std::size_t a = 1; a < v.size(); ++a) {
-        const NodeId n = v[a];
-        const std::uint32_t r = rank_[n];
-        std::size_t b = a;
-        for (; b > 0 && rank_[v[b - 1]] > r; --b) v[b] = v[b - 1];
-        v[b] = n;
-      }
+    // The sets can span a long processor chain, and a backward sweep down
+    // one collects them in descending rank order, so they are sorted in
+    // O(k log k) (ranks are unique: the order is fully determined); the
+    // slot pool is then the merge of the two sorted rank runs.
+    const auto by_rank = [&](NodeId a, NodeId b) {
+      return rank_[a] < rank_[b];
     };
-    insertion_by_rank(delta_fwd_);
-    insertion_by_rank(delta_back_);
+    std::sort(delta_fwd_.begin(), delta_fwd_.end(), by_rank);
+    std::sort(delta_back_.begin(), delta_back_.end(), by_rank);
     rank_pool_.clear();
     {
       std::size_t a = 0;

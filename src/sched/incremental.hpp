@@ -159,11 +159,11 @@ struct DeltaRelaxStats {
 /// descending edge (x -> y) triggers two bounded DFS sweeps over the rank
 /// window [rank(y), rank(x)] — forward from y and backward from x — whose
 /// nodes are then re-packed into the window's own rank slots (affected
-/// region first follows x's ancestors, then y's descendants). Cost is
-/// proportional to the affected window, not the graph; the forward sweep
-/// reaching x is exactly the cycle certificate, so acyclicity still falls
-/// out of the same pass. A cyclic probe is rejected before any value is
-/// written, so it leaves no journal to unwind.
+/// region first follows x's ancestors, then y's descendants). Cost grows
+/// with the affected window — O(k log k) for k moved nodes — not with the
+/// graph; the forward sweep reaching x is exactly the cycle certificate, so
+/// acyclicity still falls out of the same pass. A cyclic probe is rejected
+/// before any value is written, so it leaves no journal to unwind.
 ///
 /// The makespan is maintained incrementally as well: the relaxer carries
 /// the multiplicity of the committed maximum (how many nodes finish exactly

@@ -8,11 +8,28 @@
 
 namespace rdse {
 
-void IncrementalEvaluator::reset(const Architecture& arch,
-                                 const Solution& sol) {
+Metrics IncrementalEvaluator::reset(const Architecture& arch,
+                                    const Solution& sol) {
   cache_.clear();
   cache_.begin_build({});
   build_search_graph_into(sg_, *tg_, arch, sol, &cache_);
+  // Park every communication edge between two tasks on one processor (its
+  // weight is already 0: the endpoints are co-located). The zero-weight Esw
+  // chain orders the pair, so the edge never raises a start time; and G'
+  // is acyclic iff the sparse graph is and every parked edge runs forward.
+  comm_parked_ = 0;
+  for (EdgeId e = 0; e < tg_->comm_count(); ++e) {
+    const CommEdge& c = tg_->comm(e);
+    const ResourceId r = sol.placement(c.src).resource;
+    if (r != sol.placement(c.dst).resource ||
+        arch.resource(r).kind() != ResourceKind::kProcessor) {
+      continue;
+    }
+    RDSE_REQUIRE(sol.order_position(c.src) < sol.order_position(c.dst),
+                 "IncrementalEvaluator::reset: committed state is infeasible");
+    sg_.graph.park_edge(e);
+    ++comm_parked_;
+  }
   RDSE_REQUIRE(is_acyclic(sg_.graph),
                "IncrementalEvaluator::reset: committed state is infeasible");
   const WeightedDag dag{&sg_.graph, sg_.node_weight,
@@ -60,6 +77,42 @@ void IncrementalEvaluator::reset(const Architecture& arch,
     }
   }
   pending_ = false;
+  return metrics(relaxer_.makespan());
+}
+
+Metrics IncrementalEvaluator::metrics(TimeNs makespan) const {
+  Metrics m;
+  m.makespan = makespan;
+  m.init_reconfig = sg_.init_reconfig;
+  m.dyn_reconfig = sg_.dyn_reconfig;
+  m.comm_cross = sg_.comm_cross;
+  m.sw_busy = sw_busy_;
+  m.hw_busy = hw_busy_;
+  m.sw_tasks = sw_tasks_;
+  m.hw_tasks = hw_tasks_;
+  m.n_contexts = sg_.n_contexts;
+  m.clbs_loaded = sg_.clbs_loaded;
+  m.max_context_clbs = sg_.max_context_clbs;
+  return m;
+}
+
+bool IncrementalEvaluator::order_conflict(const Solution& cand_sol, TaskId t,
+                                          ResourceId proc) const {
+  const Digraph& app = tg_->digraph();
+  const std::size_t pos = cand_sol.order_position(t);
+  for (const HalfEdge& h : app.in_half(t)) {
+    if (cand_sol.placement(h.node).resource == proc &&
+        cand_sol.order_position(h.node) > pos) {
+      return true;
+    }
+  }
+  for (const HalfEdge& h : app.out_half(t)) {
+    if (cand_sol.placement(h.node).resource == proc &&
+        cand_sol.order_position(h.node) < pos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void IncrementalEvaluator::stage_node_weight(NodeId v, TimeNs w) {
@@ -72,10 +125,29 @@ void IncrementalEvaluator::stage_node_weight(NodeId v, TimeNs w) {
 void IncrementalEvaluator::stage_comm_weight(EdgeId e, TimeNs w) {
   const TimeNs old = sg_.graph.edge_weight(e);
   if (old == w) return;
-  comm_undo_.push_back({e, old});
+  comm_undo_.push_back({e, old, EdgeOp::kWeight});
   sg_.comm_cross += w - old;
   sg_.graph.set_edge_weight(e, w);
   seeds_.push_back(sg_.graph.edge(e).dst);
+}
+
+void IncrementalEvaluator::stage_park(EdgeId e) {
+  if (!sg_.graph.edge_alive(e)) return;  // already parked
+  // Co-located now: its crossing weight leaves comm_cross.
+  stage_comm_weight(e, 0);
+  comm_undo_.push_back({e, 0, EdgeOp::kPark});
+  sg_.graph.park_edge(e);
+  seeds_.push_back(tg_->comm(e).dst);
+  ++comm_parked_;
+}
+
+void IncrementalEvaluator::stage_unpark(EdgeId e) {
+  if (!sg_.graph.edge_parked(e)) return;  // already live
+  comm_undo_.push_back({e, 0, EdgeOp::kUnpark});
+  sg_.graph.unpark_edge(e);
+  new_edges_.push_back(e);
+  seeds_.push_back(tg_->comm(e).dst);
+  --comm_parked_;
 }
 
 void IncrementalEvaluator::stage_release(NodeId v, TimeNs r) {
@@ -197,7 +269,7 @@ void IncrementalEvaluator::stage_seq_weight(EdgeId e, TimeNs w) {
   // In-place re-weighting of a surviving sequentialization edge (same undo
   // record as communication weights; unlike those it leaves comm_cross
   // untouched).
-  comm_undo_.push_back({e, sg_.graph.edge_weight(e)});
+  comm_undo_.push_back({e, sg_.graph.edge_weight(e), EdgeOp::kWeight});
   sg_.graph.set_edge_weight(e, w);
   seeds_.push_back(sg_.graph.edge_unchecked(e).dst);
   ++seq_reweighted_;
@@ -262,6 +334,33 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
   RDSE_REQUIRE(!pending_,
                "IncrementalEvaluator: previous candidate not resolved");
   ++builds_;
+
+  // Micro-profile phase clock: one running timestamp, advanced at each
+  // phase boundary (two clock reads per phase, opt-in).
+  using ProfileClock = std::chrono::steady_clock;
+  ProfileClock::time_point prof_t{};
+  if (profile_) prof_t = ProfileClock::now();
+  const auto profile_lap = [&](std::int64_t& slot) {
+    const auto now = ProfileClock::now();
+    slot += std::chrono::duration_cast<std::chrono::nanoseconds>(now - prof_t)
+                .count();
+    prof_t = now;
+  };
+
+  // ---- 0. parked-edge order check: a moved processor task with an
+  // application predecessor after it (or successor before it) closes a
+  // cycle through the Esw chain. Only moved tasks can turn a parked edge
+  // backwards, so this O(degree) scan decides it before any surgery.
+  for (TaskId t : touched_tasks) {
+    const ResourceId r = cand_sol.placement(t).resource;
+    if (cand_arch.resource(r).kind() == ResourceKind::kProcessor &&
+        order_conflict(cand_sol, t, r)) {
+      ++order_rejects_;
+      if (profile_) profile_lap(prof_stage_ns_);
+      return std::nullopt;
+    }
+  }
+
   seeds_.clear();
   new_edges_.clear();
   removed_seq_.clear();
@@ -284,28 +383,18 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
   snap_.hw_busy = hw_busy_;
   snap_.sw_tasks = sw_tasks_;
   snap_.hw_tasks = hw_tasks_;
+  snap_.comm_parked = comm_parked_;
   cache_.begin_build(touched_resources, touched_tasks);
 
-  // Micro-profile phase clock: one running timestamp, advanced at each
-  // phase boundary (two clock reads per phase, opt-in).
-  using ProfileClock = std::chrono::steady_clock;
-  ProfileClock::time_point prof_t{};
-  if (profile_) prof_t = ProfileClock::now();
-  const auto profile_lap = [&](std::int64_t& slot) {
-    const auto now = ProfileClock::now();
-    slot += std::chrono::duration_cast<std::chrono::nanoseconds>(now - prof_t)
-                .count();
-    prof_t = now;
-  };
-
   // ---- 1. moved tasks: node weights, partition sums, incident
-  // communication weights --------------------------------------------------
+  // communication edges ------------------------------------------------------
   // comm_edge_weight with the memoized bus time (co_located is the shared
   // crossing predicate, so the two paths cannot drift apart).
   const auto comm_weight = [&](EdgeId e) -> TimeNs {
     const CommEdge& c = tg_->comm(e);
     return co_located(cand_sol, c.src, c.dst) ? 0 : bus_time_[e];
   };
+  const Digraph& app = tg_->digraph();
   for (TaskId t : touched_tasks) {
     const TimeNs old_w = sg_.node_weight[t];
     const TimeNs new_w = assigned_exec_time(*tg_, cand_arch, cand_sol, t);
@@ -332,12 +421,21 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
       task_on_proc_[t] = now_sw ? 1 : 0;
     }
     stage_node_weight(t, new_w);
-    for (EdgeId e : tg_->digraph().in_edges(t)) {
-      stage_comm_weight(e, comm_weight(e));
-    }
-    for (EdgeId e : tg_->digraph().out_edges(t)) {
-      stage_comm_weight(e, comm_weight(e));
-    }
+    // An edge to a task on the same processor is parked; every other one
+    // is live at its crossing weight. (An edge between two moved tasks is
+    // visited twice; the second visit finds it staged and does nothing.)
+    const ResourceId proc =
+        now_sw ? cand_sol.placement(t).resource : kInvalidResource;
+    const auto stage_comm = [&](const HalfEdge& h) {
+      if (cand_sol.placement(h.node).resource == proc) {
+        stage_park(h.edge);
+      } else {
+        stage_unpark(h.edge);
+        stage_comm_weight(h.edge, comm_weight(h.edge));
+      }
+    };
+    for (const HalfEdge& h : app.in_half(t)) stage_comm(h);
+    for (const HalfEdge& h : app.out_half(t)) stage_comm(h);
   }
 
   if (profile_) profile_lap(prof_stage_ns_);
@@ -459,20 +557,8 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
     return std::nullopt;
   }
 
-  Metrics m;
-  m.makespan = *makespan;
-  m.init_reconfig = sg_.init_reconfig;
-  m.dyn_reconfig = sg_.dyn_reconfig;
-  m.comm_cross = sg_.comm_cross;
-  m.sw_busy = sw_busy_;
-  m.hw_busy = hw_busy_;
-  m.sw_tasks = sw_tasks_;
-  m.hw_tasks = hw_tasks_;
-  m.n_contexts = sg_.n_contexts;
-  m.clbs_loaded = sg_.clbs_loaded;
-  m.max_context_clbs = sg_.max_context_clbs;
   pending_ = true;
-  return m;
+  return metrics(*makespan);
 }
 
 void IncrementalEvaluator::rollback() {
@@ -506,8 +592,19 @@ void IncrementalEvaluator::rollback() {
     list.swap(splice_);
   }
   for (auto it = comm_undo_.rbegin(); it != comm_undo_.rend(); ++it) {
-    sg_.graph.set_edge_weight(it->edge, it->weight);
+    switch (it->op) {
+      case EdgeOp::kWeight:
+        sg_.graph.set_edge_weight(it->edge, it->weight);
+        break;
+      case EdgeOp::kPark:
+        sg_.graph.unpark_edge(it->edge);
+        break;
+      case EdgeOp::kUnpark:
+        sg_.graph.park_edge(it->edge);
+        break;
+    }
   }
+  comm_parked_ = snap_.comm_parked;
   for (auto it = node_weight_undo_.rbegin(); it != node_weight_undo_.rend();
        ++it) {
     sg_.node_weight[it->node] = it->value;
@@ -556,6 +653,8 @@ IncrementalEvalStats IncrementalEvaluator::stats() const {
   IncrementalEvalStats s;
   s.relax = relaxer_.stats();
   s.builds = builds_;
+  s.order_rejects = order_rejects_;
+  s.comm_edges_parked = comm_parked_;
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
   s.bounds_reused = cache_.bounds_reused();

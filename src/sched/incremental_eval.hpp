@@ -6,7 +6,16 @@
 /// graph for every move. This evaluator instead keeps the committed
 /// realization resident and applies each move as a *delta*:
 ///
-///  - the committed search graph G' is edited in place — node weights and
+///  - the maintained graph is G' made sparse: every communication edge
+///    between two tasks on one processor is *parked* (detached, id kept —
+///    Digraph::park_edge). The processor's zero-weight Esw chain already
+///    orders such a pair, so the edge can never raise a start time, and
+///    G' is acyclic iff the sparse graph is and every parked edge runs
+///    forward in its processor's order. Only a moved task can turn a
+///    parked edge backwards, so a candidate with such an edge is rejected
+///    by an O(degree) order check before any surgery; staging a moved task
+///    parks, unparks or re-weights its communication edges;
+///  - the committed search graph is edited in place — node weights and
 ///    communication-edge weights of the moved tasks are updated, and only
 ///    the sequentialization edges (Esw/Ehw) and release times of the
 ///    resources the move touched are reconciled: a two-pointer chain diff
@@ -21,8 +30,8 @@
 ///    rebuilding; an accepted one commits by swapping buffers.
 ///
 /// All scratch storage is pooled, so steady-state proposals allocate
-/// nothing. Results are bit-identical to Evaluator::evaluate
-/// (property-tested on random graphs x random move sequences).
+/// nothing. Results are bit-identical to Evaluator::evaluate, which keeps
+/// the full G' (property-tested on random graphs x random move sequences).
 
 #include <optional>
 #include <span>
@@ -37,7 +46,7 @@ namespace rdse {
 /// Counters for benchmarks and tests.
 struct IncrementalEvalStats {
   DeltaRelaxStats relax;
-  std::int64_t builds = 0;       ///< candidate surgeries
+  std::int64_t builds = 0;       ///< candidates evaluated (incl. order rejects)
   std::int64_t cache_hits = 0;   ///< RC realizations served from the memo
   std::int64_t cache_misses = 0;
   std::int64_t bounds_reused = 0;    ///< boundaries copied (membership same)
@@ -55,6 +64,14 @@ struct IncrementalEvalStats {
   /// re-weighted in place (counted inside seq_edges_kept) instead of a
   /// remove + insert pair, so they never enter new_edges or rank repair.
   std::int64_t seq_edges_reweighted = 0;
+  /// Candidates rejected by the parked-edge order check (a moved task now
+  /// runs before a predecessor, or after a successor, on its processor) —
+  /// infeasible before any surgery, so they never reach the relaxer.
+  std::int64_t order_rejects = 0;
+  /// Communication edges parked in the maintained graph right now (staged
+  /// candidate included): the application edges the processor chains
+  /// imply, absent from every relaxation and rank repair.
+  std::int64_t comm_edges_parked = 0;
   /// Opt-in micro-profile (set_profile(true)): cumulative wall time per
   /// evaluation phase, in nanoseconds. All zero while profiling is off —
   /// the headline timings never pay for the clock reads.
@@ -71,9 +88,9 @@ class IncrementalEvaluator {
   explicit IncrementalEvaluator(const TaskGraph& tg) : tg_(&tg) {}
 
   /// Re-synchronize with the committed state (initial solution, or after an
-  /// external replacement such as replica exchange). The state must be
-  /// feasible.
-  void reset(const Architecture& arch, const Solution& sol);
+  /// external replacement such as replica exchange) and return its metrics,
+  /// equal to Evaluator::evaluate's. The state must be feasible.
+  Metrics reset(const Architecture& arch, const Solution& sol);
 
   /// Evaluate a candidate derived from the committed state by one move.
   /// `touched_resources` / `touched_tasks` are the move's mutation journal
@@ -100,7 +117,9 @@ class IncrementalEvaluator {
 
   /// The maintained realization: the committed graph, or the staged
   /// candidate between a successful evaluate_candidate() and its
-  /// commit()/discard(). Exposed for tests and debugging.
+  /// commit()/discard(). Communication edges between tasks on one
+  /// processor are parked in it (not live). Exposed for tests and
+  /// debugging.
   [[nodiscard]] const SearchGraph& search_graph() const { return sg_; }
 
  private:
@@ -118,8 +137,22 @@ class IncrementalEvaluator {
     kWeightOnly,  ///< same endpoints/kind, new weight: patch in place
   };
 
+  /// Metrics of the maintained graph under the given makespan.
+  [[nodiscard]] Metrics metrics(TimeNs makespan) const;
+  /// True when a processor task `t` at `pos` (candidate order) has an
+  /// application predecessor after it, or a successor before it, on its
+  /// processor `proc` — a parked edge running backwards, i.e. a cycle
+  /// through the Esw chain.
+  [[nodiscard]] bool order_conflict(const Solution& cand_sol, TaskId t,
+                                    ResourceId proc) const;
   void stage_node_weight(NodeId v, TimeNs w);
   void stage_comm_weight(EdgeId e, TimeNs w);
+  /// Park a live communication edge whose endpoints now share a processor
+  /// (its weight drops to 0 first, leaving comm_cross) — undo-logged.
+  void stage_park(EdgeId e);
+  /// Unpark a parked communication edge whose endpoints no longer share a
+  /// processor; it joins new_edges_ for the relaxer's rank check.
+  void stage_unpark(EdgeId e);
   /// Re-weight a surviving sequentialization edge in place (undo-logged;
   /// does not touch comm_cross).
   void stage_seq_weight(EdgeId e, TimeNs w);
@@ -191,9 +224,15 @@ class IncrementalEvaluator {
   std::vector<ReconcileUndo> reconcile_undo_;
   std::vector<DesiredEdge> desired_;  ///< reconciliation scratch
   std::vector<EdgeId> splice_;        ///< chain-splice scratch
+  /// Edge-level undo record, replayed in reverse: a re-weight restores
+  /// `weight`; a park is undone by unparking and vice versa. Parking logs
+  /// its drop to weight 0 first and unparking its re-weight after, so the
+  /// reverse replay only ever re-weights a live edge.
+  enum class EdgeOp : std::uint8_t { kWeight, kPark, kUnpark };
   struct EdgeUndo {
     EdgeId edge;
     TimeNs weight;
+    EdgeOp op;
   };
   std::vector<EdgeUndo> comm_undo_;
   struct NodeUndo {
@@ -219,6 +258,7 @@ class IncrementalEvaluator {
     TimeNs hw_busy;
     int sw_tasks;
     int hw_tasks;
+    std::int64_t comm_parked;
   };
   ScalarSnapshot snap_{};
 
@@ -231,7 +271,10 @@ class IncrementalEvaluator {
   int sw_tasks_ = 0;
   int hw_tasks_ = 0;
 
+  std::int64_t comm_parked_ = 0;
+
   std::int64_t builds_ = 0;
+  std::int64_t order_rejects_ = 0;
   std::int64_t reconciles_ = 0;
   bool profile_ = false;
   std::int64_t prof_stage_ns_ = 0;

@@ -177,6 +177,179 @@ TEST(Digraph, EdgeIdViewMatchesHalfEdges) {
   }
 }
 
+// ---- parked edges -----------------------------------------------------------
+
+TEST(DigraphPark, AddEdgeNeverHandsOutAParkedId) {
+  Digraph g(4);
+  const EdgeId a = g.add_edge(0, 1, 5);
+  const EdgeId b = g.add_edge(1, 2, 6);
+  g.park_edge(a);
+  // A removed id is recycled; the parked one stays reserved through any
+  // amount of later insertion and removal.
+  g.remove_edge(b);
+  EXPECT_EQ(g.add_edge(2, 3), b);
+  for (int i = 0; i < 20; ++i) {
+    const EdgeId e = g.add_edge(static_cast<NodeId>(i % 3),
+                                static_cast<NodeId>(i % 3 + 1));
+    EXPECT_NE(e, a);
+    if (i % 2 == 0) g.remove_edge(e);
+  }
+  EXPECT_TRUE(g.edge_parked(a));
+  EXPECT_FALSE(g.edge_alive(a));
+  g.check_consistency();
+}
+
+TEST(DigraphPark, UnparkRestoresRecordBackIndexAndWeight) {
+  Digraph g(5);
+  const EdgeId e1 = g.add_edge(0, 1, 10);
+  const EdgeId e2 = g.add_edge(0, 2, 20);
+  const EdgeId e3 = g.add_edge(0, 3, 30);
+  const EdgeId e4 = g.add_edge(4, 2, 40);
+
+  // Parking from the middle of out_[0] and the front of in_[2]
+  // swap-and-pops the tail records into place, as removal does.
+  g.park_edge(e2);
+  g.check_consistency();
+  EXPECT_EQ(g.out_degree(0), 2u);
+  EXPECT_EQ(g.in_degree(2), 1u);
+  EXPECT_EQ(g.find_edge(0, 2), kInvalidEdge);
+  // The records that moved keep working through their back-indexes.
+  g.set_edge_weight(e3, 33);
+  g.set_edge_weight(e4, 44);
+  g.check_consistency();
+
+  g.unpark_edge(e2);
+  g.check_consistency();
+  EXPECT_TRUE(g.edge_alive(e2));
+  EXPECT_EQ(g.edge(e2).src, 0u);
+  EXPECT_EQ(g.edge(e2).dst, 2u);
+  EXPECT_EQ(g.edge_weight(e2), 20);
+  EXPECT_EQ(g.find_edge(0, 2), e2);
+  // Both half-edge records are back, carrying the parked weight, and the
+  // back-index addresses them: a weight update reaches both mirrors.
+  g.set_edge_weight(e2, 21);
+  bool seen_out = false;
+  for (const HalfEdge& h : g.out_half(0)) {
+    if (h.edge == e2) {
+      seen_out = true;
+      EXPECT_EQ(h.node, 2u);
+      EXPECT_EQ(h.weight, 21);
+    }
+  }
+  bool seen_in = false;
+  for (const HalfEdge& h : g.in_half(2)) {
+    if (h.edge == e2) {
+      seen_in = true;
+      EXPECT_EQ(h.node, 0u);
+      EXPECT_EQ(h.weight, 21);
+    }
+  }
+  EXPECT_TRUE(seen_out);
+  EXPECT_TRUE(seen_in);
+  g.remove_edge(e2);
+  g.remove_edge(e1);
+  g.check_consistency();
+}
+
+TEST(DigraphPark, EdgeCountCountsLiveEdgesOnly) {
+  Digraph g(3);
+  const EdgeId a = g.add_edge(0, 1);
+  const EdgeId b = g.add_edge(1, 2);
+  g.park_edge(a);
+  EXPECT_EQ(g.edge_count(), 1u);
+  EXPECT_EQ(g.edge_capacity(), 2u);
+  g.park_edge(b);
+  EXPECT_EQ(g.edge_count(), 0u);
+  g.unpark_edge(a);
+  EXPECT_EQ(g.edge_count(), 1u);
+  g.check_consistency();
+}
+
+TEST(DigraphPark, ParkedEdgeAccessThrows) {
+  Digraph g(2);
+  const EdgeId e = g.add_edge(0, 1);
+  const EdgeId live = g.add_edge(1, 0);
+  g.park_edge(e);
+  // edge() throws as on a removed edge; a parked edge can be neither
+  // removed nor parked again, and only a parked edge can be unparked.
+  EXPECT_THROW((void)g.edge(e), Error);
+  EXPECT_THROW(g.remove_edge(e), Error);
+  EXPECT_THROW(g.park_edge(e), Error);
+  EXPECT_THROW(g.unpark_edge(live), Error);
+  g.remove_edge(live);
+  EXPECT_THROW(g.unpark_edge(live), Error);
+  g.unpark_edge(e);
+  EXPECT_NO_THROW((void)g.edge(e));
+}
+
+class ParkChurn : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Random park / unpark / add / remove churn against a naive model: the
+// adjacency holds exactly the live edges, parked edges come back with
+// their endpoints and weight, and no id is ever live and parked at once.
+TEST_P(ParkChurn, RandomChurnKeepsConsistency) {
+  Rng rng(GetParam());
+  const std::size_t n = 12;
+  Digraph g(n);
+  struct Model {
+    EdgeId id;
+    NodeId src;
+    NodeId dst;
+    TimeNs weight;
+  };
+  std::vector<Model> live;
+  std::vector<Model> parked;
+  const auto take = [&](std::vector<Model>& from) {
+    const std::size_t k = rng.index(from.size());
+    const Model m = from[k];
+    from[k] = from.back();
+    from.pop_back();
+    return m;
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const double dice = rng.uniform01();
+    if (live.empty() || dice < 0.3) {
+      const NodeId u = static_cast<NodeId>(rng.index(n));
+      NodeId v = static_cast<NodeId>(rng.index(n));
+      if (u == v) v = static_cast<NodeId>((v + 1) % n);
+      const TimeNs w = rng.uniform_int(0, 99);
+      const EdgeId id = g.add_edge(u, v, w);
+      for (const Model& p : parked) ASSERT_NE(p.id, id) << "step " << step;
+      live.push_back({id, u, v, w});
+    } else if (dice < 0.5) {
+      g.remove_edge(take(live).id);
+    } else if (dice < 0.75) {
+      const Model m = take(live);
+      g.park_edge(m.id);
+      parked.push_back(m);
+    } else if (!parked.empty()) {
+      const Model m = take(parked);
+      g.unpark_edge(m.id);
+      live.push_back(m);
+    }
+    if (step % 100 == 0) g.check_consistency();
+  }
+  g.check_consistency();
+  ASSERT_EQ(g.edge_count(), live.size());
+  for (const Model& m : live) {
+    ASSERT_TRUE(g.edge_alive(m.id));
+    EXPECT_EQ(g.edge(m.id).src, m.src);
+    EXPECT_EQ(g.edge(m.id).dst, m.dst);
+    EXPECT_EQ(g.edge_weight(m.id), m.weight);
+  }
+  for (const Model& m : parked) {
+    ASSERT_TRUE(g.edge_parked(m.id));
+    g.unpark_edge(m.id);
+    EXPECT_EQ(g.edge(m.id).src, m.src);
+    EXPECT_EQ(g.edge(m.id).dst, m.dst);
+    EXPECT_EQ(g.edge_weight(m.id), m.weight);
+  }
+  EXPECT_EQ(g.edge_count(), live.size() + parked.size());
+  g.check_consistency();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParkChurn, ::testing::Values(3, 5, 7, 9));
+
 class DigraphChurn : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DigraphChurn, RandomChurnKeepsConsistency) {

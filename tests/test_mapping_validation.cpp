@@ -97,6 +97,27 @@ TEST_F(ValidationFixture, CyclicRealizationReported) {
   EXPECT_NE(bad[0].find("cycle"), std::string::npos);
 }
 
+TEST_F(ValidationFixture, TasksOnTwoProcessors) {
+  Architecture arch2 = arch;
+  const ResourceId cpu1 = arch2.add_processor("cpu1");
+  // a and c on cpu0 (in precedence order), b on cpu1: every order holds
+  // exactly the tasks placed on its processor.
+  Solution sol(tg.task_count());
+  sol.insert_on_processor(0, 0, 0);
+  sol.insert_on_processor(2, 0, 1);
+  sol.insert_on_processor(1, cpu1, 0);
+  EXPECT_TRUE(validate_solution(tg, arch2, sol).empty());
+
+  // c before a on cpu0 closes a -> b -> c -> a through cpu1's task.
+  Solution cyclic(tg.task_count());
+  cyclic.insert_on_processor(2, 0, 0);
+  cyclic.insert_on_processor(0, 0, 1);
+  cyclic.insert_on_processor(1, cpu1, 0);
+  const auto bad = validate_solution(tg, arch2, cyclic);
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_NE(bad[0].find("cycle"), std::string::npos);
+}
+
 TEST_F(ValidationFixture, DeadResourceReported) {
   Architecture arch2 = arch;
   const ResourceId asic = arch2.add_asic("asic0");

@@ -552,6 +552,118 @@ TEST(DeltaRelaxer, SteadyStateProbesDoNotGrowScratch) {
   EXPECT_EQ(relaxer.queued_capacity(), queued_cap);
 }
 
+TEST(DeltaRelaxer, ChainWindowRepairsMatchFullRelax) {
+  // A processor chain of ~3000 nodes plus one free node z: inserting an
+  // edge between z and a chain end descends across the whole chain, so the
+  // Pearce–Kelly window spans it — forward from the chain's head when z
+  // sits after it, backward from its tail (collected in descending rank
+  // order) when z sits before it. Every probe, commit and discard is
+  // checked node for node against a full longest-path pass.
+  constexpr std::size_t kChain = 3000;
+  const auto z = static_cast<NodeId>(kChain);  // last id: ranked last
+  Rng rng(61);
+  Mirror m;
+  m.graph = Digraph(kChain + 1);
+  for (NodeId v = 0; v + 1 < kChain; ++v) {
+    m.graph.add_edge(v, v + 1, rng.uniform_int(0, 5));
+  }
+  m.node_weight.resize(kChain + 1);
+  for (auto& w : m.node_weight) w = rng.uniform_int(1, 100);
+  m.release.assign(kChain + 1, 0);
+  m.release[z] = 50'000;  // z's edges change the chain's finish times
+
+  DeltaRelaxer relaxer;
+  relaxer.reset(m.dag());
+  const auto expect_values = [&](const Mirror& want, const char* what,
+                                 int round) {
+    const LongestPathResult full = longest_path(want.dag());
+    for (NodeId v = 0; v <= kChain; ++v) {
+      ASSERT_EQ(relaxer.start_of(v), full.start[v])
+          << what << ", round " << round << ", node " << v;
+      ASSERT_EQ(relaxer.finish_of(v), full.finish[v])
+          << what << ", round " << round << ", node " << v;
+    }
+  };
+  // Stage `cand` with the given seeds and inserted edges; compare the
+  // probe, then either discard (committed values must come back) or
+  // commit (the candidate becomes the base).
+  const auto step = [&](Mirror cand, std::vector<NodeId> seeds,
+                        std::vector<EdgeId> new_edges, bool keep,
+                        int round) {
+    const auto probed = relaxer.probe(cand.dag(), seeds, new_edges);
+    ASSERT_TRUE(probed.has_value()) << "round " << round;
+    EXPECT_EQ(*probed, cand.full_makespan()) << "round " << round;
+    expect_values(cand, "probe", round);
+    if (keep) {
+      relaxer.commit();
+      m = std::move(cand);
+      EXPECT_EQ(relaxer.makespan(), m.full_makespan());
+      expect_values(m, "commit", round);
+    } else {
+      relaxer.discard();
+      EXPECT_EQ(relaxer.makespan(), m.full_makespan());
+      expect_values(m, "discard", round);
+    }
+  };
+
+  for (int round = 0; round < 3; ++round) {
+    for (const bool keep : {false, true}) {
+      // z ranks after the chain: z -> head descends, and the forward sweep
+      // from the head collects the whole chain.
+      const std::int64_t before = relaxer.stats().rank_repair_nodes;
+      Mirror cand = m;
+      const EdgeId down = cand.graph.add_edge(z, 0, 7);
+      step(cand, {0}, {down}, keep, round);
+      EXPECT_GE(relaxer.stats().rank_repair_nodes - before,
+                static_cast<std::int64_t>(kChain));
+    }
+    // Drop it again (ranks stay valid under removal): z now ranks first.
+    {
+      Mirror cand = m;
+      cand.graph.remove_edge(cand.graph.find_edge(z, 0));
+      step(cand, {0}, {}, true, round);
+    }
+    // With z before the chain, one insertion closes a cycle over the whole
+    // window: commit z -> head, then probe tail -> z.
+    if (round == 0) {
+      Mirror cand = m;
+      const EdgeId down = cand.graph.add_edge(z, 0, 7);
+      step(cand, {0}, {down}, true, round);
+      Mirror cyclic = m;
+      const EdgeId back =
+          cyclic.graph.add_edge(static_cast<NodeId>(kChain - 1), z, 3);
+      const std::int64_t cyclic_before = relaxer.stats().cyclic;
+      EXPECT_FALSE(relaxer
+                       .probe(cyclic.dag(), std::vector<NodeId>{z},
+                              std::vector<EdgeId>{back})
+                       .has_value());
+      EXPECT_EQ(relaxer.stats().cyclic, cyclic_before + 1);
+      EXPECT_EQ(relaxer.journal_size(), 0u);
+      expect_values(m, "cyclic probe", round);
+      Mirror undo = m;
+      undo.graph.remove_edge(undo.graph.find_edge(z, 0));
+      step(undo, {0}, {}, true, round);
+    }
+    for (const bool keep : {false, true}) {
+      // z ranks before the chain: tail -> z descends, and the backward
+      // sweep from the tail walks the chain in descending rank order.
+      const std::int64_t before = relaxer.stats().rank_repair_nodes;
+      Mirror cand = m;
+      const EdgeId down =
+          cand.graph.add_edge(static_cast<NodeId>(kChain - 1), z, 9);
+      step(cand, {z}, {down}, keep, round);
+      EXPECT_GE(relaxer.stats().rank_repair_nodes - before,
+                static_cast<std::int64_t>(kChain));
+    }
+    {
+      Mirror cand = m;
+      cand.graph.remove_edge(
+          cand.graph.find_edge(static_cast<NodeId>(kChain - 1), z));
+      step(cand, {z}, {}, true, round);
+    }
+  }
+}
+
 TEST(DeltaRelaxer, CommitWithoutProbeThrows) {
   Digraph g = chain_graph(3);
   std::vector<TimeNs> nw{1, 1, 1};

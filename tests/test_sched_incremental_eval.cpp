@@ -4,10 +4,16 @@
 /// window for an adjacent swap, the whole chain for a reversal — while
 /// staying bit-identical to the from-scratch Evaluator, and rollback must
 /// restore the exact chain (order included) so later diffs stay local.
+/// Parking equivalence: with the communication edges between tasks on one
+/// processor parked, verdicts and metrics still equal the full Evaluator's
+/// on dense graphs under order-violating moves, and commit/discard keep
+/// exactly those edges parked.
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "core/problem.hpp"
 #include "model/generators.hpp"
@@ -55,18 +61,28 @@ ChainCounters delta(const ChainCounters& before,
           after.added - before.added};
 }
 
+void expect_metrics_equal(const std::optional<Metrics>& got,
+                          const std::optional<Metrics>& want,
+                          const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->makespan, want->makespan) << where;
+  EXPECT_EQ(got->init_reconfig, want->init_reconfig) << where;
+  EXPECT_EQ(got->dyn_reconfig, want->dyn_reconfig) << where;
+  EXPECT_EQ(got->comm_cross, want->comm_cross) << where;
+  EXPECT_EQ(got->sw_busy, want->sw_busy) << where;
+  EXPECT_EQ(got->hw_busy, want->hw_busy) << where;
+  EXPECT_EQ(got->n_contexts, want->n_contexts) << where;
+  EXPECT_EQ(got->sw_tasks, want->sw_tasks) << where;
+  EXPECT_EQ(got->hw_tasks, want->hw_tasks) << where;
+  EXPECT_EQ(got->clbs_loaded, want->clbs_loaded) << where;
+  EXPECT_EQ(got->max_context_clbs, want->max_context_clbs) << where;
+}
+
 void expect_matches_full(const TaskGraph& tg, const Architecture& arch,
                          const Solution& cand,
                          const std::optional<Metrics>& got) {
-  const Evaluator ev(tg, arch);
-  const auto want = ev.evaluate(cand);
-  ASSERT_EQ(got.has_value(), want.has_value());
-  if (got.has_value()) {
-    EXPECT_EQ(got->makespan, want->makespan);
-    EXPECT_EQ(got->comm_cross, want->comm_cross);
-    EXPECT_EQ(got->sw_busy, want->sw_busy);
-    EXPECT_EQ(got->hw_busy, want->hw_busy);
-  }
+  expect_metrics_equal(got, Evaluator(tg, arch).evaluate(cand), "");
 }
 
 TEST(ChainDiff, UnchangedOrderEmitsNoEdges) {
@@ -303,6 +319,161 @@ TEST(ClbDeltas, MirrorAndCountersStayExactUnderRollbackChurn) {
       FAIL() << "instance seed " << seed;
     }
   }
+}
+
+// ---- parked communication edges ---------------------------------------------
+
+/// Dense precedence: most same-processor pairs are ordered, so unclamped
+/// repositions and inserts next to a neighbour often turn an edge
+/// backwards.
+Application dense_app(std::size_t n, std::uint64_t seed) {
+  AppGenParams params;
+  params.dag.node_count = n;
+  params.dag.max_width = 4;
+  params.dag.edge_probability = 0.6;
+  params.hw_capable_fraction = 0.8;
+  Rng rng(seed);
+  return random_application(params, rng);
+}
+
+/// A communication edge is live in the maintained graph iff its endpoints
+/// are not on one processor; otherwise it is parked (never freed).
+void expect_parked_exactly_co_processor(const TaskGraph& tg,
+                                        const Architecture& arch,
+                                        const Solution& sol,
+                                        const IncrementalEvaluator& inc,
+                                        const std::string& where) {
+  const Digraph& g = inc.search_graph().graph;
+  g.check_consistency();
+  std::int64_t parked = 0;
+  for (EdgeId e = 0; e < tg.comm_count(); ++e) {
+    const CommEdge& c = tg.comm(e);
+    const ResourceId r = sol.placement(c.src).resource;
+    const bool one_processor =
+        r == sol.placement(c.dst).resource &&
+        arch.resource(r).kind() == ResourceKind::kProcessor;
+    ASSERT_EQ(g.edge_alive(e), !one_processor) << where << ", edge " << e;
+    ASSERT_EQ(g.edge_parked(e), one_processor) << where << ", edge " << e;
+    parked += one_processor ? 1 : 0;
+  }
+  EXPECT_EQ(inc.stats().comm_edges_parked, parked) << where;
+}
+
+/// One random move on `cand`, drawn so that many candidates are cyclic
+/// only through a parked edge: unclamped repositions, processor inserts
+/// right before or after a direct predecessor or successor, and moves to
+/// and from the RC (a fresh or an existing context).
+void random_parking_move(const TaskGraph& tg, const Architecture& arch,
+                         Solution& cand, Rng& rng) {
+  const std::vector<ResourceId> procs = arch.processor_ids();
+  constexpr ResourceId kRc = 1;
+  const auto t = static_cast<TaskId>(rng.index(tg.task_count()));
+  const ResourceId at = cand.placement(t).resource;
+  const bool on_proc = arch.resource(at).kind() == ResourceKind::kProcessor;
+  const double dice = rng.uniform01();
+  if (dice < 0.3 && on_proc) {
+    cand.reposition(t, rng.index(cand.processor_order(at).size()));
+  } else if (dice < 0.6) {
+    // Next to a neighbour that sits on a processor (either side of it).
+    std::vector<TaskId> near;
+    for (const HalfEdge& h : tg.digraph().in_half(t)) near.push_back(h.node);
+    for (const HalfEdge& h : tg.digraph().out_half(t)) near.push_back(h.node);
+    std::erase_if(near, [&](TaskId n) {
+      return arch.resource(cand.placement(n).resource).kind() !=
+             ResourceKind::kProcessor;
+    });
+    if (near.empty()) return;
+    const TaskId n = near[rng.index(near.size())];
+    cand.remove_task(t);
+    const ResourceId proc = cand.placement(n).resource;
+    cand.insert_on_processor(t, proc, cand.order_position(n) + rng.index(2));
+  } else if (dice < 0.8 && on_proc && tg.task(t).hw_capable()) {
+    cand.remove_task(t);
+    const auto impl =
+        static_cast<std::uint32_t>(rng.index(tg.task(t).hw.size()));
+    const std::int32_t clbs = tg.task(t).hw.at(impl).clbs;
+    const std::size_t n_ctx = cand.context_count(kRc);
+    std::size_t ctx;
+    if (n_ctx > 0 && rng.bernoulli(0.6)) {
+      ctx = rng.index(n_ctx);
+    } else {
+      ctx = cand.spawn_context_after(
+          kRc, n_ctx == 0 ? Solution::kFront : rng.index(n_ctx));
+    }
+    cand.insert_in_context(t, kRc, ctx, impl, clbs);
+  } else if (!on_proc) {
+    cand.remove_task(t);
+    const ResourceId proc = procs[rng.index(procs.size())];
+    cand.insert_on_processor(
+        t, proc, rng.index(cand.processor_order(proc).size() + 1));
+  } else {
+    // Over to the other processor, anywhere in its order.
+    const ResourceId proc = procs[0] == at ? procs[1] : procs[0];
+    cand.remove_task(t);
+    cand.insert_on_processor(
+        t, proc, rng.index(cand.processor_order(proc).size() + 1));
+  }
+}
+
+TEST(Parking, MatchesFullEvaluatorOnDenseGraphs) {
+  std::int64_t order_rejects = 0;
+  std::int64_t feasible = 0;
+  std::int64_t infeasible = 0;
+  for (std::uint64_t seed = 501; seed <= 508; ++seed) {
+    const Application app = dense_app(28, seed);
+    const TaskGraph& tg = app.graph;
+    Architecture arch =
+        make_cpu_fpga_architecture(900, from_us(10.0), 20'000'000);
+    (void)arch.add_processor("cpu1");
+    Rng init(seed);
+    Solution sol = seed % 2 == 0
+                       ? Solution::all_software(tg, 0)
+                       : Solution::random_partition(tg, arch, 0, 1, init);
+
+    IncrementalEvaluator inc(tg);
+    const Metrics start = inc.reset(arch, sol);
+    expect_metrics_equal(start, Evaluator(tg, arch).evaluate(sol),
+                         "reset, seed " + std::to_string(seed));
+    expect_parked_exactly_co_processor(tg, arch, sol, inc, "reset");
+
+    Rng rng(seed * 31 + 7);
+    for (int step = 0; step < 300; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      Solution cand = sol;
+      cand.clear_touched();
+      random_parking_move(tg, arch, cand, rng);
+      const auto got = inc.evaluate_candidate(
+          arch, cand, cand.touched_resources(), cand.touched_tasks());
+      const auto want = Evaluator(tg, arch).evaluate(cand);
+      expect_metrics_equal(got, want, where);
+      if (!got.has_value()) {
+        ++infeasible;
+        expect_parked_exactly_co_processor(tg, arch, sol, inc,
+                                           where + " (cyclic)");
+        continue;
+      }
+      ++feasible;
+      if (rng.bernoulli(0.5)) {
+        inc.commit();
+        sol = cand;
+        expect_parked_exactly_co_processor(tg, arch, sol, inc,
+                                           where + " (commit)");
+      } else {
+        inc.discard();
+        expect_parked_exactly_co_processor(tg, arch, sol, inc,
+                                           where + " (discard)");
+      }
+      if (::testing::Test::HasFailure()) FAIL() << where;
+    }
+    order_rejects += inc.stats().order_rejects;
+  }
+  // The move mix must exercise every branch: accepted deltas, and
+  // candidates rejected by the order check as well as by the relaxer.
+  EXPECT_GT(feasible, 500);
+  EXPECT_GT(infeasible, 300);
+  EXPECT_GT(order_rejects, 100);
+  EXPECT_LT(order_rejects, infeasible);
 }
 
 }  // namespace

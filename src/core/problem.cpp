@@ -22,9 +22,8 @@ DseProblem::DseProblem(const TaskGraph& tg, Architecture arch,
       winner_sol_(sol_),
       batch_(batch) {
   RDSE_REQUIRE(batch_ >= 1, "DseProblem: batch must be >= 1");
-  require_valid(*tg_, arch_, sol_);
   if (!full_eval) inc_ = std::make_unique<IncrementalEvaluator>(*tg_);
-  metrics_ = evaluate_current("DseProblem: initial solution");
+  metrics_ = checked_metrics(arch_, sol_, /*as_current=*/true);
   cost_ = cost_of(metrics_, arch_);
   best_metrics_ = metrics_;
 
@@ -51,35 +50,35 @@ double DseProblem::cost_of(const Metrics& m, const Architecture& arch) const {
   return c;
 }
 
-Metrics DseProblem::evaluate_current(const std::string& what) {
-  // The incremental evaluator's reset already relaxes the (sparse) search
-  // graph of the current state, so its metrics are the start's metrics —
-  // no second full evaluation.
-  if (inc_) return inc_->reset(arch_, sol_);
-  const auto m = Evaluator(*tg_, arch_).evaluate(sol_);
-  RDSE_REQUIRE(m.has_value(), what + " is infeasible");
+Metrics DseProblem::checked_metrics(const Architecture& arch,
+                                   const Solution& sol, bool as_current) {
+  if (!validate_structure(*tg_, arch, sol).empty()) {
+    // Cold path: the reference validator words the error, so an
+    // over-capacity state still lists its cycle verdict too.
+    require_valid(*tg_, arch, sol);
+  }
+  // One realization decides the cycle verdict and yields the metrics. A
+  // rejected state leaves the incremental evaluator as it was.
+  const std::optional<Metrics> m = as_current && inc_
+                                       ? inc_->reset(arch, sol)
+                                       : Evaluator(*tg_, arch).evaluate(sol);
+  if (!m.has_value()) throw_invalid({kCyclicSearchGraph});
   return *m;
 }
 
 void DseProblem::reset_state(Architecture arch, Solution sol) {
-  require_valid(*tg_, arch, sol);  // feasible: evaluation cannot throw
+  metrics_ = checked_metrics(arch, sol, /*as_current=*/true);
   arch_ = std::move(arch);
   sol_ = std::move(sol);
-  metrics_ = evaluate_current("reset_state: injected solution");
   cost_ = cost_of(metrics_, arch_);
   cand_arch_stale_ = true;
   cand_sol_stale_ = true;
 }
 
 void DseProblem::restore_best_state(Architecture arch, Solution sol) {
-  require_valid(*tg_, arch, sol);
-  const Evaluator ev(*tg_, arch);
-  const auto m = ev.evaluate(sol);
-  RDSE_REQUIRE(m.has_value(),
-               "restore_best_state: injected solution is infeasible");
+  best_metrics_ = checked_metrics(arch, sol, /*as_current=*/false);
   best_arch_ = std::move(arch);
   best_sol_ = std::move(sol);
-  best_metrics_ = *m;
 }
 
 MoveOutcome DseProblem::generate_candidate_move(Rng& rng) {

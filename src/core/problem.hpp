@@ -8,7 +8,6 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "anneal/annealer.hpp"
 #include "anneal/move_control.hpp"
@@ -98,10 +97,12 @@ class DseProblem final : public AnnealProblem {
   /// exchange): validates, re-evaluates, and updates the current cost. The
   /// best-so-far snapshot and move statistics are left untouched; callers
   /// driving an AnnealEngine must follow up with notify_state_replaced().
+  /// An invalid state throws and leaves the problem as it was.
   void reset_state(Architecture arch, Solution sol);
 
   /// Checkpoint restore: replace the best-so-far snapshot (validated and
-  /// re-evaluated). The construction sequence of a resumed problem takes
+  /// re-evaluated; an invalid state throws and leaves the problem as it
+  /// was). The construction sequence of a resumed problem takes
   /// the checkpointed *current* state through the constructor and the
   /// engine's initial snapshot_best() clobbers best with it; this puts the
   /// checkpointed best back.
@@ -120,11 +121,15 @@ class DseProblem final : public AnnealProblem {
   }
 
  private:
-  /// Metrics of the current state (arch_, sol_), which require_valid has
-  /// accepted: from the incremental evaluator's reset, or from a full
-  /// evaluation when full_eval is set. `what` names the state in the
-  /// infeasibility error.
-  Metrics evaluate_current(const std::string& what);
+  /// Validate a state and return its metrics, realizing it once: the
+  /// structural checks of validate_structure, then one realization that
+  /// decides the cycle verdict — the incremental evaluator's sparse reset
+  /// for a state becoming current (`as_current`, incremental mode; the
+  /// evaluator then holds it), a full evaluation otherwise. Throws
+  /// require_valid's error for an invalid state, leaving the problem and
+  /// its evaluator as they were.
+  Metrics checked_metrics(const Architecture& arch, const Solution& sol,
+                          bool as_current);
   /// One §4.2 move draw into the candidate buffers (adaptive-mix forcing
   /// included) — shared by the single and batched propose paths.
   MoveOutcome generate_candidate_move(Rng& rng);

@@ -13,7 +13,23 @@ NodeId Digraph::add_node() {
   return static_cast<NodeId>(out_.size() - 1);
 }
 
-EdgeId Digraph::add_edge(NodeId src, NodeId dst, TimeNs weight) {
+void Digraph::reserve_edges(std::size_t edges) {
+  edges_.reserve(edges);
+  weight_.reserve(edges);
+  state_.reserve(edges);
+  out_pos_.reserve(edges);
+  in_pos_.reserve(edges);
+}
+
+void Digraph::reserve_degree(NodeId node, std::size_t out, std::size_t in) {
+  RDSE_REQUIRE(node < node_count(),
+               "Digraph::reserve_degree: node out of range");
+  out_[node].reserve(out);
+  in_[node].reserve(in);
+}
+
+EdgeId Digraph::allocate_edge(NodeId src, NodeId dst, TimeNs weight,
+                              EdgeState state) {
   RDSE_REQUIRE(src < node_count() && dst < node_count(),
                "Digraph::add_edge: node id out of range");
   RDSE_REQUIRE(src != dst, "Digraph::add_edge: self loops are not allowed");
@@ -23,17 +39,26 @@ EdgeId Digraph::add_edge(NodeId src, NodeId dst, TimeNs weight) {
     free_.pop_back();
     edges_[id] = Edge{src, dst};
     weight_[id] = weight;
-    state_[id] = EdgeState::kLive;
+    state_[id] = state;
   } else {
     id = static_cast<EdgeId>(edges_.size());
     edges_.push_back(Edge{src, dst});
     weight_.push_back(weight);
-    state_.push_back(EdgeState::kLive);
+    state_.push_back(state);
     out_pos_.push_back(0);
     in_pos_.push_back(0);
   }
+  return id;
+}
+
+EdgeId Digraph::add_edge(NodeId src, NodeId dst, TimeNs weight) {
+  const EdgeId id = allocate_edge(src, dst, weight, EdgeState::kLive);
   attach(id);
   return id;
+}
+
+EdgeId Digraph::add_parked_edge(NodeId src, NodeId dst, TimeNs weight) {
+  return allocate_edge(src, dst, weight, EdgeState::kParked);
 }
 
 void Digraph::attach(EdgeId edge) {

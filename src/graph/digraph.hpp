@@ -26,8 +26,9 @@
 /// removed edge, but its id stays reserved (never handed out again by
 /// `add_edge`) together with its endpoints and weight, so `unpark_edge`
 /// re-attaches it under the same id. A parked edge is not live: traversals,
-/// `edge_count()` and `edge()` do not see it. The incremental evaluator
-/// parks the communication edges a processor's total order already implies.
+/// `edge_count()` and `edge()` do not see it. `add_parked_edge` inserts an
+/// edge parked from the start. The incremental evaluator parks the
+/// communication edges a processor's total order already implies.
 
 #include <cstdint>
 #include <span>
@@ -112,6 +113,14 @@ class Digraph {
   /// Append a node, returning its id (ids are dense, 0..node_count-1).
   NodeId add_node();
 
+  /// Reserve per-edge storage for `edges` edge ids (a builder that knows
+  /// its edge count allocates once instead of growing).
+  void reserve_edges(std::size_t edges);
+
+  /// Reserve adjacency room for `out` outgoing and `in` incoming live edges
+  /// of `node`: attaching up to that many never reallocates.
+  void reserve_degree(NodeId node, std::size_t out, std::size_t in);
+
   [[nodiscard]] std::size_t node_count() const { return out_.size(); }
   /// Number of live edges (neither removed nor parked).
   [[nodiscard]] std::size_t edge_count() const { return live_edges_; }
@@ -122,6 +131,12 @@ class Digraph {
   /// (the search graph may stack a communication edge and a
   /// sequentialization edge on the same node pair). Self-loops are rejected.
   EdgeId add_edge(NodeId src, NodeId dst, TimeNs weight = 0);
+
+  /// Insert an edge src -> dst straight into the parked state: its id is
+  /// allocated as add_edge allocates one and keeps the endpoints and
+  /// weight, but nothing is attached until unpark_edge — O(1). Builds a
+  /// sparse graph without attaching edges only to park them again.
+  EdgeId add_parked_edge(NodeId src, NodeId dst, TimeNs weight = 0);
 
   /// Remove a live edge by id — O(1) via the per-edge back-index
   /// (swap-and-pop in both adjacency arrays).
@@ -224,6 +239,10 @@ class Digraph {
  private:
   enum class EdgeState : std::uint8_t { kFree, kLive, kParked };
 
+  /// Allocate an id for src -> dst (recycled from the free list if any)
+  /// in `state`, without attaching it.
+  EdgeId allocate_edge(NodeId src, NodeId dst, TimeNs weight,
+                       EdgeState state);
   /// Append `edge`'s half-edge records (and back-indexes) to both
   /// adjacency arrays; the edge counts as live from here on.
   void attach(EdgeId edge);

@@ -22,10 +22,9 @@ std::optional<std::vector<NodeId>> topological_order(const Digraph& g) {
     const NodeId v = ready.top();
     ready.pop();
     order.push_back(v);
-    for (EdgeId e : g.out_edges(v)) {
-      const NodeId w = g.edge(e).dst;
-      if (--indeg[w] == 0) {
-        ready.push(w);
+    for (const HalfEdge& h : g.out_half(v)) {
+      if (--indeg[h.node] == 0) {
+        ready.push(h.node);
       }
     }
   }

@@ -213,12 +213,19 @@ void SearchGraphCache::erase(ResourceId rc) {
   }
 }
 
-void SearchGraphCache::clear() {
-  committed_.clear();
-  committed_present_.clear();
-  staged_.clear();
+void SearchGraphCache::adopt(SearchGraphCache&& fresh) {
+  committed_ = std::move(fresh.committed_);
+  committed_present_ = std::move(fresh.committed_present_);
+  staged_ = std::move(fresh.staged_);
   dirty_.clear();
+  touched_tasks_.clear();
   staged_live_.clear();
+  hits_ += fresh.hits_;
+  misses_ += fresh.misses_;
+  bounds_reused_ += fresh.bounds_reused_;
+  bounds_computed_ += fresh.bounds_computed_;
+  clbs_reused_ += fresh.clbs_reused_;
+  clbs_computed_ += fresh.clbs_computed_;
 }
 
 TimeNs assigned_exec_time(const TaskGraph& tg, const Architecture& arch,
@@ -250,12 +257,10 @@ SearchGraph build_search_graph(const TaskGraph& tg, const Architecture& arch,
   return sg;
 }
 
-void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
-                             const Architecture& arch, const Solution& sol,
-                             SearchGraphCache* cache) {
+void begin_search_graph(SearchGraph& sg, const TaskGraph& tg,
+                        const Architecture& arch, const Solution& sol) {
   RDSE_REQUIRE(sol.task_count() == tg.task_count(),
                "build_search_graph: solution/task-graph size mismatch");
-  sg.graph = tg.digraph();  // value copy: application edges keep their ids
   sg.release.assign(tg.task_count(), 0);
   sg.init_reconfig = 0;
   sg.dyn_reconfig = 0;
@@ -263,22 +268,19 @@ void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
   sg.n_contexts = 0;
   sg.clbs_loaded = 0;
   sg.max_context_clbs = 0;
+  sg.edge_kind.assign(tg.comm_count(), SearchEdgeKind::kComm);
 
   // --- node weights: execution time on the assigned resource -------------
   sg.node_weight.resize(tg.task_count());
   for (TaskId t = 0; t < tg.task_count(); ++t) {
     sg.node_weight[t] = assigned_exec_time(tg, arch, sol, t);
   }
+}
 
-  // --- application edges: bus time when crossing -------------------------
-  const Bus& bus = arch.bus();
-  sg.edge_kind.assign(sg.graph.edge_capacity(), SearchEdgeKind::kComm);
-  for (EdgeId e = 0; e < tg.comm_count(); ++e) {
-    const TimeNs w = comm_edge_weight(tg, bus, sol, e);
-    sg.graph.set_edge_weight(e, w);
-    sg.comm_cross += w;
-  }
-
+void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
+                                 const Architecture& arch,
+                                 const Solution& sol,
+                                 SearchGraphCache* cache) {
   auto add_edge = [&](TaskId src, TaskId dst, TimeNs weight,
                       SearchEdgeKind kind) {
     (void)sg.add_weighted_edge(src, dst, weight, kind);
@@ -329,6 +331,23 @@ void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
       }
     }
   }
+}
+
+void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
+                             const Architecture& arch, const Solution& sol,
+                             SearchGraphCache* cache) {
+  begin_search_graph(sg, tg, arch, sol);
+  sg.graph = tg.digraph();  // value copy: application edges keep their ids
+
+  // --- application edges: bus time when crossing -------------------------
+  const Bus& bus = arch.bus();
+  for (EdgeId e = 0; e < tg.comm_count(); ++e) {
+    const TimeNs w = comm_edge_weight(tg, bus, sol, e);
+    sg.graph.set_edge_weight(e, w);
+    sg.comm_cross += w;
+  }
+
+  add_sequentialization_edges(sg, tg, arch, sol, cache);
 }
 
 }  // namespace rdse

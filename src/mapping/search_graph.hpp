@@ -22,11 +22,14 @@
 /// solution simply fails evaluation (topological sort fails), which the
 /// move layer treats as infeasible.
 ///
-/// The builder always emits the full G'. The incremental evaluator's copy
-/// (sched/incremental_eval.hpp) parks the communication edges between two
-/// tasks on the same processor: the processor's Esw chain already orders
-/// such a pair, so the sparse copy has the same longest path and the same
-/// feasibility as long as every parked edge runs forward in the order.
+/// The builder always emits the full G'. The incremental evaluator builds
+/// a sparse copy (sched/incremental_eval.hpp): each communication edge
+/// between two tasks on the same processor is added straight into the
+/// parked state (Digraph::add_parked_edge), never attached. The processor's
+/// Esw chain already orders such a pair, so the sparse copy has the same
+/// longest path and the same feasibility as long as every parked edge runs
+/// forward in the order. Both realizations share begin_search_graph and
+/// add_sequentialization_edges; only the application-edge pass differs.
 
 #include <cstdint>
 #include <span>
@@ -137,7 +140,10 @@ class SearchGraphCache {
   void discard();
   /// Drop all entries for `rc` (a removed resource; ids are never reused).
   void erase(ResourceId rc);
-  void clear();
+  /// Replace every entry with `fresh`'s committed ones (the realization of
+  /// a new committed state, built in its own cache so that a rejected
+  /// state never touched this one) and add its counters to this cache's.
+  void adopt(SearchGraphCache&& fresh);
 
   [[nodiscard]] std::int64_t hits() const { return hits_; }
   [[nodiscard]] std::int64_t misses() const { return misses_; }
@@ -206,5 +212,24 @@ class SearchGraphCache {
 void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
                              const Architecture& arch, const Solution& sol,
                              SearchGraphCache* cache = nullptr);
+
+/// The two halves of every realization, around its application edges.
+/// build_search_graph_into and the incremental evaluator's sparse reset
+/// both call them and differ only in how they add the application edges
+/// (ids 0..comm_count()-1), so the two realizations cannot drift apart.
+///
+/// begin_search_graph: node weights, zero releases and statistics, and
+/// edge kinds for the application edges. Leaves `sg.graph` to the caller.
+void begin_search_graph(SearchGraph& sg, const TaskGraph& tg,
+                        const Architecture& arch, const Solution& sol);
+
+/// add_sequentialization_edges: the Esw chains, the Ehw edges, the
+/// first-context releases and the context accounting, appended after the
+/// application edges in chain order. With a non-null `cache` (inside a
+/// begin_build() window) the per-RC realizations are served from it.
+void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
+                                 const Architecture& arch,
+                                 const Solution& sol,
+                                 SearchGraphCache* cache = nullptr);
 
 }  // namespace rdse

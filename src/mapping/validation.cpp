@@ -8,16 +8,19 @@
 
 namespace rdse {
 
-std::vector<std::string> validate_solution(const TaskGraph& tg,
-                                           const Architecture& arch,
-                                           const Solution& sol) {
-  std::vector<std::string> bad;
+namespace {
+
+/// Placement checks: every task assigned consistently with its resource's
+/// order, contexts or ASIC list. Only a solution that passes them can be
+/// realized as G'.
+void check_placements(const TaskGraph& tg, const Architecture& arch,
+                      const Solution& sol, std::vector<std::string>& bad) {
   auto complain = [&bad](const std::string& msg) { bad.push_back(msg); };
 
   if (sol.task_count() != tg.task_count()) {
     complain("solution covers " + std::to_string(sol.task_count()) +
              " tasks, task graph has " + std::to_string(tg.task_count()));
-    return bad;
+    return;
   }
 
   // Tasks placed on each processor, against which each order's length is
@@ -102,11 +105,12 @@ std::vector<std::string> validate_solution(const TaskGraph& tg,
                std::to_string(placed_on[proc]) + " are placed on it");
     }
   }
-  if (!bad.empty()) {
-    return bad;  // structure broken; capacity/cycle checks would be noise
-  }
+}
 
-  // Context capacity.
+/// Context checks: no empty context, none above the device capacity NCLB.
+void check_capacity(const TaskGraph& tg, const Architecture& arch,
+                    const Solution& sol, std::vector<std::string>& bad) {
+  auto complain = [&bad](const std::string& msg) { bad.push_back(msg); };
   for (ResourceId rc : arch.reconfigurable_ids()) {
     const auto& dev = arch.reconfigurable(rc);
     for (std::size_t c = 0; c < sol.context_count(rc); ++c) {
@@ -123,25 +127,49 @@ std::vector<std::string> validate_solution(const TaskGraph& tg,
       }
     }
   }
+}
 
+}  // namespace
+
+std::vector<std::string> validate_structure(const TaskGraph& tg,
+                                            const Architecture& arch,
+                                            const Solution& sol) {
+  std::vector<std::string> bad;
+  check_placements(tg, arch, sol, bad);
+  if (bad.empty()) check_capacity(tg, arch, sol, bad);
+  return bad;
+}
+
+std::vector<std::string> validate_solution(const TaskGraph& tg,
+                                           const Architecture& arch,
+                                           const Solution& sol) {
+  std::vector<std::string> bad;
+  check_placements(tg, arch, sol, bad);
+  if (!bad.empty()) {
+    return bad;  // structure broken; capacity/cycle checks would be noise
+  }
+  check_capacity(tg, arch, sol, bad);
   // Acyclicity of the realized search graph.
   const SearchGraph sg = build_search_graph(tg, arch, sol);
   if (!is_acyclic(sg.graph)) {
-    complain("realized search graph G' contains a cycle");
+    bad.emplace_back(kCyclicSearchGraph);
   }
   return bad;
+}
+
+void throw_invalid(const std::vector<std::string>& violations) {
+  std::ostringstream os;
+  os << "invalid solution (" << violations.size() << " violation(s)):";
+  for (const auto& v : violations) {
+    os << "\n  - " << v;
+  }
+  throw Error(os.str());
 }
 
 void require_valid(const TaskGraph& tg, const Architecture& arch,
                    const Solution& sol) {
   const auto bad = validate_solution(tg, arch, sol);
-  if (bad.empty()) return;
-  std::ostringstream os;
-  os << "invalid solution (" << bad.size() << " violation(s)):";
-  for (const auto& b : bad) {
-    os << "\n  - " << b;
-  }
-  throw Error(os.str());
+  if (!bad.empty()) throw_invalid(bad);
 }
 
 }  // namespace rdse

@@ -9,7 +9,7 @@ Application random_application(const AppGenParams& params, Rng& rng) {
                "random_application: bad sw time range");
   Application app;
   app.name = "synthetic";
-  const Digraph topo = random_layered_dag(params.dag, rng);
+  Digraph topo = random_layered_dag(params.dag, rng);
 
   for (NodeId v = 0; v < topo.node_count(); ++v) {
     Task t;
@@ -28,15 +28,18 @@ Application random_application(const AppGenParams& params, Rng& rng) {
     }
     app.graph.add_task(std::move(t));
   }
-  for (EdgeId e = 0; e < topo.edge_capacity(); ++e) {
-    if (!topo.edge_alive(e)) continue;
-    const auto& ed = topo.edge(e);
-    app.graph.add_comm(ed.src, ed.dst,
-                       rng.uniform_int(params.bytes_lo, params.bytes_hi));
+  // One transfer volume per edge, drawn in edge-id order after the tasks;
+  // the layered DAG is adopted as the precedence graph, not re-added. Its
+  // checks (ranges, duplicates, one topological sort for acyclicity) and
+  // add_task's cover everything TaskGraph::validate would re-check: the
+  // names are unique by construction.
+  std::vector<std::int64_t> bytes(topo.edge_capacity());
+  for (std::int64_t& b : bytes) {
+    b = rng.uniform_int(params.bytes_lo, params.bytes_hi);
   }
+  app.graph.adopt_comms(std::move(topo), bytes);
   app.deadline = static_cast<TimeNs>(
       static_cast<double>(app.graph.total_sw_time()) * params.deadline_slack);
-  app.graph.validate();
   return app;
 }
 

@@ -30,6 +30,44 @@ EdgeId TaskGraph::add_comm(TaskId src, TaskId dst, std::int64_t bytes) {
   return id;
 }
 
+void TaskGraph::adopt_comms(Digraph graph,
+                            std::span<const std::int64_t> bytes) {
+  RDSE_REQUIRE(comms_.empty(),
+               "TaskGraph::adopt_comms: communication edges already added");
+  RDSE_REQUIRE(graph.edge_count() == graph.edge_capacity() &&
+                   bytes.size() == graph.edge_capacity(),
+               "TaskGraph::adopt_comms: need dense edge ids and one byte "
+               "count per edge");
+  for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
+    const Digraph::Edge& ed = graph.edge(e);
+    RDSE_REQUIRE(ed.src < task_count() && ed.dst < task_count(),
+                 "TaskGraph::add_comm: task id out of range");
+    RDSE_REQUIRE(bytes[e] >= 0, "TaskGraph::add_comm: negative byte count");
+    RDSE_REQUIRE(graph.edge_weight(e) == 0,
+                 "TaskGraph::adopt_comms: edges must carry weight 0");
+  }
+  RDSE_REQUIRE(graph.node_count() == task_count(),
+               "TaskGraph::adopt_comms: graph must have one node per task");
+  // Duplicates: stamp each node's successors with the node; meeting a
+  // successor already stamped by the same node is a parallel edge.
+  std::vector<NodeId> stamp(task_count(), kInvalidNode);
+  for (NodeId u = 0; u < task_count(); ++u) {
+    for (const HalfEdge& h : graph.out_half(u)) {
+      RDSE_REQUIRE(stamp[h.node] != u, "TaskGraph::add_comm: duplicate edge");
+      stamp[h.node] = u;
+    }
+  }
+  RDSE_REQUIRE(is_acyclic(graph),
+               "TaskGraph::add_comm: edge would create a cycle");
+
+  comms_.reserve(graph.edge_capacity());
+  for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
+    const Digraph::Edge& ed = graph.edge(e);
+    comms_.push_back(CommEdge{ed.src, ed.dst, bytes[e]});
+  }
+  graph_ = std::move(graph);
+}
+
 TimeNs TaskGraph::total_sw_time() const {
   TimeNs total = 0;
   for (const Task& t : tasks_) {

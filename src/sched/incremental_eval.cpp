@@ -2,73 +2,92 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "graph/topo.hpp"
 #include "util/assert.hpp"
 
 namespace rdse {
 
-Metrics IncrementalEvaluator::reset(const Architecture& arch,
-                                    const Solution& sol) {
-  cache_.clear();
-  cache_.begin_build({});
-  build_search_graph_into(sg_, *tg_, arch, sol, &cache_);
-  // Park every communication edge between two tasks on one processor (its
-  // weight is already 0: the endpoints are co-located). The zero-weight Esw
-  // chain orders the pair, so the edge never raises a start time; and G'
-  // is acyclic iff the sparse graph is and every parked edge runs forward.
-  comm_parked_ = 0;
+std::optional<Metrics> IncrementalEvaluator::reset(const Architecture& arch,
+                                                   const Solution& sol) {
+  // Realize the state into fresh storage and adopt it only once it is known
+  // to be acyclic, so a rejected state leaves this evaluator as it was.
+  SearchGraph next;
+  begin_search_graph(next, *tg_, arch, sol);
+  const Digraph& app = tg_->digraph();
+  next.graph = Digraph(tg_->task_count());
+  next.graph.reserve_edges(tg_->comm_count() + tg_->task_count());
+  // Adjacency room for every application edge plus one Esw edge each way,
+  // so a move that unparks an edge attaches it without reallocating.
+  for (TaskId t = 0; t < tg_->task_count(); ++t) {
+    next.graph.reserve_degree(t, app.out_degree(t) + 1, app.in_degree(t) + 1);
+  }
+  std::vector<std::uint8_t> on_proc(tg_->task_count());
+  for (TaskId t = 0; t < tg_->task_count(); ++t) {
+    on_proc[t] = arch.resource(sol.placement(t).resource).kind() ==
+                         ResourceKind::kProcessor
+                     ? 1
+                     : 0;
+  }
+
+  // Application edges keep their TaskGraph ids. One between two tasks on
+  // one processor goes straight into the parked state: the zero-weight Esw
+  // chain orders the pair, so the edge never raises a start time, and G' is
+  // acyclic iff the sparse graph is and every parked edge runs forward.
+  // Each bus transfer time is computed once, for the weight and the memo.
+  std::vector<TimeNs> bus_time(tg_->comm_count());
+  std::int64_t parked = 0;
   for (EdgeId e = 0; e < tg_->comm_count(); ++e) {
     const CommEdge& c = tg_->comm(e);
-    const ResourceId r = sol.placement(c.src).resource;
-    if (r != sol.placement(c.dst).resource ||
-        arch.resource(r).kind() != ResourceKind::kProcessor) {
-      continue;
+    bus_time[e] = arch.bus().transfer_time(c.bytes);
+    if (on_proc[c.src] != 0 &&
+        sol.placement(c.src).resource == sol.placement(c.dst).resource) {
+      if (sol.order_position(c.src) > sol.order_position(c.dst)) {
+        return std::nullopt;  // runs backwards: a cycle through the chain
+      }
+      next.graph.add_parked_edge(c.src, c.dst);
+      ++parked;
+    } else {
+      const TimeNs w = co_located(sol, c.src, c.dst) ? 0 : bus_time[e];
+      next.graph.add_edge(c.src, c.dst, w);
+      next.comm_cross += w;
     }
-    RDSE_REQUIRE(sol.order_position(c.src) < sol.order_position(c.dst),
-                 "IncrementalEvaluator::reset: committed state is infeasible");
-    sg_.graph.park_edge(e);
-    ++comm_parked_;
   }
-  RDSE_REQUIRE(is_acyclic(sg_.graph),
-               "IncrementalEvaluator::reset: committed state is infeasible");
+  SearchGraphCache realized;
+  realized.begin_build({});
+  add_sequentialization_edges(next, *tg_, arch, sol, &realized);
+  if (!is_acyclic(next.graph)) return std::nullopt;
+
+  // ---- acyclic: adopt the state ------------------------------------------
+  sg_ = std::move(next);
+  realized.commit();
+  cache_.adopt(std::move(realized));
+  bus_time_.swap(bus_time);
+  task_on_proc_.swap(on_proc);
+  comm_parked_ = parked;
   const WeightedDag dag{&sg_.graph, sg_.node_weight,
                         sg_.graph.edge_weights(), sg_.release};
   relaxer_.reset(dag);
-  cache_.commit();
 
   // Index the sequentialization edges by owning resource: an Esw edge
   // belongs to its source's processor, an Ehw edge to its source's RC.
-  // The builder inserts each resource's edges in chain order with ascending
-  // ids, so this id-ordered scan reproduces chain order per list — the
-  // invariant the two-pointer reconciliation diff relies on.
+  // They follow the application edges with ascending ids, each resource's
+  // in chain order, so this id-ordered scan reproduces chain order per
+  // list — the invariant the two-pointer reconciliation diff relies on.
   for (auto& list : seq_edges_) list.clear();
   if (seq_edges_.size() < arch.slot_count()) {
     seq_edges_.resize(arch.slot_count());
   }
-  for (EdgeId e = 0; e < sg_.graph.edge_capacity(); ++e) {
-    if (!sg_.graph.edge_alive(e)) continue;
-    if (sg_.edge_kind[e] == SearchEdgeKind::kComm) continue;
-    const NodeId src = sg_.graph.edge(e).src;
-    seq_list(sol.placement(src).resource).push_back(e);
-  }
-
-  // Per-edge bus transfer times (data amounts and the bus rate never change
-  // under moves — only placements do).
-  bus_time_.resize(tg_->comm_count());
-  for (EdgeId e = 0; e < tg_->comm_count(); ++e) {
-    bus_time_[e] = arch.bus().transfer_time(tg_->comm(e).bytes);
+  for (EdgeId e = tg_->comm_count(); e < sg_.graph.edge_capacity(); ++e) {
+    seq_list(sol.placement(sg_.graph.edge(e).src).resource).push_back(e);
   }
 
   // Task-partition sums (maintained as deltas from here on).
-  task_on_proc_.assign(tg_->task_count(), 0);
   sw_busy_ = hw_busy_ = 0;
   sw_tasks_ = hw_tasks_ = 0;
   for (TaskId t = 0; t < tg_->task_count(); ++t) {
-    const bool on_proc = arch.resource(sol.placement(t).resource).kind() ==
-                         ResourceKind::kProcessor;
-    task_on_proc_[t] = on_proc ? 1 : 0;
-    if (on_proc) {
+    if (task_on_proc_[t] != 0) {
       ++sw_tasks_;
       sw_busy_ += sg_.node_weight[t];
     } else {

@@ -7,14 +7,17 @@
 /// realization resident and applies each move as a *delta*:
 ///
 ///  - the maintained graph is G' made sparse: every communication edge
-///    between two tasks on one processor is *parked* (detached, id kept —
-///    Digraph::park_edge). The processor's zero-weight Esw chain already
-///    orders such a pair, so the edge can never raise a start time, and
-///    G' is acyclic iff the sparse graph is and every parked edge runs
-///    forward in its processor's order. Only a moved task can turn a
-///    parked edge backwards, so a candidate with such an edge is rejected
-///    by an O(degree) order check before any surgery; staging a moved task
-///    parks, unparks or re-weights its communication edges;
+///    between two tasks on one processor is *parked* (id, endpoints and
+///    weight kept, not attached — Digraph::park_edge). The processor's
+///    zero-weight Esw chain already orders such a pair, so the edge can
+///    never raise a start time, and G' is acyclic iff the sparse graph is
+///    and every parked edge runs forward in its processor's order. reset()
+///    builds this graph directly in one pass, reserving those edges parked
+///    (Digraph::add_parked_edge), and is the start's cycle verdict. Only a
+///    moved task can turn a parked edge backwards, so a candidate with such
+///    an edge is rejected by an O(degree) order check before any surgery;
+///    staging a moved task parks, unparks or re-weights its communication
+///    edges;
 ///  - the committed search graph is edited in place — node weights and
 ///    communication-edge weights of the moved tasks are updated, and only
 ///    the sequentialization edges (Esw/Ehw) and release times of the
@@ -87,10 +90,18 @@ class IncrementalEvaluator {
  public:
   explicit IncrementalEvaluator(const TaskGraph& tg) : tg_(&tg) {}
 
-  /// Re-synchronize with the committed state (initial solution, or after an
-  /// external replacement such as replica exchange) and return its metrics,
-  /// equal to Evaluator::evaluate's. The state must be feasible.
-  Metrics reset(const Architecture& arch, const Solution& sol);
+  /// Re-synchronize with a new committed state (initial solution, or an
+  /// external replacement such as replica exchange) in one pass, and return
+  /// its metrics, equal to Evaluator::evaluate's. The sparse graph is built
+  /// directly: application edges keep their TaskGraph ids, and one whose
+  /// endpoints share a processor is reserved straight into the parked state
+  /// after an order check. This realization is also the state's cycle
+  /// verdict: on a cyclic state (a parked edge running backwards, or a
+  /// cyclic sparse graph) it returns std::nullopt and leaves the evaluator
+  /// exactly as it was. The state must pass validate_structure
+  /// (mapping/validation.hpp).
+  [[nodiscard]] std::optional<Metrics> reset(const Architecture& arch,
+                                             const Solution& sol);
 
   /// Evaluate a candidate derived from the committed state by one move.
   /// `touched_resources` / `touched_tasks` are the move's mutation journal

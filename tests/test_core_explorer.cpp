@@ -232,6 +232,194 @@ TEST_F(ExplorerFixture, TraceCsvRoundTrip) {
   EXPECT_THROW((void)trace.downsample(1), Error);
 }
 
+// ---- cyclic starts ----------------------------------------------------------
+
+/// The error a structurally valid start with a cyclic G' is rejected with.
+constexpr const char* kCyclicStartError =
+    "invalid solution (1 violation(s)):\n"
+    "  - realized search graph G' contains a cycle";
+
+constexpr ResourceId kCpu = 0;
+constexpr ResourceId kFpga = 1;
+
+/// All-software, except that the first communication edge's successor is
+/// moved ahead of its predecessor in the CPU order.
+Solution successor_first_on_cpu(const TaskGraph& tg) {
+  Solution sol = Solution::all_software(tg, kCpu);
+  const CommEdge& c = tg.comm(0);
+  sol.reposition(c.dst, sol.order_position(c.src));
+  return sol;
+}
+
+/// All-software, except for one dependent pair of hardware-capable tasks on
+/// the FPGA with the successor in context 0 and the predecessor in context 1.
+Solution successor_in_earlier_context(const TaskGraph& tg) {
+  Solution sol = Solution::all_software(tg, kCpu);
+  for (EdgeId e = 0; e < tg.comm_count(); ++e) {
+    const CommEdge& c = tg.comm(e);
+    if (!tg.task(c.src).hw_capable() || !tg.task(c.dst).hw_capable()) {
+      continue;
+    }
+    sol.remove_task(c.src);
+    sol.remove_task(c.dst);
+    const std::size_t first = sol.spawn_context_after(kFpga, Solution::kFront);
+    const std::size_t second = sol.spawn_context_after(kFpga, first);
+    sol.insert_in_context(c.dst, kFpga, first, 0,
+                          tg.task(c.dst).hw.at(0).clbs);
+    sol.insert_in_context(c.src, kFpga, second, 0,
+                          tg.task(c.src).hw.at(0).clbs);
+    return sol;
+  }
+  ADD_FAILURE() << "no dependent pair of hardware-capable tasks";
+  return sol;
+}
+
+std::string construction_error(const TaskGraph& tg, const Architecture& arch,
+                               const Solution& start, bool full_eval) {
+  try {
+    const DseProblem problem(tg, arch, start, MoveConfig{}, CostWeights{},
+                             false, full_eval);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
+
+void expect_same_metrics(const Metrics& a, const Metrics& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.makespan, b.makespan) << where;
+  EXPECT_EQ(a.init_reconfig, b.init_reconfig) << where;
+  EXPECT_EQ(a.dyn_reconfig, b.dyn_reconfig) << where;
+  EXPECT_EQ(a.comm_cross, b.comm_cross) << where;
+  EXPECT_EQ(a.sw_busy, b.sw_busy) << where;
+  EXPECT_EQ(a.hw_busy, b.hw_busy) << where;
+  EXPECT_EQ(a.n_contexts, b.n_contexts) << where;
+  EXPECT_EQ(a.sw_tasks, b.sw_tasks) << where;
+  EXPECT_EQ(a.hw_tasks, b.hw_tasks) << where;
+  EXPECT_EQ(a.clbs_loaded, b.clbs_loaded) << where;
+  EXPECT_EQ(a.max_context_clbs, b.max_context_clbs) << where;
+}
+
+/// Drives `a` and `b` through `steps` propose/accept/reject steps from the
+/// same seed (accepting improvements and every third other candidate, and
+/// snapshotting improvements of the best) and expects identical outcomes
+/// at every step, incremental-evaluator counters included.
+void expect_lockstep(DseProblem& a, DseProblem& b, std::uint64_t seed,
+                     int steps) {
+  Rng ra(seed);
+  Rng rb(seed);
+  for (int i = 0; i < steps; ++i) {
+    const std::string where = "seed " + std::to_string(seed) + ", step " +
+                              std::to_string(i);
+    const bool pa = a.propose(ra);
+    ASSERT_EQ(pa, b.propose(rb)) << where;
+    if (pa) {
+      ASSERT_EQ(a.candidate_cost(), b.candidate_cost()) << where;
+      if (a.candidate_cost() <= a.cost() || i % 3 == 0) {
+        a.accept();
+        b.accept();
+      } else {
+        a.reject();
+        b.reject();
+      }
+    }
+    if (a.cost() < to_ms(a.best_metrics().makespan)) {
+      a.snapshot_best();
+      b.snapshot_best();
+    }
+    ASSERT_EQ(a.cost(), b.cost()) << where;
+    expect_same_metrics(a.current_metrics(), b.current_metrics(), where);
+  }
+  EXPECT_EQ(a.current_solution(), b.current_solution());
+  EXPECT_EQ(a.best_solution(), b.best_solution());
+  expect_same_metrics(a.best_metrics(), b.best_metrics(), "best");
+  const auto sa = a.incremental_stats();
+  const auto sb = b.incremental_stats();
+  ASSERT_EQ(sa.has_value(), sb.has_value());
+  if (sa.has_value()) {
+    EXPECT_EQ(sa->builds, sb->builds);
+    EXPECT_EQ(sa->order_rejects, sb->order_rejects);
+    EXPECT_EQ(sa->cache_hits, sb->cache_hits);
+    EXPECT_EQ(sa->cache_misses, sb->cache_misses);
+    EXPECT_EQ(sa->bounds_computed, sb->bounds_computed);
+    EXPECT_EQ(sa->clbs_computed, sb->clbs_computed);
+    EXPECT_EQ(sa->comm_edges_parked, sb->comm_edges_parked);
+    EXPECT_EQ(sa->relax.probes, sb->relax.probes);
+    EXPECT_EQ(sa->relax.relaxed_nodes, sb->relax.relaxed_nodes);
+    EXPECT_EQ(sa->relax.rank_repair_nodes, sb->relax.rank_repair_nodes);
+    EXPECT_EQ(sa->relax.journal_entries, sb->relax.journal_entries);
+  }
+}
+
+TEST_F(ExplorerFixture, CyclicStartIsRejectedWithTheSearchGraphCycle) {
+  for (const bool full_eval : {false, true}) {
+    EXPECT_EQ(construction_error(app.graph, arch,
+                                 successor_first_on_cpu(app.graph), full_eval),
+              kCyclicStartError)
+        << "full_eval " << full_eval;
+    EXPECT_EQ(construction_error(app.graph, arch,
+                                 successor_in_earlier_context(app.graph),
+                                 full_eval),
+              kCyclicStartError)
+        << "full_eval " << full_eval;
+  }
+}
+
+TEST_F(ExplorerFixture, RejectedResetStateLeavesTheProblemAsItWas) {
+  for (const bool full_eval : {false, true}) {
+    Rng init(7);
+    const Solution start =
+        Solution::random_partition(app.graph, arch, kCpu, kFpga, init);
+    DseProblem problem(app.graph, arch, start, MoveConfig{}, CostWeights{},
+                       false, full_eval);
+    DseProblem twin(app.graph, arch, start, MoveConfig{}, CostWeights{},
+                    false, full_eval);
+    expect_lockstep(problem, twin, 11, 150);
+    for (const Solution& cyclic : {successor_first_on_cpu(app.graph),
+                                   successor_in_earlier_context(app.graph)}) {
+      try {
+        problem.reset_state(arch, cyclic);
+        ADD_FAILURE() << "reset_state accepted a cyclic state";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), kCyclicStartError);
+      }
+    }
+    EXPECT_EQ(problem.cost(), twin.cost());
+    expect_same_metrics(problem.current_metrics(), twin.current_metrics(),
+                        "after the rejected reset_state");
+    expect_lockstep(problem, twin, 12, 200);
+  }
+}
+
+TEST_F(ExplorerFixture, RejectedRestoreBestStateLeavesTheProblemAsItWas) {
+  for (const bool full_eval : {false, true}) {
+    Rng init(9);
+    const Solution start =
+        Solution::random_partition(app.graph, arch, kCpu, kFpga, init);
+    DseProblem problem(app.graph, arch, start, MoveConfig{}, CostWeights{},
+                       false, full_eval);
+    DseProblem twin(app.graph, arch, start, MoveConfig{}, CostWeights{},
+                    false, full_eval);
+    expect_lockstep(problem, twin, 21, 150);
+    for (const Solution& cyclic : {successor_first_on_cpu(app.graph),
+                                   successor_in_earlier_context(app.graph)}) {
+      try {
+        problem.restore_best_state(arch, cyclic);
+        ADD_FAILURE() << "restore_best_state accepted a cyclic state";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), kCyclicStartError);
+      }
+    }
+    EXPECT_EQ(problem.best_solution(), twin.best_solution());
+    expect_same_metrics(problem.best_metrics(), twin.best_metrics(),
+                        "best after the rejected restore_best_state");
+    EXPECT_EQ(problem.cost(), twin.cost());
+    expect_same_metrics(problem.current_metrics(), twin.current_metrics(),
+                        "after the rejected restore_best_state");
+    expect_lockstep(problem, twin, 22, 200);
+  }
+}
+
 TEST(ExplorerGuards, RequiresProcessor) {
   const Application app = make_motion_detection_app();
   Architecture no_cpu{Bus(1'000)};

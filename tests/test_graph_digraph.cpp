@@ -282,6 +282,97 @@ TEST(DigraphPark, ParkedEdgeAccessThrows) {
   EXPECT_NO_THROW((void)g.edge(e));
 }
 
+TEST(DigraphAddParked, ReservedIdIsNeverHandedOutByAddEdge) {
+  Digraph g(4);
+  const EdgeId live = g.add_edge(0, 1, 3);
+  const EdgeId parked = g.add_parked_edge(1, 2, 7);
+  EXPECT_EQ(parked, live + 1);  // allocated like add_edge's next id
+  EXPECT_TRUE(g.edge_parked(parked));
+  EXPECT_FALSE(g.edge_alive(parked));
+  EXPECT_EQ(g.out_degree(1), 0u);
+  EXPECT_EQ(g.in_degree(2), 0u);
+  g.check_consistency();
+  // Free ids are recycled; the reserved one never is.
+  g.remove_edge(live);
+  EXPECT_EQ(g.add_edge(2, 3), live);
+  for (int i = 0; i < 20; ++i) {
+    const EdgeId e = g.add_edge(static_cast<NodeId>(i % 3),
+                                static_cast<NodeId>(i % 3 + 1));
+    EXPECT_NE(e, parked);
+    if (i % 2 == 0) g.remove_edge(e);
+  }
+  EXPECT_TRUE(g.edge_parked(parked));
+  g.check_consistency();
+  // A reserved id recycles a free slot like add_edge does.
+  const EdgeId spare = g.add_edge(0, 3);
+  g.remove_edge(spare);
+  EXPECT_EQ(g.add_parked_edge(0, 2), spare);
+  EXPECT_TRUE(g.edge_parked(spare));
+  g.check_consistency();
+  EXPECT_THROW((void)g.add_parked_edge(1, 1), Error);
+  EXPECT_THROW((void)g.add_parked_edge(0, 9), Error);
+}
+
+TEST(DigraphAddParked, UnparkAttachesWithTheReservedWeight) {
+  Digraph g(3);
+  const EdgeId a = g.add_parked_edge(0, 1, 11);
+  const EdgeId b = g.add_edge(1, 2, 22);
+  g.unpark_edge(a);
+  g.check_consistency();
+  EXPECT_TRUE(g.edge_alive(a));
+  EXPECT_EQ(g.edge(a).src, 0u);
+  EXPECT_EQ(g.edge(a).dst, 1u);
+  EXPECT_EQ(g.edge_weight(a), 11);
+  ASSERT_EQ(g.out_half(0).size(), 1u);
+  EXPECT_EQ(g.out_half(0)[0].edge, a);
+  EXPECT_EQ(g.out_half(0)[0].weight, 11);
+  ASSERT_EQ(g.in_half(1).size(), 1u);
+  EXPECT_EQ(g.in_half(1)[0].weight, 11);
+  // From here it behaves as any live edge: park, unpark, re-weight.
+  g.park_edge(a);
+  g.unpark_edge(a);
+  g.set_edge_weight(a, 12);
+  EXPECT_EQ(g.in_half(1)[0].weight, 12);
+  EXPECT_EQ(g.edge_weight(b), 22);
+  g.check_consistency();
+}
+
+TEST(DigraphAddParked, EdgeCountCountsLiveEdgesOnly) {
+  Digraph g(3);
+  (void)g.add_parked_edge(0, 1);
+  (void)g.add_parked_edge(1, 2);
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.edge_capacity(), 2u);
+  const EdgeId c = g.add_edge(0, 2);
+  EXPECT_EQ(g.edge_count(), 1u);
+  g.unpark_edge(0);
+  EXPECT_EQ(g.edge_count(), 2u);
+  g.remove_edge(c);
+  EXPECT_EQ(g.edge_count(), 1u);
+  EXPECT_EQ(g.edge_capacity(), 3u);
+  g.check_consistency();
+}
+
+TEST(Digraph, ReserveDegreeAttachesWithoutReallocating) {
+  Digraph g(4);
+  g.reserve_edges(8);
+  g.reserve_degree(0, 3, 0);
+  g.reserve_degree(3, 0, 3);
+  const EdgeId a = g.add_parked_edge(0, 1);
+  (void)g.add_edge(0, 2);
+  const HalfEdge* out0 = g.out_half(0).data();
+  (void)g.add_edge(0, 3);
+  g.unpark_edge(a);
+  EXPECT_EQ(g.out_half(0).data(), out0);
+  EXPECT_EQ(g.out_degree(0), 3u);
+  (void)g.add_edge(1, 3);
+  const HalfEdge* in3 = g.in_half(3).data();
+  (void)g.add_edge(2, 3);
+  EXPECT_EQ(g.in_half(3).data(), in3);
+  g.check_consistency();
+  EXPECT_THROW(g.reserve_degree(4, 1, 1), Error);
+}
+
 class ParkChurn : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Random park / unpark / add / remove churn against a naive model: the

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "model/generators.hpp"
 #include "model/registry.hpp"
 #include "model/task_graph.hpp"
+#include "util/hash.hpp"
 
 namespace rdse {
 namespace {
@@ -132,6 +135,99 @@ TEST(TaskGraph, RejectsCycleAndDuplicates) {
   EXPECT_THROW((void)g.add_comm(a, b, -1), Error); // negative size
 }
 
+/// Error message of `op`, or "" when it does not throw.
+template <typename Op>
+std::string error_of(Op op) {
+  try {
+    op();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Three tasks a, b, c with no communication edges yet.
+TaskGraph three_tasks() {
+  TaskGraph g;
+  g.add_task(simple_task("a", 1.0));
+  g.add_task(simple_task("b", 1.0));
+  g.add_task(simple_task("c", 1.0));
+  return g;
+}
+
+TEST(TaskGraph, AdoptCommsMatchesAddComm) {
+  TaskGraph bulk = three_tasks();
+  Digraph edges(3);
+  (void)edges.add_edge(0, 1);
+  (void)edges.add_edge(1, 2);
+  (void)edges.add_edge(0, 2);
+  const std::int64_t bytes[] = {10, 20, 30};
+  bulk.adopt_comms(edges, bytes);
+  TaskGraph one_by_one = three_tasks();
+  (void)one_by_one.add_comm(0, 1, 10);
+  (void)one_by_one.add_comm(1, 2, 20);
+  (void)one_by_one.add_comm(0, 2, 30);
+  ASSERT_EQ(bulk.comm_count(), 3u);
+  for (EdgeId e = 0; e < 3; ++e) {
+    EXPECT_EQ(bulk.comm(e).src, one_by_one.comm(e).src);
+    EXPECT_EQ(bulk.comm(e).dst, one_by_one.comm(e).dst);
+    EXPECT_EQ(bulk.comm(e).bytes, one_by_one.comm(e).bytes);
+    EXPECT_EQ(bulk.digraph().edge(e).src, bulk.comm(e).src);
+    EXPECT_EQ(bulk.digraph().edge(e).dst, bulk.comm(e).dst);
+  }
+  bulk.validate();
+  // Hand-built graphs keep growing one edge at a time afterwards.
+  const TaskId d = bulk.add_task(simple_task("d", 1.0));
+  EXPECT_EQ(bulk.add_comm(2, d, 5), 3u);
+  EXPECT_EQ(error_of([&] { (void)bulk.add_comm(0, 1, 1); }),
+            "TaskGraph::add_comm: duplicate edge");
+}
+
+TEST(TaskGraph, AdoptCommsRejectsABadBatchWithAddCommsMessage) {
+  struct Case {
+    const char* what;
+    std::size_t nodes;
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    std::vector<std::int64_t> bytes;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"duplicate", 3, {{0, 1}, {1, 2}, {0, 1}}, {1, 1, 1},
+       "TaskGraph::add_comm: duplicate edge"},
+      {"cycle", 3, {{0, 1}, {1, 2}, {2, 0}}, {1, 1, 1},
+       "TaskGraph::add_comm: edge would create a cycle"},
+      {"dangling", 4, {{0, 1}, {2, 3}}, {1, 1},
+       "TaskGraph::add_comm: task id out of range"},
+      {"negative bytes", 3, {{0, 1}, {1, 2}}, {1, -1},
+       "TaskGraph::add_comm: negative byte count"},
+  };
+  for (const Case& c : cases) {
+    // add_comm's verdict on the same edges, one at a time ...
+    TaskGraph sequential = three_tasks();
+    std::string want;
+    for (std::size_t i = 0; i < c.edges.size() && want.empty(); ++i) {
+      want = error_of([&] {
+        (void)sequential.add_comm(c.edges[i].first, c.edges[i].second,
+                                  c.bytes[i]);
+      });
+    }
+    EXPECT_EQ(want, c.message) << c.what;
+    // ... is the batch's, and the batch leaves the graph as it was.
+    TaskGraph bulk = three_tasks();
+    Digraph edges(c.nodes);
+    for (const auto& [src, dst] : c.edges) (void)edges.add_edge(src, dst);
+    EXPECT_EQ(error_of([&] { bulk.adopt_comms(edges, c.bytes); }),
+              c.message)
+        << c.what;
+    EXPECT_EQ(bulk.comm_count(), 0u) << c.what;
+    EXPECT_EQ(bulk.digraph().edge_count(), 0u) << c.what;
+    EXPECT_EQ(bulk.digraph().node_count(), 3u) << c.what;
+    bulk.digraph().check_consistency();
+    (void)bulk.add_comm(0, 1, 1);  // still usable
+    EXPECT_EQ(bulk.comm_count(), 1u) << c.what;
+  }
+}
+
 TEST(TaskGraph, RejectsBadTasks) {
   TaskGraph g;
   EXPECT_THROW((void)g.add_task(simple_task("zero", 0.0)), Error);
@@ -226,6 +322,52 @@ TEST(ModelRegistry, UnknownModelNamesTheKnownSet) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("synthetic:<tasks>"),
               std::string::npos);
+  }
+}
+
+/// Every comm (src, dst, bytes) in id order, then every task's software
+/// time and implementations, one line each.
+std::uint64_t model_fingerprint(const TaskGraph& tg) {
+  std::string text;
+  for (EdgeId e = 0; e < tg.comm_count(); ++e) {
+    const CommEdge& c = tg.comm(e);
+    text += std::to_string(c.src) + ' ' + std::to_string(c.dst) + ' ' +
+            std::to_string(c.bytes) + '\n';
+  }
+  for (TaskId t = 0; t < tg.task_count(); ++t) {
+    const Task& task = tg.task(t);
+    text += std::to_string(task.sw_time);
+    for (const HwImplementation& h : task.hw.all()) {
+      text += ' ' + std::to_string(h.clbs) + ':' + std::to_string(h.time);
+    }
+    text += '\n';
+  }
+  return fnv1a64(text);
+}
+
+TEST(ModelRegistry, SyntheticModelsArePinned) {
+  // Fingerprints of the models as the per-edge add_comm generator built
+  // them: the bulk insert must keep every synthetic:N bit-identical.
+  struct Pin {
+    const char* name;
+    std::size_t comms;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"synthetic:120", 336, 0x411d10f65838895fULL},
+      {"synthetic:1000", 21823, 0xa782b97d1667afb3ULL},
+      {"synthetic:5000", 405439, 0x40fafb5f1a086617ULL},
+  };
+  for (const Pin& pin : pins) {
+    const ModelSpec spec = load_model_spec(pin.name);
+    EXPECT_EQ(spec.app.graph.comm_count(), pin.comms) << pin.name;
+    EXPECT_EQ(model_fingerprint(spec.app.graph), pin.fingerprint) << pin.name;
+    const Digraph& g = spec.app.graph.digraph();
+    EXPECT_EQ(g.edge_count(), pin.comms) << pin.name;
+    for (EdgeId e = 0; e < spec.app.graph.comm_count(); e += 97) {
+      EXPECT_EQ(g.edge(e).src, spec.app.graph.comm(e).src) << pin.name;
+      EXPECT_EQ(g.edge(e).dst, spec.app.graph.comm(e).dst) << pin.name;
+    }
   }
 }
 

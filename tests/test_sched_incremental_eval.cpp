@@ -7,7 +7,9 @@
 /// Parking equivalence: with the communication edges between tasks on one
 /// processor parked, verdicts and metrics still equal the full Evaluator's
 /// on dense graphs under order-violating moves, and commit/discard keep
-/// exactly those edges parked.
+/// exactly those edges parked. Sparse reset: reset builds the full G' with
+/// exactly those edges reserved parked, a second reset equals a fresh
+/// evaluator's, and a cyclic state is rejected without touching anything.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 
 #include "core/problem.hpp"
 #include "model/generators.hpp"
+#include "model/registry.hpp"
 #include "sched/evaluator.hpp"
 #include "sched/incremental_eval.hpp"
 #include "util/rng.hpp"
@@ -92,7 +95,7 @@ TEST(ChainDiff, UnchangedOrderEmitsNoEdges) {
   const Solution sol = Solution::all_software(app.graph, 0);
 
   IncrementalEvaluator inc(app.graph);
-  inc.reset(arch, sol);
+  ASSERT_TRUE(inc.reset(arch, sol).has_value());
 
   Solution cand = sol;
   cand.clear_touched();
@@ -118,7 +121,7 @@ TEST(ChainDiff, AdjacentSwapMidChainRebuildsThreeEdgeWindow) {
   const Solution sol = Solution::all_software(app.graph, 0);
 
   IncrementalEvaluator inc(app.graph);
-  inc.reset(arch, sol);
+  ASSERT_TRUE(inc.reset(arch, sol).has_value());
 
   Solution cand = sol;
   cand.clear_touched();
@@ -148,7 +151,7 @@ TEST(ChainDiff, FullReversalRebuildsWholeChain) {
   const Solution sol = Solution::all_software(app.graph, 0);
 
   IncrementalEvaluator inc(app.graph);
-  inc.reset(arch, sol);
+  ASSERT_TRUE(inc.reset(arch, sol).has_value());
 
   Solution cand = sol;
   cand.clear_touched();
@@ -179,7 +182,7 @@ TEST(ChainDiff, EmptyAndSingleTaskChains) {
   const Solution sol = Solution::all_software(app.graph, 0);
 
   IncrementalEvaluator inc(app.graph);
-  inc.reset(arch, sol);
+  ASSERT_TRUE(inc.reset(arch, sol).has_value());
 
   // A touched resource with no tasks at all: reconcile of an empty chain
   // against an empty desired set must be a no-op.
@@ -226,7 +229,7 @@ TEST(ChainDiff, RollbackRestoresChainOrderExactly) {
   const Solution sol = Solution::all_software(app.graph, 0);
 
   IncrementalEvaluator inc(app.graph);
-  inc.reset(arch, sol);
+  ASSERT_TRUE(inc.reset(arch, sol).has_value());
 
   // Stage a reorder, discard it, then re-evaluate the identical committed
   // order: the chain list must have been restored in order, so the diff
@@ -431,7 +434,7 @@ TEST(Parking, MatchesFullEvaluatorOnDenseGraphs) {
                        : Solution::random_partition(tg, arch, 0, 1, init);
 
     IncrementalEvaluator inc(tg);
-    const Metrics start = inc.reset(arch, sol);
+    const std::optional<Metrics> start = inc.reset(arch, sol);
     expect_metrics_equal(start, Evaluator(tg, arch).evaluate(sol),
                          "reset, seed " + std::to_string(seed));
     expect_parked_exactly_co_processor(tg, arch, sol, inc, "reset");
@@ -474,6 +477,234 @@ TEST(Parking, MatchesFullEvaluatorOnDenseGraphs) {
   EXPECT_GT(infeasible, 300);
   EXPECT_GT(order_rejects, 100);
   EXPECT_LT(order_rejects, infeasible);
+}
+
+// ---- sparse reset -----------------------------------------------------------
+
+constexpr ResourceId kCpu0 = 0;
+constexpr ResourceId kRc = 1;
+
+/// A random partition over cpu0 and the RC, after which every cpu0 task,
+/// walked in order, moves to the end of cpu1 with probability 1/2. Both
+/// orders stay subsequences of the partition's linear extension, so the
+/// start stays acyclic.
+Solution two_cpu_partition(const TaskGraph& tg, const Architecture& arch,
+                           ResourceId cpu1, Rng& rng) {
+  Solution sol = Solution::random_partition(tg, arch, kCpu0, kRc, rng);
+  const auto order = sol.processor_order(kCpu0);
+  const std::vector<TaskId> walk(order.begin(), order.end());
+  for (const TaskId t : walk) {
+    if (!rng.bernoulli(0.5)) continue;
+    sol.remove_task(t);
+    sol.insert_on_processor(t, cpu1, sol.processor_order(cpu1).size());
+  }
+  return sol;
+}
+
+/// `g` with every parked edge attached again, so endpoints and weights can
+/// be read back.
+Digraph with_parked_attached(const Digraph& g) {
+  Digraph all = g;
+  for (EdgeId e = 0; e < all.edge_capacity(); ++e) {
+    if (all.edge_parked(e)) all.unpark_edge(e);
+  }
+  return all;
+}
+
+/// Edge for edge, `a` and `b` are the same realization: same ids, each
+/// live or parked alike, same endpoints, weights and kinds, same node
+/// weights, releases and statistics.
+void expect_same_realization(const SearchGraph& a, const SearchGraph& b,
+                             const std::string& where) {
+  ASSERT_EQ(a.graph.edge_capacity(), b.graph.edge_capacity()) << where;
+  EXPECT_EQ(a.graph.edge_count(), b.graph.edge_count()) << where;
+  const Digraph all_a = with_parked_attached(a.graph);
+  const Digraph all_b = with_parked_attached(b.graph);
+  for (EdgeId e = 0; e < a.graph.edge_capacity(); ++e) {
+    ASSERT_EQ(a.graph.edge_alive(e), b.graph.edge_alive(e))
+        << where << ", edge " << e;
+    ASSERT_EQ(a.graph.edge_parked(e), b.graph.edge_parked(e))
+        << where << ", edge " << e;
+    if (!all_a.edge_alive(e)) continue;
+    EXPECT_EQ(all_a.edge(e).src, all_b.edge(e).src) << where << ", " << e;
+    EXPECT_EQ(all_a.edge(e).dst, all_b.edge(e).dst) << where << ", " << e;
+    EXPECT_EQ(all_a.edge_weight(e), all_b.edge_weight(e))
+        << where << ", edge " << e;
+    EXPECT_EQ(a.edge_kind[e], b.edge_kind[e]) << where << ", edge " << e;
+  }
+  EXPECT_EQ(a.node_weight, b.node_weight) << where;
+  EXPECT_EQ(a.release, b.release) << where;
+  EXPECT_EQ(a.init_reconfig, b.init_reconfig) << where;
+  EXPECT_EQ(a.dyn_reconfig, b.dyn_reconfig) << where;
+  EXPECT_EQ(a.comm_cross, b.comm_cross) << where;
+  EXPECT_EQ(a.n_contexts, b.n_contexts) << where;
+  EXPECT_EQ(a.clbs_loaded, b.clbs_loaded) << where;
+  EXPECT_EQ(a.max_context_clbs, b.max_context_clbs) << where;
+}
+
+/// Right after a reset the maintained graph is the full G' with exactly
+/// the co-processor communication edges parked: a parked id keeps its
+/// endpoints and its (zero) weight, every other edge — live application
+/// edges, Esw and Ehw — is the full builder's under the same id.
+void expect_sparse_full_graph(const TaskGraph& tg, const Architecture& arch,
+                              const Solution& sol,
+                              const IncrementalEvaluator& inc,
+                              const std::string& where) {
+  expect_parked_exactly_co_processor(tg, arch, sol, inc, where);
+  const SearchGraph& sparse = inc.search_graph();
+  const SearchGraph full = build_search_graph(tg, arch, sol);
+  ASSERT_EQ(sparse.graph.edge_capacity(), full.graph.edge_capacity())
+      << where;
+  const Digraph all = with_parked_attached(sparse.graph);
+  all.check_consistency();
+  for (EdgeId e = 0; e < full.graph.edge_capacity(); ++e) {
+    ASSERT_TRUE(all.edge_alive(e)) << where << ", edge " << e;
+    EXPECT_EQ(all.edge(e).src, full.graph.edge(e).src) << where << ", " << e;
+    EXPECT_EQ(all.edge(e).dst, full.graph.edge(e).dst) << where << ", " << e;
+    EXPECT_EQ(all.edge_weight(e), full.graph.edge_weight(e))
+        << where << ", edge " << e;
+    EXPECT_EQ(sparse.edge_kind[e], full.edge_kind[e]) << where << ", " << e;
+  }
+  EXPECT_EQ(sparse.node_weight, full.node_weight) << where;
+  EXPECT_EQ(sparse.release, full.release) << where;
+  EXPECT_EQ(sparse.comm_cross, full.comm_cross) << where;
+}
+
+TEST(SparseReset, IsTheFullGraphWithCoProcessorEdgesParked) {
+  for (std::uint64_t seed = 601; seed <= 608; ++seed) {
+    const Application app = dense_app(40, seed);
+    const TaskGraph& tg = app.graph;
+    Architecture arch =
+        make_cpu_fpga_architecture(900, from_us(10.0), 20'000'000);
+    const ResourceId cpu1 = arch.add_processor("cpu1");
+    Rng rng(seed);
+    const Solution sol = seed % 2 == 0
+                             ? Solution::all_software(tg, kCpu0)
+                             : two_cpu_partition(tg, arch, cpu1, rng);
+    const std::string where = "seed " + std::to_string(seed);
+    IncrementalEvaluator inc(tg);
+    const std::optional<Metrics> got = inc.reset(arch, sol);
+    ASSERT_TRUE(got.has_value()) << where;
+    expect_metrics_equal(got, Evaluator(tg, arch).evaluate(sol), where);
+    expect_sparse_full_graph(tg, arch, sol, inc, where);
+  }
+}
+
+TEST(SparseReset, ResetAfterChurnMatchesAFreshEvaluator) {
+  for (std::uint64_t seed = 611; seed <= 614; ++seed) {
+    const Application app = dense_app(32, seed);
+    const TaskGraph& tg = app.graph;
+    Architecture arch =
+        make_cpu_fpga_architecture(900, from_us(10.0), 20'000'000);
+    const ResourceId cpu1 = arch.add_processor("cpu1");
+    Rng init(seed);
+    Solution sol = two_cpu_partition(tg, arch, cpu1, init);
+    IncrementalEvaluator churned(tg);
+    ASSERT_TRUE(churned.reset(arch, sol).has_value());
+    Rng rng(seed * 17 + 3);
+    // Three rounds of churn, each followed by a reset of the evaluator.
+    for (int round = 0; round < 3; ++round) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", round " + std::to_string(round);
+      int committed = 0;
+      for (int step = 0; step < 300; ++step) {
+        Solution cand = sol;
+        cand.clear_touched();
+        random_parking_move(tg, arch, cand, rng);
+        if (!churned.evaluate_candidate(arch, cand,
+                                        cand.touched_resources(),
+                                        cand.touched_tasks())) {
+          continue;
+        }
+        if (rng.bernoulli(0.5)) {
+          churned.commit();
+          sol = cand;
+          ++committed;
+        } else {
+          churned.discard();
+        }
+      }
+      EXPECT_GT(committed, 20) << where;
+      const std::optional<Metrics> again = churned.reset(arch, sol);
+      IncrementalEvaluator fresh(tg);
+      const std::optional<Metrics> first = fresh.reset(arch, sol);
+      expect_metrics_equal(again, first, where);
+      expect_same_realization(churned.search_graph(), fresh.search_graph(),
+                              where);
+      expect_sparse_full_graph(tg, arch, sol, churned, where);
+      // Both go on to the same verdicts and metrics.
+      for (int step = 0; step < 100; ++step) {
+        Solution cand = sol;
+        cand.clear_touched();
+        random_parking_move(tg, arch, cand, rng);
+        const auto a = churned.evaluate_candidate(
+            arch, cand, cand.touched_resources(), cand.touched_tasks());
+        const auto b = fresh.evaluate_candidate(
+            arch, cand, cand.touched_resources(), cand.touched_tasks());
+        expect_metrics_equal(a, b, where + ", step " + std::to_string(step));
+        if (a.has_value()) {
+          churned.commit();
+          fresh.commit();
+          sol = cand;
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseReset, CyclicStateIsRejectedAndLeavesTheEvaluatorAsItWas) {
+  const Application app = dense_app(28, 621);
+  const TaskGraph& tg = app.graph;
+  Architecture arch =
+      make_cpu_fpga_architecture(900, from_us(10.0), 20'000'000);
+  (void)arch.add_processor("cpu1");
+  Rng init(621);
+  const Solution sol = Solution::random_partition(tg, arch, kCpu0, kRc, init);
+  IncrementalEvaluator inc(tg);
+  const std::optional<Metrics> start = inc.reset(arch, sol);
+  ASSERT_TRUE(start.has_value());
+  const SearchGraph before = inc.search_graph();
+
+  // A parked edge running backwards: some edge's successor moved ahead of
+  // its predecessor on the CPU.
+  Solution backwards = Solution::all_software(tg, kCpu0);
+  const CommEdge& c = tg.comm(0);
+  backwards.reposition(c.dst, backwards.order_position(c.src));
+  ASSERT_FALSE(Evaluator(tg, arch).evaluate(backwards).has_value());
+  EXPECT_FALSE(inc.reset(arch, backwards).has_value());
+  expect_same_realization(inc.search_graph(), before, "after the rejection");
+
+  // The evaluator keeps evaluating against the state it had.
+  Rng rng(622);
+  Solution cur = sol;
+  for (int step = 0; step < 100; ++step) {
+    Solution cand = cur;
+    cand.clear_touched();
+    random_parking_move(tg, arch, cand, rng);
+    const auto got = inc.evaluate_candidate(
+        arch, cand, cand.touched_resources(), cand.touched_tasks());
+    expect_metrics_equal(got, Evaluator(tg, arch).evaluate(cand),
+                         "step " + std::to_string(step));
+    if (got.has_value()) {
+      inc.commit();
+      cur = cand;
+    }
+  }
+}
+
+TEST(SparseReset, LargeSyntheticStartAgreesWithFullEvaluation) {
+  const ModelSpec spec = load_model_spec("synthetic:5000");
+  const TaskGraph& tg = spec.app.graph;
+  const Architecture arch = make_cpu_fpga_architecture(
+      2000, spec.tr_per_clb, spec.bus_bytes_per_second);
+  const Solution start = Solution::all_software(tg, kCpu0);
+  const DseProblem incremental(tg, arch, start);
+  const DseProblem full(tg, arch, start, MoveConfig{}, CostWeights{}, false,
+                        /*full_eval=*/true);
+  expect_metrics_equal(incremental.current_metrics(), full.current_metrics(),
+                       "synthetic:5000, all-software");
+  EXPECT_EQ(incremental.incremental_stats()->comm_edges_parked,
+            static_cast<std::int64_t>(tg.comm_count()));
 }
 
 }  // namespace

@@ -1,21 +1,17 @@
 /// \file bench_components.cpp
 /// \brief EXP-M1 — google-benchmark microbenchmarks of the engine's moving
-/// parts: search-graph realization, full longest-path evaluation, the
-/// incremental engine (the paper's Woodbury-style update, §4.4), transitive
-/// closure maintenance (the §4.3 O(1) cycle test), move generation and the
-/// GA decoder. Establishes that full re-evaluation at paper scale costs
-/// microseconds — which is why the reference implementation favours the
-/// simple rebuild-per-move design — and quantifies what the incremental
-/// path saves for localized updates.
+/// parts: search-graph realization, full longest-path evaluation, move
+/// generation and the GA decoder. Establishes that full re-evaluation at
+/// paper scale costs microseconds; what the incremental path (DeltaRelaxer,
+/// the paper's Woodbury-style update, §4.4) saves for localized updates is
+/// measured by bench_incremental_moves.
 
 #include <benchmark/benchmark.h>
 
 #include "baseline/genetic.hpp"
 #include "core/moves.hpp"
-#include "graph/closure.hpp"
 #include "model/motion_detection.hpp"
 #include "sched/evaluator.hpp"
-#include "sched/incremental.hpp"
 
 using namespace rdse;
 
@@ -66,49 +62,6 @@ void BM_LongestPathFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LongestPathFull);
-
-void BM_IncrementalWeightUpdate(benchmark::State& state) {
-  auto& s = setup();
-  const SearchGraph sg = build_search_graph(s.app.graph, s.arch, s.solution);
-  IncrementalLongestPath inc(
-      sg.graph,
-      std::vector<TimeNs>(sg.node_weight.begin(), sg.node_weight.end()),
-      std::vector<TimeNs>(sg.graph.edge_weights().begin(),
-                          sg.graph.edge_weights().end()),
-      std::vector<TimeNs>(sg.release.begin(), sg.release.end()));
-  TimeNs w = sg.node_weight[5];
-  for (auto _ : state) {
-    w = (w == sg.node_weight[5]) ? sg.node_weight[5] + from_us(50)
-                                 : sg.node_weight[5];
-    inc.set_node_weight(5, w);
-    benchmark::DoNotOptimize(inc.makespan());
-  }
-}
-BENCHMARK(BM_IncrementalWeightUpdate);
-
-void BM_ClosureBuild(benchmark::State& state) {
-  auto& s = setup();
-  const SearchGraph sg = build_search_graph(s.app.graph, s.arch, s.solution);
-  for (auto _ : state) {
-    TransitiveClosure tc;
-    tc.build(sg.graph);
-    benchmark::DoNotOptimize(tc);
-  }
-}
-BENCHMARK(BM_ClosureBuild);
-
-void BM_ClosureCycleProbe(benchmark::State& state) {
-  auto& s = setup();
-  const SearchGraph sg = build_search_graph(s.app.graph, s.arch, s.solution);
-  TransitiveClosure tc;
-  tc.build(sg.graph);
-  NodeId u = 0;
-  for (auto _ : state) {
-    u = (u + 1) % 28;
-    benchmark::DoNotOptimize(tc.would_create_cycle(u, (u + 13) % 28));
-  }
-}
-BENCHMARK(BM_ClosureCycleProbe);
 
 void BM_MoveGenerateAndEvaluate(benchmark::State& state) {
   auto& s = setup();

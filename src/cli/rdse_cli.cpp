@@ -379,7 +379,7 @@ int cmd_explore(const Options& opts, std::ostream& out) {
     return 0;
   }
   if (!checkpoint_path.empty()) {
-    CheckpointableExplorer session(model.app.graph, arch, config);
+    CheckpointableExplorer session(explorer, config);
     return run_checkpointed(model, clbs, session, checkpoint_path,
                             checkpoint_every, json_path, quiet, out);
   }

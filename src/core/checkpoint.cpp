@@ -218,8 +218,13 @@ Metrics metrics_from_json(const JsonValue& doc) {
 
 // ----------------------------------------------------------------- configs
 
-JsonValue explorer_config_to_json(const ExplorerConfig& config) {
-  JsonValue doc = JsonValue::object();
+namespace {
+
+/// The eleven trajectory fields ExplorerConfig and ParallelExplorerConfig
+/// share. set() keeps a key's position when it already exists, so a codec
+/// that lays out its own key order first keeps that order.
+template <typename Config>
+void shared_config_to_json(const Config& config, JsonValue& doc) {
   doc.set("seed", u64_to_hex(config.seed));
   doc.set("iterations", config.iterations);
   doc.set("warmup_iterations", config.warmup_iterations);
@@ -231,11 +236,10 @@ JsonValue explorer_config_to_json(const ExplorerConfig& config) {
   doc.set("full_eval", config.full_eval);
   doc.set("batch", config.batch);
   doc.set("freeze_after", config.freeze_after);
-  return doc;
 }
 
-ExplorerConfig explorer_config_from_json(const JsonValue& doc) {
-  ExplorerConfig config;
+template <typename Config>
+void shared_config_from_json(const JsonValue& doc, Config& config) {
   config.seed = u64_from_hex(doc.at("seed").as_string());
   config.iterations = doc.at("iterations").as_int();
   config.warmup_iterations = doc.at("warmup_iterations").as_int();
@@ -248,55 +252,53 @@ ExplorerConfig explorer_config_from_json(const JsonValue& doc) {
   config.batch = static_cast<int>(doc.at("batch").as_int());
   config.freeze_after = doc.at("freeze_after").as_int();
   config.record_trace = false;
+}
+
+}  // namespace
+
+JsonValue explorer_config_to_json(const ExplorerConfig& config) {
+  JsonValue doc = JsonValue::object();
+  shared_config_to_json(config, doc);
+  return doc;
+}
+
+ExplorerConfig explorer_config_from_json(const JsonValue& doc) {
+  ExplorerConfig config;
+  shared_config_from_json(doc, config);
   return config;
 }
 
 JsonValue parallel_explorer_config_to_json(
     const ParallelExplorerConfig& config) {
-  JsonValue doc = JsonValue::object();
-  doc.set("seed", u64_to_hex(config.seed));
-  doc.set("replicas", config.replicas);
-  doc.set("iterations", config.iterations);
-  doc.set("warmup_iterations", config.warmup_iterations);
-  doc.set("exchange_interval", config.exchange_interval);
-  doc.set("schedule", to_string(config.schedule));
   JsonValue ladder = JsonValue::array();
   for (const ScheduleKind kind : config.replica_schedules) {
     ladder.push_back(to_string(kind));
   }
+  // The v1 key order interleaves the parallel-only keys with the shared
+  // ones: lay it out, then let the shared writer fill its slots.
+  JsonValue doc = JsonValue::object();
+  doc.set("seed", JsonValue());
+  doc.set("replicas", config.replicas);
+  doc.set("iterations", JsonValue());
+  doc.set("warmup_iterations", JsonValue());
+  doc.set("exchange_interval", config.exchange_interval);
+  doc.set("schedule", JsonValue());
   doc.set("replica_schedules", std::move(ladder));
-  doc.set("init", init_kind_name(config.init));
-  doc.set("moves", move_config_to_json(config.moves));
-  doc.set("cost", cost_weights_to_json(config.cost));
-  doc.set("adaptive_move_mix", config.adaptive_move_mix);
-  doc.set("full_eval", config.full_eval);
-  doc.set("batch", config.batch);
-  doc.set("freeze_after", config.freeze_after);
+  shared_config_to_json(config, doc);
   return doc;
 }
 
 ParallelExplorerConfig parallel_explorer_config_from_json(
     const JsonValue& doc) {
   ParallelExplorerConfig config;
-  config.seed = u64_from_hex(doc.at("seed").as_string());
+  shared_config_from_json(doc, config);
   config.replicas = static_cast<int>(doc.at("replicas").as_int());
-  config.iterations = doc.at("iterations").as_int();
-  config.warmup_iterations = doc.at("warmup_iterations").as_int();
   config.exchange_interval = doc.at("exchange_interval").as_int();
-  config.schedule = schedule_kind_from_name(doc.at("schedule").as_string());
   config.replica_schedules.clear();
   for (const JsonValue& kind : doc.at("replica_schedules").items()) {
     config.replica_schedules.push_back(
         schedule_kind_from_name(kind.as_string()));
   }
-  config.init = init_kind_from_name(doc.at("init").as_string());
-  config.moves = move_config_from_json(doc.at("moves"));
-  config.cost = cost_weights_from_json(doc.at("cost"));
-  config.adaptive_move_mix = doc.at("adaptive_move_mix").as_bool();
-  config.full_eval = doc.at("full_eval").as_bool();
-  config.batch = static_cast<int>(doc.at("batch").as_int());
-  config.freeze_after = doc.at("freeze_after").as_int();
-  config.record_trace = false;
   return config;
 }
 
@@ -349,111 +351,216 @@ JsonValue load_checkpoint(const std::string& path) {
   return *body;
 }
 
+// ---------------------------------------------------------------- sessions
+
+namespace {
+
+/// The config check of every parallel start, fresh or resumed, so a
+/// hand-edited state cannot get past what a fresh start rejects. (A serial
+/// start needs none of its own: its engine rejects negative counts.)
+void check_config(const ParallelExplorerConfig& config) {
+  RDSE_REQUIRE(config.replicas >= 1,
+               "ParallelExplorer: need at least one replica");
+  RDSE_REQUIRE(config.iterations >= 0 && config.warmup_iterations >= 0 &&
+                   config.exchange_interval >= 0,
+               "ParallelExplorer: negative iteration counts");
+}
+
+/// The start of every run.
+Solution initial_solution(const Explorer& explorer, InitKind init,
+                          std::uint64_t seed) {
+  Rng init_rng(seed ^ 0x5851F42D4C957F2DULL);
+  return explorer.initial_solution(init, init_rng);
+}
+
+/// `threads` workers; 0 = min(replicas, hardware concurrency).
+std::unique_ptr<ThreadPool> make_pool(unsigned threads, int replicas) {
+  if (threads == 0) {
+    threads =
+        std::min<unsigned>(static_cast<unsigned>(replicas),
+                           std::max(1u, std::thread::hardware_concurrency()));
+  }
+  return std::make_unique<ThreadPool>(threads);
+}
+
+/// A parallel replica runs the parallel config at its own stream seed and
+/// ladder rung, so without exchange replica r reproduces Explorer::run at
+/// seed replica_seed(seed, r).
+ParallelExplorerConfig replica_config(ParallelExplorerConfig config,
+                                      std::uint64_t seed,
+                                      ScheduleKind schedule) {
+  config.seed = seed;
+  config.schedule = schedule;
+  return config;
+}
+
+}  // namespace
+
+/// `Config` is ExplorerConfig or ParallelExplorerConfig; a replica reads the
+/// fields they share. Heap-held and never moved: the engine's trace hook
+/// points into the replica, so sessions move without re-pointing it.
+struct SessionReplica {
+  SessionReplica(const SessionReplica&) = delete;
+  SessionReplica& operator=(const SessionReplica&) = delete;
+
+  template <typename Config>
+  SessionReplica(const Explorer& explorer, const Config& config)
+      : SessionReplica(explorer.task_graph(), config, explorer.architecture(),
+                       initial_solution(explorer, config.init, config.seed)) {}
+
+  /// Resume: the checkpointed current state, then the engine's counters,
+  /// RNG and schedule over the fresh-start values, then the best state
+  /// (the engine's constructor snapshots the current state as best).
+  template <typename Config>
+  SessionReplica(const TaskGraph& tg, const Config& config,
+                 const JsonValue& initial, const JsonValue& doc,
+                 const JsonValue& engine_state)
+      : SessionReplica(
+            tg, config, architecture_from_json(doc.at("current_architecture")),
+            solution_from_text(tg, doc.at("current_solution").as_string())) {
+    initial_metrics = metrics_from_json(initial);
+    engine.load_state(engine_state);
+    problem.restore_best_state(
+        architecture_from_json(doc.at("best_architecture")),
+        solution_from_text(tg, doc.at("best_solution").as_string()));
+    problem.set_move_stats(move_stats_from_json(doc.at("move_stats")));
+    if (const JsonValue* mix = doc.find("move_mix")) {
+      RDSE_REQUIRE(problem.move_mix() != nullptr,
+                   "checkpoint: move-mix state without adaptive_move_mix");
+      problem.move_mix()->load_state(*mix);
+    }
+  }
+
+  template <typename Config>
+  SessionReplica(const TaskGraph& tg, const Config& config, Architecture arch,
+                 Solution start)
+      : seed(config.seed),
+        schedule(config.schedule),
+        problem(tg, std::move(arch), std::move(start), config.moves,
+                config.cost, config.adaptive_move_mix, config.full_eval,
+                config.batch),
+        initial_metrics(problem.current_metrics()),
+        engine(problem, anneal_config(config)) {}
+
+  template <typename Config>
+  AnnealConfig anneal_config(const Config& config) {
+    AnnealConfig ac;
+    ac.seed = seed;
+    ac.iterations = config.iterations;
+    ac.warmup_iterations = config.warmup_iterations;
+    ac.schedule = schedule;
+    ac.freeze_after = config.freeze_after;
+    ac.cancel = config.cancel;
+    if (!config.record_trace) return ac;
+    const std::int64_t stride = std::max<std::int64_t>(config.trace_stride, 1);
+    ac.on_iteration = [this, stride](const IterationStat& s) {
+      if (s.iteration % stride != 0) return;
+      TraceRow row;
+      row.iteration = s.iteration;
+      row.cost = s.cost;
+      row.best = s.best;
+      row.temperature = s.temperature;
+      row.n_contexts = problem.current_metrics().n_contexts;
+      row.accepted = s.accepted;
+      row.warmup = s.warmup;
+      trace.add(row);
+    };
+    return ac;
+  }
+
+  /// The current and best states, move statistics and move mix.
+  void save(const TaskGraph& tg, JsonValue& doc) const {
+    doc.set("current_architecture",
+            architecture_to_json(problem.current_architecture()));
+    doc.set("current_solution",
+            solution_to_text(tg, problem.current_solution()));
+    doc.set("best_architecture",
+            architecture_to_json(problem.best_architecture()));
+    doc.set("best_solution", solution_to_text(tg, problem.best_solution()));
+    doc.set("move_stats", move_stats_to_json(problem.move_stats()));
+    if (problem.move_mix() != nullptr) {
+      JsonValue mix = JsonValue::object();
+      problem.move_mix()->save_state(mix);
+      doc.set("move_mix", std::move(mix));
+    }
+  }
+
+  /// Everything a run reports except its wall time.
+  [[nodiscard]] RunResult run_result() const {
+    RunResult result;
+    result.initial_metrics = initial_metrics;
+    result.anneal = engine.result();
+    result.best_solution = problem.best_solution();
+    result.best_architecture = problem.best_architecture();
+    result.best_metrics = problem.best_metrics();
+    result.move_stats = problem.move_stats();
+    result.trace = trace;
+    return result;
+  }
+
+  std::uint64_t seed;
+  ScheduleKind schedule;
+  DseProblem problem;
+  Metrics initial_metrics;
+  Trace trace;
+  AnnealEngine engine;
+  std::int64_t adoptions = 0;
+};
+
 // -------------------------------------------------- CheckpointableExplorer
 
 CheckpointableExplorer::CheckpointableExplorer(const TaskGraph& tg,
                                                Architecture arch,
                                                const ExplorerConfig& config)
-    : tg_(&tg), explorer_(tg, std::move(arch)), config_(config) {
-  config_.record_trace = false;
+    : CheckpointableExplorer(Explorer(tg, std::move(arch)), config) {}
+
+CheckpointableExplorer::CheckpointableExplorer(const Explorer& explorer,
+                                               const ExplorerConfig& config)
+    : tg_(&explorer.task_graph()), config_(config) {
+  // A token that fired while the run was queued stops it before the
+  // (potentially expensive) initial evaluation.
   throw_if_cancelled(config_.cancel);
-
-  // Same derivation as Explorer::run — segment-for-segment bit-identity
-  // starts at the initial solution.
-  Rng init_rng(config_.seed ^ 0x5851F42D4C957F2DULL);
-  Solution initial = explorer_.initial_solution(config_.init, init_rng);
-
-  problem_ = std::make_unique<DseProblem>(
-      tg, explorer_.architecture(), std::move(initial), config_.moves,
-      config_.cost, config_.adaptive_move_mix, config_.full_eval,
-      config_.batch);
-  initial_metrics_ = problem_->current_metrics();
-  engine_ = std::make_unique<AnnealEngine>(*problem_, anneal_config());
+  replica_ = std::make_unique<SessionReplica>(explorer, config_);
 }
 
 CheckpointableExplorer::CheckpointableExplorer(const TaskGraph& tg,
                                                Architecture arch,
                                                const JsonValue& state,
                                                const CancelToken* cancel)
-    : tg_(&tg),
-      explorer_(tg, std::move(arch)),
-      config_(explorer_config_from_json(state.at("config"))) {
+    : tg_(&tg), config_(explorer_config_from_json(state.at("config"))) {
+  (void)Explorer(tg, std::move(arch));  // a fresh start's checks
   config_.cancel = cancel;
-  initial_metrics_ = metrics_from_json(state.at("initial_metrics"));
-
-  const JsonValue& prob = state.at("problem");
-  problem_ = std::make_unique<DseProblem>(
-      tg, architecture_from_json(prob.at("current_architecture")),
-      solution_from_text(tg, prob.at("current_solution").as_string()),
-      config_.moves, config_.cost, config_.adaptive_move_mix,
-      config_.full_eval, config_.batch);
-
-  // Construction order matters: the engine constructor snapshots the
-  // problem's current state as "best"; the checkpointed best is restored
-  // afterwards, then the engine's counters/RNG/schedule overwrite the
-  // fresh-start values.
-  engine_ = std::make_unique<AnnealEngine>(*problem_, anneal_config());
-  engine_->load_state(state.at("engine"));
-  problem_->restore_best_state(
-      architecture_from_json(prob.at("best_architecture")),
-      solution_from_text(tg, prob.at("best_solution").as_string()));
-  problem_->set_move_stats(move_stats_from_json(prob.at("move_stats")));
-  if (const JsonValue* mix = prob.find("move_mix")) {
-    RDSE_REQUIRE(problem_->move_mix() != nullptr,
-                 "checkpoint: move-mix state without adaptive_move_mix");
-    problem_->move_mix()->load_state(*mix);
-  }
+  replica_ =
+      std::make_unique<SessionReplica>(tg, config_, state.at("initial_metrics"),
+                                       state.at("problem"), state.at("engine"));
 }
 
-AnnealConfig CheckpointableExplorer::anneal_config() const {
-  AnnealConfig ac;
-  ac.seed = config_.seed;
-  ac.iterations = config_.iterations;
-  ac.warmup_iterations = config_.warmup_iterations;
-  ac.schedule = config_.schedule;
-  ac.freeze_after = config_.freeze_after;
-  ac.cancel = config_.cancel;
-  return ac;
-}
+CheckpointableExplorer::CheckpointableExplorer(
+    CheckpointableExplorer&&) noexcept = default;
+CheckpointableExplorer& CheckpointableExplorer::operator=(
+    CheckpointableExplorer&&) noexcept = default;
+CheckpointableExplorer::~CheckpointableExplorer() = default;
 
 std::int64_t CheckpointableExplorer::step(std::int64_t max_iterations) {
-  return engine_->run(max_iterations);
+  return replica_->engine.run(max_iterations);
 }
 
-bool CheckpointableExplorer::finished() const { return engine_->finished(); }
+bool CheckpointableExplorer::finished() const {
+  return replica_->engine.finished();
+}
 
 RunResult CheckpointableExplorer::result() const {
-  RunResult result;
-  result.initial_metrics = initial_metrics_;
-  result.anneal = engine_->result();
-  result.best_solution = problem_->best_solution();
-  result.best_architecture = problem_->best_architecture();
-  result.best_metrics = problem_->best_metrics();
-  result.move_stats = problem_->move_stats();
-  return result;
+  return replica_->run_result();
 }
 
 JsonValue CheckpointableExplorer::save_state() const {
   JsonValue body = JsonValue::object();
   body.set("config", explorer_config_to_json(config_));
-  body.set("initial_metrics", metrics_to_json(initial_metrics_));
-
+  body.set("initial_metrics", metrics_to_json(replica_->initial_metrics));
   JsonValue prob = JsonValue::object();
-  prob.set("current_architecture",
-           architecture_to_json(problem_->current_architecture()));
-  prob.set("current_solution",
-           solution_to_text(*tg_, problem_->current_solution()));
-  prob.set("best_architecture",
-           architecture_to_json(problem_->best_architecture()));
-  prob.set("best_solution", solution_to_text(*tg_, problem_->best_solution()));
-  prob.set("move_stats", move_stats_to_json(problem_->move_stats()));
-  if (problem_->move_mix() != nullptr) {
-    JsonValue mix = JsonValue::object();
-    problem_->move_mix()->save_state(mix);
-    prob.set("move_mix", std::move(mix));
-  }
+  replica_->save(*tg_, prob);
   body.set("problem", std::move(prob));
-  body.set("engine", engine_->save_state());
+  body.set("engine", replica_->engine.save_state());
   return body;
 }
 
@@ -462,47 +569,35 @@ JsonValue CheckpointableExplorer::save_state() const {
 CheckpointableParallelExplorer::CheckpointableParallelExplorer(
     const TaskGraph& tg, Architecture arch,
     const ParallelExplorerConfig& config)
-    : tg_(&tg), explorer_(tg, std::move(arch)), config_(config) {
-  RDSE_REQUIRE(config_.replicas >= 1,
-               "CheckpointableParallelExplorer: need at least one replica");
-  RDSE_REQUIRE(config_.iterations >= 0 && config_.warmup_iterations >= 0 &&
-                   config_.exchange_interval >= 0,
-               "CheckpointableParallelExplorer: negative iteration counts");
-  config_.record_trace = false;
-  throw_if_cancelled(config_.cancel);
+    : CheckpointableParallelExplorer(Explorer(tg, std::move(arch)), config) {}
 
-  const int n = config_.replicas;
-  reps_.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    Replica& rep = reps_.emplace_back();
-    rep.seed = ParallelExplorer::replica_seed(config_.seed, r);
-    rep.schedule =
-        config_.replica_schedules.empty()
-            ? config_.schedule
-            : config_.replica_schedules[static_cast<std::size_t>(r) %
-                                        config_.replica_schedules.size()];
-    Rng init_rng(rep.seed ^ 0x5851F42D4C957F2DULL);
-    Solution initial = explorer_.initial_solution(config_.init, init_rng);
-    rep.problem = std::make_unique<DseProblem>(
-        tg, explorer_.architecture(), std::move(initial), config_.moves,
-        config_.cost, config_.adaptive_move_mix, config_.full_eval,
-        config_.batch);
-    rep.initial_metrics = rep.problem->current_metrics();
-    rep.engine =
-        std::make_unique<AnnealEngine>(*rep.problem,
-                                       replica_anneal_config(rep));
+CheckpointableParallelExplorer::CheckpointableParallelExplorer(
+    const Explorer& explorer, const ParallelExplorerConfig& config)
+    : tg_(&explorer.task_graph()), config_(config) {
+  check_config(config_);
+  throw_if_cancelled(config_.cancel);
+  const auto& ladder = config_.replica_schedules;
+  for (int r = 0; r < config_.replicas; ++r) {
+    const ScheduleKind schedule =
+        ladder.empty() ? config_.schedule
+                       : ladder[static_cast<std::size_t>(r) % ladder.size()];
+    reps_.push_back(std::make_unique<SessionReplica>(
+        explorer,
+        replica_config(config_, ParallelExplorer::replica_seed(config_.seed, r),
+                       schedule)));
   }
-  make_pool(config_.threads);
+  pool_ = make_pool(config_.threads, config_.replicas);
 }
 
 CheckpointableParallelExplorer::CheckpointableParallelExplorer(
     const TaskGraph& tg, Architecture arch, const JsonValue& state,
     unsigned threads, const CancelToken* cancel)
     : tg_(&tg),
-      explorer_(tg, std::move(arch)),
       config_(parallel_explorer_config_from_json(state.at("config"))) {
+  (void)Explorer(tg, std::move(arch));  // a fresh start's checks
   config_.cancel = cancel;
   config_.threads = threads;
+  check_config(config_);
   started_ = state.at("started").as_bool();
   exchange_rounds_ = state.at("exchange_rounds").as_int();
   adoptions_ = state.at("adoptions").as_int();
@@ -511,33 +606,15 @@ CheckpointableParallelExplorer::CheckpointableParallelExplorer(
   RDSE_REQUIRE(replicas.size() ==
                    static_cast<std::size_t>(config_.replicas),
                "checkpoint: replica count mismatch");
-  reps_.reserve(replicas.size());
-  for (std::size_t r = 0; r < replicas.size(); ++r) {
-    const JsonValue& doc = replicas.items()[r];
-    Replica& rep = reps_.emplace_back();
-    rep.seed = u64_from_hex(doc.at("seed").as_string());
-    rep.schedule = schedule_kind_from_name(doc.at("schedule").as_string());
-    rep.adoptions = doc.at("adoptions").as_int();
-    rep.initial_metrics = metrics_from_json(doc.at("initial_metrics"));
-    rep.problem = std::make_unique<DseProblem>(
-        tg, architecture_from_json(doc.at("current_architecture")),
-        solution_from_text(tg, doc.at("current_solution").as_string()),
-        config_.moves, config_.cost, config_.adaptive_move_mix,
-        config_.full_eval, config_.batch);
-    rep.engine = std::make_unique<AnnealEngine>(*rep.problem,
-                                                replica_anneal_config(rep));
-    rep.engine->load_state(doc.at("engine"));
-    rep.problem->restore_best_state(
-        architecture_from_json(doc.at("best_architecture")),
-        solution_from_text(tg, doc.at("best_solution").as_string()));
-    rep.problem->set_move_stats(move_stats_from_json(doc.at("move_stats")));
-    if (const JsonValue* mix = doc.find("move_mix")) {
-      RDSE_REQUIRE(rep.problem->move_mix() != nullptr,
-                   "checkpoint: move-mix state without adaptive_move_mix");
-      rep.problem->move_mix()->load_state(*mix);
-    }
+  for (const JsonValue& doc : replicas.items()) {
+    reps_.push_back(std::make_unique<SessionReplica>(
+        tg,
+        replica_config(config_, u64_from_hex(doc.at("seed").as_string()),
+                       schedule_kind_from_name(doc.at("schedule").as_string())),
+        doc.at("initial_metrics"), doc, doc.at("engine")));
+    reps_.back()->adoptions = doc.at("adoptions").as_int();
   }
-  make_pool(threads);
+  pool_ = make_pool(threads, config_.replicas);
 }
 
 CheckpointableParallelExplorer::CheckpointableParallelExplorer(
@@ -546,97 +623,67 @@ CheckpointableParallelExplorer& CheckpointableParallelExplorer::operator=(
     CheckpointableParallelExplorer&&) noexcept = default;
 CheckpointableParallelExplorer::~CheckpointableParallelExplorer() = default;
 
-void CheckpointableParallelExplorer::make_pool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::min<unsigned>(
-        static_cast<unsigned>(config_.replicas),
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
-  pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-AnnealConfig CheckpointableParallelExplorer::replica_anneal_config(
-    const Replica& rep) const {
-  AnnealConfig ac;
-  ac.seed = rep.seed;
-  ac.iterations = config_.iterations;
-  ac.warmup_iterations = config_.warmup_iterations;
-  ac.schedule = rep.schedule;
-  ac.freeze_after = config_.freeze_after;
-  ac.cancel = config_.cancel;
-  return ac;
-}
-
-bool CheckpointableParallelExplorer::any_running() const {
-  return std::any_of(reps_.begin(), reps_.end(), [](const Replica& rep) {
-    return !rep.engine->finished();
-  });
-}
-
 bool CheckpointableParallelExplorer::finished() const {
-  return !any_running();
+  return std::all_of(reps_.begin(), reps_.end(),
+                     [](const auto& rep) { return rep->engine.finished(); });
 }
 
 bool CheckpointableParallelExplorer::step() {
-  if (!any_running()) return false;
+  if (finished()) return false;
   const std::int64_t chunk =
       config_.exchange_interval > 0
           ? config_.exchange_interval
           : std::max<std::int64_t>(config_.iterations, 1);
-  // Segment 0 covers warm-up plus the first cooling chunk, exactly as in
-  // ParallelExplorer::run, so every barrier lands on a shared cooling-
-  // iteration boundary.
+  // Segment 0 covers warm-up plus the first cooling chunk so that every
+  // barrier afterwards lands on a cooling-iteration boundary shared by all
+  // replicas.
   const std::int64_t budget =
       started_ ? chunk : config_.warmup_iterations + chunk;
   pool_->parallel_for_index(reps_.size(), [this, budget](std::size_t i) {
-    (void)reps_[i].engine->run(budget);
+    (void)reps_[i]->engine.run(budget);
   });
   started_ = true;
-  if (config_.replicas > 1 && config_.exchange_interval > 0 &&
-      any_running()) {
+  if (config_.replicas > 1 && config_.exchange_interval > 0 && !finished()) {
     exchange();
   }
   return true;
 }
 
 void CheckpointableParallelExplorer::exchange() {
-  // Verbatim mirror of ParallelExplorer::run's barrier exchange: serial,
-  // replica-ordered, computed from snapshotted states.
-  const int n = config_.replicas;
+  // Serial, replica-ordered exchange on snapshotted states: the result
+  // cannot depend on worker scheduling. Trailing replicas adopt the
+  // leader's best; the leader may adopt from its ring neighbour. Only those
+  // two replicas can donate, so only their states are deep-copied
+  // (adoption replaces *current* states, never a donor's snapshot).
+  const std::size_t n = reps_.size();
   ++exchange_rounds_;
-  std::vector<double> best_cost(reps_.size());
-  std::vector<double> current_cost(reps_.size());
-  for (std::size_t r = 0; r < reps_.size(); ++r) {
-    best_cost[r] = reps_[r].engine->best_cost();
-    current_cost[r] = reps_[r].engine->current_cost();
+  std::vector<double> best_cost(n);
+  std::vector<double> current_cost(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    best_cost[r] = reps_[r]->engine.best_cost();
+    current_cost[r] = reps_[r]->engine.current_cost();
   }
-  int leader = 0;
-  for (int r = 1; r < n; ++r) {
-    if (best_cost[static_cast<std::size_t>(r)] <
-        best_cost[static_cast<std::size_t>(leader)]) {
-      leader = r;
-    }
+  std::size_t leader = 0;
+  for (std::size_t r = 1; r < n; ++r) {
+    if (best_cost[r] < best_cost[leader]) leader = r;
   }
-  const int ring = (leader + 1) % n;
+  const std::size_t ring = (leader + 1) % n;
   struct Donor {
     Architecture arch;
     Solution sol;
   };
-  const Donor leader_donor{
-      reps_[static_cast<std::size_t>(leader)].problem->best_architecture(),
-      reps_[static_cast<std::size_t>(leader)].problem->best_solution()};
-  const Donor ring_donor{
-      reps_[static_cast<std::size_t>(ring)].problem->best_architecture(),
-      reps_[static_cast<std::size_t>(ring)].problem->best_solution()};
-  for (int r = 0; r < n; ++r) {
-    Replica& rep = reps_[static_cast<std::size_t>(r)];
-    if (rep.engine->finished()) continue;
-    const int donor_idx = r == leader ? ring : leader;
+  const Donor leader_donor{reps_[leader]->problem.best_architecture(),
+                           reps_[leader]->problem.best_solution()};
+  const Donor ring_donor{reps_[ring]->problem.best_architecture(),
+                         reps_[ring]->problem.best_solution()};
+  for (std::size_t r = 0; r < n; ++r) {
+    SessionReplica& rep = *reps_[r];
+    if (rep.engine.finished()) continue;
+    const std::size_t donor_idx = r == leader ? ring : leader;
     const Donor& donor = donor_idx == leader ? leader_donor : ring_donor;
-    if (best_cost[static_cast<std::size_t>(donor_idx)] <
-        current_cost[static_cast<std::size_t>(r)]) {
-      rep.problem->reset_state(donor.arch, donor.sol);
-      rep.engine->notify_state_replaced();
+    if (best_cost[donor_idx] < current_cost[r]) {
+      rep.problem.reset_state(donor.arch, donor.sol);
+      rep.engine.notify_state_replaced();
       ++rep.adoptions;
       ++adoptions_;
     }
@@ -647,38 +694,26 @@ ParallelRunResult CheckpointableParallelExplorer::result() const {
   ParallelRunResult out;
   out.exchange_rounds = exchange_rounds_;
   out.adoptions = adoptions_;
-
-  const int n = config_.replicas;
-  int best_replica = 0;
-  for (int r = 1; r < n; ++r) {
-    if (reps_[static_cast<std::size_t>(r)].engine->best_cost() <
-        reps_[static_cast<std::size_t>(best_replica)].engine->best_cost()) {
-      best_replica = r;
-    }
-  }
-  out.best_replica = best_replica;
-
-  const Replica& winner = reps_[static_cast<std::size_t>(best_replica)];
-  out.best.best_solution = winner.problem->best_solution();
-  out.best.best_architecture = winner.problem->best_architecture();
-  out.best.best_metrics = winner.problem->best_metrics();
-  out.best.initial_metrics = winner.initial_metrics;
-  out.best.anneal = winner.engine->result();
-  out.best.move_stats = winner.problem->move_stats();
-
-  out.replicas.reserve(reps_.size());
-  for (int r = 0; r < n; ++r) {
-    const Replica& rep = reps_[static_cast<std::size_t>(r)];
+  for (std::size_t r = 0; r < reps_.size(); ++r) {
+    const SessionReplica& rep = *reps_[r];
     ReplicaOutcome outcome;
-    outcome.replica = r;
+    outcome.replica = static_cast<int>(r);
     outcome.seed = rep.seed;
     outcome.schedule = rep.schedule;
-    outcome.anneal = rep.engine->result();
-    outcome.best_metrics = rep.problem->best_metrics();
-    outcome.best_cost = rep.engine->best_cost();
+    outcome.anneal = rep.engine.result();
+    outcome.best_metrics = rep.problem.best_metrics();
+    outcome.best_cost = rep.engine.best_cost();
     outcome.adoptions = rep.adoptions;
+    outcome.trace = rep.trace;
     out.replicas.push_back(std::move(outcome));
   }
+  // Winner: lowest best cost, ties to the lowest replica index.
+  std::size_t winner = 0;
+  for (std::size_t r = 1; r < reps_.size(); ++r) {
+    if (out.replicas[r].best_cost < out.replicas[winner].best_cost) winner = r;
+  }
+  out.best_replica = static_cast<int>(winner);
+  out.best = reps_[winner]->run_result();
   return out;
 }
 
@@ -688,29 +723,15 @@ JsonValue CheckpointableParallelExplorer::save_state() const {
   body.set("started", started_);
   body.set("exchange_rounds", exchange_rounds_);
   body.set("adoptions", adoptions_);
-
   JsonValue replicas = JsonValue::array();
-  for (const Replica& rep : reps_) {
+  for (const auto& rep : reps_) {
     JsonValue doc = JsonValue::object();
-    doc.set("seed", u64_to_hex(rep.seed));
-    doc.set("schedule", to_string(rep.schedule));
-    doc.set("adoptions", rep.adoptions);
-    doc.set("initial_metrics", metrics_to_json(rep.initial_metrics));
-    doc.set("current_architecture",
-            architecture_to_json(rep.problem->current_architecture()));
-    doc.set("current_solution",
-            solution_to_text(*tg_, rep.problem->current_solution()));
-    doc.set("best_architecture",
-            architecture_to_json(rep.problem->best_architecture()));
-    doc.set("best_solution",
-            solution_to_text(*tg_, rep.problem->best_solution()));
-    doc.set("move_stats", move_stats_to_json(rep.problem->move_stats()));
-    if (rep.problem->move_mix() != nullptr) {
-      JsonValue mix = JsonValue::object();
-      rep.problem->move_mix()->save_state(mix);
-      doc.set("move_mix", std::move(mix));
-    }
-    doc.set("engine", rep.engine->save_state());
+    doc.set("seed", u64_to_hex(rep->seed));
+    doc.set("schedule", to_string(rep->schedule));
+    doc.set("adoptions", rep->adoptions);
+    doc.set("initial_metrics", metrics_to_json(rep->initial_metrics));
+    rep->save(*tg_, doc);
+    doc.set("engine", rep->engine.save_state());
     replicas.push_back(std::move(doc));
   }
   body.set("replicas", std::move(replicas));

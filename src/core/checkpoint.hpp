@@ -14,15 +14,16 @@
 /// rejects missing, truncated, foreign-format and checksum-mismatched
 /// files loudly (throws Error).
 ///
-/// The checkpointable sessions below mirror Explorer::run and
-/// ParallelExplorer::run step by step — same RNG derivations, same problem
-/// construction, same exchange logic — but execute in caller-controlled
-/// segments and serialize *every* mutable bit of the loop (RNG streams,
-/// schedule position, warm-up statistics, counters, move-mix EWMAs,
-/// current and best states, per-replica state). The contract, enforced by
+/// The checkpointable sessions below are the exploration loop itself:
+/// Explorer::run and ParallelExplorer::run build a fresh session and step
+/// it to completion. A session runs in caller-controlled segments and
+/// serializes *every* mutable bit of the loop (RNG streams, schedule
+/// position, warm-up statistics, counters, move-mix EWMAs, current and best
+/// states, per-replica state). The contract, enforced by
 /// tests/test_core_checkpoint.cpp: a run resumed from a checkpoint taken
 /// at any point is bit-identical to the uninterrupted run, for any thread
-/// count on the parallel path.
+/// count on the parallel path. Parallel checkpointing is a library
+/// feature: `rdse explore --checkpoint` drives the serial session only.
 
 #include <cstdint>
 #include <memory>
@@ -75,25 +76,38 @@ inline constexpr const char* kCheckpointFormat = "rdse.checkpoint.v1";
 /// silently resumed.
 [[nodiscard]] JsonValue load_checkpoint(const std::string& path);
 
-/// Explorer::run, resumable: the same initial-solution derivation, problem
-/// construction and annealing loop, executed in caller-controlled segments
-/// with full state capture between them.
+/// One annealing chain of a session: its problem, the engine walking it and
+/// the trace it records (defined in checkpoint.cpp).
+struct SessionReplica;
+
+/// One exploration run in caller-controlled segments with full state
+/// capture between them — the engine behind Explorer::run.
 class CheckpointableExplorer {
  public:
-  /// Start a fresh session (mirrors Explorer::run up to its first
-  /// iteration). Traces are never recorded — they are unbounded and are
-  /// not part of the checkpoint contract.
+  /// Start a fresh session. Validates the task graph and architecture as
+  /// Explorer's constructor does.
   CheckpointableExplorer(const TaskGraph& tg, Architecture arch,
                          const ExplorerConfig& config);
 
+  /// Start a fresh session on an explorer's task graph and architecture,
+  /// which that explorer has validated already (nothing is copied or
+  /// re-validated; the task graph must outlive the session).
+  CheckpointableExplorer(const Explorer& explorer,
+                         const ExplorerConfig& config);
+
   /// Resume from save_state() output. `arch` is the base architecture the
-  /// fresh run was constructed with (the session's current/best
-  /// architectures come from the state). `cancel` re-attaches a
-  /// cooperative-cancellation token (tokens are runtime state and are not
-  /// persisted).
+  /// fresh run was constructed with, validated as above (the session's
+  /// current/best architectures come from the state). `cancel` re-attaches
+  /// a cooperative-cancellation token (tokens are runtime state and are not
+  /// persisted). Traces are not persisted either: a resumed session records
+  /// none.
   CheckpointableExplorer(const TaskGraph& tg, Architecture arch,
                          const JsonValue& state,
                          const CancelToken* cancel = nullptr);
+
+  CheckpointableExplorer(CheckpointableExplorer&&) noexcept;
+  CheckpointableExplorer& operator=(CheckpointableExplorer&&) noexcept;
+  ~CheckpointableExplorer();
 
   /// Run at most `max_iterations` further iterations; returns the number
   /// executed (0 iff finished()).
@@ -101,8 +115,8 @@ class CheckpointableExplorer {
 
   [[nodiscard]] bool finished() const;
 
-  /// Facade-compatible result (trace empty, wall_seconds 0 — timing is the
-  /// caller's concern across interrupted runs).
+  /// Facade-compatible result (wall_seconds 0 — timing is the caller's
+  /// concern across interrupted runs).
   [[nodiscard]] RunResult result() const;
 
   /// Complete resumable state as a JSON body for save_checkpoint().
@@ -111,23 +125,24 @@ class CheckpointableExplorer {
   [[nodiscard]] const ExplorerConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] AnnealConfig anneal_config() const;
-
   const TaskGraph* tg_;
-  Explorer explorer_;
   ExplorerConfig config_;
-  Metrics initial_metrics_{};
-  std::unique_ptr<DseProblem> problem_;
-  std::unique_ptr<AnnealEngine> engine_;
+  std::unique_ptr<SessionReplica> replica_;
 };
 
-/// ParallelExplorer::run, resumable: segments run all replicas to the next
-/// exchange barrier and then exchange, so a checkpoint taken between
+/// Replica exchange in caller-controlled segments — the engine behind
+/// ParallelExplorer::run. Segments run all replicas to the next exchange
+/// barrier and then exchange, so a checkpoint taken between
 /// step() calls is always at a barrier — exactly the points where the
 /// uninterrupted run's replicas are in lockstep.
 class CheckpointableParallelExplorer {
  public:
   CheckpointableParallelExplorer(const TaskGraph& tg, Architecture arch,
+                                 const ParallelExplorerConfig& config);
+
+  /// Fresh session on an explorer's already validated task graph and
+  /// architecture (see CheckpointableExplorer).
+  CheckpointableParallelExplorer(const Explorer& explorer,
                                  const ParallelExplorerConfig& config);
 
   /// Resume from save_state() output. `threads` overrides the worker count
@@ -147,7 +162,7 @@ class CheckpointableParallelExplorer {
 
   [[nodiscard]] bool finished() const;
 
-  /// Facade-compatible result (traces empty, wall_seconds 0).
+  /// Facade-compatible result (wall_seconds 0).
   [[nodiscard]] ParallelRunResult result() const;
 
   /// Complete resumable state as a JSON body for save_checkpoint().
@@ -158,24 +173,11 @@ class CheckpointableParallelExplorer {
   }
 
  private:
-  struct Replica {
-    std::unique_ptr<DseProblem> problem;
-    std::unique_ptr<AnnealEngine> engine;
-    Metrics initial_metrics{};
-    std::uint64_t seed = 0;
-    ScheduleKind schedule = ScheduleKind::kModifiedLam;
-    std::int64_t adoptions = 0;
-  };
-
-  [[nodiscard]] AnnealConfig replica_anneal_config(const Replica& rep) const;
-  [[nodiscard]] bool any_running() const;
   void exchange();
-  void make_pool(unsigned threads);
 
   const TaskGraph* tg_;
-  Explorer explorer_;
   ParallelExplorerConfig config_;
-  std::vector<Replica> reps_;
+  std::vector<std::unique_ptr<SessionReplica>> reps_;
   std::unique_ptr<ThreadPool> pool_;
   std::int64_t exchange_rounds_ = 0;
   std::int64_t adoptions_ = 0;

@@ -1,7 +1,9 @@
 #include "core/explorer.hpp"
 
 #include <chrono>
+#include <limits>
 
+#include "core/checkpoint.hpp"
 #include "util/assert.hpp"
 #include "util/statistics.hpp"
 
@@ -33,50 +35,11 @@ Solution Explorer::initial_solution(InitKind kind, Rng& rng) const {
 
 RunResult Explorer::run(const ExplorerConfig& config) const {
   const auto t0 = std::chrono::steady_clock::now();
-
-  // A token that fired while the run was queued stops it before the
-  // (potentially expensive) initial evaluation.
-  throw_if_cancelled(config.cancel);
-
-  Rng init_rng(config.seed ^ 0x5851F42D4C957F2DULL);
-  Solution initial = initial_solution(config.init, init_rng);
-
-  DseProblem problem(*tg_, arch_, std::move(initial), config.moves,
-                     config.cost, config.adaptive_move_mix,
-                     config.full_eval, config.batch);
-
-  RunResult result;
-  result.initial_metrics = problem.current_metrics();
-
-  AnnealConfig ac;
-  ac.seed = config.seed;
-  ac.iterations = config.iterations;
-  ac.warmup_iterations = config.warmup_iterations;
-  ac.schedule = config.schedule;
-  ac.freeze_after = config.freeze_after;
-  ac.cancel = config.cancel;
-  if (config.record_trace) {
-    const std::int64_t stride = std::max<std::int64_t>(config.trace_stride, 1);
-    ac.on_iteration = [&problem, &result, stride](const IterationStat& s) {
-      if (s.iteration % stride != 0) return;
-      TraceRow row;
-      row.iteration = s.iteration;
-      row.cost = s.cost;
-      row.best = s.best;
-      row.temperature = s.temperature;
-      row.n_contexts = problem.current_metrics().n_contexts;
-      row.accepted = s.accepted;
-      row.warmup = s.warmup;
-      result.trace.add(row);
-    };
+  CheckpointableExplorer session(*this, config);
+  while (!session.finished()) {
+    (void)session.step(std::numeric_limits<std::int64_t>::max());
   }
-
-  result.anneal = anneal(problem, ac);
-  result.best_solution = problem.best_solution();
-  result.best_architecture = problem.best_architecture();
-  result.best_metrics = problem.best_metrics();
-  result.move_stats = problem.move_stats();
-
+  RunResult result = session.result();
   const auto t1 = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return result;

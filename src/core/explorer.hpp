@@ -88,7 +88,8 @@ class Explorer {
   /// The architecture is copied; the task graph must outlive the explorer.
   Explorer(const TaskGraph& tg, Architecture arch);
 
-  /// Run one exploration.
+  /// Run one exploration: a fresh CheckpointableExplorer (core/checkpoint.hpp)
+  /// stepped to completion, plus the wall time.
   [[nodiscard]] RunResult run(const ExplorerConfig& config) const;
 
   /// Run `n` explorations with seeds config.seed, config.seed+1, ...

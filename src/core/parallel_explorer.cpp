@@ -2,29 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 
-#include "util/assert.hpp"
-#include "util/thread_pool.hpp"
+#include "core/checkpoint.hpp"
 
 namespace rdse {
-
-namespace {
-
-/// One annealing replica: its own problem state, engine and trace. Stored in
-/// a reserve()d vector so the addresses captured by trace callbacks stay
-/// stable.
-struct Replica {
-  std::unique_ptr<DseProblem> problem;
-  std::unique_ptr<AnnealEngine> engine;
-  Trace trace;
-  Metrics initial_metrics;
-  std::uint64_t seed = 0;
-  ScheduleKind schedule = ScheduleKind::kModifiedLam;
-  std::int64_t adoptions = 0;
-};
-
-}  // namespace
 
 ParallelExplorer::ParallelExplorer(const TaskGraph& tg, Architecture arch)
     : explorer_(tg, std::move(arch)) {}
@@ -37,176 +18,11 @@ std::uint64_t ParallelExplorer::replica_seed(std::uint64_t master_seed,
 
 ParallelRunResult ParallelExplorer::run(
     const ParallelExplorerConfig& config) const {
-  RDSE_REQUIRE(config.replicas >= 1,
-               "ParallelExplorer: need at least one replica");
-  RDSE_REQUIRE(config.iterations >= 0 && config.warmup_iterations >= 0 &&
-                   config.exchange_interval >= 0,
-               "ParallelExplorer: negative iteration counts");
   const auto t0 = std::chrono::steady_clock::now();
-  throw_if_cancelled(config.cancel);
-
-  const int n = config.replicas;
-  std::vector<Replica> reps;
-  reps.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    Replica& rep = reps.emplace_back();
-    rep.seed = replica_seed(config.seed, r);
-    rep.schedule =
-        config.replica_schedules.empty()
-            ? config.schedule
-            : config.replica_schedules[static_cast<std::size_t>(r) %
-                                       config.replica_schedules.size()];
-
-    // Same derivation as Explorer::run so replica r with exchange disabled
-    // reproduces a plain Explorer run at seed replica_seed(seed, r).
-    Rng init_rng(rep.seed ^ 0x5851F42D4C957F2DULL);
-    Solution initial = explorer_.initial_solution(config.init, init_rng);
-    rep.problem = std::make_unique<DseProblem>(
-        explorer_.task_graph(), explorer_.architecture(), std::move(initial),
-        config.moves, config.cost, config.adaptive_move_mix,
-        config.full_eval, config.batch);
-    rep.initial_metrics = rep.problem->current_metrics();
-
-    AnnealConfig ac;
-    ac.seed = rep.seed;
-    ac.iterations = config.iterations;
-    ac.warmup_iterations = config.warmup_iterations;
-    ac.schedule = rep.schedule;
-    ac.freeze_after = config.freeze_after;
-    ac.cancel = config.cancel;
-    if (config.record_trace) {
-      const std::int64_t stride =
-          std::max<std::int64_t>(config.trace_stride, 1);
-      DseProblem* problem = rep.problem.get();
-      Trace* trace = &rep.trace;
-      ac.on_iteration = [problem, trace, stride](const IterationStat& s) {
-        if (s.iteration % stride != 0) return;
-        TraceRow row;
-        row.iteration = s.iteration;
-        row.cost = s.cost;
-        row.best = s.best;
-        row.temperature = s.temperature;
-        row.n_contexts = problem->current_metrics().n_contexts;
-        row.accepted = s.accepted;
-        row.warmup = s.warmup;
-        trace->add(row);
-      };
-    }
-    rep.engine = std::make_unique<AnnealEngine>(*rep.problem, ac);
+  CheckpointableParallelExplorer session(explorer_, config);
+  while (session.step()) {
   }
-
-  unsigned threads = config.threads;
-  if (threads == 0) {
-    threads = std::min<unsigned>(
-        static_cast<unsigned>(n),
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
-  ThreadPool pool(threads);
-
-  ParallelRunResult out;
-
-  const std::int64_t chunk =
-      config.exchange_interval > 0
-          ? config.exchange_interval
-          : std::max<std::int64_t>(config.iterations, 1);
-
-  const auto any_running = [&reps] {
-    return std::any_of(reps.begin(), reps.end(), [](const Replica& rep) {
-      return !rep.engine->finished();
-    });
-  };
-
-  // Segment 0 covers warm-up plus the first cooling chunk so that every
-  // barrier afterwards lands on a cooling-iteration boundary shared by all
-  // replicas.
-  std::int64_t budget = config.warmup_iterations + chunk;
-  while (any_running()) {
-    pool.parallel_for_index(reps.size(), [&reps, budget](std::size_t i) {
-      (void)reps[i].engine->run(budget);
-    });
-    budget = chunk;
-
-    if (n > 1 && config.exchange_interval > 0 && any_running()) {
-      ++out.exchange_rounds;
-      // Serial, replica-ordered exchange on snapshotted states: the result
-      // cannot depend on worker scheduling. Trailing replicas adopt the
-      // leader's best; the leader may adopt from its ring neighbour. Only
-      // those two replicas can donate, so only their states are deep-copied
-      // (adoption replaces *current* states, never a donor's snapshot).
-      std::vector<double> best_cost(reps.size());
-      std::vector<double> current_cost(reps.size());
-      for (std::size_t r = 0; r < reps.size(); ++r) {
-        best_cost[r] = reps[r].engine->best_cost();
-        current_cost[r] = reps[r].engine->current_cost();
-      }
-      int leader = 0;
-      for (int r = 1; r < n; ++r) {
-        if (best_cost[static_cast<std::size_t>(r)] <
-            best_cost[static_cast<std::size_t>(leader)]) {
-          leader = r;
-        }
-      }
-      const int ring = (leader + 1) % n;
-      struct Donor {
-        Architecture arch;
-        Solution sol;
-      };
-      const Donor leader_donor{
-          reps[static_cast<std::size_t>(leader)].problem->best_architecture(),
-          reps[static_cast<std::size_t>(leader)].problem->best_solution()};
-      const Donor ring_donor{
-          reps[static_cast<std::size_t>(ring)].problem->best_architecture(),
-          reps[static_cast<std::size_t>(ring)].problem->best_solution()};
-      for (int r = 0; r < n; ++r) {
-        Replica& rep = reps[static_cast<std::size_t>(r)];
-        if (rep.engine->finished()) continue;
-        const int donor_idx = r == leader ? ring : leader;
-        const Donor& donor = donor_idx == leader ? leader_donor : ring_donor;
-        if (best_cost[static_cast<std::size_t>(donor_idx)] <
-            current_cost[static_cast<std::size_t>(r)]) {
-          rep.problem->reset_state(donor.arch, donor.sol);
-          rep.engine->notify_state_replaced();
-          ++rep.adoptions;
-          ++out.adoptions;
-        }
-      }
-    }
-  }
-
-  // Winner: lowest best cost, ties to the lowest replica index.
-  int best_replica = 0;
-  for (int r = 1; r < n; ++r) {
-    if (reps[static_cast<std::size_t>(r)].engine->best_cost() <
-        reps[static_cast<std::size_t>(best_replica)].engine->best_cost()) {
-      best_replica = r;
-    }
-  }
-  out.best_replica = best_replica;
-
-  const Replica& winner = reps[static_cast<std::size_t>(best_replica)];
-  out.best.best_solution = winner.problem->best_solution();
-  out.best.best_architecture = winner.problem->best_architecture();
-  out.best.best_metrics = winner.problem->best_metrics();
-  out.best.initial_metrics = winner.initial_metrics;
-  out.best.anneal = winner.engine->result();
-  out.best.trace = winner.trace;
-  out.best.move_stats = winner.problem->move_stats();
-
-  out.replicas.reserve(reps.size());
-  for (int r = 0; r < n; ++r) {
-    Replica& rep = reps[static_cast<std::size_t>(r)];
-    ReplicaOutcome outcome;
-    outcome.replica = r;
-    outcome.seed = rep.seed;
-    outcome.schedule = rep.schedule;
-    outcome.anneal = rep.engine->result();
-    outcome.best_metrics = rep.problem->best_metrics();
-    outcome.best_cost = rep.engine->best_cost();
-    outcome.adoptions = rep.adoptions;
-    outcome.trace = std::move(rep.trace);
-    out.replicas.push_back(std::move(outcome));
-  }
-
+  ParallelRunResult out = session.result();
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.best.wall_seconds = out.wall_seconds;

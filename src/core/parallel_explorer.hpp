@@ -87,7 +87,9 @@ class ParallelExplorer {
   /// The architecture is copied; the task graph must outlive the explorer.
   ParallelExplorer(const TaskGraph& tg, Architecture arch);
 
-  /// Run one replica-exchange exploration.
+  /// Run one replica-exchange exploration: a fresh
+  /// CheckpointableParallelExplorer (core/checkpoint.hpp) stepped barrier by
+  /// barrier to completion, plus the wall time.
   [[nodiscard]] ParallelRunResult run(
       const ParallelExplorerConfig& config) const;
 

@@ -27,8 +27,9 @@ namespace rdse {
 [[nodiscard]] std::vector<NodeId> source_nodes(const Digraph& g);
 [[nodiscard]] std::vector<NodeId> sink_nodes(const Digraph& g);
 
-/// DFS reachability: true iff a path from `from` to `to` exists
-/// (used as the reference implementation for the closure matrix).
+/// DFS reachability: true iff a path from `from` to `to` exists. O(V + E)
+/// per query: TaskGraph::add_comm's cycle check uses it; the annealer's
+/// cycle test certifies acyclicity with rank repair instead.
 [[nodiscard]] bool reaches(const Digraph& g, NodeId from, NodeId to);
 
 }  // namespace rdse

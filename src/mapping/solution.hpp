@@ -45,6 +45,7 @@ class Solution {
 
   /// Everything on one processor, in deterministic topological order —
   /// the paper's software-reference point (76.4 ms for motion detection).
+  /// Both factories return an empty mutation journal.
   static Solution all_software(const TaskGraph& tg, ResourceId processor);
 
   /// The paper's initial solution (§5): start all-software, then move a

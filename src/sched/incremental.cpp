@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <limits>
-#include <queue>
 
 #include "graph/topo.hpp"
 #include "util/assert.hpp"
@@ -13,8 +11,8 @@ namespace rdse {
 
 namespace {
 
-/// Maximum finish time and its multiplicity — the argmax bookkeeping both
-/// engines seed their incremental tracking with on a full rescan.
+/// Maximum finish time and its multiplicity — the argmax bookkeeping the
+/// relaxer seeds its incremental tracking with on a full rescan.
 struct MaxMultiplicity {
   TimeNs max = 0;
   std::int64_t count = 0;
@@ -34,152 +32,6 @@ MaxMultiplicity max_and_multiplicity(std::span<const TimeNs> finish) {
 }
 
 }  // namespace
-
-IncrementalLongestPath::IncrementalLongestPath(
-    Digraph graph, std::vector<TimeNs> node_weight,
-    std::vector<TimeNs> edge_weight, std::vector<TimeNs> release)
-    : graph_(std::move(graph)),
-      node_weight_(std::move(node_weight)),
-      release_(std::move(release)) {
-  RDSE_REQUIRE(node_weight_.size() == graph_.node_count(),
-               "IncrementalLongestPath: node weight size mismatch");
-  RDSE_REQUIRE(edge_weight.size() >= graph_.edge_capacity(),
-               "IncrementalLongestPath: edge weight size mismatch");
-  // Fold the caller's weight array into the graph's own per-edge weights
-  // (and their half-edge mirrors) — the authoritative store from here on.
-  for (EdgeId e = 0; e < graph_.edge_capacity(); ++e) {
-    if (graph_.edge_alive(e)) graph_.set_edge_weight(e, edge_weight[e]);
-  }
-  if (release_.empty()) {
-    release_.assign(graph_.node_count(), 0);
-  }
-  rebuild();
-}
-
-bool IncrementalLongestPath::would_create_cycle(NodeId src, NodeId dst) const {
-  return closure_.would_create_cycle(src, dst);
-}
-
-TimeNs IncrementalLongestPath::relax(NodeId v) const {
-  TimeNs s = release_[v];
-  for (const HalfEdge& h : graph_.in_half(v)) {
-    s = std::max(s, finish_[h.node] + h.weight);
-  }
-  return s;
-}
-
-void IncrementalLongestPath::refresh_ranks() {
-  const auto order = topological_order(graph_);
-  RDSE_REQUIRE(order.has_value(), "IncrementalLongestPath: graph is cyclic");
-  rank_.assign(graph_.node_count(), 0);
-  for (std::size_t i = 0; i < order->size(); ++i) {
-    rank_[(*order)[i]] = static_cast<std::uint32_t>(i);
-  }
-}
-
-void IncrementalLongestPath::propagate_from(NodeId seed) {
-  // Relax dirty nodes in topological-rank order: every node is processed at
-  // most once per update because all its predecessors (lower rank) are
-  // already final when it is popped.
-  using Entry = std::pair<std::uint32_t, NodeId>;  // (rank, node)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  std::vector<bool> queued(graph_.node_count(), false);
-  heap.emplace(rank_[seed], seed);
-  queued[seed] = true;
-  // Incremental makespan: migrate changed nodes out of / into the argmax
-  // set and track the maximum (and its multiplicity) over the new values,
-  // so the update below never has to look at untouched nodes.
-  TimeNs changed_max = 0;
-  std::int64_t changed_max_count = 0;
-  while (!heap.empty()) {
-    const NodeId v = heap.top().second;
-    heap.pop();
-    const TimeNs s = relax(v);
-    const TimeNs f = s + node_weight_[v];
-    if (s == start_[v] && f == finish_[v]) {
-      continue;  // unchanged: downstream unaffected through this node
-    }
-    if (finish_[v] == makespan_) --count_at_max_;
-    start_[v] = s;
-    finish_[v] = f;
-    if (f == makespan_) ++count_at_max_;
-    if (f > changed_max) {
-      changed_max = f;
-      changed_max_count = 1;
-    } else if (f == changed_max) {
-      ++changed_max_count;
-    }
-    for (const HalfEdge& h : graph_.out_half(v)) {
-      if (!queued[h.node]) {
-        queued[h.node] = true;
-        heap.emplace(rank_[h.node], h.node);
-      }
-    }
-  }
-  if (changed_max > makespan_) {
-    // A changed node dominates everything untouched (all <= old makespan).
-    makespan_ = changed_max;
-    count_at_max_ = changed_max_count;
-  } else if (count_at_max_ == 0) {
-    // The previous argmax set emptied and nothing reached it: the new
-    // maximum may hide among untouched nodes — the one case that needs a
-    // full scan.
-    ++makespan_rescans_;
-    recompute_makespan();
-  }
-  // Otherwise some node still finishes at makespan_ and nothing exceeds
-  // it: the committed makespan stands, no scan.
-}
-
-void IncrementalLongestPath::recompute_makespan() {
-  const MaxMultiplicity m = max_and_multiplicity(finish_);
-  makespan_ = m.max;
-  count_at_max_ = m.count;
-}
-
-EdgeId IncrementalLongestPath::add_edge(NodeId src, NodeId dst,
-                                        TimeNs weight) {
-  RDSE_REQUIRE(!would_create_cycle(src, dst),
-               "IncrementalLongestPath::add_edge: would create a cycle");
-  const EdgeId id = graph_.add_edge(src, dst, weight);
-  closure_.add_edge(src, dst);
-  refresh_ranks();  // structure changed
-  propagate_from(dst);
-  return id;
-}
-
-void IncrementalLongestPath::remove_edge(EdgeId edge) {
-  const NodeId dst = graph_.edge(edge).dst;
-  graph_.remove_edge(edge);
-  closure_.build(graph_);  // deletions: rebuild (see header)
-  refresh_ranks();
-  propagate_from(dst);
-}
-
-void IncrementalLongestPath::set_node_weight(NodeId node, TimeNs weight) {
-  RDSE_REQUIRE(node < graph_.node_count(),
-               "set_node_weight: node out of range");
-  node_weight_[node] = weight;
-  propagate_from(node);
-}
-
-void IncrementalLongestPath::set_release(NodeId node, TimeNs release) {
-  RDSE_REQUIRE(node < graph_.node_count(), "set_release: node out of range");
-  release_[node] = release;
-  propagate_from(node);
-}
-
-void IncrementalLongestPath::rebuild() {
-  const WeightedDag dag{&graph_, node_weight_, graph_.edge_weights(),
-                        release_};
-  const LongestPathResult r = longest_path(dag);
-  start_ = r.start;
-  finish_ = r.finish;
-  recompute_makespan();  // seeds makespan_ and the argmax multiplicity
-  RDSE_ASSERT(makespan_ == r.makespan);
-  closure_.build(graph_);
-  refresh_ranks();
-}
 
 // ---- DeltaRelaxer ----------------------------------------------------------
 

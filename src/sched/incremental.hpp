@@ -11,10 +11,12 @@
 /// full recomputation (property-tested) and the saving is benchmarked in
 /// EXP-M1.
 ///
-/// The engine also maintains the transitive closure of the current graph so
-/// the §4.3 cycle test ("would this edge close a cycle?") is O(1).
+/// The §4.3 cycle test ("would this move close a cycle?") needs no
+/// transitive closure: deletions cannot create a cycle, and the inserted
+/// edges are checked against the committed topological ranks, which a
+/// local rank repair re-certifies when an edge descends (see DeltaRelaxer).
 ///
-/// Both engines read edge weights from the graph's packed half-edge
+/// The engine reads edge weights from the graph's packed half-edge
 /// adjacency (one flat (neighbor, weight) array per node — see
 /// graph/digraph.hpp), so the relax inner loop is a single sequential
 /// stream instead of an id-list walk through the edge table and a separate
@@ -24,85 +26,11 @@
 #include <span>
 #include <vector>
 
-#include "graph/closure.hpp"
 #include "graph/digraph.hpp"
 #include "graph/longest_path.hpp"
 #include "util/time.hpp"
 
 namespace rdse {
-
-/// Stateful longest-path engine over one mutable weighted DAG.
-///
-/// The makespan is tracked incrementally alongside the node values: the
-/// engine maintains the *count* of nodes achieving the current makespan,
-/// updates it from exactly the nodes a propagation changed, and falls back
-/// to a full scan only when that argmax set empties while no changed node
-/// reaches the old maximum (the only case where the new maximum may hide
-/// among untouched nodes). An edit that cannot lower the maximum — e.g. a
-/// remove_edge() off the critical path — therefore costs no O(V) scan.
-class IncrementalLongestPath {
- public:
-  /// Take ownership of the graph and weights; graph must be acyclic.
-  /// `edge_weight` (indexed by EdgeId) is folded into the graph's own
-  /// per-edge weights, which are authoritative from then on.
-  IncrementalLongestPath(Digraph graph, std::vector<TimeNs> node_weight,
-                         std::vector<TimeNs> edge_weight,
-                         std::vector<TimeNs> release);
-
-  /// O(1) cycle probe for a prospective edge (src -> dst).
-  [[nodiscard]] bool would_create_cycle(NodeId src, NodeId dst) const;
-
-  /// Insert an edge (must not create a cycle: check first). Updates the
-  /// closure incrementally and re-relaxes only the affected region.
-  EdgeId add_edge(NodeId src, NodeId dst, TimeNs weight);
-
-  /// Remove a live edge; re-relaxes the affected region. The closure is
-  /// rebuilt (deletions cannot be maintained incrementally without path
-  /// counts — documented trade-off).
-  void remove_edge(EdgeId edge);
-
-  /// Change a node's weight and propagate.
-  void set_node_weight(NodeId node, TimeNs weight);
-
-  /// Change a node's release time and propagate.
-  void set_release(NodeId node, TimeNs release);
-
-  [[nodiscard]] TimeNs makespan() const { return makespan_; }
-  [[nodiscard]] TimeNs start_of(NodeId node) const { return start_[node]; }
-  [[nodiscard]] TimeNs finish_of(NodeId node) const { return finish_[node]; }
-  [[nodiscard]] const Digraph& graph() const { return graph_; }
-
-  /// Updates that fell back to a full O(V) makespan rescan (the argmax set
-  /// emptied); the complement of the edits served incrementally.
-  [[nodiscard]] std::int64_t makespan_rescans() const {
-    return makespan_rescans_;
-  }
-
-  /// Recompute everything from scratch (reference path; also used after
-  /// removals to refresh the closure).
-  void rebuild();
-
- private:
-  /// Re-relax `seed` and everything downstream whose value changes, in
-  /// topological-rank order (each node processed at most once). Maintains
-  /// makespan_/count_at_max_ from the changed nodes alone.
-  void propagate_from(NodeId seed);
-  void recompute_makespan();
-  void refresh_ranks();
-  [[nodiscard]] TimeNs relax(NodeId v) const;
-
-  Digraph graph_;
-  std::vector<TimeNs> node_weight_;
-  std::vector<TimeNs> release_;
-  std::vector<TimeNs> start_;
-  std::vector<TimeNs> finish_;
-  std::vector<std::uint32_t> rank_;
-  TimeNs makespan_ = 0;
-  /// Nodes with finish_[v] == makespan_ (the argmax multiplicity).
-  std::int64_t count_at_max_ = 0;
-  std::int64_t makespan_rescans_ = 0;
-  TransitiveClosure closure_;
-};
 
 /// Lifetime counters of a DeltaRelaxer. `relaxed_nodes / probes` against
 /// `total_nodes / probes` is the EXP-M1 saving: a full evaluation relaxes
@@ -137,9 +65,9 @@ struct DeltaRelaxStats {
 /// graph: probe() is handed the edited graph, the set of *seed* nodes whose
 /// local inputs changed, and the edges the edit inserted. It inherits the
 /// committed values everywhere else and re-relaxes in topological-rank
-/// order only while values keep changing — the same dirty-set propagation
-/// as IncrementalLongestPath, generalized to multi-seed deltas. Results are
-/// bit-identical to a full recomputation (property-tested).
+/// order only while values keep changing — the dirty-set propagation of
+/// §4.4, generalized to multi-seed deltas. Results are bit-identical to a
+/// full recomputation (property-tested).
 ///
 /// Candidate values are written *in place* over the committed start/finish
 /// arrays, guarded by a compact undo journal of (node, old start, old

@@ -335,6 +335,122 @@ TEST(CheckpointParallel, ResumeIsBitIdenticalForAnyThreadCount) {
   }
 }
 
+/// Trace rows are compared field by field: the session records them itself.
+void expect_traces_equal(const Trace& got, const Trace& ref) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(got.at(i).iteration, ref.at(i).iteration) << i;
+    EXPECT_EQ(got.at(i).cost, ref.at(i).cost) << i;
+    EXPECT_EQ(got.at(i).best, ref.at(i).best) << i;
+    EXPECT_EQ(got.at(i).n_contexts, ref.at(i).n_contexts) << i;
+    EXPECT_EQ(got.at(i).accepted, ref.at(i).accepted) << i;
+    EXPECT_EQ(got.at(i).warmup, ref.at(i).warmup) << i;
+  }
+}
+
+TEST(CheckpointSerial, SessionTraceHonoursStrideAcrossMoveAssignment) {
+  const Application app = make_app(77, 14);
+  Architecture arch =
+      make_cpu_fpga_architecture(500, from_us(15.0), 20'000'000);
+  ExplorerConfig config;
+  config.seed = 9;
+  config.iterations = 400;
+  config.warmup_iterations = 100;
+  config.trace_stride = 7;
+  const RunResult ref = Explorer(app.graph, arch).run(config);
+  ASSERT_EQ(ref.trace.size(), 72u);  // iterations 0, 7, ..., 497
+
+  CheckpointableExplorer session(app.graph, arch, config);
+  (void)session.step(123);
+  CheckpointableExplorer moved(app.graph, arch, config);
+  moved = std::move(session);  // the trace must follow the moved state
+  while (!moved.finished()) (void)moved.step(50);
+  const RunResult got = moved.result();
+  expect_traces_equal(got.trace, ref.trace);
+  expect_results_equal(got, ref);
+
+  // Traces are not persisted: a resumed session records none.
+  CheckpointableExplorer fresh(app.graph, arch, config);
+  (void)fresh.step(200);
+  CheckpointableExplorer resumed(app.graph, arch, fresh.save_state());
+  while (!resumed.finished()) (void)resumed.step(1'000);
+  EXPECT_TRUE(resumed.result().trace.empty());
+  expect_results_equal(resumed.result(), ref);
+}
+
+TEST(CheckpointSerial, ResumeRejectsNegativeIterationCounts) {
+  const Application app = make_app(31, 12);
+  Architecture arch =
+      make_cpu_fpga_architecture(500, from_us(15.0), 20'000'000);
+  ExplorerConfig config;
+  config.iterations = 300;
+  config.warmup_iterations = 50;
+  config.record_trace = false;
+  CheckpointableExplorer session(app.graph, arch, config);
+  (void)session.step(100);
+  JsonValue state = session.save_state();
+  state.find("config")->set("iterations", -1);
+  EXPECT_THROW(CheckpointableExplorer(app.graph, arch, state), Error);
+}
+
+TEST(CheckpointParallel, SessionTracesMatchTheFacadeAcrossMoves) {
+  const Application app = make_app(808, 14);
+  Architecture arch =
+      make_cpu_fpga_architecture(600, from_us(15.0), 20'000'000);
+  ParallelExplorerConfig config;
+  config.seed = 12;
+  config.replicas = 3;
+  config.threads = 2;
+  config.iterations = 600;
+  config.warmup_iterations = 100;
+  config.exchange_interval = 200;
+  config.record_trace = true;
+  config.trace_stride = 5;
+  const ParallelRunResult ref = ParallelExplorer(app.graph, arch).run(config);
+
+  CheckpointableParallelExplorer session(app.graph, arch, config);
+  ASSERT_TRUE(session.step());
+  CheckpointableParallelExplorer moved(std::move(session));
+  CheckpointableParallelExplorer target(app.graph, arch, config);
+  target = std::move(moved);
+  while (target.step()) {
+  }
+  const ParallelRunResult got = target.result();
+  ASSERT_EQ(got.replicas.size(), ref.replicas.size());
+  for (std::size_t r = 0; r < ref.replicas.size(); ++r) {
+    EXPECT_EQ(got.replicas[r].trace.size(), 140u) << r;  // 700 / 5
+    expect_traces_equal(got.replicas[r].trace, ref.replicas[r].trace);
+  }
+  EXPECT_EQ(got.best_replica, ref.best_replica);
+  expect_traces_equal(got.best.trace, ref.best.trace);
+  expect_results_equal(got.best, ref.best);
+}
+
+TEST(CheckpointParallel, ResumeRejectsAZeroReplicaState) {
+  // The replica-count check alone passes this edit (0 == 0); the config
+  // check every session runs must reject it before result() would read a
+  // replica that does not exist.
+  const Application app = make_app(4711, 12);
+  Architecture arch =
+      make_cpu_fpga_architecture(700, from_us(15.0), 20'000'000);
+  ParallelExplorerConfig config;
+  config.replicas = 2;
+  config.iterations = 300;
+  config.warmup_iterations = 50;
+  config.exchange_interval = 100;
+  CheckpointableParallelExplorer session(app.graph, arch, config);
+  ASSERT_TRUE(session.step());
+  JsonValue state = session.save_state();
+  state.find("config")->set("replicas", 0);
+  state.set("replicas", JsonValue::array());
+  EXPECT_THROW(CheckpointableParallelExplorer(app.graph, arch, state), Error);
+
+  state.find("config")->set("replicas", 2);
+  state.find("config")->set("exchange_interval", -1);
+  state.set("replicas", session.save_state().at("replicas"));
+  EXPECT_THROW(CheckpointableParallelExplorer(app.graph, arch, state), Error);
+}
+
 // -------------------------------------------------------- storage faults
 
 class CheckpointFaultTest : public ::testing::Test {

@@ -99,7 +99,6 @@ struct ModelReport {
   double relax_reduction = 0.0;  ///< nodes / relaxed-per-probe
   double journal_entries_per_probe = 0.0;  ///< undo-journal records staged
   double bounds_reuse_rate = 0.0;
-  double clbs_reuse_rate = 0.0;
   double rank_refresh_rate = 0.0;
   double rank_repair_nodes_per_probe = 0.0;  ///< Pearce–Kelly reorder cost
   double makespan_rescan_rate = 0.0;  ///< probes that fell back to O(V) scan
@@ -112,8 +111,6 @@ struct ModelReport {
   double profile_reconcile_ns_per_eval = 0.0;  ///< chain diff + RC realize
   double profile_context_ns_per_eval = 0.0;    ///< RC context accounting
   double profile_relax_ns_per_eval = 0.0;      ///< delta relaxation
-  std::int64_t clbs_delta_hits = 0;    ///< CLB sums served without a walk
-  std::int64_t clbs_delta_misses = 0;  ///< CLB sums re-summed over members
   /// Candidates rejected by the parked-edge order check, never relaxed.
   std::int64_t order_rejects = 0;
   /// Communication edges parked at the end of the run, of `comm_edges`.
@@ -185,11 +182,6 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
     rep.makespan_rescan_rate =
         static_cast<double>(stats->relax.makespan_rescans) /
         static_cast<double>(stats->relax.probes);
-    const auto clbs = stats->clbs_reused + stats->clbs_computed;
-    rep.clbs_reuse_rate =
-        clbs > 0 ? static_cast<double>(stats->clbs_reused) /
-                       static_cast<double>(clbs)
-                 : 0.0;
     const auto chain = stats->seq_edges_kept + stats->seq_edges_removed;
     rep.seq_diff_hit_rate =
         chain > 0 ? static_cast<double>(stats->seq_edges_kept) /
@@ -201,8 +193,6 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
     rep.seq_edges_reweighted_per_eval =
         static_cast<double>(stats->seq_edges_reweighted) /
         static_cast<double>(stats->builds);
-    rep.clbs_delta_hits = stats->clbs_reused;
-    rep.clbs_delta_misses = stats->clbs_computed;
     rep.order_rejects = stats->order_rejects;
     rep.comm_edges_parked = stats->comm_edges_parked;
   }
@@ -245,16 +235,13 @@ void print_table(const std::vector<ModelReport>& reports) {
         r.relaxed_per_probe, r.journal_entries_per_probe,
         100.0 * r.seq_diff_hit_rate, 100.0 * r.makespan_rescan_rate);
   }
-  std::printf("%-16s %5s | %10s %10s %10s %10s | %9s %9s\n", "micro-profile",
-              "", "stage/ev", "recon/ev", "ctx/ev", "relax/ev", "clb hit",
-              "clb miss");
+  std::printf("%-16s %5s | %10s %10s %10s %10s\n", "micro-profile", "",
+              "stage/ev", "recon/ev", "ctx/ev", "relax/ev");
   for (const ModelReport& r : reports) {
-    std::printf("%-16s %5s | %9.0fn %9.0fn %9.0fn %9.0fn | %9lld %9lld\n",
-                r.model.c_str(), "", r.profile_stage_ns_per_eval,
+    std::printf("%-16s %5s | %9.0fn %9.0fn %9.0fn %9.0fn\n", r.model.c_str(),
+                "", r.profile_stage_ns_per_eval,
                 r.profile_reconcile_ns_per_eval, r.profile_context_ns_per_eval,
-                r.profile_relax_ns_per_eval,
-                static_cast<long long>(r.clbs_delta_hits),
-                static_cast<long long>(r.clbs_delta_misses));
+                r.profile_relax_ns_per_eval);
   }
   std::printf("%-16s %5s | %13s %18s\n", "sparse graph", "", "order rejects",
               "comm edges parked");
@@ -293,7 +280,6 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("relax_reduction", r.relax_reduction);
     row.set("journal_entries_per_probe", r.journal_entries_per_probe);
     row.set("bounds_reuse_rate", r.bounds_reuse_rate);
-    row.set("clbs_reuse_rate", r.clbs_reuse_rate);
     row.set("rank_refresh_rate", r.rank_refresh_rate);
     row.set("rank_repair_nodes_per_probe", r.rank_repair_nodes_per_probe);
     row.set("makespan_rescan_rate", r.makespan_rescan_rate);
@@ -304,8 +290,6 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("profile_reconcile_ns_per_eval", r.profile_reconcile_ns_per_eval);
     row.set("profile_context_ns_per_eval", r.profile_context_ns_per_eval);
     row.set("profile_relax_ns_per_eval", r.profile_relax_ns_per_eval);
-    row.set("clbs_delta_hits", r.clbs_delta_hits);
-    row.set("clbs_delta_misses", r.clbs_delta_misses);
     row.set("order_rejects", r.order_rejects);
     row.set("comm_edges_parked", r.comm_edges_parked);
     results.push_back(std::move(row));

@@ -368,7 +368,6 @@ int cmd_explore(const Options& opts, std::ostream& out) {
       parse_schedule(opts.get_string("schedule", "modified-lam"));
   config.batch = static_cast<int>(opts.get_int("batch", 1));
   RDSE_REQUIRE(config.batch >= 1, "option --batch: need at least one probe");
-  config.record_trace = runs == 1 && checkpoint_path.empty();
 
   const Architecture arch = make_cpu_fpga_architecture(
       clbs, model.tr_per_clb, model.bus_bytes_per_second);

@@ -220,11 +220,11 @@ Metrics metrics_from_json(const JsonValue& doc) {
 
 namespace {
 
-/// The eleven trajectory fields ExplorerConfig and ParallelExplorerConfig
-/// share. set() keeps a key's position when it already exists, so a codec
-/// that lays out its own key order first keeps that order.
-template <typename Config>
-void shared_config_to_json(const Config& config, JsonValue& doc) {
+/// The eleven trajectory fields of ExplorerConfig, which
+/// ParallelExplorerConfig inherits. set() keeps a key's position when it
+/// already exists, so a codec that lays out its own key order first keeps
+/// that order.
+void shared_config_to_json(const ExplorerConfig& config, JsonValue& doc) {
   doc.set("seed", u64_to_hex(config.seed));
   doc.set("iterations", config.iterations);
   doc.set("warmup_iterations", config.warmup_iterations);
@@ -238,8 +238,7 @@ void shared_config_to_json(const Config& config, JsonValue& doc) {
   doc.set("freeze_after", config.freeze_after);
 }
 
-template <typename Config>
-void shared_config_from_json(const JsonValue& doc, Config& config) {
+void shared_config_from_json(const JsonValue& doc, ExplorerConfig& config) {
   config.seed = u64_from_hex(doc.at("seed").as_string());
   config.iterations = doc.at("iterations").as_int();
   config.warmup_iterations = doc.at("warmup_iterations").as_int();
@@ -383,12 +382,12 @@ std::unique_ptr<ThreadPool> make_pool(unsigned threads, int replicas) {
   return std::make_unique<ThreadPool>(threads);
 }
 
-/// A parallel replica runs the parallel config at its own stream seed and
-/// ladder rung, so without exchange replica r reproduces Explorer::run at
-/// seed replica_seed(seed, r).
-ParallelExplorerConfig replica_config(ParallelExplorerConfig config,
-                                      std::uint64_t seed,
-                                      ScheduleKind schedule) {
+/// A parallel replica runs the serial fields of the parallel config at its
+/// own stream seed and ladder rung, so without exchange replica r
+/// reproduces Explorer::run at seed replica_seed(seed, r).
+ExplorerConfig replica_config(const ParallelExplorerConfig& parallel,
+                              std::uint64_t seed, ScheduleKind schedule) {
+  ExplorerConfig config = parallel;
   config.seed = seed;
   config.schedule = schedule;
   return config;
@@ -396,23 +395,21 @@ ParallelExplorerConfig replica_config(ParallelExplorerConfig config,
 
 }  // namespace
 
-/// `Config` is ExplorerConfig or ParallelExplorerConfig; a replica reads the
-/// fields they share. Heap-held and never moved: the engine's trace hook
-/// points into the replica, so sessions move without re-pointing it.
+/// One annealing chain: a serial run, or one replica of a parallel run.
+/// Heap-held and never moved: the engine's trace hook points into the
+/// replica, so sessions move without re-pointing it.
 struct SessionReplica {
   SessionReplica(const SessionReplica&) = delete;
   SessionReplica& operator=(const SessionReplica&) = delete;
 
-  template <typename Config>
-  SessionReplica(const Explorer& explorer, const Config& config)
+  SessionReplica(const Explorer& explorer, const ExplorerConfig& config)
       : SessionReplica(explorer.task_graph(), config, explorer.architecture(),
                        initial_solution(explorer, config.init, config.seed)) {}
 
   /// Resume: the checkpointed current state, then the engine's counters,
   /// RNG and schedule over the fresh-start values, then the best state
   /// (the engine's constructor snapshots the current state as best).
-  template <typename Config>
-  SessionReplica(const TaskGraph& tg, const Config& config,
+  SessionReplica(const TaskGraph& tg, const ExplorerConfig& config,
                  const JsonValue& initial, const JsonValue& doc,
                  const JsonValue& engine_state)
       : SessionReplica(
@@ -431,9 +428,8 @@ struct SessionReplica {
     }
   }
 
-  template <typename Config>
-  SessionReplica(const TaskGraph& tg, const Config& config, Architecture arch,
-                 Solution start)
+  SessionReplica(const TaskGraph& tg, const ExplorerConfig& config,
+                 Architecture arch, Solution start)
       : seed(config.seed),
         schedule(config.schedule),
         problem(tg, std::move(arch), std::move(start), config.moves,
@@ -442,8 +438,7 @@ struct SessionReplica {
         initial_metrics(problem.current_metrics()),
         engine(problem, anneal_config(config)) {}
 
-  template <typename Config>
-  AnnealConfig anneal_config(const Config& config) {
+  AnnealConfig anneal_config(const ExplorerConfig& config) {
     AnnealConfig ac;
     ac.seed = seed;
     ac.iterations = config.iterations;

@@ -119,9 +119,8 @@ bool apply_reassign(const TaskGraph& tg, const Architecture& arch,
       const Placement pd = sol.placement(vd);
       RDSE_ASSERT(pd.context >= 0);
       const auto ctx = static_cast<std::size_t>(pd.context);
-      const std::int32_t used =
-          sol.context_clbs(tg, pd.resource, ctx);
-      if (used + task.hw.at(impl).clbs <= dev.n_clbs()) {
+      if (sol.context_clbs(pd.resource, ctx) + task.hw.at(impl).clbs <=
+          dev.n_clbs()) {
         sol.insert_in_context(vs, pd.resource, ctx, impl,
                               task.hw.at(impl).clbs);
       } else {
@@ -175,7 +174,7 @@ bool apply_reassign_to_resource(const TaskGraph& tg, const Architecture& arch,
       if (ctx == n_ctx) {
         ctx = sol.spawn_context_after(
             target, n_ctx == 0 ? Solution::kFront : n_ctx - 1);
-      } else if (sol.context_clbs(tg, target, ctx) + task.hw.at(impl).clbs >
+      } else if (sol.context_clbs(target, ctx) + task.hw.at(impl).clbs >
                  dev.n_clbs()) {
         ctx = sol.spawn_context_after(target, ctx);
       }
@@ -211,8 +210,8 @@ bool apply_change_impl(const TaskGraph& tg, const Architecture& arch,
     if (k == p.impl) continue;
     if (res.kind() == ResourceKind::kReconfigurable) {
       const auto& dev = arch.reconfigurable(p.resource);
-      const std::int32_t used = sol.context_clbs(
-          tg, p.resource, static_cast<std::size_t>(p.context));
+      const std::int32_t used =
+          sol.context_clbs(p.resource, static_cast<std::size_t>(p.context));
       const std::int32_t next =
           used - task.hw.at(p.impl).clbs + task.hw.at(k).clbs;
       if (next > dev.n_clbs()) continue;

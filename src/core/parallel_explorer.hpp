@@ -22,36 +22,24 @@
 
 namespace rdse {
 
-struct ParallelExplorerConfig {
-  std::uint64_t seed = 1;
+/// The serial config's fields, which every replica runs at its own stream
+/// seed and ladder rung (`iterations` and `warmup_iterations` count per
+/// replica; `cancel` is shared by all of them), plus the replica-exchange
+/// fields. Traces are off by default here.
+struct ParallelExplorerConfig : ExplorerConfig {
+  ParallelExplorerConfig() { record_trace = false; }
+
   int replicas = 8;
   /// Worker threads; 0 = min(replicas, hardware concurrency). Any value
   /// yields the same result — this is a throughput knob only.
   unsigned threads = 0;
-  std::int64_t iterations = 20'000;        ///< cooling iterations per replica
-  std::int64_t warmup_iterations = 1'200;  ///< per replica
   /// Cooling iterations between exchange barriers (0 = fully independent
   /// replicas, i.e. plain multi-start annealing).
   std::int64_t exchange_interval = 500;
-  /// Schedule for every replica when `replica_schedules` is empty.
-  ScheduleKind schedule = ScheduleKind::kModifiedLam;
   /// Optional per-replica temperature ladder, assigned round-robin
-  /// (e.g. {kModifiedLam, kLamDelosme, kGreedy}).
+  /// (e.g. {kModifiedLam, kLamDelosme, kGreedy}); empty = `schedule` for
+  /// every replica.
   std::vector<ScheduleKind> replica_schedules;
-  InitKind init = InitKind::kRandomPartition;
-  MoveConfig moves;
-  CostWeights cost;
-  bool adaptive_move_mix = false;
-  /// A/B escape hatch: full re-evaluation per move (see ExplorerConfig).
-  bool full_eval = false;
-  /// Candidate moves probed per annealing step (see ExplorerConfig).
-  int batch = 1;
-  std::int64_t freeze_after = 0;
-  bool record_trace = false;
-  std::int64_t trace_stride = 1;
-  /// Optional cooperative-cancellation token shared by all replicas (see
-  /// ExplorerConfig::cancel); a fired token makes run() throw Cancelled.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Per-replica outcome, kept for reporting and determinism checks.

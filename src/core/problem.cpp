@@ -14,14 +14,12 @@ DseProblem::DseProblem(const TaskGraph& tg, Architecture arch,
       weights_(weights),
       arch_(std::move(arch)),
       sol_(std::move(initial)),
-      cand_arch_(arch_),
-      cand_sol_(sol_),
+      cand_{arch_, sol_},
+      batch_(batch),
       best_arch_(arch_),
-      best_sol_(sol_),
-      winner_arch_(arch_),
-      winner_sol_(sol_),
-      batch_(batch) {
+      best_sol_(sol_) {
   RDSE_REQUIRE(batch_ >= 1, "DseProblem: batch must be >= 1");
+  if (batch_ > 1) spare_.emplace(ProbeBuffers{arch_, sol_});
   if (!full_eval) inc_ = std::make_unique<IncrementalEvaluator>(*tg_);
   metrics_ = checked_metrics(arch_, sol_, /*as_current=*/true);
   cost_ = cost_of(metrics_, arch_);
@@ -71,8 +69,8 @@ void DseProblem::reset_state(Architecture arch, Solution sol) {
   arch_ = std::move(arch);
   sol_ = std::move(sol);
   cost_ = cost_of(metrics_, arch_);
-  cand_arch_stale_ = true;
-  cand_sol_stale_ = true;
+  cand_.arch_stale = cand_.sol_stale = true;
+  if (spare_) spare_->arch_stale = spare_->sol_stale = true;
 }
 
 void DseProblem::restore_best_state(Architecture arch, Solution sol) {
@@ -81,7 +79,21 @@ void DseProblem::restore_best_state(Architecture arch, Solution sol) {
   best_sol_ = std::move(sol);
 }
 
-MoveOutcome DseProblem::generate_candidate_move(Rng& rng) {
+void DseProblem::refresh(ProbeBuffers& probe) const {
+  // Storage-reusing copy assignments, skipped entirely when the buffer
+  // still holds the current state.
+  if (probe.arch_stale) {
+    probe.arch = arch_;
+    probe.arch_stale = false;
+  }
+  if (probe.sol_stale) {
+    probe.sol = sol_;
+    probe.sol_stale = false;
+  }
+  probe.sol.clear_touched();
+}
+
+MoveOutcome DseProblem::generate_move_into(Rng& rng, ProbeBuffers& probe) {
   if (mix_) {
     // Adaptive move-mix (EXP-A2): the controller picks the class, the
     // §4.2 operand draws stay random.
@@ -107,197 +119,111 @@ MoveOutcome DseProblem::generate_candidate_move(Rng& rng) {
         forced.p_reorder_contexts = 0.0;
         break;
     }
-    return generate_move(*tg_, cand_arch_, cand_sol_, forced, rng);
+    return generate_move(*tg_, probe.arch, probe.sol, forced, rng);
   }
-  return generate_move(*tg_, cand_arch_, cand_sol_, move_config_, rng);
+  return generate_move(*tg_, probe.arch, probe.sol, move_config_, rng);
+}
+
+std::optional<Metrics> DseProblem::evaluate(const ProbeBuffers& probe) {
+  // Hot path: evaluate the probe as a delta against the committed state —
+  // only the realizations of the resources the move touched are recomputed,
+  // and only the affected region of G' is re-relaxed. The full-evaluation
+  // path is the A/B reference (bit-identical).
+  if (inc_) {
+    return inc_->evaluate_candidate(probe.arch, probe.sol,
+                                    probe.sol.touched_resources(),
+                                    probe.sol.touched_tasks());
+  }
+  return Evaluator(*tg_, probe.arch).evaluate(probe.sol);
 }
 
 bool DseProblem::propose(Rng& rng) {
-  return batch_ <= 1 ? propose_single(rng) : propose_batched(rng);
-}
-
-bool DseProblem::propose_single(Rng& rng) {
-  // Storage-reusing copy assignments into persistent candidate buffers,
-  // skipped entirely when the previous proposal left them untouched.
-  if (cand_arch_stale_) {
-    cand_arch_ = arch_;
-    cand_arch_stale_ = false;
-  }
-  if (cand_sol_stale_) {
-    cand_sol_ = sol_;
-    cand_sol_stale_ = false;
-  }
-  cand_sol_.clear_touched();
-
-  const MoveOutcome outcome = generate_candidate_move(rng);
-
-  auto& stats = move_stats_[static_cast<std::size_t>(outcome.kind)];
-  ++stats.drawn;
-  cand_kind_ = outcome.kind;
-  if (outcome.applied) {
-    cand_sol_stale_ = true;
-  }
-  // m3/m4 mutate the candidate architecture. A failed m4 still leaves a
-  // tombstoned slot behind; a failed m3 returns before mutating anything.
-  cand_arch_mutated_ =
-      outcome.kind == MoveKind::kCreateResource ||
-      (outcome.applied && outcome.kind == MoveKind::kRemoveResource);
-  if (cand_arch_mutated_) {
-    cand_arch_stale_ = true;
-  }
-  if (!outcome.applied) {
-    ++stats.null_draws;
-    if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
-    return false;
-  }
-
-  // Hot path: evaluate the candidate as a delta against the committed
-  // state — only the realizations of the resources the move touched are
-  // recomputed, and only the affected region of G' is re-relaxed. The
-  // full-evaluation path is the A/B reference (bit-identical).
-  std::optional<Metrics> m;
-  if (inc_) {
-    m = inc_->evaluate_candidate(cand_arch_, cand_sol_,
-                                 cand_sol_.touched_resources(),
-                                 cand_sol_.touched_tasks());
-  } else {
-    const Evaluator ev(*tg_, cand_arch_);
-    m = ev.evaluate(cand_sol_);
-  }
-  if (!m.has_value()) {
-    // §4.3: the realized G' has a cycle — the move "will not be performed".
-    ++stats.infeasible;
-    if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
-    return false;
-  }
-  ++stats.evaluated;
-  cand_metrics_ = *m;
-  cand_cost_ = cost_of(cand_metrics_, cand_arch_);
-  return true;
-}
-
-bool DseProblem::propose_batched(Rng& rng) {
-  // Probe K independent moves against the same committed state, keep the
-  // cheapest feasible one and hand only that winner to the engine's
-  // Metropolis test ("best of K, then Metropolis"). Losing probes count as
-  // rejections for the adaptive move mix; the per-class counters see every
-  // probe, so `evaluated` still measures real evaluator work.
-  bool have_winner = false;
-  bool staged = false;            // inc_ holds an uncommitted delta ...
-  bool staged_is_winner = false;  // ... and it belongs to the winner
+  // Probe K moves against the committed state and hand the cheapest
+  // feasible one to the engine's Metropolis test ("best of K, then
+  // Metropolis"). The cheapest probe so far stays in cand_; a later probe
+  // is drawn into spare_ and swapped in only when strictly cheaper, so a
+  // tie keeps the earlier probe. Losing probes count as rejections for the
+  // adaptive move mix; the per-class counters see every probe, so
+  // `evaluated` measures real evaluator work.
+  bool have_cand = false;
+  // The uncommitted delta the incremental evaluator holds, if any.
+  enum class Staged { kNone, kCand, kLoser } staged = Staged::kNone;
   for (int k = 0; k < batch_; ++k) {
-    if (cand_arch_stale_) {
-      cand_arch_ = arch_;
-      cand_arch_stale_ = false;
-    }
-    if (cand_sol_stale_) {
-      cand_sol_ = sol_;
-      cand_sol_stale_ = false;
-    }
-    cand_sol_.clear_touched();
-
-    const MoveOutcome outcome = generate_candidate_move(rng);
-    auto& stats = move_stats_[static_cast<std::size_t>(outcome.kind)];
+    ProbeBuffers& probe = have_cand ? *spare_ : cand_;
+    refresh(probe);
+    const MoveOutcome outcome = generate_move_into(rng, probe);
+    const auto move_class = static_cast<std::size_t>(outcome.kind);
+    MoveClassStats& stats = move_stats_[move_class];
     ++stats.drawn;
-    cand_kind_ = outcome.kind;
-    if (outcome.applied) {
-      cand_sol_stale_ = true;
-    }
+    if (outcome.applied) probe.sol_stale = true;
+    // m3/m4 mutate the probe's architecture. A failed m4 still leaves a
+    // tombstoned slot behind; a failed m3 returns before mutating anything.
     const bool arch_mutated =
         outcome.kind == MoveKind::kCreateResource ||
         (outcome.applied && outcome.kind == MoveKind::kRemoveResource);
-    if (arch_mutated) {
-      cand_arch_stale_ = true;
-    }
+    if (arch_mutated) probe.arch_stale = true;
     if (!outcome.applied) {
       ++stats.null_draws;
-      if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
+      if (mix_) mix_->report(move_class, false);
       continue;
     }
 
     // Only one delta can be staged at a time: drop the previous probe's
-    // before evaluating this one (the winner is re-staged at the end).
-    if (inc_ && staged) {
+    // (a displaced candidate's is re-staged below).
+    if (staged != Staged::kNone) {
       inc_->discard();
-      staged = false;
-      staged_is_winner = false;
+      staged = Staged::kNone;
     }
-    std::optional<Metrics> m;
-    if (inc_) {
-      m = inc_->evaluate_candidate(cand_arch_, cand_sol_,
-                                   cand_sol_.touched_resources(),
-                                   cand_sol_.touched_tasks());
-    } else {
-      const Evaluator ev(*tg_, cand_arch_);
-      m = ev.evaluate(cand_sol_);
-    }
+    const std::optional<Metrics> m = evaluate(probe);
     if (!m.has_value()) {
+      // §4.3: the realized G' has a cycle — the move "will not be performed".
       ++stats.infeasible;
-      if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
+      if (mix_) mix_->report(move_class, false);
       continue;
     }
     ++stats.evaluated;
-    staged = inc_ != nullptr;
-    const double cost = cost_of(*m, cand_arch_);
-    if (!have_winner || cost < winner_cost_) {
-      if (have_winner && mix_) {
-        mix_->report(static_cast<std::size_t>(winner_kind_), false);
-      }
-      std::swap(winner_arch_, cand_arch_);
-      std::swap(winner_sol_, cand_sol_);  // the touched journal travels too
-      winner_metrics_ = *m;
-      winner_cost_ = cost;
-      winner_kind_ = outcome.kind;
-      winner_arch_mutated_ = arch_mutated;
-      have_winner = true;
-      staged_is_winner = true;
-      // The swap left the previous winner's storage in the cand buffers.
-      cand_arch_stale_ = true;
-      cand_sol_stale_ = true;
-    } else {
-      if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
-      staged_is_winner = false;
+    const double cost = cost_of(*m, probe.arch);
+    const bool cheaper = !have_cand || cost < cand_cost_;
+    if (inc_) staged = cheaper ? Staged::kCand : Staged::kLoser;
+    if (!cheaper) {
+      if (mix_) mix_->report(move_class, false);
+      continue;
     }
+    if (have_cand) {
+      if (mix_) mix_->report(static_cast<std::size_t>(cand_kind_), false);
+      std::swap(cand_, *spare_);  // the touched journal travels too
+    }
+    cand_metrics_ = *m;
+    cand_cost_ = cost;
+    cand_kind_ = outcome.kind;
+    cand_arch_mutated_ = arch_mutated;
+    have_cand = true;
   }
 
-  if (!have_winner) {
-    if (inc_ && staged) inc_->discard();
-    return false;
-  }
-  if (inc_ && staged && !staged_is_winner) {
-    inc_->discard();
-  }
-  std::swap(cand_arch_, winner_arch_);
-  std::swap(cand_sol_, winner_sol_);
-  cand_metrics_ = winner_metrics_;
-  cand_cost_ = winner_cost_;
-  cand_kind_ = winner_kind_;
-  cand_arch_mutated_ = winner_arch_mutated_;
-  cand_arch_stale_ = true;
-  cand_sol_stale_ = true;
-  if (inc_ && !staged_is_winner) {
-    // Re-stage the winner's delta against the committed state so accept()
-    // can commit it. The probe already proved feasibility, and replaying
-    // the identical (candidate, journal) pair is deterministic.
-    const auto m = inc_->evaluate_candidate(cand_arch_, cand_sol_,
-                                            cand_sol_.touched_resources(),
-                                            cand_sol_.touched_tasks());
+  if (staged == Staged::kLoser) inc_->discard();
+  if (inc_ && have_cand && staged != Staged::kCand) {
+    // Re-stage the candidate's delta against the committed state so
+    // accept() can commit it. The probe already proved feasibility, and
+    // replaying the identical (candidate, journal) pair is deterministic.
+    const std::optional<Metrics> m = evaluate(cand_);
     RDSE_ASSERT(m.has_value());
   }
-  return true;
+  return have_cand;
 }
 
 void DseProblem::accept() {
   if (inc_) inc_->commit();
   if (cand_arch_mutated_) {
-    arch_ = cand_arch_;  // deep clone, m3/m4 only — see cand_arch_mutated_
+    arch_ = cand_.arch;  // deep clone, m3/m4 only — see cand_arch_mutated_
+    if (spare_) spare_->arch_stale = true;
     cand_arch_mutated_ = false;
   }
-  sol_ = cand_sol_;
+  sol_ = cand_.sol;
+  if (spare_) spare_->sol_stale = true;
   metrics_ = cand_metrics_;
   cost_ = cand_cost_;
-  cand_arch_stale_ = false;  // current == candidate again
-  cand_sol_stale_ = false;
+  cand_.arch_stale = false;  // current == candidate again
+  cand_.sol_stale = false;
   auto& stats = move_stats_[static_cast<std::size_t>(cand_kind_)];
   ++stats.accepted;
   if (mix_) mix_->report(static_cast<std::size_t>(cand_kind_), true);

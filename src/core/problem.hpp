@@ -4,6 +4,12 @@
 /// state = (architecture, solution), moves = §4.2, cost = §4.4 longest path
 /// (optionally blended with system price and a deadline penalty for the
 /// architecture-exploration mode of [11]).
+///
+/// propose() is one loop for every batch size K: it draws K moves against
+/// the committed state, keeps the cheapest feasible one in the candidate
+/// buffers (a later probe, drawn into spare buffers, replaces it only when
+/// strictly cheaper) and leaves its delta staged in the incremental
+/// evaluator for accept()/reject(). K = 1 is the classic one-probe step.
 
 #include <array>
 #include <memory>
@@ -48,7 +54,7 @@ class DseProblem final : public AnnealProblem {
   /// `batch` (K >= 1) is the number of candidate moves probed per annealing
   /// step against the same committed state; the cheapest feasible probe is
   /// handed to the engine's Metropolis test ("best of K, then Metropolis").
-  /// K = 1 is bit-identical to the classic one-probe path.
+  /// One loop serves every K; at K = 1 it is the classic one-probe step.
   DseProblem(const TaskGraph& tg, Architecture arch, Solution initial,
              MoveConfig moves = {}, CostWeights weights = {},
              bool adaptive_move_mix = false, bool full_eval = false,
@@ -130,13 +136,24 @@ class DseProblem final : public AnnealProblem {
   /// its evaluator as they were.
   Metrics checked_metrics(const Architecture& arch, const Solution& sol,
                           bool as_current);
-  /// One §4.2 move draw into the candidate buffers (adaptive-mix forcing
-  /// included) — shared by the single and batched propose paths.
-  MoveOutcome generate_candidate_move(Rng& rng);
-  /// The classic one-probe propose (K = 1).
-  bool propose_single(Rng& rng);
-  /// K > 1: probe a batch against the committed state, keep the argmin.
-  bool propose_batched(Rng& rng);
+
+  /// One probe's move buffers: copies of the current state for a move to
+  /// mutate. A stale flag marks a copy that may differ from the current
+  /// state and is re-copied before the next draw; skipping the copy after
+  /// null draws and accepted moves keeps the hot path allocation-free.
+  struct ProbeBuffers {
+    Architecture arch;
+    Solution sol;
+    bool arch_stale = true;
+    bool sol_stale = true;
+  };
+  /// Re-copy the stale parts of `probe` and clear its mutation journal.
+  void refresh(ProbeBuffers& probe) const;
+  /// One §4.2 move draw into `probe` (adaptive-mix forcing included).
+  MoveOutcome generate_move_into(Rng& rng, ProbeBuffers& probe);
+  /// Evaluate `probe` against the committed state; nullopt when its G' is
+  /// cyclic. In incremental mode a feasible probe's delta stays staged.
+  std::optional<Metrics> evaluate(const ProbeBuffers& probe);
 
   const TaskGraph* tg_;
   MoveConfig move_config_;
@@ -147,41 +164,29 @@ class DseProblem final : public AnnealProblem {
   Metrics metrics_;
   double cost_ = 0.0;
 
-  Architecture cand_arch_;
-  Solution cand_sol_;
+  /// The candidate: the cheapest feasible probe of the current step.
+  ProbeBuffers cand_;
   Metrics cand_metrics_;
   double cand_cost_ = 0.0;
   MoveKind cand_kind_ = MoveKind::kReassign;
+  /// True when the candidate's move mutated its architecture (m3/m4).
+  /// accept() deep-clones the architecture (unique_ptr resources) only
+  /// then — every other move leaves arch_ == cand_.arch already.
+  bool cand_arch_mutated_ = false;
+  /// Probes 2..K of a step are drawn here and swapped into cand_ only when
+  /// strictly cheaper. Built only when K > 1.
+  std::optional<ProbeBuffers> spare_;
+  /// Probes evaluated per annealing step (K).
+  int batch_ = 1;
 
   Architecture best_arch_;
   Solution best_sol_;
   Metrics best_metrics_;
 
-  /// Batched-probe machinery (batch_ > 1): the cheapest feasible probe seen
-  /// so far within one propose() call. Persistent buffers so the hot path
-  /// swaps storage instead of allocating.
-  Architecture winner_arch_;
-  Solution winner_sol_;
-  Metrics winner_metrics_;
-  double winner_cost_ = 0.0;
-  MoveKind winner_kind_ = MoveKind::kReassign;
-  bool winner_arch_mutated_ = false;
-  /// Probes evaluated per annealing step (K); 1 = the classic path.
-  int batch_ = 1;
-
   std::unique_ptr<MoveMixController> mix_;
   std::array<MoveClassStats, kMoveKindCount> move_stats_{};
   /// Hot-path evaluator (null when full_eval was requested).
   std::unique_ptr<IncrementalEvaluator> inc_;
-  /// True when cand_arch_/cand_sol_ may differ from the current state and
-  /// must be re-copied before the next move (skipping the copy after null
-  /// draws and accepted moves keeps the hot path allocation-free).
-  bool cand_arch_stale_ = true;
-  bool cand_sol_stale_ = true;
-  /// True when the staged move mutated the candidate architecture (m3/m4).
-  /// accept() deep-clones the architecture (unique_ptr resources) only
-  /// then — every other move leaves arch_ == cand_arch_ already.
-  bool cand_arch_mutated_ = false;
 };
 
 }  // namespace rdse

@@ -38,7 +38,7 @@ std::string describe_solution(const TaskGraph& tg, const Architecture& arch,
         }
         for (std::size_t c = 0; c < n_ctx; ++c) {
           os << "  context C" << (c + 1) << " ["
-             << sol.context_clbs(tg, id, c) << " CLBs]:";
+             << sol.context_clbs(id, c) << " CLBs]:";
           for (TaskId t : sol.context_tasks(id, c)) {
             const Placement& p = sol.placement(t);
             const auto& impl = tg.task(t).hw.at(p.impl);

@@ -50,14 +50,11 @@ namespace {
 struct RealizationCounters {
   std::int64_t* bounds_reused = nullptr;
   std::int64_t* bounds_computed = nullptr;
-  std::int64_t* clbs_reused = nullptr;
-  std::int64_t* clbs_computed = nullptr;
 };
 
 void compute_rc_realization(const TaskGraph& tg, const Solution& sol,
                             ResourceId rc, RcRealization& out,
                             const RcRealization* hint,
-                            std::span<const TaskId> touched_tasks = {},
                             const RealizationCounters& counters = {}) {
   const std::size_t n_ctx = sol.context_count(rc);
   // Shrink/grow without discarding inner vector capacity.
@@ -65,7 +62,6 @@ void compute_rc_realization(const TaskGraph& tg, const Solution& sol,
   while (out.members.size() < n_ctx) out.members.emplace_back();
   if (out.bounds.size() > n_ctx) out.bounds.resize(n_ctx);
   while (out.bounds.size() < n_ctx) out.bounds.emplace_back();
-  out.clbs.resize(n_ctx);
   for (std::size_t c = 0; c < n_ctx; ++c) {
     const auto members = sol.context_tasks(rc, c);
     out.members[c].assign(members.begin(), members.end());
@@ -75,50 +71,18 @@ void compute_rc_realization(const TaskGraph& tg, const Solution& sol,
     // application edges. Try the same index first (the common case), then
     // search (contexts renumber under collapse/spawn/swap).
     const ContextBoundary* reuse = nullptr;
-    std::size_t reuse_idx = 0;
     if (hint != nullptr) {
       if (c < hint->members.size() && hint->members[c] == out.members[c]) {
         reuse = &hint->bounds[c];
-        reuse_idx = c;
       } else {
         for (std::size_t k = 0; k < hint->members.size(); ++k) {
           if (hint->members[k] == out.members[c]) {
             reuse = &hint->bounds[k];
-            reuse_idx = k;
             break;
           }
         }
       }
     }
-
-    // The CLB sum also depends on the members' implementation choices;
-    // those can only have changed for journaled tasks, so a matched
-    // context holding no touched task keeps its committed sum.
-    bool clbs_valid = reuse != nullptr;
-    if (clbs_valid) {
-      for (TaskId t : touched_tasks) {
-        const Placement& p = sol.placement(t);
-        if (p.resource == rc && p.context == static_cast<std::int32_t>(c)) {
-          clbs_valid = false;
-          break;
-        }
-      }
-    }
-    if (clbs_valid) {
-      if (counters.clbs_reused != nullptr) ++*counters.clbs_reused;
-      out.clbs[c] = hint->clbs[reuse_idx];
-    } else if (const std::int32_t cached = sol.context_clbs_cached(rc, c);
-               cached >= 0) {
-      // No matching hint context (or a touched member), but the Solution's
-      // own per-context sum mirror is warm: the mutators maintained it as a
-      // delta, so this is the exact sum without walking the members.
-      if (counters.clbs_reused != nullptr) ++*counters.clbs_reused;
-      out.clbs[c] = cached;
-    } else {
-      if (counters.clbs_computed != nullptr) ++*counters.clbs_computed;
-      out.clbs[c] = sol.context_clbs(tg, rc, c);
-    }
-
     if (reuse != nullptr) {
       if (counters.bounds_reused != nullptr) ++*counters.bounds_reused;
       out.bounds[c].initials.assign(reuse->initials.begin(),
@@ -134,10 +98,8 @@ void compute_rc_realization(const TaskGraph& tg, const Solution& sol,
 
 }  // namespace
 
-void SearchGraphCache::begin_build(std::span<const ResourceId> dirty,
-                                   std::span<const TaskId> touched_tasks) {
+void SearchGraphCache::begin_build(std::span<const ResourceId> dirty) {
   dirty_.assign(dirty.begin(), dirty.end());
-  touched_tasks_.assign(touched_tasks.begin(), touched_tasks.end());
   staged_live_.clear();
 }
 
@@ -182,9 +144,7 @@ const RcRealization& SearchGraphCache::realize(const TaskGraph& tg,
   ++misses_;
   RcRealization& out = staged_[rc];
   compute_rc_realization(tg, sol, rc, out, committed_entry(rc),
-                         touched_tasks_,
-                         {&bounds_reused_, &bounds_computed_, &clbs_reused_,
-                          &clbs_computed_});
+                         {&bounds_reused_, &bounds_computed_});
   staged_live_.push_back(rc);
   return out;
 }
@@ -197,7 +157,6 @@ void SearchGraphCache::commit() {
     RcRealization& kept = committed_[rc];
     kept.members.swap(fresh.members);
     kept.bounds.swap(fresh.bounds);
-    kept.clbs.swap(fresh.clbs);
     committed_present_[rc] = 1;
   }
   staged_live_.clear();
@@ -218,14 +177,11 @@ void SearchGraphCache::adopt(SearchGraphCache&& fresh) {
   committed_present_ = std::move(fresh.committed_present_);
   staged_ = std::move(fresh.staged_);
   dirty_.clear();
-  touched_tasks_.clear();
   staged_live_.clear();
   hits_ += fresh.hits_;
   misses_ += fresh.misses_;
   bounds_reused_ += fresh.bounds_reused_;
   bounds_computed_ += fresh.bounds_computed_;
-  clbs_reused_ += fresh.clbs_reused_;
-  clbs_computed_ += fresh.clbs_computed_;
 }
 
 TimeNs assigned_exec_time(const TaskGraph& tg, const Architecture& arch,
@@ -311,18 +267,20 @@ void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
 
     sg.n_contexts += static_cast<int>(n_ctx);
     for (std::size_t c = 0; c < n_ctx; ++c) {
-      sg.clbs_loaded += real->clbs[c];
-      sg.max_context_clbs = std::max(sg.max_context_clbs, real->clbs[c]);
+      const std::int32_t clbs = sol.context_clbs(rc, c);
+      sg.clbs_loaded += clbs;
+      sg.max_context_clbs = std::max(sg.max_context_clbs, clbs);
     }
 
-    const TimeNs first_load = dev.reconfiguration_time(real->clbs[0]);
+    const TimeNs first_load = dev.reconfiguration_time(sol.context_clbs(rc, 0));
     sg.init_reconfig += first_load;
     for (TaskId t : real->bounds[0].initials) {
       sg.release[t] = std::max(sg.release[t], first_load);
     }
 
     for (std::size_t c = 0; c + 1 < n_ctx; ++c) {
-      const TimeNs reconf = dev.reconfiguration_time(real->clbs[c + 1]);
+      const TimeNs reconf =
+          dev.reconfiguration_time(sol.context_clbs(rc, c + 1));
       sg.dyn_reconfig += reconf;
       for (TaskId from : real->bounds[c].terminals) {
         for (TaskId to : real->bounds[c + 1].initials) {

@@ -8,7 +8,8 @@
 ///    each processor's total order (black dashed arrows in Fig. 1(b));
 ///  - Ehw: context sequentialization edges from every terminal node of
 ///    context Ck to every initial node of context Ck+1, weighted by the
-///    partial reconfiguration time tR * nCLB(Ck+1) (white dashed arrows);
+///    partial reconfiguration time tR * nCLB(Ck+1) (white dashed arrows;
+///    nCLB is Solution::context_clbs, the one copy of each context's sum);
 ///  - a release time tR * nCLB(C1) on the initial nodes of the first
 ///    context of each RC (the device must be configured before anything
 ///    runs on it; this is Fig. 3's "initial reconfiguration time").
@@ -63,9 +64,9 @@ struct SearchGraph {
   TimeNs dyn_reconfig = 0;   ///< sum of inter-context reconfigurations
   TimeNs comm_cross = 0;     ///< summed bus time of crossing transfers
 
-  // Context accounting gathered during realization (the builder computes the
-  // per-context CLB sums anyway, so downstream metric fills need not re-walk
-  // the solution).
+  // Context accounting gathered during realization (read from the
+  // Solution's per-context CLB sums, so downstream metric fills need not
+  // re-walk the solution).
   int n_contexts = 0;                ///< total contexts over all RCs
   std::int32_t clbs_loaded = 0;      ///< CLBs summed over all contexts
   std::int32_t max_context_clbs = 0;
@@ -103,8 +104,9 @@ void context_boundary_into(const TaskGraph& tg, const Solution& sol,
                            ResourceId rc, std::size_t ctx,
                            ContextBoundary& out);
 
-/// Everything the builder derives per reconfigurable circuit: the boundary
-/// and CLB occupancy of each context. Memoized across moves by
+/// Everything the builder derives per reconfigurable circuit from the
+/// member sets: the boundary of each context. (A context's CLB occupancy is
+/// read from the Solution, which keeps it exact.) Memoized across moves by
 /// SearchGraphCache, since a local move leaves most RCs untouched; the
 /// member lists are kept so a recomputation can reuse the boundary of any
 /// context whose membership is unchanged (boundaries depend only on the
@@ -112,23 +114,18 @@ void context_boundary_into(const TaskGraph& tg, const Solution& sol,
 struct RcRealization {
   std::vector<std::vector<TaskId>> members;  ///< one per context
   std::vector<ContextBoundary> bounds;       ///< one per context
-  std::vector<std::int32_t> clbs;            ///< CLBs occupied, per context
 };
 
 /// Double-buffered memo of per-RC realizations for the incremental hot path.
-/// `begin_build(dirty, touched_tasks)` opens a candidate build: RCs listed
-/// dirty (or absent from the committed entries) are recomputed into a
-/// staging slot, the rest are served from the committed entries. The
-/// optional touched-task journal lets a recomputation reuse the CLB sum of
-/// any context whose membership is unchanged and contains no touched task
-/// (implementations can only change for journaled tasks). `commit()` adopts
-/// the staged entries after the candidate is accepted; `discard()` is O(1).
-/// Staged storage is recycled between builds, so steady-state builds
-/// allocate nothing.
+/// `begin_build(dirty)` opens a candidate build: RCs listed dirty (or absent
+/// from the committed entries) are recomputed into a staging slot, the rest
+/// are served from the committed entries. `commit()` adopts the staged
+/// entries after the candidate is accepted; `discard()` is O(1). Staged
+/// storage is recycled between builds, so steady-state builds allocate
+/// nothing.
 class SearchGraphCache {
  public:
-  void begin_build(std::span<const ResourceId> dirty,
-                   std::span<const TaskId> touched_tasks = {});
+  void begin_build(std::span<const ResourceId> dirty);
   /// Realization of `rc` valid for `sol` (cached or freshly computed).
   const RcRealization& realize(const TaskGraph& tg, const Solution& sol,
                                ResourceId rc);
@@ -153,10 +150,6 @@ class SearchGraphCache {
   [[nodiscard]] std::int64_t bounds_computed() const {
     return bounds_computed_;
   }
-  /// Context CLB sums copied from a membership-matched, impl-untouched
-  /// committed context vs summed from scratch.
-  [[nodiscard]] std::int64_t clbs_reused() const { return clbs_reused_; }
-  [[nodiscard]] std::int64_t clbs_computed() const { return clbs_computed_; }
 
  private:
   [[nodiscard]] bool is_dirty(ResourceId rc) const;
@@ -168,14 +161,11 @@ class SearchGraphCache {
   std::vector<std::uint8_t> committed_present_;  ///< flat-slot occupancy
   std::vector<RcRealization> staged_;
   std::vector<ResourceId> dirty_;
-  std::vector<TaskId> touched_tasks_;
   std::vector<ResourceId> staged_live_;  ///< staged keys filled this build
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
   std::int64_t bounds_reused_ = 0;
   std::int64_t bounds_computed_ = 0;
-  std::int64_t clbs_reused_ = 0;
-  std::int64_t clbs_computed_ = 0;
 };
 
 /// Execution time of task `t` on its assigned resource — the single

@@ -38,7 +38,7 @@ bool slots_equal(const Slots& a, const Slots& b) {
 Solution::Solution(std::size_t task_count)
     : placement_(task_count),
       order_pos_(task_count, 0),
-      task_clb_(task_count, -1) {}
+      task_clb_(task_count, 0) {}
 
 bool Solution::operator==(const Solution& other) const {
   return placement_ == other.placement_ &&
@@ -122,8 +122,7 @@ Solution Solution::random_partition(const TaskGraph& tg,
       ctx = sol.spawn_context_after(rc, kFront);
     } else {
       ctx = sol.context_count(rc) - 1;
-      const std::int32_t used = sol.context_clbs(tg, rc, ctx);
-      if (used + impls.at(impl).clbs > dev.n_clbs()) {
+      if (sol.context_clbs(rc, ctx) + impls.at(impl).clbs > dev.n_clbs()) {
         ctx = sol.spawn_context_after(rc, ctx);
       }
     }
@@ -135,23 +134,6 @@ Solution Solution::random_partition(const TaskGraph& tg,
 
 ResourceId Solution::resource_of(TaskId task) const {
   return placement(task).resource;
-}
-
-std::int32_t Solution::context_clbs(const TaskGraph& tg, ResourceId rc,
-                                    std::size_t ctx) const {
-  const std::int32_t cached = context_clbs_cached(rc, ctx);
-  if (cached >= 0) return cached;
-  std::int32_t total = 0;
-  for (TaskId t : context_tasks(rc, ctx)) {
-    const Placement& p = placement_[t];
-    const std::int32_t clbs = tg.task(t).hw.at(p.impl).clbs;
-    task_clb_[t] = clbs;
-    total += clbs;
-  }
-  if (rc < rc_ctx_clbs_.size() && ctx < rc_ctx_clbs_[rc].size()) {
-    rc_ctx_clbs_[rc][ctx] = total;
-  }
-  return total;
 }
 
 std::span<const TaskId> Solution::asic_tasks(ResourceId asic) const {
@@ -213,13 +195,7 @@ void Solution::remove_task(TaskId task) {
     RDSE_ASSERT(pos != members.end());
     members.erase(pos);
     auto& sums = rc_ctx_clbs_[p.resource];
-    auto& sum = sums[static_cast<std::size_t>(p.context)];
-    if (sum >= 0 && task_clb_[task] >= 0) {
-      sum -= task_clb_[task];
-    } else {
-      sum = -1;
-    }
-    task_clb_[task] = -1;
+    sums[static_cast<std::size_t>(p.context)] -= task_clb_[task];
     if (members.empty()) {
       // Destroy the emptied context and renumber the ones behind it.
       const auto dead = static_cast<std::int32_t>(p.context);
@@ -272,14 +248,8 @@ void Solution::insert_in_context(TaskId task, ResourceId rc, std::size_t ctx,
   touch(rc);
   touch_task(task);
   rc_contexts_[rc][ctx].push_back(task);
-  auto& sum = rc_ctx_clbs_[rc][ctx];
-  if (clbs >= 0) {
-    task_clb_[task] = clbs;
-    if (sum >= 0) sum += clbs;
-  } else {
-    task_clb_[task] = -1;
-    sum = -1;
-  }
+  rc_ctx_clbs_[rc][ctx] += clbs;
+  task_clb_[task] = clbs;
   placement_[task] = Placement{rc, static_cast<std::int32_t>(ctx), impl};
 }
 
@@ -347,13 +317,9 @@ void Solution::set_impl(TaskId task, std::uint32_t impl, std::int32_t clbs) {
                "set_impl: task is not on a reconfigurable circuit");
   touch(placement_[task].resource);
   touch_task(task);
-  auto& sum = rc_ctx_clbs_[placement_[task].resource]
-                         [static_cast<std::size_t>(placement_[task].context)];
-  if (clbs >= 0 && task_clb_[task] >= 0) {
-    if (sum >= 0) sum += clbs - task_clb_[task];
-  } else {
-    sum = -1;
-  }
+  rc_ctx_clbs_[placement_[task].resource]
+              [static_cast<std::size_t>(placement_[task].context)] +=
+      clbs - task_clb_[task];
   task_clb_[task] = clbs;
   placement_[task].impl = impl;
 }
@@ -398,12 +364,16 @@ void Solution::check_mirrors() const {
     for (std::size_t c = 0; c < contexts.size(); ++c) {
       RDSE_ASSERT_MSG(!contexts[c].empty(),
                       "Solution: empty context not collapsed");
+      std::int32_t clbs = 0;
       for (TaskId t : contexts[c]) {
         RDSE_ASSERT(t < placement_.size());
         RDSE_ASSERT(placement_[t].resource == rc);
         RDSE_ASSERT(placement_[t].context == static_cast<std::int32_t>(c));
+        clbs += task_clb_[t];
         ++seen[t];
       }
+      RDSE_ASSERT_MSG(rc_ctx_clbs_[rc][c] == clbs,
+                      "Solution: context CLB sum out of step with members");
     }
   }
   for (ResourceId asic = 0; asic < asic_tasks_.size(); ++asic) {

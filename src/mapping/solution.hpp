@@ -10,7 +10,11 @@
 ///  - for processor tasks: the position in that processor's total order.
 ///
 /// The class stores the representation and maintains the mirror structures
-/// (order lists <-> placements); *semantic* feasibility — capacity bounds,
+/// (order lists <-> placements, order positions, and per-context CLB sums).
+/// The CLB sums are exact by construction: insert_in_context and set_impl
+/// take the implementation's CLB count, so context_clbs is an O(1) read and
+/// the one place the §4.3 spawn rule and the §3.3 Ehw weights get a
+/// context's occupancy from. *Semantic* feasibility — capacity bounds,
 /// acyclicity of the induced search graph — is enforced by the move layer
 /// and checked by mapping/validation.hpp. Solutions are value types: the
 /// annealer copies them to stage candidates. They deliberately hold no
@@ -100,20 +104,14 @@ class Solution {
                  "context_tasks: no such context");
     return rc_contexts_[rc][ctx];
   }
-  /// CLBs occupied by a context under the current implementation choices.
-  /// Served from the per-context sum mirror when it is warm; a cold slot
-  /// falls back to the O(members) walk and warms the mirror as it goes.
-  [[nodiscard]] std::int32_t context_clbs(const TaskGraph& tg, ResourceId rc,
-                                          std::size_t ctx) const;
-  /// The mirrored CLB sum for a context, or -1 when the slot is cold (a
-  /// mutator ran without its `clbs` hint). Never walks the members — this
-  /// is the evaluator-facing read on the realization hot path.
-  [[nodiscard]] std::int32_t context_clbs_cached(ResourceId rc,
-                                                 std::size_t ctx) const {
-    if (rc < rc_ctx_clbs_.size() && ctx < rc_ctx_clbs_[rc].size()) {
-      return rc_ctx_clbs_[rc][ctx];
-    }
-    return -1;
+  /// CLBs occupied by a context under the current implementation choices
+  /// (nCLB(Ck) of §3.3/§4.3): an O(1) read of the per-context sum that the
+  /// mutators keep exact.
+  [[nodiscard]] std::int32_t context_clbs(ResourceId rc,
+                                          std::size_t ctx) const {
+    RDSE_REQUIRE(rc < rc_ctx_clbs_.size() && ctx < rc_ctx_clbs_[rc].size(),
+                 "context_clbs: no such context");
+    return rc_ctx_clbs_[rc][ctx];
   }
   /// Tasks placed on an ASIC (unordered).
   [[nodiscard]] std::span<const TaskId> asic_tasks(ResourceId asic) const;
@@ -132,12 +130,11 @@ class Solution {
   void insert_on_processor(TaskId task, ResourceId processor,
                            std::size_t position);
 
-  /// Insert an unassigned task into an existing context. Pass the chosen
-  /// implementation's CLB count as `clbs` to keep the per-context sum
-  /// mirror warm; omitting it (or passing -1) invalidates the context's
-  /// cached sum, which `context_clbs` then recomputes on demand.
+  /// Insert an unassigned task into an existing context with hardware
+  /// implementation `impl`, whose CLB count is `clbs` (the task graph's
+  /// `hw.at(impl).clbs`; the Solution holds no task graph to look it up).
   void insert_in_context(TaskId task, ResourceId rc, std::size_t ctx,
-                         std::uint32_t impl, std::int32_t clbs = -1);
+                         std::uint32_t impl, std::int32_t clbs);
 
   /// Insert an unassigned task on an ASIC.
   void insert_on_asic(TaskId task, ResourceId asic, std::uint32_t impl);
@@ -150,14 +147,15 @@ class Solution {
   /// Move a processor task to a new position within the same order.
   void reposition(TaskId task, std::size_t new_position);
 
-  /// Change the hardware implementation of an RC/ASIC task. `clbs` is the
-  /// new implementation's CLB count (same protocol as insert_in_context).
-  void set_impl(TaskId task, std::uint32_t impl, std::int32_t clbs = -1);
+  /// Change the hardware implementation of an RC task. `clbs` is the new
+  /// implementation's CLB count (as for insert_in_context).
+  void set_impl(TaskId task, std::uint32_t impl, std::int32_t clbs);
 
   /// Swap two contexts in the RC's execution order.
   void swap_contexts(ResourceId rc, std::size_t a, std::size_t b);
 
-  /// Internal mirror-consistency check (aborts on violation; tests).
+  /// Internal mirror-consistency check, CLB sums included (aborts on
+  /// violation; tests).
   void check_mirrors() const;
 
   // ---- mutation journal ---------------------------------------------------
@@ -210,14 +208,13 @@ class Solution {
   /// rc id -> ordered context list (members unordered within a context)
   std::vector<std::vector<std::vector<TaskId>>> rc_contexts_;
   /// rc id -> per-context CLB sums, structurally parallel to rc_contexts_
-  /// (every spawn/collapse/swap updates both). -1 marks a cold slot. The
-  /// mirror is a cache over the implementation choices, so it is mutable
-  /// (context_clbs warms it), excluded from operator== and maintained as
-  /// deltas by mutators that receive the `clbs` hint.
-  mutable std::vector<std::vector<std::int32_t>> rc_ctx_clbs_;
-  /// task id -> CLBs of the task's current RC implementation (-1 unknown);
-  /// lets remove_task/set_impl turn the context sum into a true delta.
-  mutable std::vector<std::int32_t> task_clb_;
+  /// (every spawn/collapse/swap updates both) and kept exact as deltas by
+  /// the mutators. Derived from the implementation choices, so excluded
+  /// from operator==.
+  std::vector<std::vector<std::int32_t>> rc_ctx_clbs_;
+  /// task id -> CLBs of the task's RC implementation (meaningful only for
+  /// RC tasks); what remove_task and set_impl take off the context sum.
+  std::vector<std::int32_t> task_clb_;
   /// asic id -> members
   std::vector<std::vector<TaskId>> asic_tasks_;
   /// Resources / tasks modified since clear_touched() (deduplicated, tiny).

@@ -119,7 +119,17 @@ void check_capacity(const TaskGraph& tg, const Architecture& arch,
                  "' is empty");
         continue;
       }
-      const std::int32_t used = sol.context_clbs(tg, rc, c);
+      // Summed from the task graph rather than read from the Solution's
+      // CLB sums, which this check would otherwise take on trust.
+      std::int32_t used = 0;
+      for (TaskId t : sol.context_tasks(rc, c)) {
+        used += tg.task(t).hw.at(sol.placement(t).impl).clbs;
+      }
+      if (used != sol.context_clbs(rc, c)) {
+        complain("context " + std::to_string(c) + " on '" + dev.name() +
+                 "' records " + std::to_string(sol.context_clbs(rc, c)) +
+                 " CLBs, its implementations occupy " + std::to_string(used));
+      }
       if (used > dev.n_clbs()) {
         complain("context " + std::to_string(c) + " on '" + dev.name() +
                  "' uses " + std::to_string(used) + " CLBs > capacity " +

@@ -27,7 +27,8 @@ namespace rdse {
 ///    index in range;
 ///  - tasks on processors appear exactly once in that processor's order;
 ///  - context members match placements, contexts are non-empty;
-///  - each context fits the device capacity NCLB;
+///  - each context fits the device capacity NCLB, its occupancy summed
+///    from the task graph, and the Solution's CLB sum for it agrees;
 ///  - the realized search graph G' is acyclic (orders consistent with
 ///    precedence).
 [[nodiscard]] std::vector<std::string> validate_solution(

@@ -403,7 +403,7 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
   snap_.sw_tasks = sw_tasks_;
   snap_.hw_tasks = hw_tasks_;
   snap_.comm_parked = comm_parked_;
-  cache_.begin_build(touched_resources, touched_tasks);
+  cache_.begin_build(touched_resources);
 
   // ---- 1. moved tasks: node weights, partition sums, incident
   // communication edges ------------------------------------------------------
@@ -497,12 +497,14 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
         const std::size_t n_ctx = cand_sol.context_count(r);
         if (n_ctx > 0) {
           const auto& dev = cand_arch.reconfigurable(r);
-          const TimeNs first_load = dev.reconfiguration_time(real.clbs[0]);
+          const TimeNs first_load =
+              dev.reconfiguration_time(cand_sol.context_clbs(r, 0));
           for (TaskId t : real.bounds[0].initials) {
             stage_release_pending(t, first_load);
           }
           for (std::size_t c = 0; c + 1 < n_ctx; ++c) {
-            const TimeNs reconf = dev.reconfiguration_time(real.clbs[c + 1]);
+            const TimeNs reconf =
+                dev.reconfiguration_time(cand_sol.context_clbs(r, c + 1));
             for (TaskId from : real.bounds[c].terminals) {
               for (TaskId to : real.bounds[c + 1].initials) {
                 desired_.push_back({from, to, reconf, SearchEdgeKind::kHwSeq});
@@ -550,15 +552,14 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
       const std::size_t n_ctx = cand_sol.context_count(rc);
       if (n_ctx == 0) continue;
       const auto& dev = cand_arch.reconfigurable(rc);
-      const RcRealization& real = cache_.realize(*tg_, cand_sol, rc);
       sg_.n_contexts += static_cast<int>(n_ctx);
-      sg_.init_reconfig += dev.reconfiguration_time(real.clbs[0]);
+      sg_.init_reconfig +=
+          dev.reconfiguration_time(cand_sol.context_clbs(rc, 0));
       for (std::size_t c = 0; c < n_ctx; ++c) {
-        sg_.clbs_loaded += real.clbs[c];
-        sg_.max_context_clbs = std::max(sg_.max_context_clbs, real.clbs[c]);
-        if (c > 0) {
-          sg_.dyn_reconfig += dev.reconfiguration_time(real.clbs[c]);
-        }
+        const std::int32_t clbs = cand_sol.context_clbs(rc, c);
+        sg_.clbs_loaded += clbs;
+        sg_.max_context_clbs = std::max(sg_.max_context_clbs, clbs);
+        if (c > 0) sg_.dyn_reconfig += dev.reconfiguration_time(clbs);
       }
     }
   }
@@ -678,8 +679,6 @@ IncrementalEvalStats IncrementalEvaluator::stats() const {
   s.cache_misses = cache_.misses();
   s.bounds_reused = cache_.bounds_reused();
   s.bounds_computed = cache_.bounds_computed();
-  s.clbs_reused = cache_.clbs_reused();
-  s.clbs_computed = cache_.clbs_computed();
   s.reconciles = reconciles_;
   s.seq_edges_kept = seq_kept_;
   s.seq_edges_removed = seq_removed_;

@@ -25,8 +25,9 @@
 ///    (common prefix/suffix of the old vs. new per-resource edge chain)
 ///    touches only the differing window, so a local reorder costs O(window),
 ///    not O(chain);
-///  - per-RC context boundaries and CLB sums are memoized across moves
-///    (SearchGraphCache) and recomputed only for touched RCs;
+///  - per-RC context boundaries are memoized across moves
+///    (SearchGraphCache) and recomputed only for touched RCs; context CLB
+///    sums are read from the candidate Solution, which keeps them exact;
 ///  - only the affected region of G' is re-relaxed (DeltaRelaxer), seeded
 ///    with exactly the nodes whose local inputs changed;
 ///  - a rejected candidate is rolled back from an undo log instead of
@@ -54,8 +55,6 @@ struct IncrementalEvalStats {
   std::int64_t cache_misses = 0;
   std::int64_t bounds_reused = 0;    ///< boundaries copied (membership same)
   std::int64_t bounds_computed = 0;  ///< boundaries recomputed from scratch
-  std::int64_t clbs_reused = 0;      ///< context CLB sums served from the memo
-  std::int64_t clbs_computed = 0;    ///< context CLB sums re-summed
   std::int64_t reconciles = 0;       ///< per-resource chain diffs performed
   /// Chain edges matched by the two-pointer prefix/suffix diff (left in
   /// place, seeding no relaxation) vs. torn down / inserted inside the

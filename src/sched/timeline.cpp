@@ -119,7 +119,7 @@ Timeline build_timeline(const TaskGraph& tg, const Architecture& arch,
     if (n_ctx == 0) continue;
     const auto& dev = arch.reconfigurable(rc);
     // Initial load: finishes exactly at the first context's release time.
-    const TimeNs first = dev.reconfiguration_time(sol.context_clbs(tg, rc, 0));
+    const TimeNs first = dev.reconfiguration_time(sol.context_clbs(rc, 0));
     lane_keys.emplace(dev.name() + "/reconf", LaneKey{rc, kReconfRow});
     tl.slots.push_back(TimelineSlot{dev.name() + "/reconf", "load C1",
                                     SlotKind::kReconfig, 0, first});
@@ -130,7 +130,7 @@ Timeline build_timeline(const TaskGraph& tg, const Architecture& arch,
         begin = std::max(begin, lp.finish[t]);
       }
       const TimeNs reconf =
-          dev.reconfiguration_time(sol.context_clbs(tg, rc, c + 1));
+          dev.reconfiguration_time(sol.context_clbs(rc, c + 1));
       tl.slots.push_back(TimelineSlot{
           dev.name() + "/reconf", "load C" + std::to_string(c + 2),
           SlotKind::kReconfig, begin, begin + reconf});

@@ -176,6 +176,49 @@ TEST_F(ExplorerFixture, AdaptiveMoveMixRuns) {
   EXPECT_LT(r.best_metrics.makespan, r.initial_metrics.makespan);
 }
 
+// Pins a best-of-3 run with the adaptive move mix and architecture moves.
+// Under batching the mix hears of every losing probe within one step, so
+// the order in which probes are drawn, compared (a tie keeps the earlier
+// probe) and reported shapes the later class picks; this pin is the only
+// test that fixes that order. The figures were recorded from the separate
+// one-probe and batched propose paths that the single loop replaced.
+TEST_F(ExplorerFixture, BatchedAdaptiveRunIsPinned) {
+  Explorer explorer(app.graph, arch);
+  ExplorerConfig config;
+  config.seed = 23;
+  config.iterations = 1'500;
+  config.warmup_iterations = 200;
+  config.batch = 3;
+  config.adaptive_move_mix = true;
+  config.moves.p_zero = 0.05;
+  config.cost.price_weight = 0.02;
+  config.record_trace = false;
+  const RunResult r = explorer.run(config);
+
+  EXPECT_EQ(r.anneal.best_cost, 28.879701000000001);
+  EXPECT_EQ(r.anneal.iterations_run, 1'700);
+  EXPECT_EQ(r.anneal.accepted, 1'363);
+  EXPECT_EQ(r.anneal.rejected, 113);
+  EXPECT_EQ(r.anneal.infeasible, 224);
+  EXPECT_EQ(r.anneal.best_iteration, 1'440);
+  // {drawn, null_draws, infeasible, evaluated, accepted} per move class.
+  const std::int64_t expected[kMoveKindCount][5] = {
+      {422, 405, 10, 7, 6},     {1412, 6, 150, 1256, 634},
+      {1511, 1495, 0, 16, 12},  {72, 0, 0, 72, 17},
+      {1311, 98, 0, 1213, 686}, {372, 292, 68, 12, 8},
+  };
+  for (std::size_t k = 0; k < kMoveKindCount; ++k) {
+    const MoveClassStats& s = r.move_stats[k];
+    const std::string kind = to_string(static_cast<MoveKind>(k));
+    EXPECT_EQ(s.drawn, expected[k][0]) << kind;
+    EXPECT_EQ(s.null_draws, expected[k][1]) << kind;
+    EXPECT_EQ(s.infeasible, expected[k][2]) << kind;
+    EXPECT_EQ(s.evaluated, expected[k][3]) << kind;
+    EXPECT_EQ(s.accepted, expected[k][4]) << kind;
+  }
+  require_valid(app.graph, r.best_architecture, r.best_solution);
+}
+
 TEST_F(ExplorerFixture, ArchitectureExplorationCreatesResources) {
   Architecture minimal{Bus(kMotionDetectionBusRate)};
   minimal.add_processor("cpu0");
@@ -342,7 +385,6 @@ void expect_lockstep(DseProblem& a, DseProblem& b, std::uint64_t seed,
     EXPECT_EQ(sa->cache_hits, sb->cache_hits);
     EXPECT_EQ(sa->cache_misses, sb->cache_misses);
     EXPECT_EQ(sa->bounds_computed, sb->bounds_computed);
-    EXPECT_EQ(sa->clbs_computed, sb->clbs_computed);
     EXPECT_EQ(sa->comm_edges_parked, sb->comm_edges_parked);
     EXPECT_EQ(sa->relax.probes, sb->relax.probes);
     EXPECT_EQ(sa->relax.relaxed_nodes, sb->relax.relaxed_nodes);

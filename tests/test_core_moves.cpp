@@ -79,8 +79,8 @@ TEST_F(MovesFixture, ReorderSwNullOnNonProcessor) {
   sol.remove_task(0);
   sol.remove_task(1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(0, 1, ctx, 0);
-  sol.insert_in_context(1, 1, ctx, 0);
+  sol.insert_in_context(0, 1, ctx, 0, tg.task(0).hw.at(0).clbs);
+  sol.insert_in_context(1, 1, ctx, 0, tg.task(1).hw.at(0).clbs);
   // §4.2: same-resource draw on an RC context performs no move.
   EXPECT_FALSE(apply_reorder_sw(tg, arch, sol, 0, 1, false, rng));
 }
@@ -89,7 +89,7 @@ TEST_F(MovesFixture, ReassignToContextJoinsDestination) {
   Solution sol = Solution::all_software(tg, 0);
   sol.remove_task(2);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(2, 1, ctx, 0);  // 60 CLBs
+  sol.insert_in_context(2, 1, ctx, 0, tg.task(2).hw.at(0).clbs);  // 60 CLBs
   // Move task 3 to task 2's context (60 + 60 <= 150: fits).
   EXPECT_TRUE(apply_reassign(tg, arch, sol, 3, 2, rng));
   EXPECT_EQ(sol.placement(3).resource, 1u);
@@ -103,8 +103,10 @@ TEST_F(MovesFixture, ReassignSpawnsOnCapacityOverflow) {
   sol.remove_task(0);
   sol.remove_task(1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(0, 1, ctx, 1);  // 90 CLBs (impl1 = 60 * 1.5)
-  sol.insert_in_context(1, 1, ctx, 0);  // +60 = 150 CLBs, full
+  // 90 CLBs (impl1 = 60 * 1.5)
+  sol.insert_in_context(0, 1, ctx, 1, tg.task(0).hw.at(1).clbs);
+  // +60 = 150 CLBs, full
+  sol.insert_in_context(1, 1, ctx, 0, tg.task(1).hw.at(0).clbs);
   // Moving task 2 (>= 60 CLBs) to 0's context must spawn a new context
   // right after it (§4.3).
   EXPECT_TRUE(apply_reassign(tg, arch, sol, 2, 0, rng));
@@ -122,7 +124,7 @@ TEST_F(MovesFixture, ReassignToProcessorInsertsAdjacent) {
   Solution sol = Solution::all_software(indep, 0);
   sol.remove_task(0);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(0, 1, ctx, 0);
+  sol.insert_in_context(0, 1, ctx, 0, indep.task(0).hw.at(0).clbs);
   EXPECT_TRUE(apply_reassign(indep, arch, sol, 0, 2, rng));
   EXPECT_EQ(sol.placement(0).resource, 0u);
   const std::size_t p0 = sol.order_position(0);
@@ -145,7 +147,7 @@ TEST_F(MovesFixture, ReassignRejectsNonFittingTask) {
   Solution sol = Solution::all_software(big, 0);
   sol.remove_task(1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(1, 1, ctx, 0);
+  sol.insert_in_context(1, 1, ctx, 0, big.task(1).hw.at(0).clbs);
   EXPECT_FALSE(apply_reassign(big, arch, sol, 0, 1, rng));
   EXPECT_EQ(sol.placement(0).resource, 0u);  // untouched
 }
@@ -155,13 +157,14 @@ TEST_F(MovesFixture, ChangeImplRespectsCapacity) {
   sol.remove_task(0);
   sol.remove_task(1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(0, 1, ctx, 0);  // 60
-  sol.insert_in_context(1, 1, ctx, 0);  // 60 -> 120/150 used
+  sol.insert_in_context(0, 1, ctx, 0, tg.task(0).hw.at(0).clbs);  // 60
+  // 60 -> 120/150 used
+  sol.insert_in_context(1, 1, ctx, 0, tg.task(1).hw.at(0).clbs);
   // Task 0's alternatives: impl1 = 90 (would make 150... exactly fits),
   // impl2 = 135 (overflow). Try many draws; impl2 must never be chosen.
   for (int i = 0; i < 100; ++i) {
     (void)apply_change_impl(tg, arch, sol, 0, rng);
-    const std::int32_t used = sol.context_clbs(tg, 1, ctx);
+    const std::int32_t used = sol.context_clbs(1, ctx);
     EXPECT_LE(used, 150);
   }
   require_valid(tg, arch, sol);
@@ -177,9 +180,9 @@ TEST_F(MovesFixture, ReorderContextsSwapsAdjacent) {
   sol.remove_task(0);
   sol.remove_task(2);
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(0, 1, c0, 0);
+  sol.insert_in_context(0, 1, c0, 0, tg.task(0).hw.at(0).clbs);
   const std::size_t c1 = sol.spawn_context_after(1, c0);
-  sol.insert_in_context(2, 1, c1, 0);
+  sol.insert_in_context(2, 1, c1, 0, tg.task(2).hw.at(0).clbs);
   EXPECT_TRUE(apply_reorder_contexts(arch, sol, rng));
   EXPECT_EQ(sol.context_tasks(1, 0)[0], 2u);
   sol.check_mirrors();

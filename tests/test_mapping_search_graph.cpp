@@ -62,7 +62,7 @@ TEST_F(SearchGraphFixture, CrossingEdgeGetsBusWeight) {
   sol.insert_on_processor(c, 0, 1);
   sol.insert_on_processor(d, 0, 2);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(b, 1, ctx, 0);
+  sol.insert_in_context(b, 1, ctx, 0, tg.task(b).hw.at(0).clbs);
 
   const SearchGraph sg = build_search_graph(tg, arch, sol);
   // a->b crosses (1000 bytes at 1 byte/us = 1 ms), b->c crosses (2 ms),
@@ -80,8 +80,8 @@ TEST_F(SearchGraphFixture, FirstContextReleaseEqualsInitialReconfig) {
   sol.insert_on_processor(c, 0, 0);
   sol.insert_on_processor(d, 0, 1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(a, 1, ctx, 0);  // 50 CLBs
-  sol.insert_in_context(b, 1, ctx, 1);  // 75 CLBs
+  sol.insert_in_context(a, 1, ctx, 0, tg.task(a).hw.at(0).clbs);  // 50 CLBs
+  sol.insert_in_context(b, 1, ctx, 1, tg.task(b).hw.at(1).clbs);  // 75 CLBs
   const SearchGraph sg = build_search_graph(tg, arch, sol);
   const TimeNs expected = arch.reconfigurable(1).reconfiguration_time(125);
   EXPECT_EQ(sg.init_reconfig, expected);
@@ -95,10 +95,10 @@ TEST_F(SearchGraphFixture, ContextSequentializationEdges) {
   Solution sol(tg.task_count());
   sol.insert_on_processor(d, 0, 0);
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(a, 1, c0, 0);
-  sol.insert_in_context(b, 1, c0, 0);
+  sol.insert_in_context(a, 1, c0, 0, tg.task(a).hw.at(0).clbs);
+  sol.insert_in_context(b, 1, c0, 0, tg.task(b).hw.at(0).clbs);
   const std::size_t c1 = sol.spawn_context_after(1, c0);
-  sol.insert_in_context(c, 1, c1, 0);
+  sol.insert_in_context(c, 1, c1, 0, tg.task(c).hw.at(0).clbs);
 
   const SearchGraph sg = build_search_graph(tg, arch, sol);
   const TimeNs reconf = arch.reconfigurable(1).reconfiguration_time(50);
@@ -120,9 +120,9 @@ TEST_F(SearchGraphFixture, ContextBoundaryComputation) {
   Solution sol(tg.task_count());
   sol.insert_on_processor(d, 0, 0);
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(a, 1, c0, 0);
-  sol.insert_in_context(b, 1, c0, 0);
-  sol.insert_in_context(c, 1, c0, 0);
+  sol.insert_in_context(a, 1, c0, 0, tg.task(a).hw.at(0).clbs);
+  sol.insert_in_context(b, 1, c0, 0, tg.task(b).hw.at(0).clbs);
+  sol.insert_in_context(c, 1, c0, 0, tg.task(c).hw.at(0).clbs);
   const ContextBoundary bd = context_boundary(tg, sol, 1, c0);
   EXPECT_EQ(bd.initials, (std::vector<TaskId>{a}));
   EXPECT_EQ(bd.terminals, (std::vector<TaskId>{c}));
@@ -138,8 +138,8 @@ TEST_F(SearchGraphFixture, ParallelTasksAreBothInitialAndTerminal) {
   Solution sol(forked.task_count());
   sol.insert_on_processor(r, 0, 0);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(x, 1, ctx, 0);
-  sol.insert_in_context(y, 1, ctx, 0);
+  sol.insert_in_context(x, 1, ctx, 0, forked.task(x).hw.at(0).clbs);
+  sol.insert_in_context(y, 1, ctx, 0, forked.task(y).hw.at(0).clbs);
   const ContextBoundary bd = context_boundary(forked, sol, 1, ctx);
   EXPECT_EQ(bd.initials.size(), 2u);
   EXPECT_EQ(bd.terminals.size(), 2u);
@@ -179,9 +179,9 @@ TEST_F(SearchGraphFixture, CrossContextTransferChargedOnBus) {
   sol.insert_on_processor(c, 0, 0);
   sol.insert_on_processor(d, 0, 1);
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(a, 1, c0, 0);
+  sol.insert_in_context(a, 1, c0, 0, tg.task(a).hw.at(0).clbs);
   const std::size_t c1 = sol.spawn_context_after(1, c0);
-  sol.insert_in_context(b, 1, c1, 0);
+  sol.insert_in_context(b, 1, c1, 0, tg.task(b).hw.at(0).clbs);
   const SearchGraph sg = build_search_graph(tg, arch, sol);
   // a->b crosses contexts: staged through shared memory.
   EXPECT_EQ(sg.graph.edge_weight(0), from_ms(1.0));

@@ -94,12 +94,12 @@ TEST_F(SolutionFixture, ContextLifecycle) {
   Solution sol(tg.task_count());
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
   EXPECT_EQ(c0, 0u);
-  sol.insert_in_context(0, 1, c0, 0);
-  sol.insert_in_context(1, 1, c0, 1);
+  sol.insert_in_context(0, 1, c0, 0, tg.task(0).hw.at(0).clbs);
+  sol.insert_in_context(1, 1, c0, 1, tg.task(1).hw.at(1).clbs);
   EXPECT_EQ(sol.context_count(1), 1u);
   EXPECT_EQ(sol.context_tasks(1, 0).size(), 2u);
   // 50 CLB base: impl0 = 50, impl1 = 75 (ratio 1.5).
-  EXPECT_EQ(sol.context_clbs(tg, 1, 0), 50 + 75);
+  EXPECT_EQ(sol.context_clbs(1, 0), 50 + 75);
 
   EXPECT_THROW((void)sol.order_position(0), Error);  // not on a processor
 
@@ -115,8 +115,8 @@ TEST_F(SolutionFixture, ContextCollapseRenumbersPlacements) {
   Solution sol(tg.task_count());
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
   const std::size_t c1 = sol.spawn_context_after(1, c0);
-  sol.insert_in_context(0, 1, c0, 0);
-  sol.insert_in_context(1, 1, c1, 0);
+  sol.insert_in_context(0, 1, c0, 0, tg.task(0).hw.at(0).clbs);
+  sol.insert_in_context(1, 1, c1, 0, tg.task(1).hw.at(0).clbs);
   EXPECT_EQ(sol.placement(1).context, 1);
   sol.remove_task(0);  // context 0 dies, context 1 becomes 0
   EXPECT_EQ(sol.context_count(1), 1u);
@@ -128,12 +128,12 @@ TEST_F(SolutionFixture, SpawnInMiddleShiftsLaterContexts) {
   Solution sol(tg.task_count());
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
   const std::size_t c1 = sol.spawn_context_after(1, c0);
-  sol.insert_in_context(0, 1, c0, 0);
-  sol.insert_in_context(1, 1, c1, 0);
+  sol.insert_in_context(0, 1, c0, 0, tg.task(0).hw.at(0).clbs);
+  sol.insert_in_context(1, 1, c1, 0, tg.task(1).hw.at(0).clbs);
   const std::size_t mid = sol.spawn_context_after(1, c0);
   EXPECT_EQ(mid, 1u);
   EXPECT_EQ(sol.placement(1).context, 2);  // shifted
-  sol.insert_in_context(2, 1, mid, 0);
+  sol.insert_in_context(2, 1, mid, 0, tg.task(2).hw.at(0).clbs);
   sol.check_mirrors();
 }
 
@@ -141,8 +141,8 @@ TEST_F(SolutionFixture, SwapContexts) {
   Solution sol(tg.task_count());
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
   const std::size_t c1 = sol.spawn_context_after(1, c0);
-  sol.insert_in_context(0, 1, c0, 0);
-  sol.insert_in_context(1, 1, c1, 0);
+  sol.insert_in_context(0, 1, c0, 0, tg.task(0).hw.at(0).clbs);
+  sol.insert_in_context(1, 1, c1, 0, tg.task(1).hw.at(0).clbs);
   sol.swap_contexts(1, 0, 1);
   EXPECT_EQ(sol.context_tasks(1, 0)[0], 1u);
   EXPECT_EQ(sol.context_tasks(1, 1)[0], 0u);
@@ -177,10 +177,10 @@ TEST_F(SolutionFixture, RepositionWithinOrder) {
 TEST_F(SolutionFixture, SetImplOnlyOnRc) {
   Solution sol(tg.task_count());
   sol.insert_on_processor(0, 0, 0);
-  EXPECT_THROW(sol.set_impl(0, 1), Error);
+  EXPECT_THROW(sol.set_impl(0, 1, tg.task(0).hw.at(1).clbs), Error);
   const std::size_t c = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(1, 1, c, 0);
-  sol.set_impl(1, 2);
+  sol.insert_in_context(1, 1, c, 0, tg.task(1).hw.at(0).clbs);
+  sol.set_impl(1, 2, tg.task(1).hw.at(2).clbs);
   EXPECT_EQ(sol.placement(1).impl, 2u);
 }
 

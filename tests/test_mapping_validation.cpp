@@ -58,7 +58,7 @@ TEST_F(ValidationFixture, SoftwareOnlyTaskOnRcReported) {
   sol.insert_on_processor(0, 0, 0);
   sol.insert_on_processor(1, 0, 1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(2, 1, ctx, 0);  // "c" has no hw variant
+  sol.insert_in_context(2, 1, ctx, 0, /*clbs=*/0);  // "c" has no hw variant
   const auto bad = validate_solution(tg, arch, sol);
   ASSERT_FALSE(bad.empty());
   EXPECT_NE(bad[0].find("software-only"), std::string::npos);
@@ -69,7 +69,8 @@ TEST_F(ValidationFixture, ImplementationIndexOutOfRangeReported) {
   sol.insert_on_processor(1, 0, 0);
   sol.insert_on_processor(2, 0, 1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(0, 1, ctx, 7);  // only 2 implementations exist
+  // only 2 implementations exist
+  sol.insert_in_context(0, 1, ctx, 7, /*clbs=*/0);
   const auto bad = validate_solution(tg, arch, sol);
   ASSERT_FALSE(bad.empty());
   EXPECT_NE(bad[0].find("implementation index"), std::string::npos);
@@ -79,11 +80,29 @@ TEST_F(ValidationFixture, CapacityOverflowReported) {
   Solution sol(tg.task_count());
   sol.insert_on_processor(2, 0, 0);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(0, 1, ctx, 0);  // 60 CLBs
-  sol.insert_in_context(1, 1, ctx, 0);  // 60 CLBs -> 120 > 100
+  sol.insert_in_context(0, 1, ctx, 0, tg.task(0).hw.at(0).clbs);  // 60 CLBs
+  // 60 CLBs -> 120 > 100
+  sol.insert_in_context(1, 1, ctx, 0, tg.task(1).hw.at(0).clbs);
   const auto bad = validate_solution(tg, arch, sol);
   ASSERT_FALSE(bad.empty());
   EXPECT_NE(bad[0].find("CLBs > capacity"), std::string::npos);
+}
+
+TEST_F(ValidationFixture, ClbSumOutOfStepWithImplementationsReported) {
+  // Understated CLB counts make the Solution's sum read 80 of 100 CLBs;
+  // the validator sums the implementations (120) itself, so it reports
+  // both the disagreement and the overflow the sum would hide.
+  Solution sol(tg.task_count());
+  sol.insert_on_processor(2, 0, 0);
+  const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
+  sol.insert_in_context(0, 1, ctx, 0, /*clbs=*/40);
+  sol.insert_in_context(1, 1, ctx, 0, /*clbs=*/40);
+  ASSERT_EQ(sol.context_clbs(1, ctx), 80);
+  const auto bad = validate_structure(tg, arch, sol);
+  ASSERT_EQ(bad.size(), 2u);
+  EXPECT_NE(bad[0].find("records 80 CLBs, its implementations occupy 120"),
+            std::string::npos);
+  EXPECT_NE(bad[1].find("120 CLBs > capacity"), std::string::npos);
 }
 
 TEST_F(ValidationFixture, CyclicRealizationReported) {

@@ -67,9 +67,9 @@ TEST(MultiResource, TwoFpgasReconfigureIndependently) {
   const ResourceId f1 = arch.add_reconfigurable("fpga1", 200, from_us(10));
   Solution sol(tg.task_count());
   const std::size_t c0 = sol.spawn_context_after(f0, Solution::kFront);
-  sol.insert_in_context(0, f0, c0, 0);
+  sol.insert_in_context(0, f0, c0, 0, tg.task(0).hw.at(0).clbs);
   const std::size_t c1 = sol.spawn_context_after(f1, Solution::kFront);
-  sol.insert_in_context(1, f1, c1, 0);
+  sol.insert_in_context(1, f1, c1, 0, tg.task(1).hw.at(0).clbs);
   const Evaluator ev(tg, arch);
   const auto m = ev.evaluate(sol);
   ASSERT_TRUE(m.has_value());
@@ -113,7 +113,7 @@ TEST(MultiResource, TimelineShowsAllLanes) {
   Solution sol(tg.task_count());
   sol.insert_on_processor(a, 0, 0);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(b, 1, ctx, 0);
+  sol.insert_in_context(b, 1, ctx, 0, tg.task(b).hw.at(0).clbs);
   sol.insert_on_asic(c, asic, 0);
   const Timeline tl = build_timeline(tg, arch, sol);
   const std::string art = tl.to_ascii(70);

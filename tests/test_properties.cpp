@@ -266,8 +266,6 @@ TEST(IncrementalVsFullEval, BitIdenticalOn100RandomGraphs) {
       // booked reconciles' chains, and the counters move together.
       EXPECT_GE(stats->reconciles, 1);
       EXPECT_GE(stats->seq_edges_kept, 0);
-      EXPECT_EQ(stats->clbs_reused + stats->clbs_computed,
-                stats->bounds_reused + stats->bounds_computed);
     }
   }
   EXPECT_EQ(instances, 100);

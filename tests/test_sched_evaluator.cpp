@@ -59,7 +59,8 @@ TEST_F(EvaluatorFixture, SingleHwTaskHandComputed) {
   sol.insert_on_processor(a, 0, 0);
   sol.insert_on_processor(c, 0, 1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(b, 1, ctx, 0);  // 100 CLB, 8/8 = 1 ms
+  // 100 CLB, 8/8 = 1 ms
+  sol.insert_in_context(b, 1, ctx, 0, tg.task(b).hw.at(0).clbs);
 
   const auto m = ev.evaluate(sol);
   ASSERT_TRUE(m.has_value());
@@ -83,7 +84,7 @@ TEST_F(EvaluatorFixture, ReleaseDominatesWhenReconfigSlow) {
   sol.insert_on_processor(a, 0, 0);
   sol.insert_on_processor(c, 0, 1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(b, 1, ctx, 0);
+  sol.insert_in_context(b, 1, ctx, 0, tg.task(b).hw.at(0).clbs);
   const auto m = ev2.evaluate(sol);
   ASSERT_TRUE(m.has_value());
   // b cannot start before the 10 ms initial load: 10 + 1 + 2 + 3 = 16.
@@ -95,9 +96,10 @@ TEST_F(EvaluatorFixture, TwoContextsAddDynamicReconfig) {
   Solution sol(tg.task_count());
   sol.insert_on_processor(a, 0, 0);
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(b, 1, c0, 0);
+  sol.insert_in_context(b, 1, c0, 0, tg.task(b).hw.at(0).clbs);
   const std::size_t c1 = sol.spawn_context_after(1, c0);
-  sol.insert_in_context(c, 1, c1, 0);  // 100 CLB context
+  // 100 CLB context
+  sol.insert_in_context(c, 1, c1, 0, tg.task(c).hw.at(0).clbs);
   const auto m = ev.evaluate(sol);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->n_contexts, 2);
@@ -127,8 +129,9 @@ TEST_F(EvaluatorFixture, HwParallelismInsideContext) {
   Evaluator ev2(g2, arch);
   Solution sol(g2.task_count());
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(x, 1, ctx, 0);  // 1 ms each at speedup 4
-  sol.insert_in_context(y, 1, ctx, 0);
+  // 1 ms each at speedup 4
+  sol.insert_in_context(x, 1, ctx, 0, g2.task(x).hw.at(0).clbs);
+  sol.insert_in_context(y, 1, ctx, 0, g2.task(y).hw.at(0).clbs);
   const auto m = ev2.evaluate(sol);
   ASSERT_TRUE(m.has_value());
   // release 2 ms (200 CLBs at 10 us), then both run in parallel for 1 ms.

@@ -262,11 +262,12 @@ TEST(ChainDiff, RollbackRestoresChainOrderExactly) {
 
 // ---- per-context CLB sums as deltas ----------------------------------------
 
-TEST(ClbDeltas, MirrorAndCountersStayExactUnderRollbackChurn) {
-  // The per-context CLB mirror is maintained incrementally by the move
-  // mutators; a single missed update would silently skew reconfiguration
-  // times. Churn through rejection-heavy annealing and audit every warm
-  // slot against a from-scratch sum over the context members.
+TEST(ClbDeltas, MirrorStaysExactUnderRollbackChurn) {
+  // The per-context CLB sums are maintained as deltas by the mutators and
+  // are the only copy the evaluators read; a single missed update would
+  // silently skew reconfiguration times. Churn through rejection-heavy
+  // annealing and, after every step, audit every context of the current
+  // state against a walk over the task graph.
   for (std::uint64_t seed = 401; seed <= 410; ++seed) {
     const Application app = chained_app(18, seed);
     Architecture arch =
@@ -276,48 +277,36 @@ TEST(ClbDeltas, MirrorAndCountersStayExactUnderRollbackChurn) {
         Solution::random_partition(app.graph, arch, 0, 1, init);
     DseProblem prob(app.graph, arch, initial, {}, {}, false, false);
     const TaskGraph& tg = app.graph;
-    constexpr ResourceId kRc = 1;
 
-    const auto audit_mirror = [&] {
+    const auto audit_mirror = [&](int step) {
       const Solution& cur = prob.current_solution();
-      for (std::size_t c = 0; c < cur.context_count(kRc); ++c) {
-        std::int32_t want = 0;
-        for (TaskId t : cur.context_tasks(kRc, c)) {
-          want += tg.task(t).hw.at(cur.placement(t).impl).clbs;
+      for (ResourceId rc : prob.current_architecture().reconfigurable_ids()) {
+        for (std::size_t c = 0; c < cur.context_count(rc); ++c) {
+          std::int32_t want = 0;
+          for (TaskId t : cur.context_tasks(rc, c)) {
+            want += tg.task(t).hw.at(cur.placement(t).impl).clbs;
+          }
+          ASSERT_EQ(cur.context_clbs(rc, c), want)
+              << "seed " << seed << ", step " << step << ", context " << c;
         }
-        const std::int32_t cached = cur.context_clbs_cached(kRc, c);
-        if (cached >= 0) {
-          ASSERT_EQ(cached, want) << "seed " << seed << ", context " << c;
-        }
-        ASSERT_EQ(cur.context_clbs(tg, kRc, c), want);
       }
     };
 
+    audit_mirror(-1);
     Rng rng(seed * 97 + 1);
     Rng coin(seed ^ 0xF00Du);
-    IncrementalEvalStats last{};
     for (int i = 0; i < 400; ++i) {
-      if (!prob.propose(rng)) continue;
-      // Bias to rejection: the mirror must survive rollback churn.
-      if (coin.bernoulli(0.3)) {
-        prob.accept();
-      } else {
-        prob.reject();
+      if (prob.propose(rng)) {
+        // Bias to rejection: the mirror must survive rollback churn.
+        if (coin.bernoulli(0.3)) {
+          prob.accept();
+        } else {
+          prob.reject();
+        }
       }
-      const auto stats = prob.incremental_stats();
-      ASSERT_TRUE(stats.has_value());
-      // Counter lockstep: every realized context classifies its CLB sum
-      // exactly once — reused or computed, never both, never neither —
-      // and the counters only move forward.
-      ASSERT_EQ(stats->clbs_reused + stats->clbs_computed,
-                stats->bounds_reused + stats->bounds_computed)
-          << "seed " << seed << ", move " << i;
-      ASSERT_GE(stats->clbs_reused, last.clbs_reused);
-      ASSERT_GE(stats->clbs_computed, last.clbs_computed);
-      last = *stats;
-      if (i % 50 == 0) audit_mirror();
+      audit_mirror(i);
+      if (::testing::Test::HasFatalFailure()) break;
     }
-    audit_mirror();
     if (::testing::Test::HasFailure()) {
       FAIL() << "instance seed " << seed;
     }

@@ -44,7 +44,7 @@ TEST(Timeline, MatchesLongestPathWithoutContention) {
   sol.insert_on_processor(a, 0, 0);
   sol.insert_on_processor(c, 0, 1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(b, 1, ctx, 0);
+  sol.insert_in_context(b, 1, ctx, 0, tg.task(b).hw.at(0).clbs);
 
   const Evaluator ev(tg, arch);
   const auto m = ev.evaluate(sol);
@@ -69,8 +69,8 @@ TEST(Timeline, BusContentionSerializesTransfers) {
   sol.insert_on_processor(p1, 0, 0);
   sol.insert_on_processor(p2, 0, 1);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(c1, 1, ctx, 0);
-  sol.insert_in_context(c2, 1, ctx, 0);
+  sol.insert_in_context(c1, 1, ctx, 0, tg.task(c1).hw.at(0).clbs);
+  sol.insert_in_context(c2, 1, ctx, 0, tg.task(c2).hw.at(0).clbs);
 
   const Evaluator ev(tg, arch);
   const auto m = ev.evaluate(sol);
@@ -107,9 +107,9 @@ TEST(Timeline, ReconfigurationSlotsAppear) {
   Architecture arch = make_cpu_fpga_architecture(150, from_us(10), 1'000'000);
   Solution sol(tg.task_count());
   const std::size_t c0 = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(a, 1, c0, 0);
+  sol.insert_in_context(a, 1, c0, 0, tg.task(a).hw.at(0).clbs);
   const std::size_t c1 = sol.spawn_context_after(1, c0);
-  sol.insert_in_context(b, 1, c1, 0);
+  sol.insert_in_context(b, 1, c1, 0, tg.task(b).hw.at(0).clbs);
 
   const Timeline tl = build_timeline(tg, arch, sol);
   int reconf_slots = 0;
@@ -131,7 +131,7 @@ TEST(Timeline, AsciiRenderingContainsLanes) {
   Solution sol(tg.task_count());
   sol.insert_on_processor(a, 0, 0);
   const std::size_t ctx = sol.spawn_context_after(1, Solution::kFront);
-  sol.insert_in_context(b, 1, ctx, 0);
+  sol.insert_in_context(b, 1, ctx, 0, tg.task(b).hw.at(0).clbs);
   const Timeline tl = build_timeline(tg, arch, sol);
   const std::string art = tl.to_ascii(60);
   EXPECT_NE(art.find("cpu0"), std::string::npos);
@@ -161,7 +161,7 @@ TEST(Timeline, LanesFollowResourceThenContextNumber) {
   std::size_t ctx = Solution::kFront;
   for (TaskId t = 1; t < tg.task_count(); ++t) {
     ctx = sol.spawn_context_after(1, ctx);
-    sol.insert_in_context(t, 1, ctx, 0);
+    sol.insert_in_context(t, 1, ctx, 0, tg.task(t).hw.at(0).clbs);
   }
 
   const Timeline tl = build_timeline(tg, arch, sol);

@@ -102,7 +102,7 @@ struct ModelReport {
   double rank_refresh_rate = 0.0;
   double rank_repair_nodes_per_probe = 0.0;  ///< Pearce–Kelly reorder cost
   double makespan_rescan_rate = 0.0;  ///< probes that fell back to O(V) scan
-  double seq_diff_hit_rate = 0.0;     ///< chain edges kept / chain edges seen
+  double seq_diff_hit_rate = 0.0;  ///< chain edges kept / (kept + removed)
   double seq_edges_added_per_eval = 0.0;
   double seq_edges_reweighted_per_eval = 0.0;  ///< in-place weight patches
   // Micro-profile (one dedicated profiled pass; informational, not gated —
@@ -113,6 +113,8 @@ struct ModelReport {
   double profile_relax_ns_per_eval = 0.0;      ///< delta relaxation
   /// Candidates rejected by the parked-edge order check, never relaxed.
   std::int64_t order_rejects = 0;
+  /// Candidates rejected by the context-order check, never relaxed.
+  std::int64_t context_rejects = 0;
   /// Communication edges parked at the end of the run, of `comm_edges`.
   std::int64_t comm_edges_parked = 0;
   std::size_t comm_edges = 0;
@@ -194,6 +196,7 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
         static_cast<double>(stats->seq_edges_reweighted) /
         static_cast<double>(stats->builds);
     rep.order_rejects = stats->order_rejects;
+    rep.context_rejects = stats->context_rejects;
     rep.comm_edges_parked = stats->comm_edges_parked;
   }
 
@@ -243,11 +246,12 @@ void print_table(const std::vector<ModelReport>& reports) {
                 r.profile_reconcile_ns_per_eval, r.profile_context_ns_per_eval,
                 r.profile_relax_ns_per_eval);
   }
-  std::printf("%-16s %5s | %13s %18s\n", "sparse graph", "", "order rejects",
-              "comm edges parked");
+  std::printf("%-16s %5s | %13s %15s %18s\n", "early rejects", "",
+              "order rejects", "context rejects", "comm edges parked");
   for (const ModelReport& r : reports) {
-    std::printf("%-16s %5s | %13lld %10lld / %5zu\n", r.model.c_str(), "",
-                static_cast<long long>(r.order_rejects),
+    std::printf("%-16s %5s | %13lld %15lld %10lld / %5zu\n", r.model.c_str(),
+                "", static_cast<long long>(r.order_rejects),
+                static_cast<long long>(r.context_rejects),
                 static_cast<long long>(r.comm_edges_parked), r.comm_edges);
   }
   std::printf("\n");
@@ -291,6 +295,7 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("profile_context_ns_per_eval", r.profile_context_ns_per_eval);
     row.set("profile_relax_ns_per_eval", r.profile_relax_ns_per_eval);
     row.set("order_rejects", r.order_rejects);
+    row.set("context_rejects", r.context_rejects);
     row.set("comm_edges_parked", r.comm_edges_parked);
     results.push_back(std::move(row));
   }

@@ -98,14 +98,7 @@ void compute_rc_realization(const TaskGraph& tg, const Solution& sol,
 
 }  // namespace
 
-void SearchGraphCache::begin_build(std::span<const ResourceId> dirty) {
-  dirty_.assign(dirty.begin(), dirty.end());
-  staged_live_.clear();
-}
-
-bool SearchGraphCache::is_dirty(ResourceId rc) const {
-  return std::find(dirty_.begin(), dirty_.end(), rc) != dirty_.end();
-}
+void SearchGraphCache::begin_build() { staged_live_.clear(); }
 
 void SearchGraphCache::ensure_slot(ResourceId rc) {
   if (rc >= committed_.size()) {
@@ -125,22 +118,13 @@ const RcRealization* SearchGraphCache::committed_entry(ResourceId rc) const {
 const RcRealization& SearchGraphCache::realize(const TaskGraph& tg,
                                                const Solution& sol,
                                                ResourceId rc) {
-  // Already realized during this build (e.g. once for edge surgery, once
-  // for context accounting).
+  // Asked again in this build: serve the staged entry (recomputing it would
+  // list `rc` twice for commit, whose second swap would undo the first).
   if (std::find(staged_live_.begin(), staged_live_.end(), rc) !=
       staged_live_.end()) {
     return staged_[rc];
   }
   ensure_slot(rc);
-  if (!is_dirty(rc)) {
-    // Size check: insurance against a stale entry for a reused resource id
-    // (a dirty marking is expected whenever the realization changed).
-    if (committed_present_[rc] != 0 &&
-        committed_[rc].bounds.size() == sol.context_count(rc)) {
-      ++hits_;
-      return committed_[rc];
-    }
-  }
   ++misses_;
   RcRealization& out = staged_[rc];
   compute_rc_realization(tg, sol, rc, out, committed_entry(rc),
@@ -176,9 +160,7 @@ void SearchGraphCache::adopt(SearchGraphCache&& fresh) {
   committed_ = std::move(fresh.committed_);
   committed_present_ = std::move(fresh.committed_present_);
   staged_ = std::move(fresh.staged_);
-  dirty_.clear();
   staged_live_.clear();
-  hits_ += fresh.hits_;
   misses_ += fresh.misses_;
   bounds_reused_ += fresh.bounds_reused_;
   bounds_computed_ += fresh.bounds_computed_;
@@ -292,8 +274,7 @@ void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
 }
 
 void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
-                             const Architecture& arch, const Solution& sol,
-                             SearchGraphCache* cache) {
+                             const Architecture& arch, const Solution& sol) {
   begin_search_graph(sg, tg, arch, sol);
   sg.graph = tg.digraph();  // value copy: application edges keep their ids
 
@@ -305,7 +286,7 @@ void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
     sg.comm_cross += w;
   }
 
-  add_sequentialization_edges(sg, tg, arch, sol, cache);
+  add_sequentialization_edges(sg, tg, arch, sol);
 }
 
 }  // namespace rdse

@@ -33,7 +33,6 @@
 /// add_sequentialization_edges; only the application-edge pass differs.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "arch/architecture.hpp"
@@ -106,27 +105,28 @@ void context_boundary_into(const TaskGraph& tg, const Solution& sol,
 
 /// Everything the builder derives per reconfigurable circuit from the
 /// member sets: the boundary of each context. (A context's CLB occupancy is
-/// read from the Solution, which keeps it exact.) Memoized across moves by
-/// SearchGraphCache, since a local move leaves most RCs untouched; the
-/// member lists are kept so a recomputation can reuse the boundary of any
-/// context whose membership is unchanged (boundaries depend only on the
-/// member set and the application graph, not on the context index).
+/// read from the Solution, which keeps it exact.) Kept across moves by
+/// SearchGraphCache; the member lists are kept so a recomputation can reuse
+/// the boundary of any context whose membership is unchanged (boundaries
+/// depend only on the member set and the application graph, not on the
+/// context index).
 struct RcRealization {
   std::vector<std::vector<TaskId>> members;  ///< one per context
   std::vector<ContextBoundary> bounds;       ///< one per context
 };
 
-/// Double-buffered memo of per-RC realizations for the incremental hot path.
-/// `begin_build(dirty)` opens a candidate build: RCs listed dirty (or absent
-/// from the committed entries) are recomputed into a staging slot, the rest
-/// are served from the committed entries. `commit()` adopts the staged
+/// Double-buffered per-RC realizations for the incremental hot path.
+/// `begin_build()` opens a candidate build: every RC realized in it is
+/// recomputed into a staging slot, copying the committed boundary of each
+/// context whose members did not change. `commit()` adopts the staged
 /// entries after the candidate is accepted; `discard()` is O(1). Staged
 /// storage is recycled between builds, so steady-state builds allocate
 /// nothing.
 class SearchGraphCache {
  public:
-  void begin_build(std::span<const ResourceId> dirty);
-  /// Realization of `rc` valid for `sol` (cached or freshly computed).
+  void begin_build();
+  /// Realization of `rc` valid for `sol`, computed on the first request of
+  /// the build.
   const RcRealization& realize(const TaskGraph& tg, const Solution& sol,
                                ResourceId rc);
   /// Committed realization of `rc` (state of the last commit), or nullptr.
@@ -142,7 +142,7 @@ class SearchGraphCache {
   /// state never touched this one) and add its counters to this cache's.
   void adopt(SearchGraphCache&& fresh);
 
-  [[nodiscard]] std::int64_t hits() const { return hits_; }
+  /// RC realizations computed.
   [[nodiscard]] std::int64_t misses() const { return misses_; }
   /// Boundaries copied from a content-matched committed context vs computed
   /// from scratch during recomputations.
@@ -152,7 +152,6 @@ class SearchGraphCache {
   }
 
  private:
-  [[nodiscard]] bool is_dirty(ResourceId rc) const;
   /// Grow the flat slots to cover `rc` (ids are dense and never reused, so
   /// a vector indexed by ResourceId replaces a tree map on the hot path).
   void ensure_slot(ResourceId rc);
@@ -160,9 +159,7 @@ class SearchGraphCache {
   std::vector<RcRealization> committed_;
   std::vector<std::uint8_t> committed_present_;  ///< flat-slot occupancy
   std::vector<RcRealization> staged_;
-  std::vector<ResourceId> dirty_;
   std::vector<ResourceId> staged_live_;  ///< staged keys filled this build
-  std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
   std::int64_t bounds_reused_ = 0;
   std::int64_t bounds_computed_ = 0;
@@ -196,12 +193,10 @@ class SearchGraphCache {
                                              const Architecture& arch,
                                              const Solution& sol);
 
-/// Same, building into `sg` with storage reuse (the hot-path variant: after
-/// warm-up no allocation is needed). When `cache` is non-null it must be
-/// inside a begin_build() window; per-RC realizations are served from it.
+/// Same, building into `sg` with storage reuse (after warm-up no
+/// allocation is needed).
 void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
-                             const Architecture& arch, const Solution& sol,
-                             SearchGraphCache* cache = nullptr);
+                             const Architecture& arch, const Solution& sol);
 
 /// The two halves of every realization, around its application edges.
 /// build_search_graph_into and the incremental evaluator's sparse reset
@@ -216,7 +211,7 @@ void begin_search_graph(SearchGraph& sg, const TaskGraph& tg,
 /// add_sequentialization_edges: the Esw chains, the Ehw edges, the
 /// first-context releases and the context accounting, appended after the
 /// application edges in chain order. With a non-null `cache` (inside a
-/// begin_build() window) the per-RC realizations are served from it.
+/// begin_build() window) the per-RC realizations are staged in it.
 void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
                                  const Architecture& arch,
                                  const Solution& sol,

@@ -55,7 +55,7 @@ std::optional<Metrics> IncrementalEvaluator::reset(const Architecture& arch,
     }
   }
   SearchGraphCache realized;
-  realized.begin_build({});
+  realized.begin_build();
   add_sequentialization_edges(next, *tg_, arch, sol, &realized);
   if (!is_acyclic(next.graph)) return std::nullopt;
 
@@ -70,17 +70,25 @@ std::optional<Metrics> IncrementalEvaluator::reset(const Architecture& arch,
                         sg_.graph.edge_weights(), sg_.release};
   relaxer_.reset(dag);
 
-  // Index the sequentialization edges by owning resource: an Esw edge
-  // belongs to its source's processor, an Ehw edge to its source's RC.
-  // They follow the application edges with ascending ids, each resource's
-  // in chain order, so this id-ordered scan reproduces chain order per
-  // list — the invariant the two-pointer reconciliation diff relies on.
+  // Index the sequentialization edges: an Esw edge is its endpoints'
+  // links, an Ehw edge joins its source RC's list. They follow the
+  // application edges with ascending ids, each RC's in chain order, so this
+  // id-ordered scan reproduces chain order per list — the invariant the
+  // position diff relies on.
+  chain_out_.assign(tg_->task_count(), kInvalidEdge);
+  chain_in_.assign(tg_->task_count(), kInvalidEdge);
   for (auto& list : seq_edges_) list.clear();
   if (seq_edges_.size() < arch.slot_count()) {
     seq_edges_.resize(arch.slot_count());
   }
   for (EdgeId e = tg_->comm_count(); e < sg_.graph.edge_capacity(); ++e) {
-    seq_list(sol.placement(sg_.graph.edge(e).src).resource).push_back(e);
+    const Digraph::Edge& ed = sg_.graph.edge(e);
+    if (sg_.edge_kind[e] == SearchEdgeKind::kSwSeq) {
+      chain_out_[ed.src] = e;
+      chain_in_[ed.dst] = e;
+    } else {
+      seq_list(sol.placement(ed.src).resource).push_back(e);
+    }
   }
 
   // Task-partition sums (maintained as deltas from here on).
@@ -115,19 +123,23 @@ Metrics IncrementalEvaluator::metrics(TimeNs makespan) const {
   return m;
 }
 
-bool IncrementalEvaluator::order_conflict(const Solution& cand_sol, TaskId t,
-                                          ResourceId proc) const {
+bool IncrementalEvaluator::rank_conflict(const Solution& cand_sol, TaskId t,
+                                         bool on_processor) const {
   const Digraph& app = tg_->digraph();
-  const std::size_t pos = cand_sol.order_position(t);
+  const ResourceId r = cand_sol.placement(t).resource;
+  const auto rank = [&](TaskId u) -> std::size_t {
+    return on_processor
+               ? cand_sol.order_position(u)
+               : static_cast<std::size_t>(cand_sol.placement(u).context);
+  };
+  const std::size_t own = rank(t);
   for (const HalfEdge& h : app.in_half(t)) {
-    if (cand_sol.placement(h.node).resource == proc &&
-        cand_sol.order_position(h.node) > pos) {
+    if (cand_sol.placement(h.node).resource == r && rank(h.node) > own) {
       return true;
     }
   }
   for (const HalfEdge& h : app.out_half(t)) {
-    if (cand_sol.placement(h.node).resource == proc &&
-        cand_sol.order_position(h.node) < pos) {
+    if (cand_sol.placement(h.node).resource == r && rank(h.node) < own) {
       return true;
     }
   }
@@ -193,55 +205,124 @@ std::vector<EdgeId>& IncrementalEvaluator::seq_list(ResourceId r) {
   return seq_edges_[r];
 }
 
-// The two-pointer chain diff, generic over how the desired chain is
-// described: `Desired` supplies the target length, a classification of a
-// live chain edge against a position, and the materialized record for
-// positions inside the differing window. The processor fast path streams
-// the desired chain straight out of the solution's flat order array (no
-// DesiredEdge vector is built, and a position match is two id compares);
-// RC context chains keep the materialized desired_ vector, whose entries
-// carry per-edge reconfiguration weights.
-//
-// Classification is three-way: an edge whose endpoints and kind match but
-// whose weight differs (the common case when a context's reconfiguration
-// time changed under an implementation move) is *re-weighted in place*
-// instead of torn down and re-inserted — it stays out of new_edges, so it
-// can neither violate the committed ranks nor trigger a Pearce-Kelly
-// repair, and the graph sees no structural churn at all.
-template <typename Desired>
-void IncrementalEvaluator::reconcile_chain(ResourceId r,
-                                           const Desired& desired) {
+EdgeId IncrementalEvaluator::link(TaskId src, TaskId dst) {
+  RDSE_DCHECK(chain_out_[src] == kInvalidEdge && chain_in_[dst] == kInvalidEdge,
+              "Esw link added over a live one");
+  const EdgeId id = sg_.add_weighted_edge(src, dst, 0, SearchEdgeKind::kSwSeq);
+  chain_out_[src] = id;
+  chain_in_[dst] = id;
+  return id;
+}
+
+void IncrementalEvaluator::unlink(EdgeId e) {
+  const Digraph::Edge ed = sg_.graph.edge_unchecked(e);
+  chain_out_[ed.src] = kInvalidEdge;
+  chain_in_[ed.dst] = kInvalidEdge;
+  sg_.graph.remove_edge(e);
+}
+
+// Processor chains by edge identity. A task's successor can change only if
+// the task moved, or if a moved task left or entered the slot right after
+// it: the mutators keep the relative order of every untouched task on its
+// processor. So the dirty tasks are the moved ones, each one's committed
+// predecessor (chain_in_) and its candidate predecessor (the order mirror).
+void IncrementalEvaluator::reconcile_links(
+    const Solution& cand_sol, std::span<const TaskId> touched_tasks) {
+  dirty_.clear();
+  const auto mark = [&](TaskId t) {
+    for (const DirtyLink& d : dirty_) {
+      if (d.task == t) return;
+    }
+    dirty_.push_back({t, kInvalidNode});
+  };
+  for (TaskId t : touched_tasks) {
+    mark(t);
+    if (chain_in_[t] != kInvalidEdge) {
+      mark(sg_.graph.edge_unchecked(chain_in_[t]).src);
+    }
+    if (task_on_proc_[t] != 0) {
+      const std::size_t pos = cand_sol.order_position(t);
+      if (pos > 0) {
+        mark(cand_sol.processor_order(cand_sol.placement(t).resource)[pos - 1]);
+      }
+    }
+  }
+  if (dirty_.empty()) return;
+  ++reconciles_;
+
+  // Remove every stale link first...
+  for (DirtyLink& d : dirty_) {
+    if (task_on_proc_[d.task] != 0) {
+      const auto order =
+          cand_sol.processor_order(cand_sol.placement(d.task).resource);
+      const std::size_t pos = cand_sol.order_position(d.task);
+      if (pos + 1 < order.size()) d.next = order[pos + 1];
+    }
+    const EdgeId e = chain_out_[d.task];
+    if (e == kInvalidEdge) continue;
+    const NodeId dst = sg_.graph.edge_unchecked(e).dst;
+    if (dst == d.next) {
+      ++seq_kept_;
+      continue;
+    }
+    removed_links_.emplace_back(d.task, dst);
+    seeds_.push_back(dst);
+    unlink(e);
+    ++seq_removed_;
+  }
+  // ...then add the missing ones: each successor's old in-link is gone by
+  // now, since its old predecessor is dirty too.
+  for (const DirtyLink& d : dirty_) {
+    if (d.next == kInvalidNode || chain_out_[d.task] != kInvalidEdge) continue;
+    const EdgeId id = link(d.task, d.next);
+    added_links_.push_back(id);
+    new_edges_.push_back(id);
+    seeds_.push_back(d.next);
+    ++seq_added_;
+  }
+}
+
+void IncrementalEvaluator::stage_seq_weight(EdgeId e, TimeNs w) {
+  // In-place re-weighting of a surviving Ehw edge (same undo record as
+  // communication weights; unlike those it leaves comm_cross untouched).
+  comm_undo_.push_back({e, sg_.graph.edge_weight(e), EdgeOp::kWeight});
+  sg_.graph.set_edge_weight(e, w);
+  seeds_.push_back(sg_.graph.edge_unchecked(e).dst);
+  ++seq_reweighted_;
+}
+
+// An RC's Ehw list against desired_, by position: a local change to its
+// contexts leaves a common prefix and suffix, and only the window in
+// between needs surgery. An edge whose endpoints match but whose weight
+// differs (the common case when a context's reconfiguration time changed
+// under an implementation move) is re-weighted in place instead of torn
+// down and re-inserted: it stays out of new_edges_, so it can neither
+// violate the committed ranks nor trigger a Pearce-Kelly repair.
+void IncrementalEvaluator::reconcile_seq_edges(ResourceId r) {
   auto& list = seq_list(r);
   ++reconciles_;
   const std::size_t n_old = list.size();
-  const std::size_t n_new = desired.size();
-
-  // Two-pointer diff: both chains run in chain order, so a local move
-  // leaves a common prefix and suffix, and only the window in between
-  // needs surgery. Weight-only differences extend the structural prefix /
-  // suffix (patched in place under the weight undo log).
+  const std::size_t n_new = desired_.size();
+  const auto keep = [&](EdgeId id, const DesiredEdge& d) {
+    const Digraph::Edge& ed = sg_.graph.edge_unchecked(id);
+    RDSE_DCHECK(sg_.edge_kind[id] == SearchEdgeKind::kHwSeq,
+                "RC chain holds a non-Ehw edge");
+    if (d.src != ed.src || d.dst != ed.dst) return false;
+    if (d.weight != sg_.graph.edge_weight(id)) stage_seq_weight(id, d.weight);
+    return true;
+  };
   std::size_t prefix = 0;
-  while (prefix < n_old && prefix < n_new) {
-    const ChainMatch m = desired.classify(list[prefix], prefix);
-    if (m == ChainMatch::kMismatch) break;
-    if (m == ChainMatch::kWeightOnly) {
-      stage_seq_weight(list[prefix], desired.get(prefix).weight);
-    }
+  while (prefix < n_old && prefix < n_new &&
+         keep(list[prefix], desired_[prefix])) {
     ++prefix;
   }
   std::size_t suffix = 0;
-  while (suffix < n_old - prefix && suffix < n_new - prefix) {
-    const ChainMatch m =
-        desired.classify(list[n_old - 1 - suffix], n_new - 1 - suffix);
-    if (m == ChainMatch::kMismatch) break;
-    if (m == ChainMatch::kWeightOnly) {
-      stage_seq_weight(list[n_old - 1 - suffix],
-                       desired.get(n_new - 1 - suffix).weight);
-    }
+  while (suffix < n_old - prefix && suffix < n_new - prefix &&
+         keep(list[n_old - 1 - suffix], desired_[n_new - 1 - suffix])) {
     ++suffix;
   }
   seq_kept_ += static_cast<std::int64_t>(prefix + suffix);
-  if (prefix == n_old && prefix == n_new) return;  // chains identical
+  if (prefix == n_old && prefix == n_new) return;  // lists identical
 
   ReconcileUndo undo;
   undo.res = r;
@@ -250,12 +331,11 @@ void IncrementalEvaluator::reconcile_chain(ResourceId r,
   undo.removed_begin = static_cast<std::uint32_t>(removed_seq_.size());
   undo.added_begin = static_cast<std::uint32_t>(added_ids_.size());
 
-  // Tear down the differing window of the old chain...
+  // Tear down the differing window of the old list...
   for (std::size_t i = prefix; i < n_old - suffix; ++i) {
     const EdgeId id = list[i];
     const Digraph::Edge& ed = sg_.graph.edge_unchecked(id);
-    removed_seq_.push_back(
-        {ed.src, ed.dst, sg_.graph.edge_weight(id), sg_.edge_kind[id]});
+    removed_seq_.push_back({ed.src, ed.dst, sg_.graph.edge_weight(id)});
     seeds_.push_back(ed.dst);
     sg_.graph.remove_edge(id);
   }
@@ -266,8 +346,9 @@ void IncrementalEvaluator::reconcile_chain(ResourceId r,
   splice_.insert(splice_.end(), list.begin(),
                  list.begin() + static_cast<std::ptrdiff_t>(prefix));
   for (std::size_t k = prefix; k < n_new - suffix; ++k) {
-    const DesiredEdge d = desired.get(k);
-    const EdgeId id = sg_.add_weighted_edge(d.src, d.dst, d.weight, d.kind);
+    const DesiredEdge& d = desired_[k];
+    const EdgeId id =
+        sg_.add_weighted_edge(d.src, d.dst, d.weight, SearchEdgeKind::kHwSeq);
     splice_.push_back(id);
     added_ids_.push_back(id);
     new_edges_.push_back(id);
@@ -282,68 +363,6 @@ void IncrementalEvaluator::reconcile_chain(ResourceId r,
   undo.removed_end = static_cast<std::uint32_t>(removed_seq_.size());
   undo.added_end = static_cast<std::uint32_t>(added_ids_.size());
   reconcile_undo_.push_back(undo);
-}
-
-void IncrementalEvaluator::stage_seq_weight(EdgeId e, TimeNs w) {
-  // In-place re-weighting of a surviving sequentialization edge (same undo
-  // record as communication weights; unlike those it leaves comm_cross
-  // untouched).
-  comm_undo_.push_back({e, sg_.graph.edge_weight(e), EdgeOp::kWeight});
-  sg_.graph.set_edge_weight(e, w);
-  seeds_.push_back(sg_.graph.edge_unchecked(e).dst);
-  ++seq_reweighted_;
-}
-
-void IncrementalEvaluator::reconcile_seq_edges(ResourceId r) {
-  // Generic (materialized) desired chain — RC context chains and teardowns.
-  struct MaterializedDesired {
-    const IncrementalEvaluator* self;
-    const std::vector<DesiredEdge>* desired;
-    std::size_t size() const { return desired->size(); }
-    ChainMatch classify(EdgeId id, std::size_t k) const {
-      const DesiredEdge& d = (*desired)[k];
-      const Digraph::Edge& ed = self->sg_.graph.edge_unchecked(id);
-      if (d.src != ed.src || d.dst != ed.dst ||
-          d.kind != self->sg_.edge_kind[id]) {
-        return ChainMatch::kMismatch;
-      }
-      return d.weight == self->sg_.graph.edge_weight(id)
-                 ? ChainMatch::kExact
-                 : ChainMatch::kWeightOnly;
-    }
-    DesiredEdge get(std::size_t k) const { return (*desired)[k]; }
-  };
-  reconcile_chain(r, MaterializedDesired{this, &desired_});
-}
-
-void IncrementalEvaluator::reconcile_processor_chain(
-    ResourceId r, std::span<const TaskId> order) {
-  // Processor chains are implied by the total order: edge k runs
-  // order[k] -> order[k+1], always weight 0 / kSwSeq (the builder and the
-  // splice below only ever emit such edges into a processor's list, which
-  // the DCHECK pins down). Matching a position is therefore two id
-  // compares against the flat order array — no DesiredEdge vector, no
-  // weight/kind loads, and never a weight patch.
-  struct OrderDesired {
-    const IncrementalEvaluator* self;
-    std::span<const TaskId> order;
-    std::size_t size() const {
-      return order.empty() ? 0 : order.size() - 1;
-    }
-    ChainMatch classify(EdgeId id, std::size_t k) const {
-      const Digraph::Edge& ed = self->sg_.graph.edge_unchecked(id);
-      RDSE_DCHECK(self->sg_.edge_kind[id] == SearchEdgeKind::kSwSeq &&
-                      self->sg_.graph.edge_weight(id) == 0,
-                  "processor chain holds a non-Esw edge");
-      return ed.src == order[k] && ed.dst == order[k + 1]
-                 ? ChainMatch::kExact
-                 : ChainMatch::kMismatch;
-    }
-    DesiredEdge get(std::size_t k) const {
-      return {order[k], order[k + 1], 0, SearchEdgeKind::kSwSeq};
-    }
-  };
-  reconcile_chain(r, OrderDesired{this, order});
 }
 
 std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
@@ -366,15 +385,18 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
     prof_t = now;
   };
 
-  // ---- 0. parked-edge order check: a moved processor task with an
-  // application predecessor after it (or successor before it) closes a
-  // cycle through the Esw chain. Only moved tasks can turn a parked edge
-  // backwards, so this O(degree) scan decides it before any surgery.
+  // ---- 0. direct cycle checks, before any surgery: a moved task with an
+  // application predecessor after it (or successor before it) on its own
+  // resource closes a cycle through the chain — the Esw chain on a
+  // processor, where only moved tasks can turn a parked edge backwards;
+  // the Ehw edges between contexts on an RC. Each check is O(degree).
   for (TaskId t : touched_tasks) {
-    const ResourceId r = cand_sol.placement(t).resource;
-    if (cand_arch.resource(r).kind() == ResourceKind::kProcessor &&
-        order_conflict(cand_sol, t, r)) {
-      ++order_rejects_;
+    const ResourceKind kind =
+        cand_arch.resource(cand_sol.placement(t).resource).kind();
+    if (kind == ResourceKind::kAsic) continue;
+    const bool on_processor = kind == ResourceKind::kProcessor;
+    if (rank_conflict(cand_sol, t, on_processor)) {
+      ++(on_processor ? order_rejects_ : context_rejects_);
       if (profile_) profile_lap(prof_stage_ns_);
       return std::nullopt;
     }
@@ -382,6 +404,8 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
 
   seeds_.clear();
   new_edges_.clear();
+  removed_links_.clear();
+  added_links_.clear();
   removed_seq_.clear();
   added_ids_.clear();
   reconcile_undo_.clear();
@@ -403,7 +427,7 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
   snap_.sw_tasks = sw_tasks_;
   snap_.hw_tasks = hw_tasks_;
   snap_.comm_parked = comm_parked_;
-  cache_.begin_build(touched_resources);
+  cache_.begin_build();
 
   // ---- 1. moved tasks: node weights, partition sums, incident
   // communication edges ------------------------------------------------------
@@ -474,41 +498,36 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
     }
   }
 
-  // ---- 2b. touched resources: re-realize and reconcile --------------------
+  // ---- 2b. processor chains: the dirty tasks' Esw links ------------------
+  reconcile_links(cand_sol, touched_tasks);
+
+  // ---- 2c. touched RCs: re-realize and diff the Ehw lists -----------------
   for (ResourceId r : touched_snapshot_) {
     desired_.clear();
     if (!cand_arch.alive(r)) {
       dead_resources_.push_back(r);  // an m3 move removed the resource
-    }
-    if (cand_arch.alive(r)) {
-      const Resource& res = cand_arch.resource(r);
-      if (res.kind() == ResourceKind::kProcessor) {
-        // Fast path: the Esw chain is implied by the flat total order, so
-        // diff against it directly instead of materializing DesiredEdges.
-        reconcile_processor_chain(r, cand_sol.processor_order(r));
-        continue;
-      }
-      if (res.kind() == ResourceKind::kReconfigurable) {
-        // Realize even when the RC lost its last context: the staged
-        // (empty) entry replaces the committed one on accept, so a later
-        // move touching this RC cannot tear down releases from a stale
-        // realization.
-        const RcRealization& real = cache_.realize(*tg_, cand_sol, r);
-        const std::size_t n_ctx = cand_sol.context_count(r);
-        if (n_ctx > 0) {
-          const auto& dev = cand_arch.reconfigurable(r);
-          const TimeNs first_load =
-              dev.reconfiguration_time(cand_sol.context_clbs(r, 0));
-          for (TaskId t : real.bounds[0].initials) {
-            stage_release_pending(t, first_load);
-          }
-          for (std::size_t c = 0; c + 1 < n_ctx; ++c) {
-            const TimeNs reconf =
-                dev.reconfiguration_time(cand_sol.context_clbs(r, c + 1));
-            for (TaskId from : real.bounds[c].terminals) {
-              for (TaskId to : real.bounds[c + 1].initials) {
-                desired_.push_back({from, to, reconf, SearchEdgeKind::kHwSeq});
-              }
+    } else if (cand_arch.resource(r).kind() != ResourceKind::kReconfigurable) {
+      continue;  // a processor's chain is its tasks' links; an ASIC has none
+    } else {
+      // Realize even when the RC lost its last context: the staged (empty)
+      // entry replaces the committed one on accept, so a later move
+      // touching this RC cannot tear down releases from a stale
+      // realization.
+      const RcRealization& real = cache_.realize(*tg_, cand_sol, r);
+      const std::size_t n_ctx = cand_sol.context_count(r);
+      if (n_ctx > 0) {
+        const auto& dev = cand_arch.reconfigurable(r);
+        const TimeNs first_load =
+            dev.reconfiguration_time(cand_sol.context_clbs(r, 0));
+        for (TaskId t : real.bounds[0].initials) {
+          stage_release_pending(t, first_load);
+        }
+        for (std::size_t c = 0; c + 1 < n_ctx; ++c) {
+          const TimeNs reconf =
+              dev.reconfiguration_time(cand_sol.context_clbs(r, c + 1));
+          for (TaskId from : real.bounds[c].terminals) {
+            for (TaskId to : real.bounds[c + 1].initials) {
+              desired_.push_back({from, to, reconf});
             }
           }
         }
@@ -586,11 +605,11 @@ void IncrementalEvaluator::rollback() {
   // candidate layout: a successful probe wrote over them under journal
   // protection; a cyclic probe journaled nothing, so this is a no-op).
   relaxer_.discard();
-  // Undo the chain splices in reverse: each record turns
+  // Undo the Ehw splices in reverse: each record turns
   // `prefix + added-window + suffix` back into
   // `prefix + re-added removed-window + suffix`, so the list is restored in
   // chain order exactly (re-added edges get fresh ids — nothing outside the
-  // per-resource id lists holds sequentialization edge ids).
+  // per-RC id lists and the Esw links holds sequentialization edge ids).
   for (auto it = reconcile_undo_.rbegin(); it != reconcile_undo_.rend();
        ++it) {
     auto& list = seq_edges_[it->res];
@@ -602,8 +621,8 @@ void IncrementalEvaluator::rollback() {
     splice_.insert(splice_.end(), list.begin(), list.begin() + it->prefix);
     for (std::size_t k = it->removed_begin; k < it->removed_end; ++k) {
       const RemovedSeqEdge& re = removed_seq_[k];
-      splice_.push_back(
-          sg_.add_weighted_edge(re.src, re.dst, re.weight, re.kind));
+      splice_.push_back(sg_.add_weighted_edge(re.src, re.dst, re.weight,
+                                              SearchEdgeKind::kHwSeq));
     }
     splice_.insert(
         splice_.end(),
@@ -611,6 +630,9 @@ void IncrementalEvaluator::rollback() {
         list.end());
     list.swap(splice_);
   }
+  // The Esw links: drop every added one before restoring any removed one.
+  for (EdgeId e : added_links_) unlink(e);
+  for (const auto& [src, dst] : removed_links_) (void)link(src, dst);
   for (auto it = comm_undo_.rbegin(); it != comm_undo_.rend(); ++it) {
     switch (it->op) {
       case EdgeOp::kWeight:
@@ -653,8 +675,8 @@ void IncrementalEvaluator::commit() {
   cache_.commit();
   for (ResourceId r : dead_resources_) {
     cache_.erase(r);
-    // Emptied by the reconcile against no desired edges; release the
-    // storage (the slot stays — resource ids are never reused).
+    // Emptied by the diff against no desired edges; release the storage
+    // (the slot stays — resource ids are never reused).
     std::vector<EdgeId>().swap(seq_list(r));
   }
   dead_resources_.clear();
@@ -674,8 +696,8 @@ IncrementalEvalStats IncrementalEvaluator::stats() const {
   s.relax = relaxer_.stats();
   s.builds = builds_;
   s.order_rejects = order_rejects_;
+  s.context_rejects = context_rejects_;
   s.comm_edges_parked = comm_parked_;
-  s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
   s.bounds_reused = cache_.bounds_reused();
   s.bounds_computed = cache_.bounds_computed();

@@ -13,21 +13,29 @@
 ///    never raise a start time, and G' is acyclic iff the sparse graph is
 ///    and every parked edge runs forward in its processor's order. reset()
 ///    builds this graph directly in one pass, reserving those edges parked
-///    (Digraph::add_parked_edge), and is the start's cycle verdict. Only a
-///    moved task can turn a parked edge backwards, so a candidate with such
-///    an edge is rejected by an O(degree) order check before any surgery;
-///    staging a moved task parks, unparks or re-weights its communication
+///    (Digraph::add_parked_edge), and is the start's cycle verdict.
+///    Staging a moved task parks, unparks or re-weights its communication
 ///    edges;
 ///  - the committed search graph is edited in place — node weights and
 ///    communication-edge weights of the moved tasks are updated, and only
-///    the sequentialization edges (Esw/Ehw) and release times of the
-///    resources the move touched are reconciled: a two-pointer chain diff
-///    (common prefix/suffix of the old vs. new per-resource edge chain)
-///    touches only the differing window, so a local reorder costs O(window),
-///    not O(chain);
-///  - per-RC context boundaries are memoized across moves
-///    (SearchGraphCache) and recomputed only for touched RCs; context CLB
-///    sums are read from the candidate Solution, which keeps them exact;
+///    the sequentialization edges (Esw/Ehw) and release times the move can
+///    change are reconciled. Processor chains are reconciled by edge
+///    identity: each task keeps its Esw links (chain_out_/chain_in_), and
+///    only a moved task, its old predecessor and its new one can have a
+///    stale link, so a reposition removes 3 edges and adds 3 wherever the
+///    slots lie. An RC's Ehw list is diffed by position (common
+///    prefix/suffix of the old vs. new list kept in place), so a local
+///    change to its contexts costs O(window), not O(chain);
+///  - a moved task whose application predecessor sits after it (or
+///    successor before it) on its own resource closes a cycle: through the
+///    Esw chain on a processor (only a moved task can turn a parked edge
+///    backwards), through the Ehw edges on an RC, where every member of a
+///    context reaches every member of a later one. An O(degree) check
+///    rejects such candidates before any surgery;
+///  - per-RC context boundaries are recomputed only for touched RCs
+///    (SearchGraphCache), reusing the committed boundary of any context
+///    whose members did not change; context CLB sums are read from the
+///    candidate Solution, which keeps them exact;
 ///  - only the affected region of G' is re-relaxed (DeltaRelaxer), seeded
 ///    with exactly the nodes whose local inputs changed;
 ///  - a rejected candidate is rolled back from an undo log instead of
@@ -39,6 +47,7 @@
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mapping/search_graph.hpp"
@@ -50,15 +59,19 @@ namespace rdse {
 /// Counters for benchmarks and tests.
 struct IncrementalEvalStats {
   DeltaRelaxStats relax;
-  std::int64_t builds = 0;       ///< candidates evaluated (incl. order rejects)
-  std::int64_t cache_hits = 0;   ///< RC realizations served from the memo
-  std::int64_t cache_misses = 0;
+  std::int64_t builds = 0;  ///< candidates evaluated (incl. early rejects)
+  std::int64_t cache_misses = 0;     ///< RC realizations computed
   std::int64_t bounds_reused = 0;    ///< boundaries copied (membership same)
   std::int64_t bounds_computed = 0;  ///< boundaries recomputed from scratch
-  std::int64_t reconciles = 0;       ///< per-resource chain diffs performed
-  /// Chain edges matched by the two-pointer prefix/suffix diff (left in
-  /// place, seeding no relaxation) vs. torn down / inserted inside the
-  /// differing window. kept / (kept + removed) is the diff hit rate.
+  /// Chain reconciliations: one per RC (or removed resource) Ehw diff and
+  /// one per processor link pass.
+  std::int64_t reconciles = 0;
+  /// Chain edges left in place (seeding no relaxation) vs. torn down /
+  /// inserted. On a processor these count the dirty tasks' Esw links: a
+  /// link checked and still right is kept, a stale one removed, a missing
+  /// one added. On an RC they count the Ehw edges of the position diff:
+  /// matched in the common prefix/suffix vs. inside the differing window.
+  /// kept / (kept + removed) is the diff hit rate.
   std::int64_t seq_edges_kept = 0;
   std::int64_t seq_edges_removed = 0;
   std::int64_t seq_edges_added = 0;
@@ -70,6 +83,11 @@ struct IncrementalEvalStats {
   /// runs before a predecessor, or after a successor, on its processor) —
   /// infeasible before any surgery, so they never reach the relaxer.
   std::int64_t order_rejects = 0;
+  /// Candidates rejected by the context-order check (a moved task on an RC
+  /// has a predecessor in a later context, or a successor in an earlier
+  /// one, of that RC) — cyclic through the Ehw edges, decided before any
+  /// surgery.
+  std::int64_t context_rejects = 0;
   /// Communication edges parked in the maintained graph right now (staged
   /// candidate included): the application edges the processor chains
   /// imply, absent from every relaxation and rank repair.
@@ -133,28 +151,23 @@ class IncrementalEvaluator {
   [[nodiscard]] const SearchGraph& search_graph() const { return sg_; }
 
  private:
+  /// One Ehw edge of an RC's desired list.
   struct DesiredEdge {
     NodeId src;
     NodeId dst;
     TimeNs weight;
-    SearchEdgeKind kind;
-  };
-
-  /// How a live chain edge relates to a desired chain position.
-  enum class ChainMatch : std::uint8_t {
-    kMismatch,    ///< structurally different: window surgery required
-    kExact,       ///< identical, leave in place
-    kWeightOnly,  ///< same endpoints/kind, new weight: patch in place
   };
 
   /// Metrics of the maintained graph under the given makespan.
   [[nodiscard]] Metrics metrics(TimeNs makespan) const;
-  /// True when a processor task `t` at `pos` (candidate order) has an
-  /// application predecessor after it, or a successor before it, on its
-  /// processor `proc` — a parked edge running backwards, i.e. a cycle
-  /// through the Esw chain.
-  [[nodiscard]] bool order_conflict(const Solution& cand_sol, TaskId t,
-                                    ResourceId proc) const;
+  /// True when a moved task `t` has an application predecessor ranked
+  /// after it, or a successor ranked before it, on its own resource — the
+  /// rank being the order position on a processor (a parked edge running
+  /// backwards against the Esw chain) and the context on an RC (every
+  /// member of a context reaches every member of a later one through the
+  /// Ehw edges). Either way the edge closes a cycle.
+  [[nodiscard]] bool rank_conflict(const Solution& cand_sol, TaskId t,
+                                   bool on_processor) const;
   void stage_node_weight(NodeId v, TimeNs w);
   void stage_comm_weight(EdgeId e, TimeNs w);
   /// Park a live communication edge whose endpoints now share a processor
@@ -163,33 +176,33 @@ class IncrementalEvaluator {
   /// Unpark a parked communication edge whose endpoints no longer share a
   /// processor; it joins new_edges_ for the relaxer's rank check.
   void stage_unpark(EdgeId e);
-  /// Re-weight a surviving sequentialization edge in place (undo-logged;
-  /// does not touch comm_cross).
+  /// Re-weight a surviving Ehw edge in place (undo-logged; does not touch
+  /// comm_cross).
   void stage_seq_weight(EdgeId e, TimeNs w);
   void stage_release(NodeId v, TimeNs r);
   /// Record a release in release_pending_ (last write per task wins); the
   /// coalesced values are staged in one pass so a clear-then-reset to the
   /// committed value stages nothing and seeds no relaxation.
   void stage_release_pending(NodeId v, TimeNs r);
-  /// Replace resource `r`'s sequentialization chain via a two-pointer
-  /// diff: the common prefix and suffix of the old and new chains stay
-  /// untouched (and seed no relaxation); only the edges inside the
-  /// differing window are torn down and re-inserted. Cost is proportional
-  /// to the window, not the chain. `Desired` describes the target chain
-  /// (length, per-position equality against a live edge, materialization
-  /// for window inserts).
-  template <typename Desired>
-  void reconcile_chain(ResourceId r, const Desired& desired);
-  /// reconcile_chain against the materialized `desired_` vector (RC
-  /// context chains, resource teardowns).
+  /// Bring the Esw links of the move's dirty tasks in line with the
+  /// candidate's processor orders: every stale link is removed before any
+  /// new one is added, so no task ever holds two Esw edges in one
+  /// direction. Removed (src, dst) pairs and added ids are undo-logged.
+  void reconcile_links(const Solution& cand_sol,
+                       std::span<const TaskId> touched_tasks);
+  /// Insert the Esw edge `src -> dst` and record it as both tasks' link.
+  EdgeId link(TaskId src, TaskId dst);
+  /// Remove Esw edge `e` and clear both of its endpoints' links.
+  void unlink(EdgeId e);
+  /// Replace RC (or removed resource) `r`'s Ehw list with `desired_` by a
+  /// position diff: the common prefix and suffix stay in place (an edge
+  /// whose weight alone changed is re-weighted there) and seed no
+  /// relaxation; only the edges of the differing window are torn down and
+  /// re-inserted. Cost is proportional to the window, not the list.
   void reconcile_seq_edges(ResourceId r);
-  /// reconcile_chain streaming the implied Esw chain straight from the
-  /// processor's flat total-order array (weight 0 / kSwSeq throughout) —
-  /// the hot m1/m2 case materializes nothing.
-  void reconcile_processor_chain(ResourceId r, std::span<const TaskId> order);
-  /// The (possibly empty) edge-id chain of `r`, grown on demand — resource
-  /// ids are dense and never reused, so a flat vector replaces a map on the
-  /// hot path.
+  /// The (possibly empty) Ehw edge-id list of RC `r`, grown on demand —
+  /// resource ids are dense and never reused, so a flat vector replaces a
+  /// map on the hot path.
   [[nodiscard]] std::vector<EdgeId>& seq_list(ResourceId r);
   void rollback();
 
@@ -203,25 +216,37 @@ class IncrementalEvaluator {
   /// Bus::transfer_time. comm_edge_weight(e) == placements crossing ?
   /// bus_time_[e] : 0 by construction.
   std::vector<TimeNs> bus_time_;
-  /// Esw/Ehw edge ids per owning resource, indexed by ResourceId, each list
-  /// in chain order (Esw: the processor's total order; Ehw: context by
-  /// context). Chain order is what makes the two-pointer diff local.
+  /// Esw links per task: the id of the edge from `t` to its successor in
+  /// its processor's order (chain_out_[t]) and from its predecessor
+  /// (chain_in_[t]); kInvalidEdge at a chain end and off a processor.
+  std::vector<EdgeId> chain_out_;
+  std::vector<EdgeId> chain_in_;
+  /// Ehw edge ids per RC, indexed by ResourceId, each list in chain order
+  /// (context by context), which is what makes the position diff local.
   std::vector<std::vector<EdgeId>> seq_edges_;
 
   // ---- per-candidate scratch and undo log --------------------------------
   std::vector<NodeId> seeds_;
   std::vector<EdgeId> new_edges_;
+  /// Tasks whose Esw link the move may have changed, each with the
+  /// candidate's successor (kInvalidNode: none).
+  struct DirtyLink {
+    TaskId task;
+    TaskId next;
+  };
+  std::vector<DirtyLink> dirty_;
+  std::vector<std::pair<TaskId, TaskId>> removed_links_;  ///< (src, dst)
+  std::vector<EdgeId> added_links_;
   struct RemovedSeqEdge {
     NodeId src;
     NodeId dst;
     TimeNs weight;
-    SearchEdgeKind kind;
   };
   std::vector<RemovedSeqEdge> removed_seq_;
-  std::vector<EdgeId> added_ids_;  ///< edges inserted by reconciles, in order
-  /// One record per reconcile that changed anything: the splice window and
+  std::vector<EdgeId> added_ids_;  ///< Ehw edges inserted by diffs, in order
+  /// One record per Ehw diff that changed anything: the splice window and
   /// the ranges into removed_seq_ / added_ids_ it produced, so rollback can
-  /// restore the exact chain (prefix + re-added window + suffix).
+  /// restore the exact list (prefix + re-added window + suffix).
   struct ReconcileUndo {
     ResourceId res;
     std::uint32_t prefix;
@@ -285,6 +310,7 @@ class IncrementalEvaluator {
 
   std::int64_t builds_ = 0;
   std::int64_t order_rejects_ = 0;
+  std::int64_t context_rejects_ = 0;
   std::int64_t reconciles_ = 0;
   bool profile_ = false;
   std::int64_t prof_stage_ns_ = 0;

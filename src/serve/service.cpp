@@ -70,6 +70,18 @@ std::string plain_response(RequestOp op, JsonValue payload) {
   return doc.dump();
 }
 
+/// What a work request's job hands back: its payload, or a failure's kind
+/// and message. The caller gets the message, not the exception:
+/// std::promise::set_exception takes its pointer by value and drops that
+/// copy only after the caller may have woken, so the worker could destroy
+/// an exception the caller is still reading. An exception outside
+/// rdse::Error still travels as itself.
+struct JobResult {
+  enum class Kind : std::uint8_t { kDone, kCancelled, kError };
+  Kind kind = Kind::kDone;
+  std::string text;  ///< the payload, or the failure's message
+};
+
 }  // namespace
 
 ExplorationService::ExplorationService(ServiceConfig config)
@@ -365,8 +377,8 @@ std::string ExplorationService::run_work_request(const Request& request) {
   CancelToken token;
   if (request.timeout_ms > 0) token.set_deadline_after_ms(request.timeout_ms);
 
-  std::promise<std::string> promise;
-  std::future<std::string> future = promise.get_future();
+  std::promise<JobResult> promise;
+  std::future<JobResult> future = promise.get_future();
   pool_.submit([this, &request, &promise, &token, &key, &fingerprint] {
     std::uint64_t job_id = 0;
     {
@@ -375,8 +387,7 @@ std::string ExplorationService::run_work_request(const Request& request) {
       if (draining_) {
         // Queued before the drain began, picked up after: cancel without
         // executing so shutdown is not gated on cold queue entries.
-        promise.set_exception(
-            std::make_exception_ptr(Cancelled("cancelled")));
+        promise.set_value({JobResult::Kind::kCancelled, "cancelled"});
         return;
       }
       ++in_flight_;
@@ -387,11 +398,15 @@ std::string ExplorationService::run_work_request(const Request& request) {
     }
     journal_event("started", key);
     if (config_.on_job_start) config_.on_job_start();
-    std::string payload;
+    JobResult result;
     std::exception_ptr failure;
     try {
       throw_if_cancelled(&token);  // don't start work past the deadline
-      payload = execute(request, &token).dump();
+      result.text = execute(request, &token).dump();
+    } catch (const Cancelled& e) {
+      result = {JobResult::Kind::kCancelled, e.what()};
+    } catch (const Error& e) {
+      result = {JobResult::Kind::kError, e.what()};
     } catch (...) {
       failure = std::current_exception();
     }
@@ -403,36 +418,31 @@ std::string ExplorationService::run_work_request(const Request& request) {
       in_flight_jobs_.erase(job_id);
     }
     if (failure) {
-      promise.set_exception(failure);
+      promise.set_exception(std::move(failure));
     } else {
-      promise.set_value(std::move(payload));
+      promise.set_value(std::move(result));
     }
   });
 
-  try {
-    std::string payload = future.get();
-    cache_.insert(key, payload);
+  // A failure outside rdse::Error propagates from get().
+  const JobResult result = future.get();
+  if (result.kind == JobResult::Kind::kDone) {
+    cache_.insert(key, result.text);
     save_persisted_cache();
     journal_event("completed", key);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++completed_;
     }
-    return make_result_response(request.op, false, fingerprint, payload);
-  } catch (const Cancelled& e) {
-    // Deterministic, payload-free error: a deadline-expired or
-    // drain-cancelled run never leaks a partial result and is never
-    // cached. The client is told, so the journal entry is closed out.
-    journal_event("cancelled", key);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++cancelled_;
-    return make_error_response(e.what());
-  } catch (const Error& e) {
-    journal_event("cancelled", key);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++errors_;
-    return make_error_response(e.what());
+    return make_result_response(request.op, false, fingerprint, result.text);
   }
+  // Deterministic, payload-free error: a deadline-expired or drain-
+  // cancelled run never leaks a partial result and is never cached. The
+  // client is told, so the journal entry is closed out.
+  journal_event("cancelled", key);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++(result.kind == JobResult::Kind::kCancelled ? cancelled_ : errors_);
+  return make_error_response(result.text);
 }
 
 JsonValue ExplorationService::execute(const Request& request,

@@ -382,7 +382,7 @@ void expect_lockstep(DseProblem& a, DseProblem& b, std::uint64_t seed,
   if (sa.has_value()) {
     EXPECT_EQ(sa->builds, sb->builds);
     EXPECT_EQ(sa->order_rejects, sb->order_rejects);
-    EXPECT_EQ(sa->cache_hits, sb->cache_hits);
+    EXPECT_EQ(sa->context_rejects, sb->context_rejects);
     EXPECT_EQ(sa->cache_misses, sb->cache_misses);
     EXPECT_EQ(sa->bounds_computed, sb->bounds_computed);
     EXPECT_EQ(sa->comm_edges_parked, sb->comm_edges_parked);

@@ -350,7 +350,7 @@ TEST(BatchedProbes, IncrementalMatchesFullEvalUnderBatching) {
   }
 }
 
-TEST(BatchedProbes, SeedDeterminismAndK1IdentityOn50RandomGraphs) {
+TEST(BatchedProbes, SeedDeterminismAndFullEvalIdentityOn50RandomGraphs) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const std::size_t n = 8 + (seed % 6) * 3;
     const Application app = make_app(seed * 271 + 9, n);
@@ -364,7 +364,6 @@ TEST(BatchedProbes, SeedDeterminismAndK1IdentityOn50RandomGraphs) {
     config.warmup_iterations = 100;
     config.record_trace = false;
 
-    const RunResult reference = explorer.run(config);  // default batch = 1
     for (const int k : {1, 2, 8}) {
       ExplorerConfig batched = config;
       batched.batch = k;
@@ -376,13 +375,17 @@ TEST(BatchedProbes, SeedDeterminismAndK1IdentityOn50RandomGraphs) {
       EXPECT_EQ(a.anneal.rejected, b.anneal.rejected) << "K " << k;
       EXPECT_EQ(a.anneal.best_cost, b.anneal.best_cost) << "K " << k;
       EXPECT_TRUE(a.best_solution == b.best_solution) << "K " << k;
-      if (k == 1) {
-        // Explicit K = 1 is the classic one-probe path, bit for bit.
-        expect_metrics_equal(a.best_metrics, reference.best_metrics);
-        EXPECT_EQ(a.anneal.accepted, reference.anneal.accepted);
-        EXPECT_EQ(a.anneal.rejected, reference.anneal.rejected);
-        EXPECT_TRUE(a.best_solution == reference.best_solution);
-      }
+      // The same run on the from-scratch Evaluator: the incremental
+      // evaluator must reproduce it bit for bit at every K.
+      ExplorerConfig reference = batched;
+      reference.full_eval = true;
+      const RunResult full = explorer.run(reference);
+      expect_metrics_equal(a.best_metrics, full.best_metrics);
+      EXPECT_EQ(a.anneal.accepted, full.anneal.accepted) << "K " << k;
+      EXPECT_EQ(a.anneal.rejected, full.anneal.rejected) << "K " << k;
+      EXPECT_EQ(a.anneal.infeasible, full.anneal.infeasible) << "K " << k;
+      EXPECT_EQ(a.anneal.best_cost, full.anneal.best_cost) << "K " << k;
+      EXPECT_TRUE(a.best_solution == full.best_solution) << "K " << k;
     }
     if (::testing::Test::HasFailure()) {
       FAIL() << "instance seed " << seed;

@@ -1,9 +1,16 @@
-/// Chain-diff reconciliation edge cases: the two-pointer prefix/suffix diff
-/// of IncrementalEvaluator::reconcile_seq_edges must emit exactly the edges
-/// of the differing window — nothing for an unchanged order, a three-edge
-/// window for an adjacent swap, the whole chain for a reversal — while
-/// staying bit-identical to the from-scratch Evaluator, and rollback must
-/// restore the exact chain (order included) so later diffs stay local.
+/// Chain reconciliation edge cases. A processor's Esw chain is reconciled
+/// by edge identity: only a moved task, its old predecessor and its new one
+/// can hold a stale link, so the counters book exactly the links those
+/// tasks check (kept), remove and add — nothing for an unchanged order,
+/// three removed and three added for any reposition however far, the whole
+/// chain for a reversal — while staying bit-identical to the from-scratch
+/// Evaluator; rollback must restore every link, and under churn the live
+/// Esw edges must stay exactly the consecutive pairs of every order.
+/// Context-order checks: on RC-heavy starts with many contexts, candidates
+/// that put a moved task after its successor's context (or before its
+/// predecessor's), or that swap two contexts across an application edge,
+/// are rejected early with verdicts and metrics equal to the full
+/// Evaluator's.
 /// Parking equivalence: with the communication edges between tasks on one
 /// processor parked, verdicts and metrics still equal the full Evaluator's
 /// on dense graphs under order-violating moves, and commit/discard keep
@@ -13,11 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
+#include "graph/topo.hpp"
 #include "model/generators.hpp"
 #include "model/registry.hpp"
 #include "sched/evaluator.hpp"
@@ -88,6 +98,31 @@ void expect_matches_full(const TaskGraph& tg, const Architecture& arch,
   expect_metrics_equal(got, Evaluator(tg, arch).evaluate(cand), "");
 }
 
+/// The live Esw edges of the maintained graph are exactly the consecutive
+/// pairs of every processor order of `sol`, each once.
+void expect_links_match_orders(const Architecture& arch, const Solution& sol,
+                               const IncrementalEvaluator& inc,
+                               const std::string& where) {
+  const SearchGraph& sg = inc.search_graph();
+  ASSERT_LE(sg.graph.edge_capacity(), sg.edge_kind.size()) << where;
+  std::vector<std::pair<NodeId, NodeId>> live;
+  for (EdgeId e = 0; e < sg.graph.edge_capacity(); ++e) {
+    if (sg.graph.edge_alive(e) && sg.edge_kind[e] == SearchEdgeKind::kSwSeq) {
+      live.emplace_back(sg.graph.edge(e).src, sg.graph.edge(e).dst);
+    }
+  }
+  std::vector<std::pair<NodeId, NodeId>> want;
+  for (const ResourceId proc : arch.processor_ids()) {
+    const auto order = sol.processor_order(proc);
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      want.emplace_back(order[i - 1], order[i]);
+    }
+  }
+  std::sort(live.begin(), live.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(live, want) << where;
+}
+
 TEST(ChainDiff, UnchangedOrderEmitsNoEdges) {
   const Application app = independent_app(8, 11);
   const Architecture arch =
@@ -109,7 +144,8 @@ TEST(ChainDiff, UnchangedOrderEmitsNoEdges) {
   const ChainCounters d = delta(before, counters(inc));
   EXPECT_EQ(d.removed, 0);
   EXPECT_EQ(d.added, 0);
-  EXPECT_EQ(d.kept, 7);  // the full 8-task chain matched in the prefix
+  // The dirty links, checked and kept: the task's own and its predecessor's.
+  EXPECT_EQ(d.kept, 2);
   expect_matches_full(app.graph, arch, cand, m);
   inc.commit();
 }
@@ -126,8 +162,9 @@ TEST(ChainDiff, AdjacentSwapMidChainRebuildsThreeEdgeWindow) {
   Solution cand = sol;
   cand.clear_touched();
   // Swap order slots 2 and 3 of the 8-task chain: edges (1,2), (2,3),
-  // (3,4) become (1,3), (3,2), (2,4) — a three-edge window between the
-  // one-edge prefix (0,1) and the three-edge suffix (4,5), (5,6), (6,7).
+  // (3,4) become (1,3), (3,2), (2,4). The dirty tasks are the moved one
+  // (slot 2), its old predecessor (slot 1) and its new one (slot 3); each
+  // of their links changes, and no other link is looked at.
   const TaskId t = cand.processor_order(0)[2];
   cand.reposition(t, 3);
 
@@ -138,7 +175,36 @@ TEST(ChainDiff, AdjacentSwapMidChainRebuildsThreeEdgeWindow) {
   const ChainCounters d = delta(before, counters(inc));
   EXPECT_EQ(d.removed, 3);
   EXPECT_EQ(d.added, 3);
-  EXPECT_EQ(d.kept, 4);  // prefix (0,1); suffix (4,5), (5,6), (6,7)
+  EXPECT_EQ(d.kept, 0);
+  expect_matches_full(app.graph, arch, cand, m);
+  inc.commit();
+}
+
+TEST(ChainDiff, LongDistanceRepositionReplacesThreeLinks) {
+  // Slot 5 -> slot 40 of a 50-task chain: a position diff tears down and
+  // re-inserts the 37 edges from (4,5) to (40,41); by edge identity only
+  // (4,5), (5,6) and (40,41) go, and (4,6), (40,5), (5,41) come.
+  const std::size_t n = 50;
+  const Application app = independent_app(n, 29);
+  const Architecture arch =
+      make_cpu_fpga_architecture(1000, from_us(10.0), 20'000'000);
+  const Solution sol = Solution::all_software(app.graph, 0);
+
+  IncrementalEvaluator inc(app.graph);
+  ASSERT_TRUE(inc.reset(arch, sol).has_value());
+
+  Solution cand = sol;
+  cand.clear_touched();
+  cand.reposition(cand.processor_order(0)[5], 40);
+
+  const ChainCounters before = counters(inc);
+  const auto m = inc.evaluate_candidate(arch, cand, cand.touched_resources(),
+                                        cand.touched_tasks());
+  ASSERT_TRUE(m.has_value());
+  const ChainCounters d = delta(before, counters(inc));
+  EXPECT_EQ(d.removed, 3);
+  EXPECT_EQ(d.added, 3);
+  EXPECT_EQ(d.kept, 0);
   expect_matches_full(app.graph, arch, cand, m);
   inc.commit();
 }
@@ -216,7 +282,7 @@ TEST(ChainDiff, EmptyAndSingleTaskChains) {
     // bridging edge; the single-task spare chain contributes nothing.
     EXPECT_EQ(d.removed, 2);
     EXPECT_EQ(d.added, 1);
-    EXPECT_EQ(d.kept, 3);  // donor prefix (0,1) + suffix (3,4), (4,5)
+    EXPECT_EQ(d.kept, 0);
     expect_matches_full(app.graph, arch, cand, m);
     inc.commit();
   }
@@ -231,9 +297,9 @@ TEST(ChainDiff, RollbackRestoresChainOrderExactly) {
   IncrementalEvaluator inc(app.graph);
   ASSERT_TRUE(inc.reset(arch, sol).has_value());
 
-  // Stage a reorder, discard it, then re-evaluate the identical committed
-  // order: the chain list must have been restored in order, so the diff
-  // finds a full prefix match and emits nothing.
+  // Stage a reorder and discard it: every link must have been restored.
+  // Then re-evaluate the identical committed order, whose dirty links the
+  // check finds in place, so it emits nothing.
   Rng rng(7);
   for (int step = 0; step < 40; ++step) {
     Solution cand = sol;
@@ -245,6 +311,8 @@ TEST(ChainDiff, RollbackRestoresChainOrderExactly) {
         arch, cand, cand.touched_resources(), cand.touched_tasks());
     expect_matches_full(app.graph, arch, cand, staged);
     if (staged.has_value()) inc.discard();
+    expect_links_match_orders(arch, sol, inc,
+                              "discard, step " + std::to_string(step));
 
     Solution same = sol;
     same.clear_touched();
@@ -257,6 +325,8 @@ TEST(ChainDiff, RollbackRestoresChainOrderExactly) {
     EXPECT_EQ(d.removed, 0) << "step " << step;
     EXPECT_EQ(d.added, 0) << "step " << step;
     inc.discard();
+    expect_links_match_orders(arch, sol, inc,
+                              "no-op discard, step " + std::to_string(step));
   }
 }
 
@@ -694,6 +764,197 @@ TEST(SparseReset, LargeSyntheticStartAgreesWithFullEvaluation) {
                        "synthetic:5000, all-software");
   EXPECT_EQ(incremental.incremental_stats()->comm_edges_parked,
             static_cast<std::int64_t>(tg.comm_count()));
+}
+
+
+// ---- Esw links by edge identity ---------------------------------------------
+
+TEST(EswLinks, MatchEveryProcessorOrderUnderChurn) {
+  std::int64_t commits = 0;
+  std::int64_t discards = 0;
+  std::int64_t cyclic = 0;
+  for (std::uint64_t seed = 631; seed <= 638; ++seed) {
+    const Application app = dense_app(36, seed);
+    const TaskGraph& tg = app.graph;
+    Architecture arch =
+        make_cpu_fpga_architecture(900, from_us(10.0), 20'000'000);
+    const ResourceId cpu1 = arch.add_processor("cpu1");
+    Rng init(seed);
+    Solution sol = two_cpu_partition(tg, arch, cpu1, init);
+    IncrementalEvaluator inc(tg);
+    ASSERT_TRUE(inc.reset(arch, sol).has_value());
+    expect_links_match_orders(arch, sol, inc,
+                              "reset, seed " + std::to_string(seed));
+
+    Rng rng(seed * 41 + 5);
+    for (int step = 0; step < 400; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      Solution cand = sol;
+      cand.clear_touched();
+      random_parking_move(tg, arch, cand, rng);
+      const auto got = inc.evaluate_candidate(
+          arch, cand, cand.touched_resources(), cand.touched_tasks());
+      expect_metrics_equal(got, Evaluator(tg, arch).evaluate(cand), where);
+      if (!got.has_value()) {
+        ++cyclic;
+        expect_links_match_orders(arch, sol, inc, where + " (cyclic)");
+        continue;
+      }
+      expect_links_match_orders(arch, cand, inc, where + " (staged)");
+      if (rng.bernoulli(0.5)) {
+        inc.commit();
+        sol = cand;
+        ++commits;
+        expect_links_match_orders(arch, sol, inc, where + " (commit)");
+      } else {
+        inc.discard();
+        ++discards;
+        expect_links_match_orders(arch, sol, inc, where + " (discard)");
+      }
+      if (::testing::Test::HasFailure()) FAIL() << where;
+    }
+  }
+  EXPECT_GT(commits, 400);
+  EXPECT_GT(discards, 400);
+  EXPECT_GT(cyclic, 400);
+}
+
+// ---- context-order checks ---------------------------------------------------
+
+/// Most hardware-capable tasks spread over many contexts of the RC, the
+/// rest on cpu0. Tasks are placed in (ASAP level, id) order, as
+/// random_partition places them, so the CPU order and the context sequence
+/// both follow one linear extension and the start is acyclic. A new
+/// context opens with probability 0.35, or when the task does not fit the
+/// last one.
+Solution rc_heavy_start(const TaskGraph& tg, const Architecture& arch,
+                        Rng& rng) {
+  const auto level = asap_levels(tg.digraph());
+  std::vector<TaskId> order(tg.task_count());
+  for (TaskId t = 0; t < tg.task_count(); ++t) order[t] = t;
+  std::sort(order.begin(), order.end(), [&level](TaskId a, TaskId b) {
+    return level[a] != level[b] ? level[a] < level[b] : a < b;
+  });
+  const ReconfigurableCircuit& dev = arch.reconfigurable(kRc);
+  Solution sol(tg.task_count());
+  for (const TaskId t : order) {
+    const Task& task = tg.task(t);
+    std::vector<std::uint32_t> fitting;
+    for (std::uint32_t k = 0; k < task.hw.size(); ++k) {
+      if (task.hw.at(k).clbs <= dev.n_clbs()) fitting.push_back(k);
+    }
+    if (fitting.empty() || rng.bernoulli(0.2)) {
+      sol.insert_on_processor(t, kCpu0, sol.processor_order(kCpu0).size());
+      continue;
+    }
+    const std::uint32_t impl = fitting[rng.index(fitting.size())];
+    const std::int32_t clbs = task.hw.at(impl).clbs;
+    const std::size_t n_ctx = sol.context_count(kRc);
+    std::size_t ctx = n_ctx - 1;
+    if (n_ctx == 0 || rng.bernoulli(0.35) ||
+        sol.context_clbs(kRc, n_ctx - 1) + clbs > dev.n_clbs()) {
+      ctx = sol.spawn_context_after(kRc,
+                                    n_ctx == 0 ? Solution::kFront : n_ctx - 1);
+    }
+    sol.insert_in_context(t, kRc, ctx, impl, clbs);
+  }
+  sol.clear_touched();
+  return sol;
+}
+
+/// One random move on an RC-heavy candidate: swap two adjacent contexts
+/// (what reorder-contexts does; the journal names the RC and no task, so
+/// the relaxer alone decides a cyclic swap), move an RC task into another
+/// context, existing or fresh, or one of random_parking_move's. Returns
+/// whether it swapped two contexts.
+bool random_context_move(const TaskGraph& tg, const Architecture& arch,
+                         Solution& cand, Rng& rng) {
+  const double dice = rng.uniform01();
+  const std::size_t n_ctx = cand.context_count(kRc);
+  if (dice < 0.3 && n_ctx >= 2) {
+    const std::size_t k = rng.index(n_ctx - 1);
+    cand.swap_contexts(kRc, k, k + 1);
+    return true;
+  }
+  if (dice < 0.7 && n_ctx >= 1) {
+    std::vector<TaskId> on_rc;
+    for (std::size_t c = 0; c < n_ctx; ++c) {
+      const auto members = cand.context_tasks(kRc, c);
+      on_rc.insert(on_rc.end(), members.begin(), members.end());
+    }
+    const TaskId t = on_rc[rng.index(on_rc.size())];
+    const std::uint32_t impl = cand.placement(t).impl;
+    cand.remove_task(t);
+    const std::size_t left = cand.context_count(kRc);
+    const std::size_t ctx =
+        left > 0 && rng.bernoulli(0.7)
+            ? rng.index(left)
+            : cand.spawn_context_after(
+                  kRc, left == 0 ? Solution::kFront : rng.index(left));
+    cand.insert_in_context(t, kRc, ctx, impl, tg.task(t).hw.at(impl).clbs);
+    return false;
+  }
+  random_parking_move(tg, arch, cand, rng);
+  return false;
+}
+
+TEST(ContextOrder, EarlyRejectsMatchFullEvaluatorOnRcHeavyStarts) {
+  std::int64_t feasible = 0;
+  std::int64_t infeasible = 0;
+  std::int64_t context_rejects = 0;
+  std::int64_t cyclic_swaps = 0;
+  for (std::uint64_t seed = 641; seed <= 648; ++seed) {
+    const Application app = dense_app(40, seed);
+    const TaskGraph& tg = app.graph;
+    Architecture arch =
+        make_cpu_fpga_architecture(900, from_us(10.0), 20'000'000);
+    (void)arch.add_processor("cpu1");
+    Rng init(seed);
+    Solution sol = rc_heavy_start(tg, arch, init);
+    ASSERT_GE(sol.context_count(kRc), 8u) << "seed " << seed;
+
+    IncrementalEvaluator inc(tg);
+    expect_metrics_equal(inc.reset(arch, sol),
+                         Evaluator(tg, arch).evaluate(sol),
+                         "reset, seed " + std::to_string(seed));
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+
+    Rng rng(seed * 43 + 1);
+    for (int step = 0; step < 400; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      Solution cand = sol;
+      cand.clear_touched();
+      const bool swapped = random_context_move(tg, arch, cand, rng);
+      const auto got = inc.evaluate_candidate(
+          arch, cand, cand.touched_resources(), cand.touched_tasks());
+      expect_metrics_equal(got, Evaluator(tg, arch).evaluate(cand), where);
+      if (!got.has_value()) {
+        ++infeasible;
+        if (swapped) ++cyclic_swaps;
+        expect_links_match_orders(arch, sol, inc, where + " (cyclic)");
+        continue;
+      }
+      ++feasible;
+      if (rng.bernoulli(0.5)) {
+        inc.commit();
+        sol = cand;
+      } else {
+        inc.discard();
+      }
+      expect_links_match_orders(arch, sol, inc, where);
+      if (::testing::Test::HasFailure()) FAIL() << where;
+    }
+    context_rejects += inc.stats().context_rejects;
+  }
+  // Every branch is exercised: accepted deltas, early rejects of moved RC
+  // tasks, and cyclic candidates only the relaxer finds, context swaps
+  // among them.
+  EXPECT_GT(feasible, 500);
+  EXPECT_GT(context_rejects, 300);
+  EXPECT_GT(cyclic_swaps, 200);
+  EXPECT_LT(context_rejects, infeasible - cyclic_swaps);
 }
 
 }  // namespace

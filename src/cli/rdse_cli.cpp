@@ -118,10 +118,11 @@ serve options:
   --cache N         solution-cache entries (0 disables)       [128]
   --run-threads N   threads per multi-run/sweep execution     [1]
   --max-iters N     per-request iteration cap (iters+warmup)  [1000000]
-  --persist PATH    crash-safe solution-cache database (rdse.cachedb.v1):
-                    loaded and verified at startup, rewritten atomically
-                    after every fresh result
-  --journal PATH    write-ahead work journal (rdse.journal.v1): accepted
+  --persist PATH    crash-safe solution-cache database (rdse.cachedb.v2):
+                    loaded and verified at startup; every fresh result is
+                    appended durably; compacted from the live cache at
+                    drain, on SIGHUP and when it outgrows the cache
+  --journal PATH    write-ahead work journal (rdse.journal.v2): accepted
                     work and its state transitions are appended durably;
                     at startup the journal is replayed — accepted-but-not-
                     completed work is re-enqueued — and compacted
@@ -129,8 +130,8 @@ serve options:
   --max-conns N     concurrent connection cap (reject at accept)    [64]
   Requests are newline-delimited JSON; see README "Running the exploration
   service". Work requests accept "timeout_ms" for a server-side deadline.
-  SIGINT/SIGTERM (or a `shutdown` request) drain gracefully; SIGHUP flushes
-  the cache and journal and re-applies RDSE_LOG_LEVEL without dropping
+  SIGINT/SIGTERM (or a `shutdown` request) drain gracefully; SIGHUP compacts
+  the cache database and re-applies RDSE_LOG_LEVEL without dropping
   connections.
 
 request options:
@@ -707,7 +708,7 @@ PairReport pair_bench_metrics(const JsonValue& base, const JsonValue& cur) {
     pair_metric(br, *cr, model, "evaluated_move_speedup", true, report);
     pair_metric(br, *cr, model, "relaxed_nodes_per_probe", false, report);
     pair_metric(br, *cr, model, "makespan_rescan_rate", false, report);
-    pair_metric(br, *cr, model, "seq_diff_hit_rate", true, report);
+    pair_metric(br, *cr, model, "seq_edges_added_per_eval", false, report);
   }
   return report;
 }

@@ -1,15 +1,13 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "mapping/io.hpp"
 #include "util/assert.hpp"
-#include "util/atomic_file.hpp"
 #include "util/hash.hpp"
+#include "util/record_log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rdse {
@@ -304,50 +302,11 @@ ParallelExplorerConfig parallel_explorer_config_from_json(
 // ------------------------------------------------------------ file envelope
 
 bool save_checkpoint(const std::string& path, const JsonValue& body) {
-  JsonValue doc = JsonValue::object();
-  doc.set("format", kCheckpointFormat);
-  doc.set("checksum", fnv1a64_hex(body.dump()));
-  doc.set("body", body);
-  std::string data = doc.dump(2);
-  data += '\n';
-  return write_file_atomic(path, data);
+  return write_sealed_document(path, kCheckpointFormat, body);
 }
 
 JsonValue load_checkpoint(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    throw Error("checkpoint: cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-
-  JsonValue doc;
-  try {
-    doc = JsonValue::parse(buffer.str());
-  } catch (const std::exception& e) {
-    throw Error("checkpoint: '" + path +
-                "' is not valid JSON (truncated or corrupt): " + e.what());
-  }
-  if (doc.kind() != JsonValue::Kind::kObject) {
-    throw Error("checkpoint: '" + path + "' is not a checkpoint document");
-  }
-  const JsonValue* format = doc.find("format");
-  if (format == nullptr || format->kind() != JsonValue::Kind::kString ||
-      format->as_string() != kCheckpointFormat) {
-    throw Error("checkpoint: '" + path + "' has a foreign format tag (want " +
-                std::string(kCheckpointFormat) + ")");
-  }
-  const JsonValue* checksum = doc.find("checksum");
-  const JsonValue* body = doc.find("body");
-  if (checksum == nullptr || checksum->kind() != JsonValue::Kind::kString ||
-      body == nullptr) {
-    throw Error("checkpoint: '" + path + "' is missing checksum or body");
-  }
-  if (checksum->as_string() != fnv1a64_hex(body->dump())) {
-    throw Error("checkpoint: '" + path +
-                "' failed its checksum (corrupt or hand-edited)");
-  }
-  return *body;
+  return read_sealed_document(path, kCheckpointFormat);
 }
 
 // ---------------------------------------------------------------- sessions

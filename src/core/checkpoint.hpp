@@ -2,17 +2,9 @@
 /// \file checkpoint.hpp
 /// \brief Durable checkpoint/resume for long explorations.
 ///
-/// Format `rdse.checkpoint.v1`: one JSON document
-///
-///   {"format": "rdse.checkpoint.v1", "checksum": "<16 hex>", "body": {...}}
-///
-/// where `checksum` = fnv1a64_hex of the compact dump of `body`. Files are
-/// written with the temp+fsync+atomic-rename discipline (util/atomic_file,
-/// routed through util/faultfs), so a crash or injected storage fault
-/// leaves either the previous checkpoint or the new one — a failed save
-/// degrades to "no new checkpoint", never to a corrupt resume. Loading
-/// rejects missing, truncated, foreign-format and checksum-mismatched
-/// files loudly (throws Error).
+/// Format `rdse.checkpoint.v1`: a sealed document (util/record_log.hpp).
+/// A failed save degrades to "no new checkpoint", never to a corrupt
+/// resume.
 ///
 /// The checkpointable sessions below are the exploration loop itself:
 /// Explorer::run and ParallelExplorer::run build a fresh session and step
@@ -63,17 +55,14 @@ inline constexpr const char* kCheckpointFormat = "rdse.checkpoint.v1";
 [[nodiscard]] ParallelExplorerConfig parallel_explorer_config_from_json(
     const JsonValue& doc);
 
-/// Atomically write `body` wrapped in the checksummed rdse.checkpoint.v1
-/// envelope. Returns false on any (injected or real) storage failure,
-/// leaving the previous checkpoint file untouched where the OS permits;
-/// never throws on I/O errors — a failed checkpoint must not kill the run.
+/// Atomically write `body` as a checkpoint file. Returns false on any
+/// storage failure and never throws on I/O errors — a failed checkpoint
+/// must not kill the run.
 [[nodiscard]] bool save_checkpoint(const std::string& path,
                                    const JsonValue& body);
 
-/// Load, verify and unwrap a checkpoint file. Throws Error on a missing
-/// file, unparseable JSON (truncated/torn writes), a foreign format tag or
-/// a checksum mismatch — corrupt checkpoints are rejected loudly, never
-/// silently resumed.
+/// Load and verify a checkpoint file; throws Error when it is missing,
+/// torn, of another format or fails its checksum.
 [[nodiscard]] JsonValue load_checkpoint(const std::string& path);
 
 /// One annealing chain of a session: its problem, the engine walking it and

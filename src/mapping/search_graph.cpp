@@ -200,12 +200,7 @@ void begin_search_graph(SearchGraph& sg, const TaskGraph& tg,
   RDSE_REQUIRE(sol.task_count() == tg.task_count(),
                "build_search_graph: solution/task-graph size mismatch");
   sg.release.assign(tg.task_count(), 0);
-  sg.init_reconfig = 0;
-  sg.dyn_reconfig = 0;
   sg.comm_cross = 0;
-  sg.n_contexts = 0;
-  sg.clbs_loaded = 0;
-  sg.max_context_clbs = 0;
   sg.edge_kind.assign(tg.comm_count(), SearchEdgeKind::kComm);
 
   // --- node weights: execution time on the assigned resource -------------
@@ -219,16 +214,12 @@ void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
                                  const Architecture& arch,
                                  const Solution& sol,
                                  SearchGraphCache* cache) {
-  auto add_edge = [&](TaskId src, TaskId dst, TimeNs weight,
-                      SearchEdgeKind kind) {
-    (void)sg.add_weighted_edge(src, dst, weight, kind);
-  };
-
   // --- Esw: processor total orders ----------------------------------------
   for (ResourceId proc : arch.processor_ids()) {
     const auto order = sol.processor_order(proc);
     for (std::size_t i = 1; i < order.size(); ++i) {
-      add_edge(order[i - 1], order[i], 0, SearchEdgeKind::kSwSeq);
+      (void)sg.add_weighted_edge(order[i - 1], order[i], 0,
+                                 SearchEdgeKind::kSwSeq);
     }
   }
 
@@ -247,15 +238,7 @@ void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
       real = &local;
     }
 
-    sg.n_contexts += static_cast<int>(n_ctx);
-    for (std::size_t c = 0; c < n_ctx; ++c) {
-      const std::int32_t clbs = sol.context_clbs(rc, c);
-      sg.clbs_loaded += clbs;
-      sg.max_context_clbs = std::max(sg.max_context_clbs, clbs);
-    }
-
     const TimeNs first_load = dev.reconfiguration_time(sol.context_clbs(rc, 0));
-    sg.init_reconfig += first_load;
     for (TaskId t : real->bounds[0].initials) {
       sg.release[t] = std::max(sg.release[t], first_load);
     }
@@ -263,12 +246,35 @@ void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
     for (std::size_t c = 0; c + 1 < n_ctx; ++c) {
       const TimeNs reconf =
           dev.reconfiguration_time(sol.context_clbs(rc, c + 1));
-      sg.dyn_reconfig += reconf;
       for (TaskId from : real->bounds[c].terminals) {
         for (TaskId to : real->bounds[c + 1].initials) {
-          add_edge(from, to, reconf, SearchEdgeKind::kHwSeq);
+          (void)sg.add_weighted_edge(from, to, reconf, SearchEdgeKind::kHwSeq);
         }
       }
+    }
+  }
+  account_contexts(sg, arch, sol);
+}
+
+void account_contexts(SearchGraph& sg, const Architecture& arch,
+                      const Solution& sol) {
+  sg.init_reconfig = sg.dyn_reconfig = 0;
+  sg.n_contexts = 0;
+  sg.clbs_loaded = sg.max_context_clbs = 0;
+  for (ResourceId rc = 0; rc < arch.slot_count(); ++rc) {
+    if (!arch.alive(rc) ||
+        arch.resource(rc).kind() != ResourceKind::kReconfigurable) {
+      continue;
+    }
+    const ReconfigurableCircuit& dev = arch.reconfigurable(rc);
+    const std::size_t n_ctx = sol.context_count(rc);
+    sg.n_contexts += static_cast<int>(n_ctx);
+    for (std::size_t c = 0; c < n_ctx; ++c) {
+      const std::int32_t clbs = sol.context_clbs(rc, c);
+      (c == 0 ? sg.init_reconfig : sg.dyn_reconfig) +=
+          dev.reconfiguration_time(clbs);
+      sg.clbs_loaded += clbs;
+      sg.max_context_clbs = std::max(sg.max_context_clbs, clbs);
     }
   }
 }

@@ -217,4 +217,9 @@ void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
                                  const Solution& sol,
                                  SearchGraphCache* cache = nullptr);
 
+/// Recompute the context accounting of `sg` from every live RC of `sol`:
+/// the one definition the builder and the incremental evaluator share.
+void account_contexts(SearchGraph& sg, const Architecture& arch,
+                      const Solution& sol);
+
 }  // namespace rdse

@@ -502,13 +502,19 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
   reconcile_links(cand_sol, touched_tasks);
 
   // ---- 2c. touched RCs: re-realize and diff the Ehw lists -----------------
+  // Step 3 runs only when a touched resource is an RC of the candidate or
+  // gave the committed state contexts (an m3-removed device).
+  bool rc_relevant = false;
   for (ResourceId r : touched_snapshot_) {
     desired_.clear();
     if (!cand_arch.alive(r)) {
       dead_resources_.push_back(r);  // an m3 move removed the resource
+      const RcRealization* old = cache_.committed_entry(r);
+      rc_relevant = rc_relevant || (old != nullptr && !old->bounds.empty());
     } else if (cand_arch.resource(r).kind() != ResourceKind::kReconfigurable) {
       continue;  // a processor's chain is its tasks' links; an ASIC has none
     } else {
+      rc_relevant = true;
       // Realize even when the RC lost its last context: the staged (empty)
       // entry replaces the committed one on accept, so a later move
       // touching this RC cannot tear down releases from a stale
@@ -541,47 +547,8 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
 
   if (profile_) profile_lap(prof_reconcile_ns_);
 
-  // ---- 3. context accounting (only when a touched resource could change
-  // it: an RC alive in the candidate, or one that contributed contexts to
-  // the committed state — e.g. an m3-removed device) -----------------------
-  bool rc_relevant = false;
-  for (ResourceId r : touched_snapshot_) {
-    if (cand_arch.alive(r) && cand_arch.resource(r).kind() ==
-                                  ResourceKind::kReconfigurable) {
-      rc_relevant = true;
-      break;
-    }
-    if (const RcRealization* old = cache_.committed_entry(r);
-        old != nullptr && !old->bounds.empty()) {
-      rc_relevant = true;
-      break;
-    }
-  }
-  if (rc_relevant) {
-    sg_.init_reconfig = 0;
-    sg_.dyn_reconfig = 0;
-    sg_.n_contexts = 0;
-    sg_.clbs_loaded = 0;
-    sg_.max_context_clbs = 0;
-    for (ResourceId rc = 0; rc < cand_arch.slot_count(); ++rc) {
-      if (!cand_arch.alive(rc)) continue;
-      if (cand_arch.resource(rc).kind() != ResourceKind::kReconfigurable) {
-        continue;
-      }
-      const std::size_t n_ctx = cand_sol.context_count(rc);
-      if (n_ctx == 0) continue;
-      const auto& dev = cand_arch.reconfigurable(rc);
-      sg_.n_contexts += static_cast<int>(n_ctx);
-      sg_.init_reconfig +=
-          dev.reconfiguration_time(cand_sol.context_clbs(rc, 0));
-      for (std::size_t c = 0; c < n_ctx; ++c) {
-        const std::int32_t clbs = cand_sol.context_clbs(rc, c);
-        sg_.clbs_loaded += clbs;
-        sg_.max_context_clbs = std::max(sg_.max_context_clbs, clbs);
-        if (c > 0) sg_.dyn_reconfig += dev.reconfiguration_time(clbs);
-      }
-    }
-  }
+  // ---- 3. context accounting ---------------------------------------------
+  if (rc_relevant) account_contexts(sg_, cand_arch, cand_sol);
 
   if (profile_) profile_lap(prof_context_ns_);
 

@@ -42,10 +42,7 @@ SolutionCache::Stats SolutionCache::stats() const {
 std::vector<std::pair<std::string, std::string>>
 SolutionCache::export_entries() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(lru_.size());
-  for (const Entry& e : lru_) out.push_back(e);
-  return out;
+  return {lru_.rbegin(), lru_.rend()};
 }
 
 }  // namespace rdse::serve

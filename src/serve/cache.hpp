@@ -20,14 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/hash.hpp"
-
 namespace rdse::serve {
-
-// The FNV-1a cache-key fingerprint lives in util/hash (it is shared with
-// the checkpoint and journal formats); re-exported here for serve callers.
-using rdse::fnv1a64;
-using rdse::fnv1a64_hex;
 
 /// Thread-safe bounded LRU map from canonical request key to result payload
 /// bytes. The full key string is the map key (the FNV fingerprint is
@@ -56,9 +49,8 @@ class SolutionCache {
 
   [[nodiscard]] Stats stats() const;
 
-  /// Snapshot of every (key, payload) entry, MRU first — the persistence
-  /// writer's view. MRU-first order means a truncated persisted file loses
-  /// the least-recently-used tail, never the hot entries.
+  /// Snapshot of every (key, payload) entry, least recently used first:
+  /// the order a compacted cache database replays in (serve/persist.hpp).
   [[nodiscard]] std::vector<std::pair<std::string, std::string>>
   export_entries() const;
 

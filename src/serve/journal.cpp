@@ -1,40 +1,19 @@
 #include "serve/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/atomic_file.hpp"
-#include "util/faultfs.hpp"
-#include "util/hash.hpp"
-#include "util/json.hpp"
 
 namespace rdse::serve {
 
 namespace {
 
-std::string entry_checksum(std::string_view event, const std::string& key) {
-  std::string material(event);
-  material += '\n';
-  material += key;
-  return fnv1a64_hex(material);
-}
-
-std::string entry_line(std::uint64_t seq, std::string_view event,
-                       const std::string& key) {
-  JsonValue doc = JsonValue::object();
-  doc.set("seq", static_cast<std::int64_t>(seq));
-  doc.set("event", std::string(event));
-  doc.set("key", key);
-  doc.set("checksum", entry_checksum(event, key));
-  std::string line = doc.dump();
-  line += '\n';
-  return line;
+JsonValue entry_body(std::string_view event, const std::string& key) {
+  JsonValue body = JsonValue::object();
+  body.set("event", std::string(event));
+  body.set("key", key);
+  return body;
 }
 
 bool known_event(const std::string& event) {
@@ -44,101 +23,64 @@ bool known_event(const std::string& event) {
 
 }  // namespace
 
-WorkJournal::WorkJournal(std::string path) : path_(std::move(path)) {
+WorkJournal::WorkJournal(std::string path) : log_(path, kJournalFormat) {
   // ---- replay ----
+  const RecordReplay replay = replay_records(path, kJournalFormat);
+  if (replay.header == RecordReplay::Header::kForeign) {
+    throw Error("journal: '" + path + "' has a foreign format header (want " +
+                std::string(kJournalFormat) + ")");
+  }
+  counters_.skipped = replay.skipped;
   std::vector<std::string> order;  // keys in first-accepted order
   std::unordered_map<std::string, bool> open_state;  // key -> still pending
-  std::ifstream in(path_);
-  const bool existed = in.is_open();
-  if (existed) {
-    std::string line;
-    const bool has_header = static_cast<bool>(std::getline(in, line));
-    // A header that is some other format must be rejected loudly; an empty
-    // file (crash between create and first write) is simply fresh.
-    if (has_header && line != kJournalFormat) {
-      throw Error("journal: '" + path_ + "' has a foreign format tag (want " +
-                  std::string(kJournalFormat) + ")");
+  for (const JsonValue& body : replay.bodies) {
+    const JsonValue* event = body.kind() == JsonValue::Kind::kObject
+                                 ? body.find("event")
+                                 : nullptr;
+    const JsonValue* key = event != nullptr ? body.find("key") : nullptr;
+    if (key == nullptr || event->kind() != JsonValue::Kind::kString ||
+        key->kind() != JsonValue::Kind::kString ||
+        !known_event(event->as_string())) {
+      ++counters_.skipped;
+      continue;
     }
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;  // recovery byte after a failed append
-      std::string event;
-      std::string key;
-      try {
-        const JsonValue doc = JsonValue::parse(line);
-        event = doc.at("event").as_string();
-        key = doc.at("key").as_string();
-        if (!known_event(event) ||
-            doc.at("checksum").as_string() != entry_checksum(event, key)) {
-          ++counters_.skipped;
-          continue;
-        }
-      } catch (const std::exception&) {
-        ++counters_.skipped;  // torn or corrupt line
-        continue;
-      }
-      const bool pending = event == "accepted" || event == "started";
-      const auto it = open_state.find(key);
-      if (it == open_state.end()) {
-        open_state.emplace(key, pending);
-        order.push_back(key);
-      } else {
-        it->second = pending;  // last transition wins
-      }
+    const bool pending =
+        event->as_string() == "accepted" || event->as_string() == "started";
+    const auto [it, inserted] = open_state.emplace(key->as_string(), pending);
+    if (inserted) {
+      order.push_back(key->as_string());
+    } else {
+      it->second = pending;  // last transition wins
     }
   }
   for (const std::string& key : order) {
     if (open_state[key]) pending_.push_back(key);
   }
   counters_.replayed = pending_.size();
+  if (replay.header == RecordReplay::Header::kAbsent) return;
 
   // ---- compact ----
-  // Rewrite the file with only the still-pending entries (re-sequenced), so
-  // completed work does not accumulate. On a storage fault the old file is
-  // left as-is — replay stays correct, just un-compacted — and appends
-  // continue against it.
-  std::string data = kJournalFormat;
-  data += '\n';
+  // Rewrite the file with only the still-pending entries, so completed
+  // work does not accumulate. On a storage fault the old file is left
+  // as-is — replay stays correct, just un-compacted — and appends continue
+  // against it.
+  std::vector<JsonValue> bodies;
+  bodies.reserve(pending_.size());
   for (const std::string& key : pending_) {
-    data += entry_line(++seq_, "accepted", key);
+    bodies.push_back(entry_body("accepted", key));
   }
-  if (write_file_atomic(path_, data)) {
-    if (existed) ++counters_.compactions;
-  } else {
-    ++counters_.append_failures;
-  }
-
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  // A journal that cannot be opened degrades to counting failures per
-  // append — the service keeps answering, only durability is lost.
-}
-
-WorkJournal::~WorkJournal() {
-  if (fd_ >= 0) ::close(fd_);
+  ++(log_.rewrite(std::move(bodies)) ? counters_.compactions
+                                     : counters_.append_failures);
 }
 
 bool WorkJournal::append(std::string_view event, const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) {
+  if (!log_.append(entry_body(event, key))) {
     ++counters_.append_failures;
-    return false;
-  }
-  const std::string line = entry_line(++seq_, event, key);
-  if (!write_all_fd(fd_, line) || faultfs::fsync(fd_) != 0) {
-    ++counters_.append_failures;
-    // Best-effort newline so a half-written entry corrupts only itself,
-    // not the next append too. Raw write: the recovery byte must not be
-    // subject to the same injected fault plan it is recovering from.
-    (void)!::write(fd_, "\n", 1);
     return false;
   }
   ++counters_.appends;
   return true;
-}
-
-bool WorkJournal::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return false;
-  return faultfs::fsync(fd_) == 0;
 }
 
 WorkJournal::Counters WorkJournal::counters() const {

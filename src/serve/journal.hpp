@@ -3,29 +3,17 @@
 /// \brief Write-ahead work journal for the exploration service
 /// (`rdse serve --journal PATH`).
 ///
-/// Format `rdse.journal.v1`: a header line holding the format tag, then one
-/// checksummed NDJSON entry per work-request state transition:
+/// Format `rdse.journal.v2`: a record log (util/record_log.hpp) with one
+/// record `{"event": E, "key": K}` per work-request state transition. `key`
+/// is the request's canonical form (serve/protocol.hpp), enough to re-run
+/// the work. Events: accepted (queued), started (a worker picked it up),
+/// completed (answered ok), cancelled (the client was told it failed).
 ///
-///   rdse.journal.v1
-///   {"seq": 1, "event": "accepted", "key": "{...}", "checksum": "<16 hex>"}
-///
-/// `key` is the request's canonical normalized form (serve/protocol.hpp) —
-/// enough to re-execute the work — and `checksum` is fnv1a64_hex of
-/// event + '\n' + key, so a torn tail line (crash mid-append) is detected
-/// and skipped rather than replayed corrupt. Events: accepted (admitted to
-/// the queue), started (a worker picked it up), completed (answered ok),
-/// cancelled (deadline/drain/definitive error — the client was told).
-///
-/// On startup the journal replays itself: entries whose key was accepted
-/// (or started) but never completed/cancelled are the work a crash
-/// swallowed, surfaced through pending() for the service to re-enqueue.
-/// The file is then compacted — rewritten atomically with only the pending
-/// entries — so completed work does not accumulate forever.
-///
-/// Appends go through util/faultfs (write + fsync), so the fault-injection
-/// suite can prove every storage failure degrades to "entry not journaled,
-/// run still correct" — an append failure never corrupts the file beyond
-/// what the checksummed replay already skips.
+/// On startup the journal replays itself: keys accepted (or started) but
+/// never completed/cancelled are the work a crash swallowed, surfaced
+/// through pending() for the service to re-enqueue, and the file is
+/// compacted to them. A storage fault degrades to "entry not journaled,
+/// run still correct".
 
 #include <cstdint>
 #include <mutex>
@@ -33,9 +21,11 @@
 #include <string_view>
 #include <vector>
 
+#include "util/record_log.hpp"
+
 namespace rdse::serve {
 
-inline constexpr const char* kJournalFormat = "rdse.journal.v1";
+inline constexpr const char* kJournalFormat = "rdse.journal.v2";
 
 class WorkJournal {
  public:
@@ -48,22 +38,16 @@ class WorkJournal {
   };
 
   /// Open (creating if absent), replay and compact the journal at `path`.
-  /// Throws Error when the file exists but carries a foreign format tag —
-  /// a journal that is not ours must not be silently rewritten.
+  /// Throws Error when the file exists but carries a foreign format
+  /// header — a journal that is not ours must not be silently rewritten.
   explicit WorkJournal(std::string path);
-  ~WorkJournal();
 
   WorkJournal(const WorkJournal&) = delete;
   WorkJournal& operator=(const WorkJournal&) = delete;
 
-  /// Durably append one state transition (write + fsync through faultfs).
-  /// Returns false on a storage fault; the failure is counted and a
-  /// best-effort newline is written so a partial line cannot swallow the
-  /// *next* entry too.
+  /// Durably append one state transition. Returns false on a storage
+  /// fault, which is counted.
   bool append(std::string_view event, const std::string& key);
-
-  /// fsync the journal fd (SIGHUP flush); false when the sync failed.
-  bool flush();
 
   /// Keys accepted-but-not-completed at startup, in first-accepted order —
   /// the work to re-enqueue. Fixed after construction.
@@ -74,10 +58,8 @@ class WorkJournal {
   [[nodiscard]] Counters counters() const;
 
  private:
-  std::string path_;
   mutable std::mutex mutex_;
-  int fd_ = -1;
-  std::uint64_t seq_ = 0;
+  RecordLog log_;
   std::vector<std::string> pending_;
   Counters counters_;
 };

@@ -1,119 +1,107 @@
 #include "serve/persist.hpp"
 
-#include <fstream>
+#include <algorithm>
+#include <string_view>
 #include <unordered_set>
-
-#include "serve/cache.hpp"
-#include "util/atomic_file.hpp"
-#include "util/json.hpp"
 
 namespace rdse::serve {
 
 namespace {
 
-/// Checksum covering one entry: the key and payload with an unambiguous
-/// separator (keys are compact JSON dumps and contain no newline).
-std::string entry_checksum(const std::string& key,
-                           const std::string& payload) {
-  std::string joined;
-  joined.reserve(key.size() + 1 + payload.size());
-  joined += key;
-  joined += '\n';
-  joined += payload;
-  return fnv1a64_hex(joined);
+JsonValue entry_body(const std::string& key, const std::string& payload) {
+  JsonValue body = JsonValue::object();
+  body.set("key", key);
+  body.set("payload", payload);
+  return body;
 }
 
-/// Parse and verify one entry line. Returns false on anything malformed —
-/// the caller counts it and moves on.
-bool parse_entry(const std::string& line, std::string* key,
-                 std::string* payload) {
-  try {
-    const JsonValue doc = JsonValue::parse(line);
-    if (doc.kind() != JsonValue::Kind::kObject) return false;
-    const JsonValue* k = doc.find("key");
-    const JsonValue* p = doc.find("payload");
-    const JsonValue* c = doc.find("checksum");
-    if (k == nullptr || p == nullptr || c == nullptr) return false;
-    if (k->kind() != JsonValue::Kind::kString ||
-        p->kind() != JsonValue::Kind::kString ||
-        c->kind() != JsonValue::Kind::kString) {
-      return false;
-    }
-    if (c->as_string() != entry_checksum(k->as_string(), p->as_string())) {
-      return false;
-    }
-    *key = k->as_string();
-    *payload = p->as_string();
-    return true;
-  } catch (const std::exception&) {
-    return false;
+std::vector<JsonValue> entry_bodies(
+    std::span<const std::pair<std::string, std::string>> entries) {
+  std::vector<JsonValue> bodies;
+  for (const auto& [key, payload] : entries) {
+    bodies.push_back(entry_body(key, payload));
   }
-}
-
-bool valid_header(const std::string& line) {
-  try {
-    const JsonValue doc = JsonValue::parse(line);
-    if (doc.kind() != JsonValue::Kind::kObject) return false;
-    const JsonValue* format = doc.find("format");
-    return format != nullptr &&
-           format->kind() == JsonValue::Kind::kString &&
-           format->as_string() == kCacheDbFormat;
-  } catch (const std::exception&) {
-    return false;
-  }
+  return bodies;
 }
 
 }  // namespace
 
 LoadedCacheDb load_cache_db(const std::string& path) {
+  RecordReplay replay = replay_records(path, kCacheDbFormat);
   LoadedCacheDb out;
-  std::ifstream in(path);
-  if (!in.is_open()) return out;  // missing file: empty cache, no error
-
-  std::string line;
-  if (!std::getline(in, line)) return out;  // empty file: nothing to load
-  const bool header_ok = valid_header(line);
-  if (!header_ok) ++out.skipped;
-
-  std::unordered_set<std::string> seen;
-  while (std::getline(in, line)) {
-    std::string key;
-    std::string payload;
-    // A foreign or future-format file voids every line: without the
-    // version handshake the entry layout is not trustworthy even when
-    // individual checksums happen to verify.
-    if (!header_ok || !parse_entry(line, &key, &payload)) {
+  out.skipped = replay.skipped;
+  // A key's latest record wins, at its position: walk newest first.
+  std::unordered_set<std::string_view> seen;
+  for (auto it = replay.bodies.rbegin(); it != replay.bodies.rend(); ++it) {
+    const JsonValue* key =
+        it->kind() == JsonValue::Kind::kObject ? it->find("key") : nullptr;
+    const JsonValue* payload = key != nullptr ? it->find("payload") : nullptr;
+    if (key == nullptr || payload == nullptr ||
+        key->kind() != JsonValue::Kind::kString ||
+        payload->kind() != JsonValue::Kind::kString) {
       ++out.skipped;
       continue;
     }
-    // Entries are MRU first, so on a duplicate key the FIRST occurrence is
-    // the fresh one — a later duplicate is a stale leftover and must not
-    // shadow it.
-    if (!seen.insert(key).second) {
-      ++out.skipped;
+    if (!seen.insert(key->as_string()).second) {
+      ++out.superseded;
       continue;
     }
-    out.entries.emplace_back(std::move(key), std::move(payload));
+    out.entries.emplace_back(key->as_string(), payload->as_string());
   }
+  std::reverse(out.entries.begin(), out.entries.end());
   return out;
 }
 
 bool save_cache_db(
     const std::string& path,
     std::span<const std::pair<std::string, std::string>> entries) {
-  std::string data = "{\"format\": \"";
-  data += kCacheDbFormat;
-  data += "\"}\n";
-  for (const auto& [key, payload] : entries) {
-    JsonValue doc = JsonValue::object();
-    doc.set("key", key);
-    doc.set("payload", payload);
-    doc.set("checksum", entry_checksum(key, payload));
-    data += doc.dump();
-    data += '\n';
-  }
+  return RecordLog(path, kCacheDbFormat).rewrite(entry_bodies(entries));
+}
 
-  return write_file_atomic(path, data);
+CacheDb::CacheDb(std::string path, SolutionCache& cache)
+    : cache_(cache), log_(path, kCacheDbFormat) {
+  LoadedCacheDb db = load_cache_db(path);
+  for (auto& [key, payload] : db.entries) {
+    cache_.insert(key, std::move(payload));
+  }
+  counters_.loaded = db.entries.size();
+  counters_.skipped = db.skipped;
+  records_ = db.entries.size() + db.superseded;
+  if (db.skipped > 0 || db.superseded > 0 ||
+      records_ > 2 * cache_.stats().entries + kCacheDbSlack) {
+    compact();
+  }
+}
+
+void CacheDb::append(const std::string& key, const std::string& payload) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!log_.append(entry_body(key, payload))) {
+      ++counters_.append_failures;
+      return;
+    }
+    ++counters_.appends;
+    if (++records_ <= 2 * cache_.stats().entries + kCacheDbSlack) return;
+  }
+  compact();
+}
+
+void CacheDb::compact() {
+  // Snapshot under the lock appends take: a result inserted before it is
+  // in the rewrite, one inserted after it is appended to the new file.
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto entries = cache_.export_entries();
+  if (log_.rewrite(entry_bodies(entries))) {
+    ++counters_.compactions;
+    records_ = entries.size();
+  } else {
+    ++counters_.compaction_failures;
+  }
+}
+
+CacheDb::Counters CacheDb::counters() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return counters_;
 }
 
 }  // namespace rdse::serve

@@ -142,9 +142,9 @@ void Server::run() {
     if (config_.reload_request != nullptr &&
         config_.reload_request->exchange(false,
                                          std::memory_order_relaxed)) {
-      // SIGHUP: flush durable state and re-apply runtime config without
-      // touching the connection set or in-flight work.
-      log_info("serve: reload — flushing cache and journal");
+      // SIGHUP: compact the cache database and re-apply runtime config
+      // without touching the connection set or in-flight work.
+      log_info("serve: reload — compacting the cache database");
       service_.reload();
       if (config_.on_reload) config_.on_reload();
     }

@@ -2,7 +2,7 @@
 
 #include <exception>
 #include <future>
-#include <span>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -11,8 +11,8 @@
 #include "core/report.hpp"
 #include "core/sweep_engine.hpp"
 #include "model/registry.hpp"
-#include "serve/persist.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/time.hpp"
 
 namespace rdse::serve {
@@ -62,6 +62,16 @@ void strip_volatile_sweep_fields(JsonValue& doc) {
   }
 }
 
+/// A status block: one integer member per (name, count), in order.
+JsonValue counters_json(
+    std::initializer_list<std::pair<const char*, std::uint64_t>> counters) {
+  JsonValue doc = JsonValue::object();
+  for (const auto& [name, count] : counters) {
+    doc.set(name, static_cast<std::int64_t>(count));
+  }
+  return doc;
+}
+
 std::string plain_response(RequestOp op, JsonValue payload) {
   JsonValue doc = JsonValue::object();
   doc.set("ok", true);
@@ -89,7 +99,9 @@ ExplorationService::ExplorationService(ServiceConfig config)
       cache_(config_.cache_capacity),
       pool_(config_.workers == 0 ? 1 : config_.workers),
       start_time_(std::chrono::steady_clock::now()) {
-  load_persisted_cache();
+  if (!config_.persist_path.empty()) {
+    cache_db_ = std::make_unique<CacheDb>(config_.persist_path, cache_);
+  }
   if (!config_.journal_path.empty()) {
     journal_ = std::make_unique<WorkJournal>(config_.journal_path);
     if (!journal_->pending().empty()) {
@@ -114,15 +126,13 @@ void ExplorationService::begin_drain() {
     if (draining_) return;
     draining_ = true;
   }
-  // Final flush so results computed since the last save survive the
-  // shutdown even if an insert-time save failed transiently.
-  save_persisted_cache();
-  if (journal_) (void)journal_->flush();
+  // Final compaction: the next startup replays one record per live entry,
+  // and a result whose append failed transiently is saved after all.
+  if (cache_db_) cache_db_->compact();
 }
 
 void ExplorationService::reload() {
-  save_persisted_cache();
-  if (journal_) (void)journal_->flush();
+  if (cache_db_) cache_db_->compact();
 }
 
 void ExplorationService::journal_event(std::string_view event,
@@ -145,62 +155,11 @@ void ExplorationService::replay_journal() {
       journal_event("cancelled", key);
       continue;
     }
-    const std::string response = run_work_request(request);
-    // A fresh execution journals its own transitions. Two outcomes need
-    // closing out here: a cache hit (the work completed before the crash
-    // but its 'completed' entry never hit the disk) and a definitive error
-    // (re-running cannot help). A backpressure rejection carries
-    // retry_after_ms and stays pending for the next startup instead.
-    try {
-      const JsonValue doc = JsonValue::parse(response);
-      const JsonValue* ok = doc.find("ok");
-      const bool succeeded = ok != nullptr &&
-                             ok->kind() == JsonValue::Kind::kBool &&
-                             ok->as_bool();
-      if (succeeded) {
-        const JsonValue* cached = doc.find("cached");
-        if (cached != nullptr && cached->kind() == JsonValue::Kind::kBool &&
-            cached->as_bool()) {
-          journal_event("completed", key);
-        }
-      } else if (doc.find("retry_after_ms") == nullptr) {
-        bool draining = false;
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          draining = draining_;
-        }
-        // During a drain the error is "shutting down", not a verdict on
-        // the work — leave the entry pending for the next startup.
-        if (!draining) journal_event("cancelled", key);
-      }
-    } catch (const std::exception&) {
-      // Unparseable response line: leave the entry pending.
-    }
-  }
-}
-
-void ExplorationService::load_persisted_cache() {
-  if (config_.persist_path.empty()) return;
-  LoadedCacheDb db = load_cache_db(config_.persist_path);
-  // The file is MRU first; inserting in reverse replays the entries in
-  // recency order, restoring the original LRU order (and letting the
-  // configured capacity trim the cold tail).
-  for (auto it = db.entries.rbegin(); it != db.entries.rend(); ++it) {
-    cache_.insert(it->first, std::move(it->second));
-  }
-  const std::lock_guard<std::mutex> lock(persist_mutex_);
-  persist_loaded_ = db.entries.size();
-  persist_skipped_ = db.skipped;
-}
-
-void ExplorationService::save_persisted_cache() {
-  if (config_.persist_path.empty()) return;
-  const auto entries = cache_.export_entries();
-  const std::lock_guard<std::mutex> lock(persist_mutex_);
-  if (save_cache_db(config_.persist_path, entries)) {
-    ++persist_saves_;
-  } else {
-    ++persist_save_failures_;
+    // A run journals its own transitions, and run_work_request closes out
+    // a cache hit (the work completed before the crash, but its 'completed'
+    // entry never reached the disk) or a rejected budget. Backpressure and
+    // a drain leave the entry pending for the next startup.
+    (void)run_work_request(request, /*replayed=*/true);
   }
 }
 
@@ -211,6 +170,8 @@ ServiceStats ExplorationService::stats() const {
   s.uptime_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                     now - start_time_)
                     .count();
+  s.persist_enabled = cache_db_ != nullptr;
+  if (cache_db_) s.persist = cache_db_->counters();
   s.journal_enabled = journal_ != nullptr;
   if (journal_) s.journal = journal_->counters();
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -232,41 +193,27 @@ ServiceStats ExplorationService::stats() const {
   s.rejected = rejected_;
   s.errors = errors_;
   s.cancelled = cancelled_;
-  s.persist_enabled = !config_.persist_path.empty();
-  {
-    const std::lock_guard<std::mutex> plock(persist_mutex_);
-    s.persist_loaded = persist_loaded_;
-    s.persist_skipped = persist_skipped_;
-    s.persist_saves = persist_saves_;
-    s.persist_save_failures = persist_save_failures_;
-  }
   return s;
 }
 
 JsonValue ExplorationService::status_payload() const {
   const ServiceStats s = stats();
-  JsonValue cache = JsonValue::object();
-  cache.set("hits", static_cast<std::int64_t>(s.cache.hits));
-  cache.set("misses", static_cast<std::int64_t>(s.cache.misses));
-  cache.set("evictions", static_cast<std::int64_t>(s.cache.evictions));
-  cache.set("entries", static_cast<std::int64_t>(s.cache.entries));
-  cache.set("capacity", static_cast<std::int64_t>(s.cache.capacity));
-  JsonValue queue = JsonValue::object();
-  queue.set("depth", static_cast<std::int64_t>(s.queue_depth));
-  queue.set("in_flight", static_cast<std::int64_t>(s.in_flight));
-  queue.set("capacity", static_cast<std::int64_t>(s.queue_capacity));
-  queue.set("workers", static_cast<std::int64_t>(s.workers));
-  JsonValue requests = JsonValue::object();
-  requests.set("total", static_cast<std::int64_t>(s.requests_total));
-  requests.set("completed", static_cast<std::int64_t>(s.completed));
-  requests.set("rejected", static_cast<std::int64_t>(s.rejected));
-  requests.set("errors", static_cast<std::int64_t>(s.errors));
-  requests.set("cancelled", static_cast<std::int64_t>(s.cancelled));
   JsonValue doc = JsonValue::object();
   doc.set("uptime_ms", s.uptime_ms);
-  doc.set("cache", std::move(cache));
-  doc.set("queue", std::move(queue));
-  doc.set("requests", std::move(requests));
+  doc.set("cache", counters_json({{"hits", s.cache.hits},
+                                  {"misses", s.cache.misses},
+                                  {"evictions", s.cache.evictions},
+                                  {"entries", s.cache.entries},
+                                  {"capacity", s.cache.capacity}}));
+  doc.set("queue", counters_json({{"depth", s.queue_depth},
+                                  {"in_flight", s.in_flight},
+                                  {"capacity", s.queue_capacity},
+                                  {"workers", s.workers}}));
+  doc.set("requests", counters_json({{"total", s.requests_total},
+                                     {"completed", s.completed},
+                                     {"rejected", s.rejected},
+                                     {"errors", s.errors},
+                                     {"cancelled", s.cancelled}}));
   JsonValue in_flight = JsonValue::array();
   for (const ServiceStats::InFlightInfo& info : s.in_flight_requests) {
     JsonValue row = JsonValue::object();
@@ -276,24 +223,22 @@ JsonValue ExplorationService::status_payload() const {
   }
   doc.set("in_flight_requests", std::move(in_flight));
   if (s.journal_enabled) {
-    JsonValue journal = JsonValue::object();
-    journal.set("replayed", static_cast<std::int64_t>(s.journal.replayed));
-    journal.set("skipped", static_cast<std::int64_t>(s.journal.skipped));
-    journal.set("compactions",
-                static_cast<std::int64_t>(s.journal.compactions));
-    journal.set("appends", static_cast<std::int64_t>(s.journal.appends));
-    journal.set("append_failures",
-                static_cast<std::int64_t>(s.journal.append_failures));
-    doc.set("journal", std::move(journal));
+    doc.set("journal",
+            counters_json({{"replayed", s.journal.replayed},
+                           {"skipped", s.journal.skipped},
+                           {"compactions", s.journal.compactions},
+                           {"appends", s.journal.appends},
+                           {"append_failures", s.journal.append_failures}}));
   }
   if (s.persist_enabled) {
-    JsonValue persist = JsonValue::object();
-    persist.set("loaded", static_cast<std::int64_t>(s.persist_loaded));
-    persist.set("skipped", static_cast<std::int64_t>(s.persist_skipped));
-    persist.set("saves", static_cast<std::int64_t>(s.persist_saves));
-    persist.set("save_failures",
-                static_cast<std::int64_t>(s.persist_save_failures));
-    doc.set("persist", std::move(persist));
+    doc.set("persist",
+            counters_json(
+                {{"loaded", s.persist.loaded},
+                 {"skipped", s.persist.skipped},
+                 {"appends", s.persist.appends},
+                 {"append_failures", s.persist.append_failures},
+                 {"compactions", s.persist.compactions},
+                 {"compaction_failures", s.persist.compaction_failures}}));
   }
   return doc;
 }
@@ -336,8 +281,11 @@ ExplorationService::Handled ExplorationService::handle(
   return handled;
 }
 
-std::string ExplorationService::run_work_request(const Request& request) {
+std::string ExplorationService::run_work_request(const Request& request,
+                                                 bool replayed) {
+  const std::string key = canonical_key(request);
   if (request.iterations + request.warmup > config_.max_iterations) {
+    if (replayed) journal_event("cancelled", key);
     const std::lock_guard<std::mutex> lock(mutex_);
     ++errors_;
     return make_error_response(
@@ -345,9 +293,9 @@ std::string ExplorationService::run_work_request(const Request& request) {
         std::to_string(config_.max_iterations) + ")");
   }
 
-  const std::string key = canonical_key(request);
   const std::string fingerprint = fnv1a64_hex(key);
   if (auto hit = cache_.lookup(key)) {
+    if (replayed) journal_event("completed", key);
     const std::lock_guard<std::mutex> lock(mutex_);
     ++completed_;
     return make_result_response(request.op, true, fingerprint, *hit);
@@ -428,7 +376,7 @@ std::string ExplorationService::run_work_request(const Request& request) {
   const JobResult result = future.get();
   if (result.kind == JobResult::Kind::kDone) {
     cache_.insert(key, result.text);
-    save_persisted_cache();
+    if (cache_db_) cache_db_->append(key, result.text);
     journal_event("completed", key);
     {
       const std::lock_guard<std::mutex> lock(mutex_);

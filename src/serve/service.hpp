@@ -26,6 +26,7 @@
 
 #include "serve/cache.hpp"
 #include "serve/journal.hpp"
+#include "serve/persist.hpp"
 #include "serve/protocol.hpp"
 #include "util/cancel.hpp"
 #include "util/thread_pool.hpp"
@@ -47,11 +48,10 @@ struct ServiceConfig {
   /// exceeds this cap — one oversized request must not starve the queue.
   std::int64_t max_iterations = 1'000'000;
   std::int64_t retry_after_ms = 250;
-  /// Path of the persisted solution cache (rdse.cachedb.v1); empty
-  /// disables persistence. Loaded and verified at construction, rewritten
-  /// atomically (temp + fsync + rename) after every fresh result.
+  /// Path of the persisted solution cache (serve/persist.hpp); empty
+  /// disables persistence.
   std::string persist_path;
-  /// Path of the write-ahead work journal (rdse.journal.v1); empty
+  /// Path of the write-ahead work journal (serve/journal.hpp); empty
   /// disables journaling. Replayed and compacted at construction;
   /// accepted-but-not-completed work is re-enqueued in the background.
   std::string journal_path;
@@ -74,10 +74,7 @@ struct ServiceStats {
   std::uint64_t errors = 0;          ///< malformed / failed requests
   std::uint64_t cancelled = 0;       ///< deadline-expired + drain-cancelled
   bool persist_enabled = false;
-  std::uint64_t persist_loaded = 0;   ///< entries restored at startup
-  std::uint64_t persist_skipped = 0;  ///< corrupt lines skipped at startup
-  std::uint64_t persist_saves = 0;    ///< successful database writes
-  std::uint64_t persist_save_failures = 0;
+  CacheDb::Counters persist;
   std::int64_t uptime_ms = 0;  ///< since service construction
   /// One entry per request executing right now: the request fingerprint
   /// (fnv64 hex of its canonical key) and how long it has been running.
@@ -115,28 +112,30 @@ class ExplorationService {
   /// Stop admitting work requests (they get a "shutting down" error);
   /// queued-but-unstarted work is cancelled at pickup (its caller gets a
   /// "cancelled" error without the run executing), in-flight runs still
-  /// complete, and the persisted cache — if any — is flushed.
+  /// complete, and the persisted cache — if any — is compacted.
   void begin_drain();
 
-  /// SIGHUP hook: flush the persisted cache and fsync the journal without
-  /// touching admission state — connections and in-flight work continue.
+  /// SIGHUP hook: compact the persisted cache without touching admission
+  /// state — connections and in-flight work continue.
   void reload();
 
   [[nodiscard]] ServiceStats stats() const;
 
  private:
-  [[nodiscard]] std::string run_work_request(const Request& request);
+  /// `replayed`: crash-recovered journal work, whose entry this closes
+  /// out when it ends without running (a cache hit, a rejected budget).
+  [[nodiscard]] std::string run_work_request(const Request& request,
+                                             bool replayed = false);
   [[nodiscard]] JsonValue execute(const Request& request,
                                   const CancelToken* cancel) const;
   [[nodiscard]] JsonValue status_payload() const;
-  void load_persisted_cache();
-  void save_persisted_cache();
   void journal_event(std::string_view event, const std::string& key);
   void replay_journal();
 
   ServiceConfig config_;
   SolutionCache cache_;
   ThreadPool pool_;
+  std::unique_ptr<CacheDb> cache_db_;
   std::unique_ptr<WorkJournal> journal_;
   std::chrono::steady_clock::time_point start_time_;
   /// Re-runs crash-recovered journal entries; joined before the pool dies.
@@ -159,14 +158,6 @@ class ExplorationService {
   std::uint64_t rejected_ = 0;
   std::uint64_t errors_ = 0;
   std::uint64_t cancelled_ = 0;
-
-  /// Serializes whole-database writes (saves snapshot the cache, so they
-  /// never hold mutex_).
-  mutable std::mutex persist_mutex_;
-  std::uint64_t persist_loaded_ = 0;
-  std::uint64_t persist_skipped_ = 0;
-  std::uint64_t persist_saves_ = 0;
-  std::uint64_t persist_save_failures_ = 0;
 };
 
 }  // namespace rdse::serve

@@ -1,13 +1,11 @@
 #pragma once
 /// \file hash.hpp
-/// \brief FNV-1a fingerprints and 64-bit hex codecs shared by every
-/// persistence format (`rdse.cachedb.v1`, `rdse.checkpoint.v1`,
-/// `rdse.journal.v1`).
+/// \brief FNV-1a fingerprints (record checksums, util/record_log.hpp, and
+/// serve's request fingerprints) and 64-bit hex codecs.
 ///
 /// JSON numbers are doubles, so a full 64-bit word cannot round-trip
-/// through `util/json` as a number; every artifact stores u64 values
-/// (checksums, RNG words, seeds) as 16-digit lowercase hex strings
-/// instead.
+/// through `util/json` as a number; artifacts store u64 values (RNG
+/// words, seeds) as 16-digit lowercase hex strings instead.
 
 #include <cstdint>
 #include <string>

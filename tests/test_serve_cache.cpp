@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "serve/cache.hpp"
+#include "util/hash.hpp"
 
 namespace rdse::serve {
 namespace {

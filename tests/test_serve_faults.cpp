@@ -1,16 +1,21 @@
 /// Fault-injection suite for the fault-tolerant serve stack: crash-safe
-/// cache persistence (rdse.cachedb.v1), the util/faultfs write/fsync/rename
-/// shim, request deadlines with cooperative cancellation, and drain
-/// semantics. Every injected storage fault must degrade to "cache miss,
-/// correct answer" — never a crash, never a wrong payload. Runs under ASan
-/// and TSan in CI (the `test_serve` prefix selects it for the TSan job).
+/// cache persistence (rdse.cachedb.v2: one record appended per fresh
+/// result, compaction from the live cache), the work journal, the
+/// util/faultfs write/fsync/rename shim, request deadlines with
+/// cooperative cancellation, and drain semantics. Every injected storage
+/// fault must degrade to "cache miss, correct answer" — never a crash,
+/// never a wrong payload. Runs under ASan and TSan in CI (the `test_serve`
+/// prefix selects it for the TSan job).
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <sstream>
 #include <string>
@@ -59,7 +64,7 @@ class FaultFsTest : public ::testing::Test {
 
 // ------------------------------------------------------------ persistence
 
-TEST(ServePersist, SaveAndLoadRoundTripInMruOrder) {
+TEST(ServePersist, SaveAndLoadRoundTripInWriteOrder) {
   const std::string path = db_path("cachedb-roundtrip.json");
   const Entries entries = {{"key-a", "payload-a"},
                            {"key-b", "payload {\"nested\": [1, 2]}"},
@@ -67,9 +72,10 @@ TEST(ServePersist, SaveAndLoadRoundTripInMruOrder) {
   ASSERT_TRUE(save_cache_db(path, entries));
   const LoadedCacheDb db = load_cache_db(path);
   EXPECT_EQ(db.skipped, 0u);
+  EXPECT_EQ(db.superseded, 0u);
   EXPECT_EQ(db.entries, entries);
   const std::string text = read_file(path);
-  EXPECT_EQ(text.rfind("{\"format\": \"rdse.cachedb.v1\"}\n", 0), 0u)
+  EXPECT_EQ(text.rfind("{\"format\": \"rdse.cachedb.v2\"}\n", 0), 0u)
       << text;
 }
 
@@ -94,9 +100,10 @@ TEST(ServePersist, ForeignFormatHeaderVoidsEveryLine) {
   const std::string good = read_file(path);
   const std::size_t nl = good.find('\n');
   ASSERT_NE(nl, std::string::npos);
-  // Same entry lines under a future format version: not trustworthy.
+  // Same entry lines under another format version (here the retired v1,
+  // which is not imported): not trustworthy.
   write_file(path,
-             "{\"format\": \"rdse.cachedb.v2\"}" + good.substr(nl));
+             "{\"format\": \"rdse.cachedb.v1\"}" + good.substr(nl));
   const LoadedCacheDb db = load_cache_db(path);
   EXPECT_TRUE(db.entries.empty());
   EXPECT_EQ(db.skipped, 2u);  // header + the voided entry
@@ -130,21 +137,22 @@ TEST(ServePersist, TamperedPayloadFailsTheChecksum) {
   EXPECT_EQ(db.skipped, 1u);
 }
 
-TEST(ServePersist, DuplicateKeyKeepsTheFreshMruOccurrence) {
-  // Regression: entries are MRU first, so when a database carries the same
-  // key twice (e.g. a partially compacted file), the FIRST occurrence is
-  // the fresh payload — a stale later duplicate must be skipped, not allowed
-  // to shadow it in the rebuilt cache.
+TEST(ServePersist, DuplicateKeyKeepsTheLatestRecord) {
+  // The file is chronological, so when it carries the same key twice (a
+  // result appended again after a compaction, or two concurrent misses),
+  // the LAST record is the fresh payload and sets the key's recency; the
+  // earlier one is superseded, not allowed to shadow it.
   const std::string path = db_path("cachedb-dupkey.json");
-  ASSERT_TRUE(save_cache_db(path, Entries{{"hot-key", "fresh-payload"},
+  ASSERT_TRUE(save_cache_db(path, Entries{{"hot-key", "stale-payload"},
                                           {"other", "payload"},
-                                          {"hot-key", "stale-payload"}}));
+                                          {"hot-key", "fresh-payload"}}));
   const LoadedCacheDb db = load_cache_db(path);
   ASSERT_EQ(db.entries.size(), 2u);
-  EXPECT_EQ(db.entries[0],
+  EXPECT_EQ(db.entries[0].first, "other");
+  EXPECT_EQ(db.entries[1],
             (std::pair<std::string, std::string>{"hot-key", "fresh-payload"}));
-  EXPECT_EQ(db.entries[1].first, "other");
-  EXPECT_EQ(db.skipped, 1u);  // the stale duplicate
+  EXPECT_EQ(db.skipped, 0u);
+  EXPECT_EQ(db.superseded, 1u);  // the stale record
 }
 
 // -------------------------------------------------------------- faultfs
@@ -222,8 +230,8 @@ TEST_F(FaultFsTest, TornRenameCommitsARecoverableTruncatedFile) {
   faultfs::clear();
 
   // ...but half the file *was* committed — the crash-between-write-back-
-  // and-commit shape. The loader recovers the surviving MRU prefix and
-  // skips at most the one line the cut landed in.
+  // and-commit shape. The loader recovers the surviving prefix and skips
+  // at most the one line the cut landed in.
   const LoadedCacheDb db = load_cache_db(path);
   EXPECT_LT(db.entries.size(), entries.size());
   EXPECT_LE(db.skipped, 1u);
@@ -265,13 +273,17 @@ TEST_F(FaultFsTest, CacheSurvivesARestartBitIdentically) {
     const auto handled = service.handle(explore_line(42));
     ASSERT_TRUE(handled.ok) << handled.response;
     fresh = handled.response;
-    EXPECT_GE(service.stats().persist_saves, 1u);
-  }  // destructor ~ "clean exit"; the database was written at insert time
+    EXPECT_EQ(service.stats().persist.appends, 1u);
+    EXPECT_EQ(service.stats().persist.compactions, 0u);
+    // The appended record is on disk before any drain.
+    EXPECT_EQ(load_cache_db(config.persist_path).entries.size(), 1u);
+  }  // destructor ~ "clean exit": the drain compacts
 
   ExplorationService restarted(config);
   const ServiceStats stats = restarted.stats();
-  EXPECT_EQ(stats.persist_loaded, 1u);
-  EXPECT_EQ(stats.persist_skipped, 0u);
+  EXPECT_EQ(stats.persist.loaded, 1u);
+  EXPECT_EQ(stats.persist.skipped, 0u);
+  EXPECT_EQ(stats.persist.compactions, 0u);  // a clean startup does not
   const auto hit = restarted.handle(explore_line(42));
   ASSERT_TRUE(hit.ok) << hit.response;
   EXPECT_EQ(as_cached(fresh), hit.response);
@@ -284,53 +296,198 @@ TEST_F(FaultFsTest, CorruptDatabaseDegradesToAMissWithCorrectAnswer) {
   write_file(config.persist_path, "total garbage\nmore garbage\n");
 
   ExplorationService service(config);
-  EXPECT_EQ(service.stats().persist_loaded, 0u);
-  EXPECT_EQ(service.stats().persist_skipped, 2u);
+  EXPECT_EQ(service.stats().persist.loaded, 0u);
+  EXPECT_EQ(service.stats().persist.skipped, 2u);
+  // Replay skipped lines, so startup compacted them away.
+  EXPECT_EQ(service.stats().persist.compactions, 1u);
 
   // The answer is still computed fresh and correct.
   const auto handled = service.handle(explore_line(5));
   ASSERT_TRUE(handled.ok) << handled.response;
   EXPECT_NE(handled.response.find(R"("cached": false)"), std::string::npos);
 
-  // And the next save replaces the corrupt file with a loadable one.
+  // And it was appended to the compacted, loadable file.
   const LoadedCacheDb db = load_cache_db(config.persist_path);
   EXPECT_EQ(db.entries.size(), 1u);
   EXPECT_EQ(db.skipped, 0u);
 }
 
+TEST_F(FaultFsTest, FreshResultAppendsOneRecordAndNoRename) {
+  ServiceConfig config = fast_config();
+  config.persist_path = db_path("cachedb-one-record.json");
+  ExplorationService service(config);
+  ASSERT_TRUE(service.handle(explore_line(1)).ok);
+  const std::string before = read_file(config.persist_path);
+
+  faultfs::clear();  // zero the call counters
+  const auto handled = service.handle(explore_line(2));
+  ASSERT_TRUE(handled.ok) << handled.response;
+  const faultfs::Counters calls = faultfs::counters();
+  EXPECT_EQ(calls.writes, 1u);
+  EXPECT_EQ(calls.fsyncs, 1u);
+  EXPECT_EQ(calls.renames, 0u);  // the request path never rewrites the file
+
+  // The file grew by exactly one line, holding the fresh result.
+  const std::string after = read_file(config.persist_path);
+  ASSERT_EQ(after.rfind(before, 0), 0u);
+  const std::string added = after.substr(before.size());
+  EXPECT_EQ(std::count(added.begin(), added.end(), '\n'), 1);
+  const LoadedCacheDb db = load_cache_db(config.persist_path);
+  ASSERT_EQ(db.entries.size(), 2u);
+  EXPECT_EQ(db.entries[1].first, canonical_key(parse_request(
+                                     JsonValue::parse(explore_line(2)))));
+}
+
+/// Each caller's fresh response, keyed by its request's canonical key.
+using Answers = std::vector<std::pair<std::string, std::string>>;
+
+/// The payload bytes of a fresh response.
+std::string result_payload(const std::string& response) {
+  return JsonValue::parse(response).at("result").dump();
+}
+
+/// Every answered fresh result must be in the database with its payload.
+void expect_all_on_disk(const std::string& path, const Answers& answers) {
+  const LoadedCacheDb db = load_cache_db(path);
+  EXPECT_EQ(db.skipped, 0u);
+  for (const auto& [key, response] : answers) {
+    const auto it =
+        std::find_if(db.entries.begin(), db.entries.end(),
+                     [&](const auto& entry) { return entry.first == key; });
+    ASSERT_NE(it, db.entries.end()) << key;
+    EXPECT_EQ(it->second, result_payload(response)) << key;
+  }
+}
+
+/// `callers` threads, each answering `per_caller` distinct fresh requests
+/// (seeds from `first_seed`), while `meanwhile` runs on this thread until
+/// they are done.
+Answers answer_concurrently(ExplorationService& service, int callers,
+                            int per_caller, int first_seed,
+                            const std::function<void()>& meanwhile) {
+  std::vector<Answers> per_thread(static_cast<std::size_t>(callers));
+  std::atomic<int> running{callers};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < callers; ++c) {
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < per_caller; ++i) {
+        const std::string line = explore_line(first_seed + c * per_caller + i);
+        const auto handled = service.handle(line);
+        EXPECT_TRUE(handled.ok) << handled.response;
+        per_thread[static_cast<std::size_t>(c)].emplace_back(
+            canonical_key(parse_request(JsonValue::parse(line))),
+            handled.response);
+      }
+      --running;
+    });
+  }
+  while (running.load() > 0) meanwhile();
+  for (std::thread& t : threads) t.join();
+  Answers all;
+  for (const Answers& a : per_thread) all.insert(all.end(), a.begin(), a.end());
+  return all;
+}
+
+TEST_F(FaultFsTest, ConcurrentFreshResultsAreOnDiskBeforeDrain) {
+  ServiceConfig config = fast_config();
+  config.workers = 3;
+  config.queue_capacity = 16;
+  config.persist_path = db_path("cachedb-concurrent.json");
+  ExplorationService service(config);
+  const Answers answers = answer_concurrently(service, 4, 3, 100, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  // No drain and no compaction yet: the appends alone hold every answer.
+  EXPECT_EQ(service.stats().persist.appends, answers.size());
+  EXPECT_EQ(service.stats().persist.compactions, 0u);
+  expect_all_on_disk(config.persist_path, answers);
+}
+
+TEST_F(FaultFsTest, ReloadRacingFreshResultsLosesNoRecord) {
+  ServiceConfig config = fast_config();
+  config.workers = 3;
+  config.queue_capacity = 16;
+  config.persist_path = db_path("cachedb-reload-race.json");
+  ExplorationService service(config);
+  const Answers answers =
+      answer_concurrently(service, 4, 3, 200, [&] { service.reload(); });
+  EXPECT_GE(service.stats().persist.compactions, 1u);
+  expect_all_on_disk(config.persist_path, answers);
+}
+
+TEST_F(FaultFsTest, SmallCacheKeepsTheFileWithinTheSizeRule) {
+  ServiceConfig config = fast_config();
+  config.cache_capacity = 2;
+  config.persist_path = db_path("cachedb-size-rule.json");
+  ExplorationService service(config);
+  const std::uint64_t bound = 2 * config.cache_capacity + kCacheDbSlack;
+  for (int seed = 0; seed < static_cast<int>(bound) + 8; ++seed) {
+    const auto handled = service.handle(
+        R"({"op": "explore", "clbs": 400, "iters": 20, "warmup": 5, )"
+        R"("seed": )" +
+        std::to_string(seed) + "}");
+    ASSERT_TRUE(handled.ok) << handled.response;
+    const std::string text = read_file(config.persist_path);
+    const auto lines =
+        static_cast<std::uint64_t>(std::count(text.begin(), text.end(), '\n'));
+    ASSERT_LE(lines - 1, bound) << "after seed " << seed;  // minus the header
+  }
+  EXPECT_GE(service.stats().persist.compactions, 1u);
+  // A compaction leaves exactly the live entries.
+  service.reload();
+  EXPECT_EQ(load_cache_db(config.persist_path).entries.size(), 2u);
+}
+
 TEST_F(FaultFsTest, EveryInjectedFaultDegradesToMissNotWrongPayload) {
-  // The acceptance gate: under each fault mode the service keeps
+  // The acceptance gate: under each fault mode, aimed at the fresh
+  // result's append or at the drain's compaction, the service keeps
   // answering correctly; after a restart the worst case is a cache miss
-  // that recomputes the same bytes.
-  const char* specs[] = {"fail_write:1", "short_write:1", "fail_fsync:1",
-                         "fail_rename:1", "torn_rename:1"};
+  // that recomputes the same bytes. The database exists beforehand, so an
+  // append writes and fsyncs but never renames: the rename modes can only
+  // reach a compaction (which here is the second write and fsync).
+  struct Case {
+    const char* spec;
+    bool hits_append;
+  };
+  const Case cases[] = {
+      {"fail_write:1", true},   {"short_write:1", true},
+      {"fail_fsync:1", true},   {"fail_write:2", false},
+      {"short_write:2", false}, {"fail_fsync:2", false},
+      {"fail_rename:1", false}, {"torn_rename:1", false}};
   std::string reference;
-  for (const char* spec : specs) {
+  for (const Case& c : cases) {
     ServiceConfig config = fast_config();
     config.persist_path = db_path("cachedb-degrade.json");
+    ASSERT_TRUE(save_cache_db(config.persist_path, Entries{}));
 
-    faultfs::set_plan(faultfs::parse_plan(spec));
+    faultfs::set_plan(faultfs::parse_plan(c.spec));
     std::string fresh;
     {
       ExplorationService service(config);
       const auto handled = service.handle(explore_line(9));
-      ASSERT_TRUE(handled.ok) << spec << ": " << handled.response;
+      ASSERT_TRUE(handled.ok) << c.spec << ": " << handled.response;
       fresh = handled.response;
-      EXPECT_GE(service.stats().persist_save_failures, 1u) << spec;
+      EXPECT_EQ(faultfs::counters().renames, 0u) << c.spec;
+      service.begin_drain();
+      const CacheDb::Counters persist = service.stats().persist;
+      EXPECT_EQ(faultfs::counters().faults_fired, 1u) << c.spec;
+      EXPECT_EQ(persist.append_failures, c.hits_append ? 1u : 0u) << c.spec;
+      EXPECT_EQ(persist.compaction_failures, c.hits_append ? 0u : 1u)
+          << c.spec;
     }
     faultfs::clear();
     if (reference.empty()) reference = fresh;
-    EXPECT_EQ(reference, fresh) << spec;  // same bytes under every fault
+    EXPECT_EQ(reference, fresh) << c.spec;  // same bytes under every fault
 
     ExplorationService restarted(config);
     const auto again = restarted.handle(explore_line(9));
-    ASSERT_TRUE(again.ok) << spec << ": " << again.response;
+    ASSERT_TRUE(again.ok) << c.spec << ": " << again.response;
     // Loaded-from-disk hit or recomputed miss — either way the payload
     // bytes match the fresh run exactly.
     if (again.response.find(R"("cached": true)") != std::string::npos) {
-      EXPECT_EQ(as_cached(fresh), again.response) << spec;
+      EXPECT_EQ(as_cached(fresh), again.response) << c.spec;
     } else {
-      EXPECT_EQ(fresh, again.response) << spec;
+      EXPECT_EQ(fresh, again.response) << c.spec;
     }
   }
 }
@@ -352,7 +509,6 @@ TEST_F(FaultFsTest, JournalReplaysOpenWorkAndCompactsClosedWork) {
     EXPECT_TRUE(journal.append("completed", "key-done"));
     EXPECT_TRUE(journal.append("accepted", "key-cancelled"));
     EXPECT_TRUE(journal.append("cancelled", "key-cancelled"));
-    EXPECT_TRUE(journal.flush());
     EXPECT_EQ(journal.counters().appends, 6u);
     EXPECT_EQ(journal.counters().append_failures, 0u);
   }  // ~ "crash after these appends"
@@ -367,15 +523,50 @@ TEST_F(FaultFsTest, JournalReplaysOpenWorkAndCompactsClosedWork) {
   EXPECT_EQ(reopened.counters().compactions, 1u);
   // The compacted file carries only the open entry (plus the header).
   const std::string text = read_file(path);
-  EXPECT_EQ(text.rfind(kJournalFormat, 0), 0u);
-  EXPECT_NE(text.find("key-open"), std::string::npos);
+  EXPECT_EQ(text.rfind("{\"format\": \"rdse.journal.v2\"}\n", 0), 0u)
+      << text;
+  EXPECT_NE(text.find(R"("event": "accepted", "key": "key-open")"),
+            std::string::npos)
+      << text;
   EXPECT_EQ(text.find("key-done"), std::string::npos);
   EXPECT_EQ(text.find("key-cancelled"), std::string::npos);
 }
 
+TEST_F(FaultFsTest, JournalCompactionFaultNeverReplaysWrongWork) {
+  // Every fault mode aimed at the startup compaction: the replay that
+  // preceded it still reports the open work, and the file left behind
+  // (the old one, or a torn new one) replays nothing but that work.
+  for (const char* spec : {"fail_write:1", "short_write:1", "fail_fsync:1",
+                           "fail_rename:1", "torn_rename:1"}) {
+    const std::string path = db_path("journal-compaction-fault.ndjson");
+    {
+      WorkJournal journal(path);
+      ASSERT_TRUE(journal.append("accepted", "key-done"));
+      ASSERT_TRUE(journal.append("accepted", "key-open"));
+      ASSERT_TRUE(journal.append("completed", "key-done"));
+    }
+    faultfs::set_plan(faultfs::parse_plan(spec));
+    {
+      WorkJournal reopened(path);
+      EXPECT_EQ(faultfs::counters().faults_fired, 1u) << spec;
+      EXPECT_EQ(reopened.counters().compactions, 0u) << spec;
+      EXPECT_EQ(reopened.counters().append_failures, 1u) << spec;
+      ASSERT_EQ(reopened.pending().size(), 1u) << spec;
+      EXPECT_EQ(reopened.pending()[0], "key-open") << spec;
+    }
+    faultfs::clear();
+    WorkJournal again(path);
+    EXPECT_LE(again.pending().size(), 1u) << spec;
+    for (const std::string& key : again.pending()) {
+      EXPECT_EQ(key, "key-open") << spec;
+    }
+  }
+}
+
 TEST_F(FaultFsTest, JournalForeignFormatThrowsGarbageLinesSkip) {
+  // A v1 journal (a bare tag line) is not imported: it is rejected loudly.
   const std::string foreign = db_path("journal-foreign.ndjson");
-  write_file(foreign, "rdse.journal.v9\n");
+  write_file(foreign, "rdse.journal.v1\n");
   EXPECT_THROW(WorkJournal{foreign}, Error);
 
   // Torn and tampered lines are skipped individually; intact entries around
@@ -387,8 +578,8 @@ TEST_F(FaultFsTest, JournalForeignFormatThrowsGarbageLinesSkip) {
   }
   std::string text = read_file(path);
   text += "not json at all\n";
-  text += R"({"seq": 9, "event": "accepted", "key": "forged", )"
-          R"("checksum": "0000000000000000"})"
+  text += R"({"checksum": "0000000000000000", "body": )"
+          R"({"event": "accepted", "key": "forged"}})"
           "\n";
   text += text.substr(text.find('\n') + 1, 20);  // torn final line
   write_file(path, text);

@@ -100,7 +100,8 @@ struct ModelReport {
   double journal_entries_per_probe = 0.0;  ///< undo-journal records staged
   double bounds_reuse_rate = 0.0;
   double rank_refresh_rate = 0.0;
-  double rank_repair_nodes_per_probe = 0.0;  ///< Pearce–Kelly reorder cost
+  double rank_repair_nodes_per_probe = 0.0;  ///< nodes re-ranked
+  double rank_search_nodes_per_probe = 0.0;  ///< nodes the repair searched
   double makespan_rescan_rate = 0.0;  ///< probes that fell back to O(V) scan
   double seq_diff_hit_rate = 0.0;  ///< chain edges kept / (kept + removed)
   double seq_edges_added_per_eval = 0.0;
@@ -180,6 +181,9 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
         static_cast<double>(stats->relax.probes);
     rep.rank_repair_nodes_per_probe =
         static_cast<double>(stats->relax.rank_repair_nodes) /
+        static_cast<double>(stats->relax.probes);
+    rep.rank_search_nodes_per_probe =
+        static_cast<double>(stats->relax.rank_search_nodes) /
         static_cast<double>(stats->relax.probes);
     rep.makespan_rescan_rate =
         static_cast<double>(stats->relax.makespan_rescans) /
@@ -286,6 +290,7 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("bounds_reuse_rate", r.bounds_reuse_rate);
     row.set("rank_refresh_rate", r.rank_refresh_rate);
     row.set("rank_repair_nodes_per_probe", r.rank_repair_nodes_per_probe);
+    row.set("rank_search_nodes_per_probe", r.rank_search_nodes_per_probe);
     row.set("makespan_rescan_rate", r.makespan_rescan_rate);
     row.set("seq_diff_hit_rate", r.seq_diff_hit_rate);
     row.set("seq_edges_added_per_eval", r.seq_edges_added_per_eval);

@@ -125,14 +125,15 @@ serve options:
   --journal PATH    write-ahead work journal (rdse.journal.v2): accepted
                     work and its state transitions are appended durably;
                     at startup the journal is replayed — accepted-but-not-
-                    completed work is re-enqueued — and compacted
+                    completed work is re-enqueued; compacted to the open
+                    work at drain, on SIGHUP and when it outgrows it
   --idle-timeout-ms N  close connections idle for N ms (0 = never)  [30000]
   --max-conns N     concurrent connection cap (reject at accept)    [64]
   Requests are newline-delimited JSON; see README "Running the exploration
   service". Work requests accept "timeout_ms" for a server-side deadline.
   SIGINT/SIGTERM (or a `shutdown` request) drain gracefully; SIGHUP compacts
-  the cache database and re-applies RDSE_LOG_LEVEL without dropping
-  connections.
+  the cache database and the journal and re-applies RDSE_LOG_LEVEL without
+  dropping connections.
 
 request options:
   --socket PATH     socket of a running `rdse serve` daemon

@@ -98,9 +98,10 @@ std::optional<TimeNs> DeltaRelaxer::probe(const WeightedDag& dag,
   // 1. Topological ranks. Deletions and weight changes cannot introduce a
   // cycle or invalidate the committed ranks — only the inserted edges can.
   // If every inserted edge ascends, the committed ranks remain a valid
-  // numbering of the edited graph; otherwise repair the ranks locally
-  // (Pearce–Kelly), which also decides acyclicity. This happens before any
-  // value is written, so a cyclic candidate leaves no journal to unwind.
+  // numbering of the edited graph; otherwise repair the ranks locally (a
+  // two-way search and a window pass), which also decides acyclicity.
+  // This happens before any value is written, so a cyclic candidate
+  // leaves no journal to unwind.
   bool ranks_ok = true;
   for (EdgeId e : new_edges) {
     const Digraph::Edge& ed = g.edge_unchecked(e);
@@ -205,21 +206,19 @@ std::optional<TimeNs> DeltaRelaxer::probe(const WeightedDag& dag,
 
 bool DeltaRelaxer::repair_ranks(const Digraph& g,
                                 std::span<const EdgeId> new_edges) {
-  // Pearce–Kelly dynamic topological sort, batched: adopt the inserted
-  // edges one at a time into rank_/order_ *in place*, journaling every
-  // write (the committed numbering stayed valid under deletions and weight
-  // changes, so it is the correct starting point — and the journal is what
-  // v3's two O(V) candidate copies became). The loop invariant is the
-  // textbook single-insertion one — before edge i is adopted, the repaired
-  // numbering is valid for the whole edited graph *minus* new_edges[i..] —
-  // so both bounded sweeps below may traverse every edge except that
-  // not-yet-adopted suffix, and the forward sweep reaching `x` is an exact
-  // cycle certificate. On a detected cycle the partial repair is rolled
-  // back here, leaving the committed numbering bit-intact.
+  // Adopt the inserted edges one at a time into rank_/order_ *in place*,
+  // journaling every write (the committed numbering stayed valid under
+  // deletions and weight changes, so it is the correct starting point). The
+  // loop invariant: before edge i is adopted, the numbering is valid for the
+  // whole edited graph *minus* new_edges[i..]. So both searches may follow
+  // every edge except that not-yet-adopted suffix, and every y -> x path
+  // they could find lies inside the rank window. On a detected cycle the
+  // partial repair is rolled back here, leaving the committed numbering
+  // bit-intact.
   //
   // Each violating edge advances the epoch twice; re-zero the marks when
   // the remaining headroom could not cover this whole batch (wrapping
-  // mid-call would alias stale marks and corrupt the sweeps).
+  // mid-call would alias stale marks and corrupt the searches).
   const std::uint32_t needed =
       2 * static_cast<std::uint32_t>(new_edges.size()) + 2;
   if (visit_mark_.size() != rank_.size() ||
@@ -227,14 +226,25 @@ bool DeltaRelaxer::repair_ranks(const Digraph& g,
     visit_mark_.assign(rank_.size(), 0);
     visit_epoch_ = 0;
   }
-  // Stamp each inserted edge with its batch position so the sweeps decide
+  // Stamp each inserted edge with its batch position so the searches decide
   // "still pending?" with one epoch-checked load instead of scanning
   // new_edges per visited half-edge. Ascending writes keep the max position
   // for a (theoretical) duplicate id, matching the scan's any-of semantics.
-  if (edge_batch_mark_.size() < g.edge_capacity() ||
-      edge_batch_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    edge_batch_pos_.assign(g.edge_capacity(), 0);
-    edge_batch_mark_.assign(g.edge_capacity(), 0);
+  if (edge_batch_mark_.size() < g.edge_capacity()) {
+    // Grow in place within a 1/16 headroom, which covers the few edges a
+    // run adds past its start. Beyond it, reallocate to the capacity plus a
+    // new headroom: resize alone would double the arrays, megabytes of
+    // resident memory on large graphs.
+    if (edge_batch_mark_.capacity() < g.edge_capacity()) {
+      const std::size_t room = g.edge_capacity() + g.edge_capacity() / 16;
+      edge_batch_pos_.reserve(room);
+      edge_batch_mark_.reserve(room);
+    }
+    edge_batch_pos_.resize(g.edge_capacity());
+    edge_batch_mark_.resize(g.edge_capacity());
+  }
+  if (edge_batch_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(edge_batch_mark_.begin(), edge_batch_mark_.end(), 0);
     edge_batch_epoch_ = 0;
   }
   ++edge_batch_epoch_;
@@ -246,105 +256,117 @@ bool DeltaRelaxer::repair_ranks(const Digraph& g,
     return edge_batch_mark_[e] == edge_batch_epoch_ &&
            edge_batch_pos_[e] >= next;
   };
+  // Journaled move of node v into rank slot `slot`; no-op when it is
+  // already there.
+  const auto move_to = [&](NodeId v, std::uint32_t slot) {
+    if (rank_[v] == slot) return;
+    rank_journal_.push_back({v, rank_[v]});
+    order_journal_.push_back({slot, order_[slot]});
+    rank_[v] = slot;
+    order_[slot] = v;
+    ++stats_.rank_repair_nodes;
+  };
   for (std::size_t i = 0; i < new_edges.size(); ++i) {
     const Digraph::Edge& ed = g.edge_unchecked(new_edges[i]);
     const NodeId x = ed.src;
     const NodeId y = ed.dst;
     const std::uint32_t lb = rank_[y];
     const std::uint32_t ub = rank_[x];
-    if (ub < lb) continue;  // already ascends under the repaired numbering
+    // Already ascends under the repaired numbering? (lb == ub would be a
+    // self-loop, which Digraph rejects.)
+    if (ub < lb) continue;
     ++stats_.rank_repairs;
 
-    // delta_fwd_: nodes reachable from y inside the window (y first). If x
-    // is reachable, the edge closes a cycle — report it, never repair.
-    ++visit_epoch_;
-    delta_fwd_.clear();
-    dfs_stack_.assign(1, y);
-    visit_mark_[y] = visit_epoch_;
-    while (!dfs_stack_.empty()) {
-      const NodeId v = dfs_stack_.back();
-      dfs_stack_.pop_back();
-      delta_fwd_.push_back(v);
+    // Two-way search, marks by rank: forward from y (ranks <= ub) and
+    // backward from x (ranks >= lb), one popped node per side per turn,
+    // until one side's stack runs dry — that side's set is complete. A node
+    // reached from both sides (x forward and y backward included, as the
+    // roots carry their side's mark) is a y -> x path: x -> y closes a
+    // cycle.
+    const std::uint32_t fwd = ++visit_epoch_;
+    const std::uint32_t back = ++visit_epoch_;
+    visit_mark_[lb] = fwd;
+    visit_mark_[ub] = back;
+    fwd_stack_.assign(1, y);
+    back_stack_.assign(1, x);
+    bool forward_complete = false;
+    for (;;) {
+      NodeId v = fwd_stack_.back();
+      fwd_stack_.pop_back();
+      ++stats_.rank_search_nodes;
       for (const HalfEdge& h : g.out_half(v)) {
         if (pending(h.edge, i)) continue;
-        const NodeId w = h.node;
-        if (w == x) {
-          rollback_ranks();  // y reaches x: inserting x->y cycles
+        const std::uint32_t r = rank_[h.node];
+        if (r > ub || visit_mark_[r] == fwd) continue;
+        if (visit_mark_[r] == back) {
+          rollback_ranks();
           return false;
         }
-        if (rank_[w] > ub || visit_mark_[w] == visit_epoch_) continue;
-        visit_mark_[w] = visit_epoch_;
-        dfs_stack_.push_back(w);
+        visit_mark_[r] = fwd;
+        fwd_stack_.push_back(h.node);
       }
-    }
-
-    // delta_back_: nodes reaching x inside the window (x included). The
-    // two sets are disjoint — a shared node would give a y->x path, caught
-    // above.
-    ++visit_epoch_;
-    delta_back_.clear();
-    dfs_stack_.assign(1, x);
-    visit_mark_[x] = visit_epoch_;
-    while (!dfs_stack_.empty()) {
-      const NodeId v = dfs_stack_.back();
-      dfs_stack_.pop_back();
-      delta_back_.push_back(v);
+      if (fwd_stack_.empty()) {
+        forward_complete = true;
+        break;
+      }
+      v = back_stack_.back();
+      back_stack_.pop_back();
+      ++stats_.rank_search_nodes;
       for (const HalfEdge& h : g.in_half(v)) {
         if (pending(h.edge, i)) continue;
-        const NodeId w = h.node;
-        if (rank_[w] < lb || visit_mark_[w] == visit_epoch_) continue;
-        visit_mark_[w] = visit_epoch_;
-        dfs_stack_.push_back(w);
+        const std::uint32_t r = rank_[h.node];
+        if (r < lb || visit_mark_[r] == back) continue;
+        if (visit_mark_[r] == fwd) {
+          rollback_ranks();
+          return false;
+        }
+        visit_mark_[r] = back;
+        back_stack_.push_back(h.node);
       }
+      if (back_stack_.empty()) break;
     }
 
-    // Re-pack the union into its own rank slots: x's ancestors first (in
-    // their old relative order), then y's descendants — every other node
-    // keeps its rank, so all previously-ascending edges still ascend.
-    // The sets can span a long processor chain, and a backward sweep down
-    // one collects them in descending rank order, so they are sorted in
-    // O(k log k) (ranks are unique: the order is fully determined); the
-    // slot pool is then the merge of the two sorted rank runs.
-    const auto by_rank = [&](NodeId a, NodeId b) {
-      return rank_[a] < rank_[b];
+    // One pass over the window re-packs it: the complete forward set (y and
+    // its in-window successors) to the top, or the complete backward set
+    // (x and its in-window predecessors) to the bottom. The pass starts at
+    // the other end: every other node compacts toward it, the complete set
+    // is parked and then fills the slots left over, and every group keeps
+    // its old relative order, so every non-pending edge still ascends. The
+    // write cursor never passes the read cursor, so each slot is read
+    // before it is written, and only changed slots are written.
+    const std::uint32_t complete = forward_complete ? fwd : back;
+    const auto slot = [&](std::uint32_t i) {
+      return forward_complete ? lb + i : ub - i;
     };
-    std::sort(delta_fwd_.begin(), delta_fwd_.end(), by_rank);
-    std::sort(delta_back_.begin(), delta_back_.end(), by_rank);
-    rank_pool_.clear();
-    {
-      std::size_t a = 0;
-      std::size_t b = 0;
-      while (a < delta_back_.size() && b < delta_fwd_.size()) {
-        const std::uint32_t ra = rank_[delta_back_[a]];
-        const std::uint32_t rb = rank_[delta_fwd_[b]];
-        if (ra < rb) {
-          rank_pool_.push_back(ra);
-          ++a;
-        } else {
-          rank_pool_.push_back(rb);
-          ++b;
-        }
-      }
-      for (; a < delta_back_.size(); ++a) {
-        rank_pool_.push_back(rank_[delta_back_[a]]);
-      }
-      for (; b < delta_fwd_.size(); ++b) {
-        rank_pool_.push_back(rank_[delta_fwd_[b]]);
+    std::uint32_t kept = 0;
+    moved_.clear();
+    for (std::uint32_t i = 0; i <= ub - lb; ++i) {
+      const std::uint32_t r = slot(i);
+      if (visit_mark_[r] == complete) {
+        moved_.push_back(order_[r]);
+      } else {
+        move_to(order_[r], slot(kept++));
       }
     }
-    const auto move_to = [&](NodeId v, std::uint32_t slot) {
-      rank_journal_.push_back({v, rank_[v]});
-      order_journal_.push_back({slot, order_[slot]});
-      rank_[v] = slot;
-      order_[slot] = v;
-    };
-    std::size_t slot = 0;
-    for (NodeId v : delta_back_) move_to(v, rank_pool_[slot++]);
-    for (NodeId v : delta_fwd_) move_to(v, rank_pool_[slot++]);
-    stats_.rank_repair_nodes +=
-        static_cast<std::int64_t>(delta_fwd_.size() + delta_back_.size());
+    for (const NodeId v : moved_) move_to(v, slot(kept++));
   }
   return true;
+}
+
+void DeltaRelaxer::check_ranks(const Digraph& g) const {
+  RDSE_ASSERT_MSG(rank_.size() == g.node_count() &&
+                      order_.size() == g.node_count(),
+                  "DeltaRelaxer: rank arrays out of step with the graph");
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    RDSE_ASSERT_MSG(order_[i] < rank_.size() && rank_[order_[i]] == i,
+                    "DeltaRelaxer: rank and order are not inverse");
+  }
+  for (EdgeId e = 0; e < g.edge_capacity(); ++e) {
+    if (!g.edge_alive(e)) continue;
+    const Digraph::Edge& ed = g.edge_unchecked(e);
+    RDSE_ASSERT_MSG(rank_[ed.src] < rank_[ed.dst],
+                    "DeltaRelaxer: a live edge descends in rank");
+  }
 }
 
 void DeltaRelaxer::commit() {

@@ -13,8 +13,10 @@
 ///
 /// The §4.3 cycle test ("would this move close a cycle?") needs no
 /// transitive closure: deletions cannot create a cycle, and the inserted
-/// edges are checked against the committed topological ranks, which a
-/// local rank repair re-certifies when an edge descends (see DeltaRelaxer).
+/// edges are checked against the committed topological ranks. When an
+/// edge descends, a two-way search inside its rank window certifies the
+/// verdict and one pass over the window repairs the ranks (see
+/// DeltaRelaxer).
 ///
 /// The engine reads edge weights from the graph's packed half-edge
 /// adjacency (one flat (neighbor, weight) array per node — see
@@ -44,8 +46,14 @@ struct DeltaRelaxStats {
   std::int64_t total_nodes = 0;     ///< summed node count (full-relax cost)
   std::int64_t rank_refreshes = 0;  ///< probes whose committed ranks needed
                                     ///< repair (an inserted edge descended)
-  std::int64_t rank_repairs = 0;       ///< Pearce–Kelly window reorders
-  std::int64_t rank_repair_nodes = 0;  ///< nodes moved by those reorders
+  /// Inserted edges that descended when adopted (each one searched).
+  std::int64_t rank_repairs = 0;
+  /// Nodes whose rank a repair changed: the window pass re-packs every
+  /// node between the inserted edge's endpoints.
+  std::int64_t rank_repair_nodes = 0;
+  /// Nodes the two-way search popped, both sides: per repaired edge at most
+  /// one more than twice the smaller side's set.
+  std::int64_t rank_search_nodes = 0;
   /// Probes whose makespan required a full O(V) finish-time rescan (the
   /// committed argmax set emptied and no relaxed node reached it); every
   /// other probe derived the makespan from the relaxed-node delta alone.
@@ -82,16 +90,24 @@ struct DeltaRelaxStats {
 /// changes cannot create a cycle, so only the inserted edges are checked
 /// against the committed ranks. If every inserted edge ascends, the ranks
 /// remain a valid topological numbering and the candidate is acyclic.
-/// Otherwise the ranks are *repaired locally* (Pearce–Kelly dynamic
-/// topological sort): inserted edges are adopted one at a time, and a
-/// descending edge (x -> y) triggers two bounded DFS sweeps over the rank
-/// window [rank(y), rank(x)] — forward from y and backward from x — whose
-/// nodes are then re-packed into the window's own rank slots (affected
-/// region first follows x's ancestors, then y's descendants). Cost grows
-/// with the affected window — O(k log k) for k moved nodes — not with the
-/// graph; the forward sweep reaching x is exactly the cycle certificate, so
-/// acyclicity still falls out of the same pass. A cyclic probe is rejected
-/// before any value is written, so it leaves no journal to unwind.
+/// Otherwise the ranks are *repaired locally*: inserted edges are adopted
+/// one at a time, and a descending edge (x -> y) with rank window
+/// [lb, ub] = [rank(y), rank(x)] gets
+///  - a two-way search (Haeupler et al., ACM TALG 2012): forward from y
+///    (ranks <= ub) and backward from x (ranks >= lb) in lockstep, one
+///    popped node per side per turn, until the first side runs dry. A node
+///    reached from both sides is the cycle certificate. The ranks are valid
+///    for the graph minus the pending edges, so every y -> x path lies
+///    inside the window, and one complete side without the other endpoint
+///    certifies acyclicity;
+///  - one pass over the window (Marchetti-Spaccamela, Nanni and Rohnert,
+///    IPL 1996): a complete backward set moves to the window's bottom, a
+///    complete forward set to its top, every group in its old relative
+///    order.
+/// The search costs about twice the smaller side, not the window; the pass
+/// is one sequential sweep of the window's rank slots. A cyclic probe is
+/// rejected before any value is written, so it leaves no journal to
+/// unwind.
 ///
 /// The makespan is maintained incrementally as well: the relaxer carries
 /// the multiplicity of the committed maximum (how many nodes finish exactly
@@ -157,6 +173,23 @@ class DeltaRelaxer {
   [[nodiscard]] std::size_t queued_capacity() const {
     return queued_.capacity();
   }
+  /// Summed capacity of the rank-repair scratch: search stacks, window
+  /// buffer, rank journals, and the rank and edge stamps.
+  [[nodiscard]] std::size_t repair_capacity() const {
+    return fwd_stack_.capacity() + back_stack_.capacity() +
+           moved_.capacity() + rank_journal_.capacity() +
+           order_journal_.capacity() + visit_mark_.capacity() +
+           edge_batch_pos_.capacity() + edge_batch_mark_.capacity();
+  }
+  /// Committed rank — or the staged candidate's, between a successful
+  /// probe() and its commit()/discard().
+  [[nodiscard]] std::uint32_t rank_of(NodeId node) const {
+    RDSE_DCHECK(node < rank_.size(), "DeltaRelaxer::rank_of: bad node");
+    return rank_[node];
+  }
+  /// Rank audit (aborts on violation; tests): the rank and order arrays
+  /// are inverse permutations, and every live edge of `g` ascends.
+  void check_ranks(const Digraph& g) const;
 
  private:
   /// One changed node's committed values, recorded before the in-place
@@ -199,11 +232,11 @@ class DeltaRelaxer {
   bool probe_valid_ = false;
   std::uint32_t last_relaxed_ = 0;
 
-  /// Pearce–Kelly local repair of rank_/order_ in place (under the rank
-  /// journals) after `new_edges` were inserted into `g`. Returns false when
-  /// the insertions close a cycle — the partial repair is already rolled
-  /// back in that case. Only nodes inside each violating edge's rank
-  /// window are moved.
+  /// Local repair of rank_/order_ in place (under the rank journals) after
+  /// `new_edges` were inserted into `g`: a two-way search and one window
+  /// pass per descending edge. Returns false when the insertions close a
+  /// cycle — the partial repair is already rolled back in that case. Only
+  /// nodes inside each violating edge's rank window are moved.
   [[nodiscard]] bool repair_ranks(const Digraph& g,
                                   std::span<const EdgeId> new_edges);
   void rollback_ranks();
@@ -217,16 +250,20 @@ class DeltaRelaxer {
   std::vector<std::uint64_t> queued_;
 
   // repair_ranks scratch, reused across probes (steady state: no
-  // allocation). visit_mark_ is epoch-stamped so sweeps never clear it.
+  // allocation). visit_mark_ is indexed by rank, so the window pass reads
+  // it sequentially, and epoch-stamped, so searches never clear it: each
+  // repaired edge takes one epoch per search side.
   std::vector<std::uint32_t> visit_mark_;
   std::uint32_t visit_epoch_ = 0;
-  std::vector<NodeId> dfs_stack_;
-  std::vector<NodeId> delta_fwd_;
-  std::vector<NodeId> delta_back_;
-  std::vector<std::uint32_t> rank_pool_;
+  std::vector<NodeId> fwd_stack_;
+  std::vector<NodeId> back_stack_;
+  /// The complete side's nodes in window order, parked by the window pass
+  /// while it compacts the others.
+  std::vector<NodeId> moved_;
   /// O(1) "is this edge a not-yet-adopted insertion?" test: per-edge batch
-  /// position, epoch-stamped (a linear scan of new_edges per visited
-  /// half-edge used to dominate the repair sweeps on chain-heavy models).
+  /// position, epoch-stamped. The arrays grow with the graph's edge
+  /// capacity and are zeroed only when the epoch wraps: a stale stamp
+  /// belongs to an earlier epoch, so it never matches.
   std::vector<std::uint32_t> edge_batch_pos_;
   std::vector<std::uint32_t> edge_batch_mark_;
   std::uint32_t edge_batch_epoch_ = 0;

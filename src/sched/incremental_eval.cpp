@@ -297,7 +297,7 @@ void IncrementalEvaluator::stage_seq_weight(EdgeId e, TimeNs w) {
 // differs (the common case when a context's reconfiguration time changed
 // under an implementation move) is re-weighted in place instead of torn
 // down and re-inserted: it stays out of new_edges_, so it can neither
-// violate the committed ranks nor trigger a Pearce-Kelly repair.
+// violate the committed ranks nor trigger a rank repair.
 void IncrementalEvaluator::reconcile_seq_edges(ResourceId r) {
   auto& list = seq_list(r);
   ++reconciles_;

@@ -1,8 +1,9 @@
 #include "serve/journal.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 #include <utility>
 
+#include "serve/persist.hpp"
 #include "util/assert.hpp"
 
 namespace rdse::serve {
@@ -21,6 +22,19 @@ bool known_event(const std::string& event) {
          event == "cancelled";
 }
 
+/// Whether `event` leaves its key open (its work not yet answered).
+bool opens(std::string_view event) {
+  return event == "accepted" || event == "started";
+}
+
+/// Apply one event to the open keys: the key's last event wins.
+void track(std::vector<std::string>& open, const std::string& key,
+           bool is_open) {
+  const auto it = std::find(open.begin(), open.end(), key);
+  if (is_open && it == open.end()) open.push_back(key);
+  if (!is_open && it != open.end()) open.erase(it);
+}
+
 }  // namespace
 
 WorkJournal::WorkJournal(std::string path) : log_(path, kJournalFormat) {
@@ -31,8 +45,7 @@ WorkJournal::WorkJournal(std::string path) : log_(path, kJournalFormat) {
                 std::string(kJournalFormat) + ")");
   }
   counters_.skipped = replay.skipped;
-  std::vector<std::string> order;  // keys in first-accepted order
-  std::unordered_map<std::string, bool> open_state;  // key -> still pending
+  bool closing = false;  // a completed/cancelled record the rewrite drops
   for (const JsonValue& body : replay.bodies) {
     const JsonValue* event = body.kind() == JsonValue::Kind::kObject
                                  ? body.find("event")
@@ -44,43 +57,57 @@ WorkJournal::WorkJournal(std::string path) : log_(path, kJournalFormat) {
       ++counters_.skipped;
       continue;
     }
-    const bool pending =
-        event->as_string() == "accepted" || event->as_string() == "started";
-    const auto [it, inserted] = open_state.emplace(key->as_string(), pending);
-    if (inserted) {
-      order.push_back(key->as_string());
-    } else {
-      it->second = pending;  // last transition wins
-    }
+    const bool is_open = opens(event->as_string());
+    closing = closing || !is_open;
+    track(open_, key->as_string(), is_open);
   }
-  for (const std::string& key : order) {
-    if (open_state[key]) pending_.push_back(key);
-  }
+  pending_ = open_;
   counters_.replayed = pending_.size();
-  if (replay.header == RecordReplay::Header::kAbsent) return;
+  records_ = replay.bodies.size();
 
   // ---- compact ----
-  // Rewrite the file with only the still-pending entries, so completed
-  // work does not accumulate. On a storage fault the old file is left
-  // as-is — replay stays correct, just un-compacted — and appends continue
-  // against it.
-  std::vector<JsonValue> bodies;
-  bodies.reserve(pending_.size());
-  for (const std::string& key : pending_) {
-    bodies.push_back(entry_body("accepted", key));
-  }
-  ++(log_.rewrite(std::move(bodies)) ? counters_.compactions
-                                     : counters_.append_failures);
+  // Only when the rewrite drops something: a skipped line or a closing
+  // record.
+  if (counters_.skipped > 0 || closing) compact_locked();
 }
 
 bool WorkJournal::append(std::string_view event, const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
+  track(open_, key, opens(event));
   if (!log_.append(entry_body(event, key))) {
     ++counters_.append_failures;
     return false;
   }
   ++counters_.appends;
+  if (++records_ > 2 * open_.size() + kCacheDbSlack) compact_locked();
   return true;
+}
+
+void WorkJournal::compact() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  compact_locked();
+}
+
+void WorkJournal::compact_locked() {
+  std::vector<JsonValue> bodies;
+  bodies.reserve(open_.size());
+  for (const std::string& key : open_) {
+    bodies.push_back(entry_body("accepted", key));
+  }
+  if (log_.rewrite(std::move(bodies))) {
+    ++counters_.compactions;
+    records_ = open_.size();
+    return;
+  }
+  ++counters_.append_failures;
+  for (const std::string& key : open_) {
+    if (log_.append(entry_body("accepted", key))) {
+      ++counters_.appends;
+      ++records_;
+    } else {
+      ++counters_.append_failures;
+    }
+  }
 }
 
 WorkJournal::Counters WorkJournal::counters() const {

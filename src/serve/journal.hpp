@@ -11,9 +11,13 @@
 ///
 /// On startup the journal replays itself: keys accepted (or started) but
 /// never completed/cancelled are the work a crash swallowed, surfaced
-/// through pending() for the service to re-enqueue, and the file is
-/// compacted to them. A storage fault degrades to "entry not journaled,
-/// run still correct".
+/// through pending() for the service to re-enqueue. A key's last event
+/// decides whether it is open, and the journal keeps that state in memory
+/// as it appends. Compaction rewrites the file as one `accepted` record
+/// per open key: at startup when replay skipped a line or found a
+/// completed or cancelled record, when the owner asks (drain, SIGHUP), and
+/// when an append leaves more than 2 x open keys + kCacheDbSlack records.
+/// A storage fault degrades to "entry not journaled, run still correct".
 
 #include <cstdint>
 #include <mutex>
@@ -32,9 +36,10 @@ class WorkJournal {
   struct Counters {
     std::uint64_t replayed = 0;     ///< pending entries found at startup
     std::uint64_t skipped = 0;      ///< corrupt/torn lines skipped at startup
-    std::uint64_t compactions = 0;  ///< successful startup rewrites
+    std::uint64_t compactions = 0;  ///< successful rewrites
     std::uint64_t appends = 0;      ///< entries durably appended
-    std::uint64_t append_failures = 0;  ///< write/fsync faults swallowed
+    /// Write/fsync/rename faults swallowed, by appends and rewrites.
+    std::uint64_t append_failures = 0;
   };
 
   /// Open (creating if absent), replay and compact the journal at `path`.
@@ -45,11 +50,19 @@ class WorkJournal {
   WorkJournal(const WorkJournal&) = delete;
   WorkJournal& operator=(const WorkJournal&) = delete;
 
-  /// Durably append one state transition. Returns false on a storage
-  /// fault, which is counted.
+  /// Durably append one state transition, then compact if the file has
+  /// outgrown the size rule. Returns false when the append hit a storage
+  /// fault, which is counted; the key's open state follows the event
+  /// either way, so the next compaction records it.
   bool append(std::string_view event, const std::string& key);
 
-  /// Keys accepted-but-not-completed at startup, in first-accepted order —
+  /// Rewrite the file as one `accepted` record per open key. A failed
+  /// rewrite is counted, and the open keys are appended again, so the file
+  /// left behind (the old one, or one a torn rename cut short) still
+  /// replays every open key.
+  void compact();
+
+  /// Keys accepted-but-not-completed at startup, in the order they opened —
   /// the work to re-enqueue. Fixed after construction.
   [[nodiscard]] const std::vector<std::string>& pending() const {
     return pending_;
@@ -58,9 +71,14 @@ class WorkJournal {
   [[nodiscard]] Counters counters() const;
 
  private:
+  void compact_locked();
+
   mutable std::mutex mutex_;
   RecordLog log_;
   std::vector<std::string> pending_;
+  /// Keys whose last event left them open, in the order they opened.
+  std::vector<std::string> open_;
+  std::uint64_t records_ = 0;  ///< records the file holds
   Counters counters_;
 };
 

@@ -142,9 +142,10 @@ void Server::run() {
     if (config_.reload_request != nullptr &&
         config_.reload_request->exchange(false,
                                          std::memory_order_relaxed)) {
-      // SIGHUP: compact the cache database and re-apply runtime config
-      // without touching the connection set or in-flight work.
-      log_info("serve: reload — compacting the cache database");
+      // SIGHUP: compact the cache database and the journal and re-apply
+      // runtime config without touching the connection set or in-flight
+      // work.
+      log_info("serve: reload — compacting the cache database and journal");
       service_.reload();
       if (config_.on_reload) config_.on_reload();
     }

@@ -47,8 +47,8 @@ struct ServerConfig {
   const std::atomic<bool>* external_stop = nullptr;
   /// Optional externally owned reload flag (SIGHUP). When the accept loop
   /// observes it set it clears it, calls the service's reload() (which
-  /// compacts the cache database), and invokes `on_reload` — all without
-  /// dropping connections or in-flight work.
+  /// compacts the cache database and the journal), and invokes
+  /// `on_reload` — all without dropping connections or in-flight work.
   std::atomic<bool>* reload_request = nullptr;
   /// Called on the accept loop after a reload (the CLI re-applies the log
   /// level here).

@@ -126,13 +126,16 @@ void ExplorationService::begin_drain() {
     if (draining_) return;
     draining_ = true;
   }
-  // Final compaction: the next startup replays one record per live entry,
-  // and a result whose append failed transiently is saved after all.
+  // Final compaction: the next startup replays one record per live entry
+  // and one per still-open journal key, and a result whose append failed
+  // transiently is saved after all.
   if (cache_db_) cache_db_->compact();
+  if (journal_) journal_->compact();
 }
 
 void ExplorationService::reload() {
   if (cache_db_) cache_db_->compact();
+  if (journal_) journal_->compact();
 }
 
 void ExplorationService::journal_event(std::string_view event,

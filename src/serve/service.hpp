@@ -52,8 +52,9 @@ struct ServiceConfig {
   /// disables persistence.
   std::string persist_path;
   /// Path of the write-ahead work journal (serve/journal.hpp); empty
-  /// disables journaling. Replayed and compacted at construction;
-  /// accepted-but-not-completed work is re-enqueued in the background.
+  /// disables journaling. Replayed at construction, where
+  /// accepted-but-not-completed work is re-enqueued in the background;
+  /// compacted with the cache database and by its own size rule.
   std::string journal_path;
   /// Test hook: invoked by a worker when it starts executing a request
   /// (before any annealing). Lets tests hold workers inside a job to
@@ -112,11 +113,12 @@ class ExplorationService {
   /// Stop admitting work requests (they get a "shutting down" error);
   /// queued-but-unstarted work is cancelled at pickup (its caller gets a
   /// "cancelled" error without the run executing), in-flight runs still
-  /// complete, and the persisted cache — if any — is compacted.
+  /// complete, and the persisted cache and the journal — if any — are
+  /// compacted.
   void begin_drain();
 
-  /// SIGHUP hook: compact the persisted cache without touching admission
-  /// state — connections and in-flight work continue.
+  /// SIGHUP hook: compact the persisted cache and the journal without
+  /// touching admission state — connections and in-flight work continue.
   void reload();
 
   [[nodiscard]] ServiceStats stats() const;

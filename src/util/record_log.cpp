@@ -88,7 +88,12 @@ RecordReplay replay_records(const std::string& path,
   std::ifstream in(path);
   std::string line;
   if (!in.is_open() || !std::getline(in, line)) return out;
-  const bool ours = line + '\n' == header_line(format);
+  const std::string header = header_line(format);
+  const bool ours = line + '\n' == header;
+  if (!ours && in.peek() == std::ifstream::traits_type::eof() &&
+      header.starts_with(line)) {
+    return out;  // a rewrite torn inside its header: no record to replay
+  }
   out.header = ours ? RecordReplay::Header::kOurs
                     : RecordReplay::Header::kForeign;
   if (!ours) ++out.skipped;
@@ -119,10 +124,12 @@ RecordLog::~RecordLog() {
 bool RecordLog::append(JsonValue body) {
   std::string data;
   if (fd_ < 0) {
-    // A missing or empty file is first created with its header, atomically,
-    // so a failed append can never leave a headerless log behind.
+    // A missing or empty file, or one a torn rewrite cut inside its header,
+    // is first created with its header, atomically, so a failed append can
+    // never leave a headerless log behind.
     struct stat st {};
-    if ((::stat(path_.c_str(), &st) != 0 || st.st_size == 0) &&
+    if ((::stat(path_.c_str(), &st) != 0 ||
+         static_cast<std::size_t>(st.st_size) < header_.size()) &&
         !write_file_atomic(path_, header_)) {
       return false;
     }

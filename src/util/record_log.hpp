@@ -11,7 +11,9 @@
 /// A *record log* is the header line `{"format": F}`, then one compact
 /// sealed record per line, in write order. Replay checks each line on its
 /// own: a torn or corrupt line is skipped and counted, and the rest still
-/// load. After a first line that is not the header, no line is trusted.
+/// load. After a first line that is not the header, no line is trusted,
+/// except that a file holding only a prefix of the header (a rewrite torn
+/// inside its header line) replays as an empty log.
 /// An append is write + fsync; after a failed write (and before appending
 /// to a file that ends mid-line) a newline is written, so a partial line
 /// never swallows the next record. A rewrite writes `path.tmp`, fsyncs it
@@ -58,7 +60,8 @@ struct RecordReplay {
 class RecordLog {
  public:
   /// Opens nothing: the first append opens the file, creating it with its
-  /// header (atomically) when it is absent or empty.
+  /// header (atomically) when it is absent, empty or shorter than the
+  /// header.
   RecordLog(std::string path, std::string_view format);
   ~RecordLog();
 

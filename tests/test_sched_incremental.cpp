@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/topo.hpp"
@@ -29,6 +32,58 @@ struct Mirror {
   }
   TimeNs full_makespan() const { return longest_path(dag()).makespan; }
 };
+
+/// A graph whose node ids are a topological order, so a fresh relaxer
+/// ranks every node at its own id (topological_order pops the smallest
+/// ready id). `chains` lists id runs to link first -> first+1 -> ... ->
+/// last; `edges` adds single edges.
+Mirror id_ranked(std::size_t n, std::vector<std::pair<NodeId, NodeId>> chains,
+                 std::vector<std::pair<NodeId, NodeId>> edges = {}) {
+  Mirror m;
+  m.graph = Digraph(n);
+  for (const auto& [first, last] : chains) {
+    for (NodeId v = first; v < last; ++v) m.graph.add_edge(v, v + 1, 2);
+  }
+  for (const auto& [u, v] : edges) m.graph.add_edge(u, v, 3);
+  m.node_weight.assign(n, 5);
+  m.release.assign(n, 0);
+  return m;
+}
+
+std::vector<std::uint32_t> ranks_of(const DeltaRelaxer& relaxer,
+                                    std::size_t n) {
+  std::vector<std::uint32_t> ranks(n);
+  for (NodeId v = 0; v < n; ++v) ranks[v] = relaxer.rank_of(v);
+  return ranks;
+}
+
+/// Probe `cand` with the given inserted edges (each seeds its head, beside
+/// `seeds`) and check it against the full reference: verdict, values and,
+/// when it is acyclic, the rank audit; a cyclic probe must leave every
+/// rank as it was. Returns the verdict.
+bool probe_and_check(DeltaRelaxer& relaxer, const Mirror& cand,
+                     const std::vector<EdgeId>& new_edges,
+                     std::vector<NodeId> seeds = {}) {
+  for (EdgeId e : new_edges) seeds.push_back(cand.graph.edge(e).dst);
+  const std::size_t n = cand.graph.node_count();
+  const std::vector<std::uint32_t> before = ranks_of(relaxer, n);
+  const auto probed = relaxer.probe(cand.dag(), seeds, new_edges);
+  const bool acyclic = topological_order(cand.graph).has_value();
+  EXPECT_EQ(probed.has_value(), acyclic);
+  if (!probed.has_value()) {
+    EXPECT_EQ(ranks_of(relaxer, n), before);
+    EXPECT_EQ(relaxer.journal_size(), 0u);
+    return false;
+  }
+  relaxer.check_ranks(cand.graph);
+  const LongestPathResult full = longest_path(cand.dag());
+  EXPECT_EQ(*probed, full.makespan);
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(relaxer.start_of(v), full.start[v]) << "node " << v;
+    EXPECT_EQ(relaxer.finish_of(v), full.finish[v]) << "node " << v;
+  }
+  return true;
+}
 
 // ---- DeltaRelaxer ----------------------------------------------------------
 
@@ -253,9 +308,9 @@ TEST(DeltaRelaxer, DiscardRestoresCommittedValuesBitExactly) {
 
 TEST(DeltaRelaxer, SteadyStateProbesDoNotGrowScratch) {
   // Scratch-capacity watermark: after a warm-up phase, further probes of
-  // the same shape must not allocate — the journal and schedule bitmask
-  // capacities stay put (the "steady-state probes allocate nothing"
-  // guarantee the hot path relies on).
+  // the same shape must not allocate — the journal, schedule bitmask and
+  // rank-repair capacities stay put (the "steady-state probes allocate
+  // nothing" guarantee the hot path relies on).
   Rng rng(43);
   Mirror m;
   m.graph = random_order_dag(40, 0.15, rng);
@@ -265,15 +320,31 @@ TEST(DeltaRelaxer, SteadyStateProbesDoNotGrowScratch) {
   DeltaRelaxer relaxer;
   relaxer.reset(m.dag());
 
+  // A fixed lap of descending insertions (some close a cycle), each probed
+  // and discarded, so every lap repeats the same repairs; weight-only
+  // probes in between commit or discard, which leaves the ranks alone.
+  std::vector<std::pair<NodeId, NodeId>> descending;
+  while (descending.size() < 8) {
+    const auto u = static_cast<NodeId>(rng.index(40));
+    const auto v = static_cast<NodeId>(rng.index(40));
+    if (relaxer.rank_of(u) > relaxer.rank_of(v)) descending.emplace_back(u, v);
+  }
   auto drive = [&](int steps) {
     for (int i = 0; i < steps; ++i) {
       Mirror cand = m;
       const NodeId v = static_cast<NodeId>(rng.index(40));
       cand.node_weight[v] = rng.uniform_int(1, 100);
-      const auto probed =
-          relaxer.probe(cand.dag(), std::vector<NodeId>{v}, {});
-      ASSERT_TRUE(probed.has_value());
-      if (i % 2 == 0) {
+      std::vector<NodeId> seeds{v};
+      std::vector<EdgeId> new_edges;
+      if (i % 2 == 1) {
+        const auto [a, b] = descending[(i / 2) % descending.size()];
+        new_edges.push_back(cand.graph.add_edge(a, b, 1));
+        seeds.push_back(b);
+      }
+      const auto probed = relaxer.probe(cand.dag(), seeds, new_edges);
+      ASSERT_TRUE(probed.has_value() || !new_edges.empty());
+      if (!probed.has_value()) continue;
+      if (i % 4 == 0) {
         relaxer.commit();
         m = cand;
       } else {
@@ -284,17 +355,23 @@ TEST(DeltaRelaxer, SteadyStateProbesDoNotGrowScratch) {
   drive(60);  // warm-up: scratch reaches its high-water mark
   const std::size_t journal_cap = relaxer.journal_capacity();
   const std::size_t queued_cap = relaxer.queued_capacity();
+  const std::size_t repair_cap = relaxer.repair_capacity();
+  const std::int64_t repairs = relaxer.stats().rank_repairs;
   drive(120);  // steady state: capacities must not move
+  EXPECT_GT(relaxer.stats().rank_repairs, repairs);
   EXPECT_EQ(relaxer.journal_capacity(), journal_cap);
   EXPECT_EQ(relaxer.queued_capacity(), queued_cap);
+  EXPECT_EQ(relaxer.repair_capacity(), repair_cap);
 }
 
 TEST(DeltaRelaxer, ChainWindowRepairsMatchFullRelax) {
   // A processor chain of ~3000 nodes plus one free node z: inserting an
   // edge between z and a chain end descends across the whole chain, so the
-  // Pearce–Kelly window spans it — forward from the chain's head when z
-  // sits after it, backward from its tail (collected in descending rank
-  // order) when z sits before it. Every probe, commit and discard is
+  // rank window spans it and the window pass re-ranks all of it. The
+  // two-way search stops at z's side, which holds z alone, so it pops at
+  // most 3 nodes: the forward side from the chain's head loses to z's empty
+  // backward side when z sits after the chain, and z's empty forward side
+  // stops at once when z sits before it. Every probe, commit and discard is
   // checked node for node against a full longest-path pass.
   constexpr std::size_t kChain = 3000;
   const auto z = static_cast<NodeId>(kChain);  // last id: ranked last
@@ -321,6 +398,18 @@ TEST(DeltaRelaxer, ChainWindowRepairsMatchFullRelax) {
           << what << ", round " << round << ", node " << v;
     }
   };
+  // One repair of the whole chain, found by a search of at most 3 nodes.
+  const auto expect_one_small_search = [&](const DeltaRelaxStats& before,
+                                           const char* what, int round) {
+    const DeltaRelaxStats& now = relaxer.stats();
+    EXPECT_EQ(now.rank_repairs - before.rank_repairs, 1)
+        << what << ", round " << round;
+    EXPECT_LE(now.rank_search_nodes - before.rank_search_nodes, 3)
+        << what << ", round " << round;
+    EXPECT_GE(now.rank_repair_nodes - before.rank_repair_nodes,
+              static_cast<std::int64_t>(kChain))
+        << what << ", round " << round;
+  };
   // Stage `cand` with the given seeds and inserted edges; compare the
   // probe, then either discard (committed values must come back) or
   // commit (the candidate becomes the base).
@@ -345,14 +434,13 @@ TEST(DeltaRelaxer, ChainWindowRepairsMatchFullRelax) {
 
   for (int round = 0; round < 3; ++round) {
     for (const bool keep : {false, true}) {
-      // z ranks after the chain: z -> head descends, and the forward sweep
-      // from the head collects the whole chain.
-      const std::int64_t before = relaxer.stats().rank_repair_nodes;
+      // z ranks after the chain: z -> head descends, z's backward side
+      // completes first, and z moves below the whole chain.
+      const DeltaRelaxStats before = relaxer.stats();
       Mirror cand = m;
       const EdgeId down = cand.graph.add_edge(z, 0, 7);
       step(cand, {0}, {down}, keep, round);
-      EXPECT_GE(relaxer.stats().rank_repair_nodes - before,
-                static_cast<std::int64_t>(kChain));
+      expect_one_small_search(before, "z after the chain", round);
     }
     // Drop it again (ranks stay valid under removal): z now ranks first.
     {
@@ -382,15 +470,14 @@ TEST(DeltaRelaxer, ChainWindowRepairsMatchFullRelax) {
       step(undo, {0}, {}, true, round);
     }
     for (const bool keep : {false, true}) {
-      // z ranks before the chain: tail -> z descends, and the backward
-      // sweep from the tail walks the chain in descending rank order.
-      const std::int64_t before = relaxer.stats().rank_repair_nodes;
+      // z ranks before the chain: tail -> z descends, z's forward side
+      // completes at once, and z moves above the whole chain.
+      const DeltaRelaxStats before = relaxer.stats();
       Mirror cand = m;
       const EdgeId down =
           cand.graph.add_edge(static_cast<NodeId>(kChain - 1), z, 9);
       step(cand, {z}, {down}, keep, round);
-      EXPECT_GE(relaxer.stats().rank_repair_nodes - before,
-                static_cast<std::int64_t>(kChain));
+      expect_one_small_search(before, "z before the chain", round);
     }
     {
       Mirror cand = m;
@@ -399,6 +486,171 @@ TEST(DeltaRelaxer, ChainWindowRepairsMatchFullRelax) {
       step(cand, {z}, {}, true, round);
     }
   }
+}
+
+TEST(DeltaRelaxer, TwoWaySearchStopsAtTheSmallerSide) {
+  {
+    // y = 0 has no successors; x = 4 has the chain 1 -> 2 -> 3 -> 4
+    // behind it and 5, above the window, after it. Inserting x -> y: the
+    // forward side {y} completes on its first pop, so y moves to the
+    // window's top and the rest of the window shifts down one.
+    Mirror m = id_ranked(6, {{1, 4}}, {{4, 5}});
+    DeltaRelaxer relaxer;
+    relaxer.reset(m.dag());
+    ASSERT_EQ(ranks_of(relaxer, 6),
+              (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+    Mirror cand = m;
+    const EdgeId e = cand.graph.add_edge(4, 0, 1);
+    ASSERT_TRUE(probe_and_check(relaxer, cand, {e}));
+    EXPECT_EQ(relaxer.stats().rank_search_nodes, 1);
+    EXPECT_EQ(relaxer.stats().rank_repair_nodes, 5);
+    EXPECT_EQ(ranks_of(relaxer, 6),
+              (std::vector<std::uint32_t>{4, 0, 1, 2, 3, 5}));
+  }
+  {
+    // Mirrored: y = 0 heads the chain 0 -> 1 -> 2 -> 3, and x = 4 has no
+    // predecessors. The backward side {x} completes on the first turn (one
+    // pop per side), so x moves to the window's bottom.
+    Mirror m = id_ranked(6, {{0, 3}}, {{4, 5}});
+    DeltaRelaxer relaxer;
+    relaxer.reset(m.dag());
+    Mirror cand = m;
+    const EdgeId e = cand.graph.add_edge(4, 0, 1);
+    ASSERT_TRUE(probe_and_check(relaxer, cand, {e}));
+    EXPECT_EQ(relaxer.stats().rank_search_nodes, 2);
+    EXPECT_EQ(relaxer.stats().rank_repair_nodes, 5);
+    EXPECT_EQ(ranks_of(relaxer, 6),
+              (std::vector<std::uint32_t>{1, 2, 3, 4, 0, 5}));
+    // The repaired ranks hold after a commit, and a discard of the next
+    // repair brings them back bit for bit.
+    relaxer.commit();
+    relaxer.check_ranks(cand.graph);
+    const std::vector<std::uint32_t> committed = ranks_of(relaxer, 6);
+    Mirror next = cand;
+    const EdgeId up = next.graph.add_edge(5, 1, 1);
+    ASSERT_TRUE(probe_and_check(relaxer, next, {up}));
+    EXPECT_NE(ranks_of(relaxer, 6), committed);
+    relaxer.discard();
+    EXPECT_EQ(ranks_of(relaxer, 6), committed);
+  }
+}
+
+TEST(DeltaRelaxer, TwoWaySearchCertifiesCyclesFromEitherSideAndMidway) {
+  // Each case inserts x -> y over a committed y -> x path; the popped-node
+  // count pins which side met the other. The forward side pops first, so
+  // it reaches x over a direct y -> x edge; the backward side meets the
+  // forward set next to y; on a long path both sides meet in the middle.
+  struct Case {
+    const char* what;
+    std::size_t n;      // path 0 -> 1 -> ... -> n-1, y = 0, x = n-1
+    std::int64_t pops;  // nodes popped before the certificate
+  };
+  for (const Case& c : {Case{"forward reaches x", 2, 1},
+                        Case{"backward meets y's successor", 3, 2},
+                        Case{"sides meet midway", 6, 5}}) {
+    Mirror m = id_ranked(c.n, {{0, static_cast<NodeId>(c.n - 1)}});
+    DeltaRelaxer relaxer;
+    relaxer.reset(m.dag());
+    Mirror cand = m;
+    const EdgeId back = cand.graph.add_edge(static_cast<NodeId>(c.n - 1), 0);
+    EXPECT_FALSE(probe_and_check(relaxer, cand, {back})) << c.what;
+    EXPECT_EQ(relaxer.stats().cyclic, 1) << c.what;
+    EXPECT_EQ(relaxer.stats().rank_search_nodes, c.pops) << c.what;
+    EXPECT_EQ(relaxer.stats().rank_repair_nodes, 0) << c.what;
+    relaxer.check_ranks(m.graph);
+  }
+}
+
+TEST(DeltaRelaxer, PendingBatchEdgesAreNotSearched) {
+  // Ranks by id: y = 0; the chain 1 -> ... -> 10 -> x = 21 behind x; and
+  // w = 11 heading the chain 11 -> ... -> 20, which neither reaches x nor
+  // is reached from y. The batch inserts x -> y, then y -> w. While x -> y
+  // is adopted, y -> w is pending and must not be followed: y's forward
+  // side is then {y} alone (1 pop). Adopting y -> w afterwards searches
+  // w's chain against the backward side {y, x} (4 pops). Following the
+  // pending edge would instead drag w's 10-node chain into the first
+  // search, against x's 11-node backward side (21 pops).
+  Mirror m = id_ranked(22, {{1, 10}, {11, 20}}, {{10, 21}});
+  DeltaRelaxer relaxer;
+  relaxer.reset(m.dag());
+  Mirror cand = m;
+  const EdgeId first = cand.graph.add_edge(21, 0, 1);
+  const EdgeId second = cand.graph.add_edge(0, 11, 1);
+  ASSERT_TRUE(probe_and_check(relaxer, cand, {first, second}));
+  EXPECT_EQ(relaxer.stats().rank_repairs, 2);
+  EXPECT_LE(relaxer.stats().rank_search_nodes, 5);
+}
+
+TEST(DeltaRelaxer, TwoWayRepairAgreesWithTheFullReferenceOn200RandomDags) {
+  // 200 random DAGs, each edited by random batches of 1–4 inserted edges
+  // (cyclic ones included) plus up to 2 deletions. Every verdict must be
+  // topological_order's, every value longest_path's, the rank audit must
+  // hold after every successful probe and commit, and a discard or a
+  // cyclic probe must leave every rank bit-identical.
+  Rng rng(2012);
+  DeltaRelaxStats total;
+  for (int dag = 0; dag < 200; ++dag) {
+    const std::size_t n = 6 + rng.index(35);
+    Mirror m;
+    m.graph = random_order_dag(n, 0.05 + 0.3 * rng.uniform01(), rng);
+    m.node_weight.resize(n);
+    for (auto& w : m.node_weight) w = rng.uniform_int(1, 50);
+    for (EdgeId e = 0; e < m.graph.edge_capacity(); ++e) {
+      m.graph.set_edge_weight(e, rng.uniform_int(0, 20));
+    }
+    m.release.assign(n, 0);
+    DeltaRelaxer relaxer;
+    relaxer.reset(m.dag());
+    relaxer.check_ranks(m.graph);
+    for (int step = 0; step < 12; ++step) {
+      SCOPED_TRACE(testing::Message() << "dag " << dag << ", step " << step);
+      Mirror cand = m;
+      std::vector<NodeId> seeds;
+      const std::size_t deletions = rng.index(3);
+      for (std::size_t k = 0; k < deletions; ++k) {
+        std::vector<EdgeId> live;
+        for (EdgeId e = 0; e < cand.graph.edge_capacity(); ++e) {
+          if (cand.graph.edge_alive(e)) live.push_back(e);
+        }
+        if (live.empty()) break;
+        const EdgeId e = live[rng.index(live.size())];
+        seeds.push_back(cand.graph.edge(e).dst);
+        cand.graph.remove_edge(e);
+      }
+      std::vector<EdgeId> new_edges;
+      const std::size_t insertions = 1 + rng.index(4);
+      for (std::size_t k = 0; k < insertions; ++k) {
+        const auto u = static_cast<NodeId>(rng.index(n));
+        const auto v = static_cast<NodeId>(rng.index(n));
+        if (u == v) continue;
+        new_edges.push_back(cand.graph.add_edge(u, v, rng.uniform_int(0, 20)));
+      }
+      const std::vector<std::uint32_t> before = ranks_of(relaxer, n);
+      const bool acyclic = probe_and_check(relaxer, cand, new_edges, seeds);
+      ASSERT_FALSE(HasFailure());
+      if (!acyclic) continue;
+      if (rng.uniform01() < 0.5) {
+        relaxer.commit();
+        m = std::move(cand);
+        relaxer.check_ranks(m.graph);
+      } else {
+        relaxer.discard();
+        ASSERT_EQ(ranks_of(relaxer, n), before);
+      }
+    }
+    const DeltaRelaxStats& s = relaxer.stats();
+    total.cyclic += s.cyclic;
+    total.commits += s.commits;
+    total.rank_repairs += s.rank_repairs;
+    total.rank_search_nodes += s.rank_search_nodes;
+    total.rank_repair_nodes += s.rank_repair_nodes;
+  }
+  // The suite exercised every path: cyclic batches, commits and repairs.
+  EXPECT_GT(total.cyclic, 200);
+  EXPECT_GT(total.commits, 200);
+  EXPECT_GT(total.rank_repairs, 500);
+  EXPECT_GT(total.rank_search_nodes, total.rank_repairs);
+  EXPECT_GT(total.rank_repair_nodes, total.rank_repairs);
 }
 
 TEST(DeltaRelaxer, CommitWithoutProbeThrows) {

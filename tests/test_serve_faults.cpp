@@ -563,6 +563,85 @@ TEST_F(FaultFsTest, JournalCompactionFaultNeverReplaysWrongWork) {
   }
 }
 
+/// The five faultfs modes, aimed at the `io`-th write or fsync and at the
+/// first rename.
+std::vector<std::string> fault_specs(int io) {
+  const std::string n = std::to_string(io);
+  return {"fail_write:" + n, "short_write:" + n, "fail_fsync:" + n,
+          "fail_rename:1", "torn_rename:1"};
+}
+
+TEST_F(FaultFsTest, JournalCompactionFaultsKeepEveryOpenKey) {
+  // Every fault mode aimed at a running journal's compaction, both where
+  // the owner asks for it (drain, SIGHUP) and where an append crosses the
+  // size rule. The compaction is lost, but the file left behind (the old
+  // one, or one a torn rename cut short, with the open keys appended
+  // again) still replays exactly the open keys.
+  const std::vector<std::string> open = {"key-a", "key-b"};
+  const std::uint64_t rule = 2 * open.size() + kCacheDbSlack;
+  for (const bool by_rule : {false, true}) {
+    // The rule's own append writes and fsyncs first, so there the
+    // compaction's write and fsync are the second ones.
+    for (const std::string& spec : fault_specs(by_rule ? 2 : 1)) {
+      SCOPED_TRACE(spec + (by_rule ? " at the size rule" : " at compact()"));
+      const std::string path = db_path("journal-running-compaction.ndjson");
+      {
+        WorkJournal journal(path);
+        ASSERT_TRUE(journal.append("accepted", "key-a"));
+        ASSERT_TRUE(journal.append("accepted", "key-b"));
+        ASSERT_TRUE(journal.append("started", "key-a"));
+        ASSERT_TRUE(journal.append("accepted", "key-done"));
+        ASSERT_TRUE(journal.append("completed", "key-done"));
+        // Before the size rule fires, fill the file to its limit with
+        // close-outs of a key that was never open.
+        for (std::uint64_t r = 5; by_rule && r < rule; ++r) {
+          ASSERT_TRUE(journal.append("cancelled", "key-gone"));
+        }
+        ASSERT_EQ(journal.counters().compactions, 0u);
+        faultfs::set_plan(faultfs::parse_plan(spec));
+        if (by_rule) {
+          EXPECT_TRUE(journal.append("cancelled", "key-gone"));
+        } else {
+          journal.compact();
+        }
+        EXPECT_EQ(faultfs::counters().faults_fired, 1u);
+        EXPECT_EQ(journal.counters().compactions, 0u);
+        EXPECT_EQ(journal.counters().append_failures, 1u);
+        faultfs::clear();
+      }
+      WorkJournal reopened(path);
+      EXPECT_EQ(reopened.pending(), open);
+    }
+  }
+}
+
+TEST_F(FaultFsTest, JournalTornInsideItsHeaderReplaysEmpty) {
+  // With no open key a compaction writes the header alone, so a torn
+  // rename cuts the header itself. That file is no foreign journal: it
+  // replays as empty, and the next append writes a whole header first.
+  const std::string path = db_path("journal-torn-header.ndjson");
+  {
+    WorkJournal journal(path);
+    ASSERT_TRUE(journal.append("accepted", "key-done"));
+    ASSERT_TRUE(journal.append("completed", "key-done"));
+    faultfs::set_plan(faultfs::parse_plan("torn_rename:1"));
+    journal.compact();
+    EXPECT_EQ(faultfs::counters().faults_fired, 1u);
+    faultfs::clear();
+  }
+  const std::string header = R"({"format": "rdse.journal.v2"})";
+  ASSERT_LT(read_file(path).size(), header.size());
+  {
+    WorkJournal reopened(path);
+    EXPECT_TRUE(reopened.pending().empty());
+    EXPECT_EQ(reopened.counters().skipped, 0u);
+    EXPECT_TRUE(reopened.append("accepted", "key-next"));
+  }
+  EXPECT_EQ(read_file(path).rfind(header + "\n", 0), 0u);
+  WorkJournal again(path);
+  EXPECT_EQ(again.pending(), std::vector<std::string>{"key-next"});
+}
+
 TEST_F(FaultFsTest, JournalForeignFormatThrowsGarbageLinesSkip) {
   // A v1 journal (a bare tag line) is not imported: it is rejected loudly.
   const std::string foreign = db_path("journal-foreign.ndjson");
@@ -645,6 +724,80 @@ TEST_F(FaultFsTest, ServiceReplaysAcceptedWorkAfterACrash) {
   // After the clean restart nothing is left to replay.
   ExplorationService restarted(config);
   EXPECT_EQ(restarted.stats().journal.replayed, 0u);
+}
+
+/// Records a journal file holds: its lines after the header.
+std::size_t journal_records(const std::string& path) {
+  const std::string text = read_file(path);
+  const auto lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  return lines == 0 ? 0 : lines - 1;
+}
+
+TEST(ServeJournal, FreshResultsKeepTheFileWithinItsSizeRule) {
+  // Three records per fresh result, but no key stays open once its client
+  // is answered: the file never holds more than 2 x open + kCacheDbSlack
+  // records, and a drain leaves only the header.
+  ServiceConfig config = fast_config();
+  config.journal_path = db_path("journal-size-rule.ndjson");
+  {
+    ExplorationService service(config);
+    for (int seed = 0; seed < 200; ++seed) {
+      const auto handled = service.handle(explore_line(1000 + seed));
+      ASSERT_TRUE(handled.ok) << handled.response;
+      ASSERT_LE(journal_records(config.journal_path), kCacheDbSlack)
+          << "after result " << seed;
+    }
+    const WorkJournal::Counters counters = service.stats().journal;
+    EXPECT_EQ(counters.appends, 600u);
+    EXPECT_GE(counters.compactions, 600u / (kCacheDbSlack + 1));
+    EXPECT_EQ(counters.append_failures, 0u);
+  }
+  EXPECT_EQ(journal_records(config.journal_path), 0u);
+  ExplorationService restarted(config);
+  EXPECT_EQ(restarted.stats().journal.replayed, 0u);
+  EXPECT_EQ(restarted.stats().journal.compactions, 0u);
+}
+
+TEST(ServeJournal, ReloadRacingFreshRequestsLosesNoOpenKey) {
+  // SIGHUP compactions race the appends of six fresh requests: two held
+  // inside their workers, four queued. While they are open, every copy of
+  // the journal replays all six keys; once answered, a reload drops them.
+  ServiceConfig config = fast_config();
+  config.journal_path = db_path("journal-reload-race.ndjson");
+  std::promise<void> release;
+  std::shared_future<void> released(release.get_future());
+  config.on_job_start = [released] { released.wait(); };
+  ExplorationService service(config);
+
+  constexpr int kRequests = 6;
+  std::vector<std::future<ExplorationService::Handled>> answers;
+  std::vector<std::string> keys;
+  for (int seed = 0; seed < kRequests; ++seed) {
+    answers.push_back(std::async(std::launch::async, [&service, seed] {
+      return service.handle(explore_line(300 + seed));
+    }));
+    keys.push_back(canonical_explore_key(300 + seed));
+  }
+  std::sort(keys.begin(), keys.end());
+  // Six accepted records and two started ones.
+  while (service.stats().journal.appends < kRequests + 2) service.reload();
+  const std::string copy = db_path("journal-reload-race-copy.ndjson");
+  for (int look = 0; look < 5; ++look) {
+    service.reload();
+    write_file(copy, read_file(config.journal_path));
+    std::vector<std::string> pending = WorkJournal(copy).pending();
+    std::sort(pending.begin(), pending.end());
+    EXPECT_EQ(pending, keys) << "look " << look;
+  }
+  release.set_value();
+  for (auto& answer : answers) {
+    const auto handled = answer.get();
+    EXPECT_TRUE(handled.ok) << handled.response;
+  }
+  EXPECT_GT(service.stats().journal.compactions, 0u);
+  service.reload();
+  EXPECT_EQ(journal_records(config.journal_path), 0u);
 }
 
 TEST_F(FaultFsTest, ServicePoisonJournalEntryIsCancelledNotFatal) {

@@ -23,12 +23,21 @@ const char* to_string(ScheduleKind kind) {
 }
 
 std::optional<ScheduleKind> schedule_from_name(std::string_view name) {
-  for (const ScheduleKind kind :
-       {ScheduleKind::kModifiedLam, ScheduleKind::kLamDelosme,
-        ScheduleKind::kGeometric, ScheduleKind::kGreedy}) {
+  for (const ScheduleKind kind : kAllSchedules) {
     if (name == to_string(kind)) return kind;
   }
   return std::nullopt;
+}
+
+ScheduleKind parse_schedule(std::string_view name) {
+  if (const auto kind = schedule_from_name(name)) return *kind;
+  std::string known;
+  for (const ScheduleKind kind : kAllSchedules) {
+    if (!known.empty()) known += ", ";
+    known += to_string(kind);
+  }
+  throw Error("unknown schedule '" + std::string(name) + "' (known: " +
+              known + ")");
 }
 
 std::unique_ptr<CoolingSchedule> make_schedule(ScheduleKind kind) {

@@ -20,7 +20,8 @@
 ///    stddev, and a relative step clamp for numerical robustness.
 ///
 /// GeometricSchedule (classic tuned annealing) and GreedySchedule (T = 0
-/// hill climbing) complete the EXP-A1 ablation.
+/// hill climbing) complete the schedule ablation (`rdse sweep --axis
+/// schedule`).
 
 #include <cstdint>
 #include <memory>
@@ -41,12 +42,21 @@ enum class ScheduleKind : std::uint8_t {
   kGreedy,
 };
 
+/// Every schedule in declaration order: the default schedule axis of
+/// `rdse sweep` and serve, and the names schedule_from_name accepts.
+inline constexpr ScheduleKind kAllSchedules[] = {
+    ScheduleKind::kModifiedLam, ScheduleKind::kLamDelosme,
+    ScheduleKind::kGeometric, ScheduleKind::kGreedy};
+
 [[nodiscard]] const char* to_string(ScheduleKind kind);
 
 /// Inverse of to_string: the kind named `name`, or nullopt when unknown.
-/// Shared by every front end that accepts schedule names (CLI, serve).
 [[nodiscard]] std::optional<ScheduleKind> schedule_from_name(
     std::string_view name);
+
+/// schedule_from_name for the front ends (CLI, serve): throws Error naming
+/// every known schedule when `name` is unknown.
+[[nodiscard]] ScheduleKind parse_schedule(std::string_view name);
 
 /// Temperature controller interface. The annealer calls initialize() once
 /// after the infinite-temperature warm-up, then update() every iteration.

@@ -2,7 +2,7 @@
 /// \file hill_climb.hpp
 /// \brief Greedy local search baseline: the full §4.2 move set driven at
 /// temperature zero (only improving moves accepted) — isolates the value of
-/// the annealing schedule in EXP-A1.
+/// the annealing schedule.
 
 #include "baseline/mapper.hpp"
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -83,16 +84,17 @@ bench options:
   --schedule NAME   cooling schedule for the annealer        [modified-lam]
   --json-prefix P   write one rdse.sweep.v1 artifact per mapper to
                     <P>-<mapper>.json, comparable via `rdse compare`
-  Artifacts share one point label, carry no wall-clock fields, and are
-  bit-identical across repeated runs with the same seed.
+  Artifacts share one point label and carry no wall-clock or thread-count
+  fields: the same command writes the same bytes for any --threads value.
 
 sweep options:
   --axis NAME       device-size | schedule                   [device-size]
-  --sizes CSV       device sizes (device-size axis)          [Fig. 3 sizes]
-  --schedules CSV   schedule names (schedule axis)           [all four]
-  --clbs N          FPGA size for the schedule axis          [2000]
+  --sizes CSV       device sizes (device-size axis only)     [Fig. 3 sizes]
+  --schedules CSV   schedule names (schedule axis only)      [all four]
+  --clbs N          FPGA size (schedule axis only)           [2000]
   --runs N          runs per sweep point                     [5]
-  --json PATH       write the rdse.sweep.v1 artifact
+  --json PATH       write the rdse.sweep.v1 artifact (no wall-clock or
+                    thread-count fields: byte-identical for any --threads)
   --dry-run         plan the sweep and emit the artifact without running
 
 report options:
@@ -147,19 +149,14 @@ request options:
   Prints the response line and exits 0 when the daemon answered ok,
   1 otherwise.
 
-The thread count is a throughput knob only: sweep results are bit-identical
-to the serial loops for any --threads value. Reproduce the paper's Fig. 3
+The thread count is a throughput knob only: results and artifacts are
+bit-identical for any --threads value. Reproduce the paper's Fig. 3
 device-size study with:  rdse sweep --model motion --runs 100
+(README "Reproducing §5" lists all three studies.)
 )";
 
 ModelSpec load_model(const Options& opts) {
   return load_model_spec(opts.get_string("model", "motion", "RDSE_MODEL"));
-}
-
-ScheduleKind parse_schedule(const std::string& name) {
-  if (const auto kind = schedule_from_name(name)) return *kind;
-  throw Error("unknown schedule '" + name +
-              "' (known: modified-lam, lam-delosme, geometric, greedy)");
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -195,6 +192,14 @@ std::vector<std::int32_t> parse_sizes(const std::string& csv) {
 void require_no_positionals(const Options& opts) {
   RDSE_REQUIRE(opts.positional().empty(),
                "unexpected argument '" + opts.positional().front() + "'");
+}
+
+/// A sweep flag of the other axis would be silently ignored, which looks
+/// like it worked; fail the way a stray token does.
+void require_axis_flag_absent(const Options& opts, const std::string& flag,
+                              const std::string& axis) {
+  RDSE_REQUIRE(!opts.get(flag).has_value(),
+               "option --" + flag + ": only valid with --axis " + axis);
 }
 
 ExplorerConfig base_config(const Options& opts, std::int64_t default_iters) {
@@ -507,19 +512,24 @@ int cmd_sweep(const Options& opts, std::ostream& out) {
 
   SweepSpec spec;
   if (axis == "device-size") {
-    // The paper's Fig. 3 grid (100..10000 CLBs).
-    const std::vector<std::int32_t> sizes = parse_sizes(opts.get_string(
-        "sizes", "100,200,400,600,800,1000,1500,2000,3000,4000,5000,7000,"
-                 "10000"));
+    require_axis_flag_absent(opts, "schedules", "schedule");
+    require_axis_flag_absent(opts, "clbs", "schedule");
+    std::vector<std::int32_t> sizes(std::begin(kFig3DeviceSizes),
+                                    std::end(kFig3DeviceSizes));
+    if (const auto csv = opts.get("sizes")) sizes = parse_sizes(*csv);
     spec = device_size_sweep(sizes, model.tr_per_clb,
                              model.bus_bytes_per_second, config, runs,
                              model.app.deadline);
   } else if (axis == "schedule") {
+    require_axis_flag_absent(opts, "sizes", "device-size");
     const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
-    std::vector<ScheduleKind> kinds;
-    for (const std::string& name : split_csv(opts.get_string(
-             "schedules", "modified-lam,lam-delosme,geometric,greedy"))) {
-      kinds.push_back(parse_schedule(name));
+    std::vector<ScheduleKind> kinds(std::begin(kAllSchedules),
+                                    std::end(kAllSchedules));
+    if (const auto csv = opts.get("schedules")) {
+      kinds.clear();
+      for (const std::string& name : split_csv(*csv)) {
+        kinds.push_back(parse_schedule(name));
+      }
     }
     RDSE_REQUIRE(!kinds.empty(), "option --schedules: empty list");
     spec = schedule_sweep(

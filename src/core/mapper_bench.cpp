@@ -1,8 +1,8 @@
 #include "core/mapper_bench.hpp"
 
-#include <chrono>
 #include <sstream>
 
+#include "core/report.hpp"
 #include "util/assert.hpp"
 #include "util/table.hpp"
 #include "util/time.hpp"
@@ -16,15 +16,12 @@ MapperMatrixResult run_mapper_matrix(const SweepEngine& engine,
   RDSE_REQUIRE(!spec.mappers.empty(), "mapper matrix: no mappers requested");
   RDSE_REQUIRE(spec.runs_per_mapper >= 1,
                "mapper matrix: need >= 1 run per mapper");
-  const auto t0 = std::chrono::steady_clock::now();
 
   MapperMatrixResult out;
   out.model = spec.model;
   out.label = spec.label;
   out.x = spec.x;
   out.deadline = spec.deadline;
-  out.threads_used = engine.resolved_threads(
-      static_cast<std::size_t>(spec.runs_per_mapper));
   out.entries.reserve(spec.mappers.size());
   for (const std::string& name : spec.mappers) {
     const std::unique_ptr<Mapper> mapper = make_mapper(name);
@@ -36,9 +33,6 @@ MapperMatrixResult run_mapper_matrix(const SweepEngine& engine,
     entry.aggregate = aggregate_mapper_results(entry.runs, spec.deadline);
     out.entries.push_back(std::move(entry));
   }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return out;
 }
 
@@ -51,7 +45,6 @@ JsonValue mapper_matrix_entry_to_json(const MapperMatrixResult& matrix,
   doc.set("name", "mapper-bench");
   doc.set("axis_label", "FPGA size (CLBs)");
   doc.set("deadline_ms", to_ms(matrix.deadline));
-  doc.set("threads", static_cast<std::int64_t>(matrix.threads_used));
   doc.set("model", matrix.model);
   doc.set("mapper", entry.mapper);
   doc.set("deterministic", entry.deterministic);
@@ -61,23 +54,9 @@ JsonValue mapper_matrix_entry_to_json(const MapperMatrixResult& matrix,
   }
   doc.set("mean_evaluations", evals / static_cast<double>(entry.runs.size()));
   doc.set("counters", entry.runs.front().counters);
-
-  const RunAggregate& a = entry.aggregate;
-  JsonValue point = JsonValue::object();
-  point.set("label", matrix.label);
-  point.set("x", matrix.x);
-  point.set("runs", static_cast<std::int64_t>(entry.runs.size()));
-  point.set("mean_makespan_ms", a.mean_makespan_ms);
-  point.set("stddev_makespan_ms", a.stddev_makespan_ms);
-  point.set("best_makespan_ms", a.best_makespan_ms);
-  point.set("worst_makespan_ms", a.worst_makespan_ms);
-  point.set("mean_init_reconfig_ms", a.mean_init_reconfig_ms);
-  point.set("mean_dyn_reconfig_ms", a.mean_dyn_reconfig_ms);
-  point.set("mean_contexts", a.mean_contexts);
-  point.set("mean_hw_tasks", a.mean_hw_tasks);
-  point.set("deadline_hit_rate", a.deadline_hit_rate);
   JsonValue points = JsonValue::array();
-  points.push_back(std::move(point));
+  points.push_back(
+      sweep_point_to_json(matrix.label, matrix.x, entry.aggregate));
   doc.set("points", std::move(points));
   return doc;
 }

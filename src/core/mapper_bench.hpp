@@ -8,9 +8,9 @@
 /// shared across the matrix (mapper identity lives in the top-level
 /// "mapper" field instead), so `rdse compare heft.json anneal.json` pairs
 /// the points by label and gates mean/best makespan across mappers — the
-/// CI check that the annealer stays ahead of the list schedulers. The
-/// artifacts contain no wall-clock fields: repeated runs with the same
-/// seed are bit-identical.
+/// CTest gates that keep the annealer ahead of every other mapper. The
+/// artifacts contain no wall-clock or thread-count fields: repeated runs
+/// with the same seed are bit-identical for any --threads value.
 
 #include <string>
 #include <vector>
@@ -46,8 +46,6 @@ struct MapperMatrixResult {
   std::string label;
   double x = 0.0;
   TimeNs deadline = 0;
-  unsigned threads_used = 0;
-  double wall_seconds = 0.0;
   /// One entry per requested mapper, in spec order.
   std::vector<MapperMatrixEntry> entries;
 };
@@ -64,8 +62,8 @@ struct MapperMatrixResult {
 /// One mapper's rdse.sweep.v1 artifact: sweep metadata, the shared-label
 /// point with the full aggregate, the mapper name/determinism flag, the
 /// mean evaluation count and the first run's counters. Deliberately no
-/// wall-clock fields — the artifact is a pure function of (model, mapper,
-/// seed, budget), so repeated runs are bit-identical.
+/// wall-clock or thread-count fields — the artifact is a pure function of
+/// (model, mapper, seed, budget), so repeated runs are bit-identical.
 [[nodiscard]] JsonValue mapper_matrix_entry_to_json(
     const MapperMatrixResult& matrix, const MapperMatrixEntry& entry);
 

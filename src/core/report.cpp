@@ -202,32 +202,37 @@ std::string plot_sweep(const SweepResult& sweep) {
                      PlotOptions{72, 18, sweep.axis_label, title, true});
 }
 
+JsonValue aggregate_to_json(const RunAggregate& a, JsonValue doc) {
+  doc.set("runs", static_cast<std::int64_t>(a.runs));
+  doc.set("mean_makespan_ms", a.mean_makespan_ms);
+  doc.set("stddev_makespan_ms", a.stddev_makespan_ms);
+  doc.set("best_makespan_ms", a.best_makespan_ms);
+  doc.set("worst_makespan_ms", a.worst_makespan_ms);
+  doc.set("mean_init_reconfig_ms", a.mean_init_reconfig_ms);
+  doc.set("mean_dyn_reconfig_ms", a.mean_dyn_reconfig_ms);
+  doc.set("mean_contexts", a.mean_contexts);
+  doc.set("mean_hw_tasks", a.mean_hw_tasks);
+  doc.set("deadline_hit_rate", a.deadline_hit_rate);
+  return doc;
+}
+
+JsonValue sweep_point_to_json(const std::string& label, double x,
+                              const RunAggregate& a) {
+  JsonValue point = JsonValue::object();
+  point.set("label", label);
+  point.set("x", x);
+  return aggregate_to_json(a, std::move(point));
+}
+
 JsonValue sweep_to_json(const SweepResult& sweep) {
   JsonValue doc = JsonValue::object();
   doc.set("schema", "rdse.sweep.v1");
   doc.set("name", sweep.name);
   doc.set("axis_label", sweep.axis_label);
   doc.set("deadline_ms", to_ms(sweep.deadline));
-  doc.set("threads", static_cast<std::int64_t>(sweep.threads_used));
-  doc.set("wall_seconds", sweep.wall_seconds);
   JsonValue points = JsonValue::array();
   for (const SweepPointResult& p : sweep.points) {
-    const RunAggregate& a = p.aggregate;
-    JsonValue point = JsonValue::object();
-    point.set("label", p.label);
-    point.set("x", p.x);
-    point.set("runs", static_cast<std::int64_t>(p.runs.size()));
-    point.set("mean_makespan_ms", a.mean_makespan_ms);
-    point.set("stddev_makespan_ms", a.stddev_makespan_ms);
-    point.set("best_makespan_ms", a.best_makespan_ms);
-    point.set("worst_makespan_ms", a.worst_makespan_ms);
-    point.set("mean_init_reconfig_ms", a.mean_init_reconfig_ms);
-    point.set("mean_dyn_reconfig_ms", a.mean_dyn_reconfig_ms);
-    point.set("mean_contexts", a.mean_contexts);
-    point.set("mean_hw_tasks", a.mean_hw_tasks);
-    point.set("mean_wall_seconds", a.mean_wall_seconds);
-    point.set("deadline_hit_rate", a.deadline_hit_rate);
-    points.push_back(std::move(point));
+    points.push_back(sweep_point_to_json(p.label, p.x, p.aggregate));
   }
   doc.set("points", std::move(points));
   return doc;
@@ -264,7 +269,6 @@ std::vector<std::string> validate_sweep_json(const JsonValue& artifact) {
   string_field("name");
   string_field("axis_label");
   number_field(artifact, "deadline_ms", "artifact");
-  number_field(artifact, "threads", "artifact");
 
   const JsonValue* points = artifact.find("points");
   if (!check(points != nullptr &&
@@ -315,12 +319,6 @@ std::string render_sweep_artifact(const JsonValue& artifact) {
   sweep.name = artifact.at("name").as_string();
   sweep.axis_label = artifact.at("axis_label").as_string();
   sweep.deadline = from_ms(artifact.at("deadline_ms").as_number());
-  sweep.threads_used =
-      static_cast<unsigned>(artifact.at("threads").as_int());
-  if (const JsonValue* wall = artifact.find("wall_seconds");
-      wall != nullptr && wall->kind() == JsonValue::Kind::kNumber) {
-    sweep.wall_seconds = wall->as_number();
-  }
   for (const JsonValue& point : artifact.at("points").items()) {
     SweepPointResult p;
     p.label = point.at("label").as_string();

@@ -48,14 +48,28 @@ void print_parallel_report(std::ostream& os, const TaskGraph& tg,
 /// sweep has fewer than two aggregated points.
 [[nodiscard]] std::string plot_sweep(const SweepResult& sweep);
 
+/// The RunAggregate statistics ("runs" .. "deadline_hit_rate") as JSON
+/// members appended to `doc`, in artifact order. The one writer behind
+/// every rdse.sweep.v1 point and serve's explore aggregate; it writes no
+/// wall-clock field, so its output is a pure function of the runs.
+[[nodiscard]] JsonValue aggregate_to_json(const RunAggregate& a,
+                                          JsonValue doc = JsonValue::object());
+
+/// One rdse.sweep.v1 point: its label and axis value, then the aggregate.
+[[nodiscard]] JsonValue sweep_point_to_json(const std::string& label,
+                                            double x, const RunAggregate& a);
+
 /// Machine-readable sweep artifact (schema "rdse.sweep.v1"): sweep
-/// metadata plus one object per point carrying the full RunAggregate. The
-/// caller may attach extra top-level fields (model name, dry_run, ...)
-/// before dumping.
+/// metadata plus one object per point carrying the full RunAggregate. It
+/// holds no wall-clock or thread-count field, so the same command writes
+/// the same bytes for any --threads value. The caller may attach extra
+/// top-level fields (model name, dry_run, ...) before dumping.
 [[nodiscard]] JsonValue sweep_to_json(const SweepResult& sweep);
 
 /// Check a parsed artifact against the rdse.sweep.v1 schema. Returns a
-/// human-readable message per violation; empty means valid.
+/// human-readable message per violation; empty means valid. Unknown
+/// fields are ignored, so older artifacts that still carry "threads" and
+/// "wall_seconds" stay valid.
 [[nodiscard]] std::vector<std::string> validate_sweep_json(
     const JsonValue& artifact);
 

@@ -1,7 +1,6 @@
 #include "core/sweep_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "baseline/mapper.hpp"
@@ -62,7 +61,6 @@ SweepResult SweepEngine::run(const TaskGraph& tg,
                              const SweepSpec& spec) const {
   RDSE_REQUIRE(spec.runs_per_point >= 0,
                "SweepEngine::run: negative runs_per_point");
-  const auto t0 = std::chrono::steady_clock::now();
 
   const std::size_t runs = static_cast<std::size_t>(spec.runs_per_point);
   const std::size_t jobs = spec.points.size() * runs;
@@ -71,7 +69,6 @@ SweepResult SweepEngine::run(const TaskGraph& tg,
   out.name = spec.name;
   out.axis_label = spec.axis_label;
   out.deadline = spec.deadline;
-  out.threads_used = resolved_threads(jobs);
   out.points.resize(spec.points.size());
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
     out.points[p].label = spec.points[p].label;
@@ -85,7 +82,7 @@ SweepResult SweepEngine::run(const TaskGraph& tg,
     // the pool. Result slots are pre-sized, so workers never touch shared
     // containers; the seed of run r at point p is point.config.seed + r —
     // exactly what the serial Explorer::run_many loop would use.
-    ThreadPool pool(out.threads_used);
+    ThreadPool pool(resolved_threads(jobs));
     pool.parallel_for_index(jobs, [&spec, &tg, runs, &out](std::size_t j) {
       const std::size_t p = j / runs;
       const std::size_t r = j % runs;
@@ -102,9 +99,6 @@ SweepResult SweepEngine::run(const TaskGraph& tg,
       point.aggregate = Explorer::aggregate(point.runs, spec.deadline);
     }
   }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return out;
 }
 

@@ -11,8 +11,8 @@
 /// run) pair becomes one pool job with its own RNG stream derived the same
 /// way the serial loops derive it (`config.seed + run`), and results land
 /// in pre-sized slots indexed by (point, run): the merged output is
-/// bit-identical to the serial path for any thread count — wall-clock
-/// times are the only fields that differ.
+/// bit-identical to the serial path for any thread count — the per-run
+/// wall-clock times are the only fields that differ.
 
 #include <cstdint>
 #include <span>
@@ -69,8 +69,6 @@ struct SweepResult {
   std::string name;
   std::string axis_label;
   TimeNs deadline = 0;
-  unsigned threads_used = 0;
-  double wall_seconds = 0.0;
   /// One entry per spec point, in spec order.
   std::vector<SweepPointResult> points;
 };
@@ -117,6 +115,11 @@ class SweepEngine {
  private:
   unsigned threads_;
 };
+
+/// The paper's Fig. 3 device-size grid (CLBs): the default device-size
+/// axis of `rdse sweep` and serve.
+inline constexpr std::int32_t kFig3DeviceSizes[] = {
+    100, 200, 400, 600, 800, 1000, 1500, 2000, 3000, 4000, 5000, 7000, 10000};
 
 /// The Fig. 3 study as a spec: one point per device size, each a
 /// CPU + FPGA platform built with make_cpu_fpga_architecture.

@@ -5,21 +5,13 @@
 #include <string_view>
 
 #include "baseline/mapper.hpp"
+#include "core/sweep_engine.hpp"
 #include "model/registry.hpp"
 #include "util/assert.hpp"
 
 namespace rdse::serve {
 
 namespace {
-
-/// The paper's Fig. 3 device-size grid — the default sweep axis.
-constexpr std::int32_t kDefaultSizes[] = {100,  200,  400,  600,  800,
-                                          1000, 1500, 2000, 3000, 4000,
-                                          5000, 7000, 10000};
-
-constexpr ScheduleKind kAllSchedules[] = {
-    ScheduleKind::kModifiedLam, ScheduleKind::kLamDelosme,
-    ScheduleKind::kGeometric, ScheduleKind::kGreedy};
 
 /// Fetch an integer field: must be a JSON number with an integral value in
 /// [min, max]. Returns `def` when absent.
@@ -50,15 +42,6 @@ std::string string_field(const JsonValue& doc, const char* key,
   return v->as_string();
 }
 
-ScheduleKind schedule_field(const std::string& name) {
-  const auto kind = schedule_from_name(name);
-  if (!kind) {
-    throw Error("unknown schedule '" + name +
-                "' (known: modified-lam, lam-delosme, geometric, greedy)");
-  }
-  return *kind;
-}
-
 void require_known_fields(const JsonValue& doc,
                           std::initializer_list<std::string_view> allowed) {
   for (const auto& [key, value] : doc.members()) {
@@ -76,6 +59,16 @@ void require_known_fields(const JsonValue& doc,
 }
 
 }  // namespace
+
+std::span<const std::int32_t> Request::sweep_sizes() const {
+  if (sizes.empty()) return kFig3DeviceSizes;
+  return sizes;
+}
+
+std::span<const ScheduleKind> Request::sweep_schedules() const {
+  if (schedules.empty()) return kAllSchedules;
+  return schedules;
+}
 
 const char* to_string(RequestOp op) {
   switch (op) {
@@ -161,7 +154,7 @@ Request parse_request(const JsonValue& doc) {
       throw Error("unknown mapper '" + request.mapper +
                   "' (known: " + known_mapper_names() + ")");
     }
-    request.schedule = schedule_field(
+    request.schedule = parse_schedule(
         string_field(doc, "schedule", to_string(request.schedule)));
     request.batch =
         static_cast<int>(int_field(doc, "batch", request.batch, 1, 1'024));
@@ -196,7 +189,7 @@ Request parse_request(const JsonValue& doc) {
       if (item.kind() != JsonValue::Kind::kString) {
         throw Error("request field 'schedules' must hold schedule names");
       }
-      request.schedules.push_back(schedule_field(item.as_string()));
+      request.schedules.push_back(parse_schedule(item.as_string()));
     }
   }
   return request;
@@ -242,14 +235,8 @@ JsonValue normalized_request(const Request& request) {
   doc.set("axis", request.axis);
   if (request.axis == "device-size") {
     JsonValue sizes = JsonValue::array();
-    if (request.sizes.empty()) {
-      for (const std::int32_t s : kDefaultSizes) {
-        sizes.push_back(static_cast<std::int64_t>(s));
-      }
-    } else {
-      for (const std::int32_t s : request.sizes) {
-        sizes.push_back(static_cast<std::int64_t>(s));
-      }
+    for (const std::int32_t s : request.sweep_sizes()) {
+      sizes.push_back(static_cast<std::int64_t>(s));
     }
     doc.set("sizes", std::move(sizes));
   } else {
@@ -257,14 +244,8 @@ JsonValue normalized_request(const Request& request) {
     // grid; the size grid is irrelevant and stays out of the key.
     doc.set("clbs", static_cast<std::int64_t>(request.clbs));
     JsonValue schedules = JsonValue::array();
-    if (request.schedules.empty()) {
-      for (const ScheduleKind kind : kAllSchedules) {
-        schedules.push_back(rdse::to_string(kind));
-      }
-    } else {
-      for (const ScheduleKind kind : request.schedules) {
-        schedules.push_back(rdse::to_string(kind));
-      }
+    for (const ScheduleKind kind : request.sweep_schedules()) {
+      schedules.push_back(rdse::to_string(kind));
     }
     doc.set("schedules", std::move(schedules));
   }

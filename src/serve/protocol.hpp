@@ -33,6 +33,7 @@
 ///   {"ok": false, "error": "...", "retry_after_ms": N}   (backpressure)
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,10 @@ struct Request {
   /// request or the cache key, so a request with a deadline hits the same
   /// cache entry as the one without.
   std::int64_t timeout_ms = 0;
+
+  /// The sweep grid: `sizes` / `schedules`, or the default when empty.
+  [[nodiscard]] std::span<const std::int32_t> sweep_sizes() const;
+  [[nodiscard]] std::span<const ScheduleKind> sweep_schedules() const;
 };
 
 /// Parse and validate one request document. Throws Error on anything

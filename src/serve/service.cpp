@@ -35,33 +35,6 @@ JsonValue metrics_payload(const Metrics& m, TimeNs deadline) {
   return doc;
 }
 
-JsonValue aggregate_payload(const RunAggregate& a) {
-  JsonValue doc = JsonValue::object();
-  doc.set("runs", static_cast<std::int64_t>(a.runs));
-  doc.set("mean_makespan_ms", a.mean_makespan_ms);
-  doc.set("stddev_makespan_ms", a.stddev_makespan_ms);
-  doc.set("best_makespan_ms", a.best_makespan_ms);
-  doc.set("worst_makespan_ms", a.worst_makespan_ms);
-  doc.set("mean_init_reconfig_ms", a.mean_init_reconfig_ms);
-  doc.set("mean_dyn_reconfig_ms", a.mean_dyn_reconfig_ms);
-  doc.set("mean_contexts", a.mean_contexts);
-  doc.set("mean_hw_tasks", a.mean_hw_tasks);
-  doc.set("deadline_hit_rate", a.deadline_hit_rate);
-  return doc;
-}
-
-/// Strip the volatile (wall-clock, thread-count) fields from a sweep
-/// artifact so the payload is a pure function of the request.
-void strip_volatile_sweep_fields(JsonValue& doc) {
-  doc.erase("wall_seconds");
-  doc.erase("threads");
-  if (JsonValue* points = doc.find("points")) {
-    for (JsonValue& point : points->items()) {
-      point.erase("mean_wall_seconds");
-    }
-  }
-}
-
 /// A status block: one integer member per (name, count), in order.
 JsonValue counters_json(
     std::initializer_list<std::pair<const char*, std::uint64_t>> counters) {
@@ -433,40 +406,27 @@ JsonValue ExplorationService::execute(const Request& request,
       doc.set("best", metrics_payload(results.front().best_metrics,
                                       model.app.deadline));
     } else {
-      doc.set("aggregate",
-              aggregate_payload(
-                  aggregate_mapper_results(results, model.app.deadline)));
+      doc.set("aggregate", aggregate_to_json(aggregate_mapper_results(
+                               results, model.app.deadline)));
     }
     return doc;
   }
 
   SweepSpec spec;
   if (request.axis == "device-size") {
-    std::vector<std::int32_t> sizes = request.sizes;
-    if (sizes.empty()) {
-      sizes = {100,  200,  400,  600,  800,  1000, 1500,
-               2000, 3000, 4000, 5000, 7000, 10000};
-    }
-    spec = device_size_sweep(sizes, model.tr_per_clb,
+    spec = device_size_sweep(request.sweep_sizes(), model.tr_per_clb,
                              model.bus_bytes_per_second, config,
                              request.runs, model.app.deadline);
   } else {
-    std::vector<ScheduleKind> kinds = request.schedules;
-    if (kinds.empty()) {
-      kinds = {ScheduleKind::kModifiedLam, ScheduleKind::kLamDelosme,
-               ScheduleKind::kGeometric, ScheduleKind::kGreedy};
-    }
     spec = schedule_sweep(
-        kinds,
+        request.sweep_schedules(),
         make_cpu_fpga_architecture(request.clbs, model.tr_per_clb,
                                    model.bus_bytes_per_second),
         config, request.runs, model.app.deadline);
   }
   const SweepEngine engine(config_.run_threads);
-  const SweepResult result = engine.run(model.app.graph, spec);
-  JsonValue doc = sweep_to_json(result);
+  JsonValue doc = sweep_to_json(engine.run(model.app.graph, spec));
   doc.set("model", model.app.name);
-  strip_volatile_sweep_fields(doc);
   return doc;
 }
 

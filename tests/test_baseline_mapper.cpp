@@ -237,15 +237,14 @@ TEST(MapperMatrix, ArtifactsValidateAndShareThePointLabel) {
   EXPECT_TRUE(matrix.entries.front().deterministic);   // heft
   EXPECT_FALSE(matrix.entries.back().deterministic);   // anneal
 
-  // The matrix itself is sharding-invariant: a serial engine produces the
-  // same aggregates.
+  // The artifacts are sharding-invariant: a serial engine writes the same
+  // bytes (no thread count, no wall clock).
   const MapperMatrixResult serial =
       run_mapper_matrix(SweepEngine(1), app.graph, arch, spec);
   for (std::size_t i = 0; i < matrix.entries.size(); ++i) {
-    EXPECT_DOUBLE_EQ(matrix.entries[i].aggregate.mean_makespan_ms,
-                     serial.entries[i].aggregate.mean_makespan_ms);
-    EXPECT_DOUBLE_EQ(matrix.entries[i].aggregate.best_makespan_ms,
-                     serial.entries[i].aggregate.best_makespan_ms);
+    EXPECT_EQ(mapper_matrix_entry_to_json(serial, serial.entries[i]).dump(),
+              mapper_matrix_entry_to_json(matrix, matrix.entries[i]).dump())
+        << matrix.entries[i].mapper;
   }
 
   spec.mappers = {"bogus"};

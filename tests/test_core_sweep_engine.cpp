@@ -132,7 +132,7 @@ TEST_F(SweepEngineFixture, EmptySweepEdgeCases) {
   empty.runs_per_point = 3;
   const SweepResult no_points = engine.run(app.graph, empty);
   EXPECT_TRUE(no_points.points.empty());
-  EXPECT_GE(no_points.threads_used, 1u);
+  EXPECT_GE(engine.resolved_threads(0), 1u);
 
   // Points but zero runs: the grid is preserved, aggregates stay zeroed.
   SweepSpec dry = small_device_spec(0);
@@ -258,6 +258,11 @@ TEST_F(SweepEngineFixture, SweepReportAndJsonArtifactAgree) {
   JsonValue doc = sweep_to_json(sweep);
   EXPECT_TRUE(validate_sweep_json(doc).empty());
 
+  // The artifact is a pure function of the spec: a serial engine writes the
+  // same bytes as a four-thread one (no thread count, no wall clock).
+  EXPECT_EQ(sweep_to_json(SweepEngine(1).run(app.graph, spec)).dump(),
+            doc.dump());
+
   // The artifact round-trips through text bit-exactly on every statistic.
   const JsonValue parsed = JsonValue::parse(doc.dump(2));
   EXPECT_TRUE(validate_sweep_json(parsed).empty());
@@ -273,6 +278,22 @@ TEST_F(SweepEngineFixture, SweepReportAndJsonArtifactAgree) {
   const std::string rendered = render_sweep_artifact(parsed);
   EXPECT_NE(rendered.find("400 CLBs"), std::string::npos);
   EXPECT_NE(rendered.find("device-size"), std::string::npos);
+
+  // Artifacts written before the volatile fields were dropped still carry
+  // "threads", "wall_seconds" and "mean_wall_seconds"; they stay valid and
+  // render the same table.
+  JsonValue legacy = JsonValue::parse(doc.dump());
+  legacy.set("threads", std::int64_t{4});
+  legacy.set("wall_seconds", 0.25);
+  JsonValue legacy_points = JsonValue::array();
+  for (const JsonValue& point : legacy.at("points").items()) {
+    JsonValue p = JsonValue::parse(point.dump());
+    p.set("mean_wall_seconds", 0.125);
+    legacy_points.push_back(std::move(p));
+  }
+  legacy.set("points", std::move(legacy_points));
+  EXPECT_TRUE(validate_sweep_json(legacy).empty());
+  EXPECT_EQ(render_sweep_artifact(legacy), rendered);
 
   // Schema violations are reported, not silently accepted.
   JsonValue broken = JsonValue::parse(doc.dump());

@@ -60,20 +60,31 @@ TEST(ExplorationService, RepeatedRequestIsServedFromTheCache) {
 }
 
 TEST(ExplorationService, CachedPayloadIsBitIdenticalToAFreshService) {
-  // The same request against an independent cache-disabled service must
-  // produce the same payload bytes: responses are pure functions of the
-  // request (no wall-clock or thread-count fields).
+  // The same request against an independent cache-disabled service with
+  // another run_threads must produce the same payload bytes: responses are
+  // pure functions of the request (no wall-clock or thread-count fields).
+  // The multi-run explore and the sweep shard their runs over run_threads.
   ExplorationService cached(fast_config());
   ServiceConfig uncached_config = fast_config();
   uncached_config.cache_capacity = 0;
+  uncached_config.run_threads = 3;
   ExplorationService uncached(uncached_config);
 
-  const auto a = cached.handle(explore_line(7));
-  const auto b = cached.handle(explore_line(7));  // cache hit
-  const auto c = uncached.handle(explore_line(7));
-  ASSERT_TRUE(a.ok && b.ok && c.ok);
-  EXPECT_EQ(as_cached(a.response), b.response);
-  EXPECT_EQ(a.response, c.response);
+  const std::string lines[] = {
+      explore_line(7),
+      R"({"op": "explore", "clbs": 400, "iters": 600, "warmup": 100, )"
+      R"("runs": 2})",
+      R"({"op": "sweep", "sizes": [400, 800], "runs": 2, "iters": 600, )"
+      R"("warmup": 100})"};
+  for (const std::string& line : lines) {
+    const auto a = cached.handle(line);
+    const auto b = cached.handle(line);  // cache hit
+    const auto c = uncached.handle(line);
+    ASSERT_TRUE(a.ok && b.ok && c.ok) << line;
+    EXPECT_EQ(as_cached(a.response), b.response) << line;
+    EXPECT_EQ(a.response, c.response) << line;
+  }
+  EXPECT_EQ(cached.stats().cache.hits, 3u);
   EXPECT_EQ(uncached.stats().cache.hits, 0u);
 }
 

@@ -366,6 +366,29 @@ TEST(RdseCli, StrayPositionalArgumentsAreRejected) {
             std::string::npos);
 }
 
+TEST(RdseCli, SweepRejectsTheOtherAxisFlags) {
+  // A flag of the other axis would be silently ignored; like a stray token,
+  // it fails before anything runs.
+  const CliOutcome sizes =
+      run_cli({"sweep", "--model", "motion", "--axis", "schedule", "--sizes",
+               "400,800", "--dry-run"});
+  EXPECT_EQ(sizes.status, 1);
+  EXPECT_NE(sizes.err.find("option --sizes: only valid with --axis "
+                           "device-size"),
+            std::string::npos);
+  const CliOutcome clbs = run_cli({"sweep", "--model", "motion", "--sizes",
+                                   "400", "--clbs", "123", "--dry-run"});
+  EXPECT_EQ(clbs.status, 1);
+  EXPECT_NE(clbs.err.find("option --clbs: only valid with --axis schedule"),
+            std::string::npos);
+  const CliOutcome schedules = run_cli(
+      {"sweep", "--model", "motion", "--schedules", "greedy", "--dry-run"});
+  EXPECT_EQ(schedules.status, 1);
+  EXPECT_NE(schedules.err.find(
+                "option --schedules: only valid with --axis schedule"),
+            std::string::npos);
+}
+
 TEST(RdseCli, MalformedNumericFlagFailsCleanly) {
   const CliOutcome r =
       run_cli({"sweep", "--model", "motion", "--iters", "abc", "--dry-run"});

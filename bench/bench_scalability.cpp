@@ -5,10 +5,8 @@
 /// 200 tasks. The paper evaluates a single 28-task application; this
 /// experiment characterizes how the method behaves beyond it.
 
-#include "baseline/hill_climb.hpp"
-#include "baseline/random_search.hpp"
+#include "baseline/mapper.hpp"
 #include "bench_common.hpp"
-#include "core/explorer.hpp"
 #include "model/generators.hpp"
 #include "util/statistics.hpp"
 #include "util/table.hpp"
@@ -23,6 +21,9 @@ static int run_bench(int argc, char** argv) {
   Table table({"tasks", "sw-only ms", "SA ms", "HC ms", "RS ms",
                "SA/sw ratio", "us/iteration"});
 
+  const auto anneal = make_mapper("anneal");
+  const auto hill_climb = make_mapper("hill_climb");
+  const auto random = make_mapper("random");
   for (const std::size_t n : {20u, 50u, 100u, 200u}) {
     AppGenParams params;
     params.dag.node_count = n;
@@ -36,21 +37,16 @@ static int run_bench(int argc, char** argv) {
     std::vector<double> sa, hc, rs, wall;
     std::int64_t iters_run = 0;
     for (int i = 0; i < scale.runs; ++i) {
-      const auto seed = scale.seed + static_cast<std::uint64_t>(i);
-      Explorer explorer(app.graph, arch);
       ExplorerConfig config;
-      config.seed = seed;
+      config.seed = scale.seed + static_cast<std::uint64_t>(i);
       config.iterations = scale.iters;
       config.warmup_iterations = scale.warmup / 2;
-      config.record_trace = false;
-      const RunResult r = explorer.run(config);
-      sa.push_back(to_ms(r.best_metrics.makespan));
+      const MapperResult r = anneal->run(app.graph, arch, config);
+      sa.push_back(r.best_cost_ms);
       wall.push_back(r.wall_seconds);
-      iters_run = r.anneal.iterations_run;
-      hc.push_back(to_ms(run_hill_climb(app.graph, arch, scale.iters, seed)
-                             .best_metrics.makespan));
-      rs.push_back(
-          run_random_search(app.graph, arch, scale.iters, seed).best_cost_ms);
+      iters_run = r.counters.at("iterations_run").as_int();
+      hc.push_back(hill_climb->run(app.graph, arch, config).best_cost_ms);
+      rs.push_back(random->run(app.graph, arch, config).best_cost_ms);
     }
     const double sw_ms = to_ms(app.graph.total_sw_time());
     table.row()

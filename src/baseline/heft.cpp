@@ -51,9 +51,8 @@ std::vector<double> heft_upward_ranks(const TaskGraph& tg,
                          ? 0.5 * (costs.sw_ms[v] + costs.rc_cost(v))
                          : costs.sw_ms[v];
     double succ_max = 0.0;
-    for (EdgeId e : g.out_edges(v)) {
-      succ_max = std::max(succ_max,
-                          0.5 * costs.comm_ms[e] + rank[g.edge(e).dst]);
+    for (const HalfEdge& h : g.out_half(v)) {
+      succ_max = std::max(succ_max, 0.5 * costs.comm_ms[h.edge] + rank[h.node]);
     }
     rank[v] = w + succ_max;
   }
@@ -79,9 +78,9 @@ EftDecision eft_select(const TaskGraph& tg, const HeftCosts& costs,
     // crosses the bus only when the placements differ.
     double ready_proc = avail_proc;
     double ready_rc = avail_rc;
-    for (EdgeId e : g.in_edges(v)) {
-      const TaskId u = g.edge(e).src;
-      const double c = costs.comm_ms[e];
+    for (const HalfEdge& h : g.in_half(v)) {
+      const TaskId u = h.node;
+      const double c = costs.comm_ms[h.edge];
       ready_proc = std::max(ready_proc, finish[u] + (out.hw[u] ? c : 0.0));
       ready_rc = std::max(ready_rc, finish[u] + (out.hw[u] ? 0.0 : c));
     }

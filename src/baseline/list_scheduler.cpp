@@ -15,8 +15,8 @@ std::vector<double> upward_ranks(const TaskGraph& tg) {
   for (auto it = order->rbegin(); it != order->rend(); ++it) {
     const TaskId v = *it;
     double succ_max = 0.0;
-    for (EdgeId e : g.out_edges(v)) {
-      succ_max = std::max(succ_max, rank[g.edge(e).dst]);
+    for (const HalfEdge& h : g.out_half(v)) {
+      succ_max = std::max(succ_max, rank[h.node]);
     }
     rank[v] = to_ms(tg.task(v).sw_time) + succ_max;
   }
@@ -51,9 +51,8 @@ std::vector<NodeId> priority_topological_order(
     const NodeId v = ready.top();
     ready.pop();
     order.push_back(v);
-    for (EdgeId e : g.out_edges(v)) {
-      const NodeId w = g.edge(e).dst;
-      if (--indeg[w] == 0) ready.push(w);
+    for (const HalfEdge& h : g.out_half(v)) {
+      if (--indeg[h.node] == 0) ready.push(h.node);
     }
   }
   RDSE_REQUIRE(order.size() == g.node_count(),

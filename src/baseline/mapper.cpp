@@ -6,10 +6,8 @@
 #include "baseline/clustering.hpp"
 #include "baseline/genetic.hpp"
 #include "baseline/heft.hpp"
-#include "baseline/hill_climb.hpp"
 #include "baseline/list_scheduler.hpp"
 #include "baseline/peft.hpp"
-#include "baseline/random_search.hpp"
 #include "sched/evaluator.hpp"
 #include "util/assert.hpp"
 
@@ -35,33 +33,33 @@ MapperResult score_decoded(const TaskGraph& tg, const Architecture& arch,
   return result;
 }
 
+/// The fields every Explorer-backed mapper (anneal, hill_climb) reports:
+/// the run's best design and its acceptance split. Infeasible candidates
+/// were rejected before evaluation, so they are not evaluations.
+MapperResult explorer_result(const RunResult& run) {
+  MapperResult result;
+  result.best_solution = run.best_solution;
+  result.best_architecture = run.best_architecture;
+  result.best_metrics = run.best_metrics;
+  result.best_cost_ms = to_ms(run.best_metrics.makespan);
+  result.evaluations = run.anneal.accepted + run.anneal.rejected;
+  result.wall_seconds = run.wall_seconds;
+  result.counters.set("iterations_run", run.anneal.iterations_run);
+  result.counters.set("accepted", run.anneal.accepted);
+  result.counters.set("rejected", run.anneal.rejected);
+  result.counters.set("infeasible", run.anneal.infeasible);
+  return result;
+}
+
 class AnnealMapper final : public Mapper {
  public:
   const char* name() const override { return "anneal"; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
-                   const MapperConfig& config) const override {
-    const Explorer explorer(tg, arch);
-    ExplorerConfig c;
-    c.seed = config.seed;
-    c.iterations = config.iterations;
-    c.warmup_iterations = config.warmup_iterations;
-    c.schedule = config.schedule;
-    c.batch = config.batch;
-    c.record_trace = false;
-    c.cancel = config.cancel;
-    const RunResult run = explorer.run(c);
-
-    MapperResult result;
-    result.best_solution = run.best_solution;
-    result.best_architecture = run.best_architecture;
-    result.best_metrics = run.best_metrics;
-    result.best_cost_ms = to_ms(run.best_metrics.makespan);
-    result.evaluations = run.anneal.accepted + run.anneal.rejected;
-    result.wall_seconds = run.wall_seconds;
-    result.counters.set("iterations_run", run.anneal.iterations_run);
-    result.counters.set("accepted", run.anneal.accepted);
-    result.counters.set("rejected", run.anneal.rejected);
-    result.counters.set("infeasible", run.anneal.infeasible);
+                   const ExplorerConfig& config) const override {
+    ExplorerConfig c = config;
+    c.record_trace = false;  // a MapperResult has no place for a trace
+    const RunResult run = Explorer(tg, arch).run(c);
+    MapperResult result = explorer_result(run);
     result.counters.set("best_iteration", run.anneal.best_iteration);
     result.counters.set("schedule", std::string(to_string(c.schedule)));
     return result;
@@ -72,7 +70,7 @@ class GaMapper final : public Mapper {
  public:
   const char* name() const override { return "ga"; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
-                   const MapperConfig& config) const override {
+                   const ExplorerConfig& config) const override {
     const GeneticPartitioner ga(tg, arch);
     GaConfig c;
     c.seed = config.seed;
@@ -87,23 +85,71 @@ class GaMapper final : public Mapper {
   }
 };
 
+/// Greedy local search: the full §4.2 move set at temperature zero (only
+/// improving moves accepted), which isolates the value of the annealing
+/// schedule. The counters add the makespan of the random partition the
+/// climb started from.
 class HillClimbMapper final : public Mapper {
  public:
   const char* name() const override { return "hill_climb"; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
-                   const MapperConfig& config) const override {
-    return run_hill_climb(tg, arch, config.iterations, config.seed,
-                          config.cancel);
+                   const ExplorerConfig& config) const override {
+    ExplorerConfig c;
+    c.seed = config.seed;
+    c.iterations = config.iterations;
+    c.warmup_iterations = 0;  // greedy search needs no statistics
+    c.schedule = ScheduleKind::kGreedy;
+    c.record_trace = false;
+    c.cancel = config.cancel;
+    const RunResult run = Explorer(tg, arch).run(c);
+    MapperResult result = explorer_result(run);
+    result.counters.set("initial_makespan_ms",
+                        to_ms(run.initial_metrics.makespan));
+    return result;
   }
 };
 
+/// Pure random sampling: draw `iterations` random partitions onto the
+/// first processor and first RC (the §5 initial-solution generator),
+/// evaluate each and keep the best. The weakest sensible baseline — any
+/// guided search must beat it.
 class RandomMapper final : public Mapper {
  public:
   const char* name() const override { return "random"; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
-                   const MapperConfig& config) const override {
-    return run_random_search(tg, arch, config.iterations, config.seed,
-                             config.cancel);
+                   const ExplorerConfig& config) const override {
+    const std::int64_t samples = config.iterations;
+    RDSE_REQUIRE(samples >= 1, "random mapper: need >= 1 sample");
+    const auto procs = arch.processor_ids();
+    const auto rcs = arch.reconfigurable_ids();
+    RDSE_REQUIRE(!procs.empty() && !rcs.empty(),
+                 "random mapper: need a processor and an RC");
+    const auto t0 = std::chrono::steady_clock::now();
+
+    Rng rng(config.seed);
+    const Evaluator ev(tg, arch);
+    MapperResult result;
+    bool have_best = false;
+    for (std::int64_t i = 0; i < samples; ++i) {
+      throw_if_cancelled(config.cancel);
+      Solution sol = Solution::random_partition(tg, arch, procs.front(),
+                                                rcs.front(), rng);
+      const auto m = ev.evaluate(sol);
+      RDSE_ASSERT(m.has_value());  // random_partition is feasible by design
+      ++result.evaluations;
+      const double cost = to_ms(m->makespan);
+      if (!have_best || cost < result.best_cost_ms) {
+        result.best_cost_ms = cost;
+        result.best_metrics = *m;
+        result.best_solution = std::move(sol);
+        have_best = true;
+      }
+    }
+    result.best_architecture = arch;
+    result.counters.set("samples", samples);
+    const auto t1 = std::chrono::steady_clock::now();
+    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+    return result;
   }
 };
 
@@ -112,7 +158,7 @@ class ClusteringMapper final : public Mapper {
   const char* name() const override { return "clustering"; }
   bool deterministic() const override { return true; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
-                   const MapperConfig& config) const override {
+                   const ExplorerConfig& config) const override {
     throw_if_cancelled(config.cancel);
     const auto t0 = std::chrono::steady_clock::now();
     // The staged [6] flow with the trivial all-hardware spatial partition:
@@ -146,7 +192,7 @@ class ListSchedulerMapper final : public Mapper {
   const char* name() const override { return "list_scheduler"; }
   bool deterministic() const override { return true; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
-                   const MapperConfig& config) const override {
+                   const ExplorerConfig& config) const override {
     throw_if_cancelled(config.cancel);
     const auto t0 = std::chrono::steady_clock::now();
     // All-software priority list schedule — the paper's 76.4 ms software
@@ -187,7 +233,7 @@ class HeftMapper final : public Mapper {
   const char* name() const override { return "heft"; }
   bool deterministic() const override { return true; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
-                   const MapperConfig& config) const override {
+                   const ExplorerConfig& config) const override {
     throw_if_cancelled(config.cancel);
     const auto t0 = std::chrono::steady_clock::now();
     const HeftCosts costs = make_heft_costs(tg, arch);
@@ -201,7 +247,7 @@ class PeftMapper final : public Mapper {
   const char* name() const override { return "peft"; }
   bool deterministic() const override { return true; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
-                   const MapperConfig& config) const override {
+                   const ExplorerConfig& config) const override {
     throw_if_cancelled(config.cancel);
     const auto t0 = std::chrono::steady_clock::now();
     const HeftCosts costs = make_heft_costs(tg, arch);

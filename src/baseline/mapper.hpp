@@ -4,14 +4,15 @@
 /// one registry for every exploration strategy in the repo.
 ///
 /// A *mapper* maps the application onto the platform: it takes a task
-/// graph, an architecture and a generic budget/seed configuration and
+/// graph, an architecture and one run description (ExplorerConfig) and
 /// returns one MapperResult — best solution, metrics scored by the §4.4
 /// evaluator, evaluation count, wall time and a JSON bag of mapper-specific
 /// counters. The annealer, the GA, the deterministic [6] clustering flow,
 /// hill climbing, the plain list scheduler, random sampling, HEFT and PEFT
-/// all sit behind this interface, so `rdse bench --mappers ...`, the serve
-/// front door and the comparison harness treat them uniformly — exactly one
-/// way to run a mapper.
+/// all sit behind this interface, and the registry below is the only entry
+/// point to each of them: `rdse explore --runs`, `rdse bench --mappers ...`,
+/// the serve front door and the comparison harness all run a strategy
+/// through `make_mapper(name)->run(...)`.
 ///
 /// The registry mirrors src/model/registry: `known_mapper_names()` for
 /// messages/usage, `mapper_names()` for iteration, `make_mapper(name)` for
@@ -28,21 +29,18 @@
 
 namespace rdse {
 
-/// Generic mapper configuration. `iterations` is the evaluation budget in
-/// each mapper's natural unit: annealing/hill-climb moves, random samples,
-/// GA fitness evaluations. Deterministic mappers (clustering, list
-/// scheduler, HEFT, PEFT) ignore every field.
-struct MapperConfig {
-  std::uint64_t seed = 1;
-  std::int64_t iterations = 20'000;
-  std::int64_t warmup_iterations = 1'200;  ///< annealer only
-  ScheduleKind schedule = ScheduleKind::kModifiedLam;  ///< annealer only
-  int batch = 1;  ///< annealer only: probes per step (best-of-K)
-  /// Optional cooperative-cancellation token; every mapper polls it at its
-  /// natural iteration granularity (moves, samples, generations) and
-  /// throws Cancelled when it fires. Null = never cancelled.
-  const CancelToken* cancel = nullptr;
-};
+/// A mapper's run description is the explorer's. `iterations` is the
+/// evaluation budget in each mapper's natural unit: annealing/hill-climb
+/// moves, random samples, GA fitness evaluations. Each mapper polls
+/// `cancel` at its natural granularity (moves, samples, generations) and
+/// throws Cancelled when it fires. Which fields a mapper reads:
+///   - anneal: every field; `record_trace` is forced off.
+///   - hill_climb, random, ga: `seed`, `iterations` and `cancel` only.
+///   - clustering, list_scheduler, heft, peft: `cancel` only.
+/// The serve cache key relies on the stochastic non-annealers ignoring
+/// `warmup_iterations`, `schedule` and `batch`. The `MapperConfig` name
+/// stays because callers outside the library (perfbench) spell it.
+using MapperConfig = ExplorerConfig;
 
 /// The one result every mapper returns.
 struct MapperResult {
@@ -81,7 +79,7 @@ class Mapper {
   /// require_valid() it.
   [[nodiscard]] virtual MapperResult run(const TaskGraph& tg,
                                          const Architecture& arch,
-                                         const MapperConfig& config) const
+                                         const ExplorerConfig& config) const
       = 0;
 };
 

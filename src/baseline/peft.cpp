@@ -21,9 +21,9 @@ PeftTables peft_oct(const TaskGraph& tg, const HeftCosts& costs) {
     const TaskId v = *it;
     for (int p = 0; p < 2; ++p) {
       double worst = 0.0;
-      for (EdgeId e : g.out_edges(v)) {
-        const TaskId s = g.edge(e).dst;
-        const double c = costs.comm_ms[e];
+      for (const HalfEdge& h : g.out_half(v)) {
+        const TaskId s = h.node;
+        const double c = costs.comm_ms[h.edge];
         // p' = processor (0) and RC (1); cross placements pay the bus.
         const double via_proc =
             tables.oct[s][0] + costs.sw_ms[s] + (p == 0 ? 0.0 : c);

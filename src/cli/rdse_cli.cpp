@@ -53,7 +53,7 @@ commands:
 common options:
   --model NAME      application model: motion | synthetic:N  [motion]
   --seed N          base RNG seed                            [1]
-  --iters N         cooling iterations per run               [15000]
+  --iters N         cooling iterations per run               [20000]
   --warmup N        infinite-temperature warm-up iterations  [1200]
   --threads N       worker threads (0 = hardware)            [0]
   --quiet           suppress tables/plots (artifacts still written)
@@ -68,6 +68,7 @@ explore options:
                     --checkpoint-every iterations (requires --runs 1); a
                     killed run resumes bit-identically via --resume
   --checkpoint-every N  iterations between checkpoints       [1000]
+                    (only with --checkpoint or --resume)
   --resume PATH     resume an interrupted run from its checkpoint and keep
                     checkpointing to the same file; only --checkpoint-every,
                     --json and --quiet may accompany --resume
@@ -93,6 +94,7 @@ sweep options:
   --schedules CSV   schedule names (schedule axis only)      [all four]
   --clbs N          FPGA size (schedule axis only)           [2000]
   --runs N          runs per sweep point                     [5]
+  --iters N         cooling iterations per run               [15000]
   --json PATH       write the rdse.sweep.v1 artifact (no wall-clock or
                     thread-count fields: byte-identical for any --threads)
   --dry-run         plan the sweep and emit the artifact without running
@@ -367,6 +369,10 @@ int cmd_explore(const Options& opts, std::ostream& out) {
                "option --checkpoint-every: need at least one iteration");
   RDSE_REQUIRE(checkpoint_path.empty() || runs == 1,
                "option --checkpoint: requires --runs 1");
+  // Without --checkpoint nothing is saved, and dropping the flag silently
+  // would look like it worked (--resume accepts it on its own path).
+  RDSE_REQUIRE(!checkpoint_path.empty() || !opts.get("checkpoint-every"),
+               "option --checkpoint-every: requires --checkpoint or --resume");
   RDSE_REQUIRE(json_path.empty() || runs == 1,
                "option --json: requires --runs 1");
 
@@ -378,26 +384,30 @@ int cmd_explore(const Options& opts, std::ostream& out) {
 
   const Architecture arch = make_cpu_fpga_architecture(
       clbs, model.tr_per_clb, model.bus_bytes_per_second);
-  const Explorer explorer(model.app.graph, arch);
 
   if (runs == 0) {
     out << "0 runs requested — nothing to explore\n";
     return 0;
   }
-  if (!checkpoint_path.empty()) {
-    CheckpointableExplorer session(explorer, config);
-    return run_checkpointed(model, clbs, session, checkpoint_path,
-                            checkpoint_every, json_path, quiet, out);
-  }
   if (runs == 1) {
+    const Explorer explorer(model.app.graph, arch);
+    if (!checkpoint_path.empty()) {
+      CheckpointableExplorer session(explorer, config);
+      return run_checkpointed(model, clbs, session, checkpoint_path,
+                              checkpoint_every, json_path, quiet, out);
+    }
     const RunResult result = explorer.run(config);
     return finish_explore(model, clbs, config, result, json_path, quiet, out);
   }
 
+  // A batch runs the anneal mapper the way serve's explore and `rdse
+  // bench` do: one registry entry, one sharded engine.
   const SweepEngine engine(threads);
-  const std::vector<RunResult> results =
-      engine.run_many(explorer, config, runs);
-  const RunAggregate agg = Explorer::aggregate(results, model.app.deadline);
+  const std::vector<MapperResult> results =
+      engine.run_mapper_many(*make_mapper("anneal"), model.app.graph, arch,
+                             config, runs);
+  const RunAggregate agg =
+      aggregate_mapper_results(results, model.app.deadline);
   if (quiet) return 0;
   Table table({"runs", "mean ms", "sd", "best ms", "worst ms", "contexts",
                "hit rate"});
@@ -409,11 +419,9 @@ int cmd_explore(const Options& opts, std::ostream& out) {
       .cell(agg.worst_makespan_ms, 2)
       .cell(agg.mean_contexts, 2)
       .cell(agg.deadline_hit_rate, 2);
+  // No thread count in the title: the table is the same for any --threads.
   table.print(out, std::to_string(runs) + " runs of " + model.app.name +
-                       " on " + std::to_string(clbs) + " CLBs (" +
-                       std::to_string(engine.resolved_threads(
-                           static_cast<std::size_t>(runs))) +
-                       " threads)");
+                       " on " + std::to_string(clbs) + " CLBs");
   return 0;
 }
 
@@ -461,10 +469,7 @@ int cmd_bench(const Options& opts, std::ostream& out) {
   const std::string csv = opts.get_string("mappers", "");
   spec.mappers = csv.empty() ? mapper_names() : parse_mapper_list(csv);
   RDSE_REQUIRE(!spec.mappers.empty(), "option --mappers: empty list");
-  spec.config.seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1, "RDSE_SEED"));
-  spec.config.iterations = opts.get_int("iters", 20'000, "RDSE_ITERS");
-  spec.config.warmup_iterations = opts.get_int("warmup", 1'200);
+  spec.config = base_config(opts, 20'000);
   spec.config.schedule =
       parse_schedule(opts.get_string("schedule", "modified-lam"));
   spec.runs_per_mapper = runs;

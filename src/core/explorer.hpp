@@ -96,9 +96,10 @@ class Explorer {
   ///
   /// Contract: `n` == 0 is valid and returns an empty vector (so front-ends
   /// can pass user-supplied run counts straight through); `n` < 0 throws
-  /// Error. This is the serial reference path — SweepEngine::run_many
-  /// shards the same runs over a thread pool and is bit-identical to this
-  /// loop in every field except wall-clock times.
+  /// Error. This is the serial reference path: SweepEngine::run_mapper_many
+  /// with the anneal mapper shards the same runs over a thread pool and is
+  /// bit-identical to this loop in every field a MapperResult carries
+  /// except wall-clock times.
   [[nodiscard]] std::vector<RunResult> run_many(const ExplorerConfig& config,
                                                 int n) const;
 

@@ -25,7 +25,7 @@ namespace rdse {
 /// run configuration, and the point metadata every artifact shares.
 struct MapperMatrixSpec {
   std::vector<std::string> mappers;
-  MapperConfig config;
+  ExplorerConfig config;
   int runs_per_mapper = 3;  ///< seeds config.seed .. config.seed + runs - 1
   TimeNs deadline = 0;
   std::string model;  ///< model name, recorded in the artifacts

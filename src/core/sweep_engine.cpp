@@ -22,26 +22,9 @@ unsigned SweepEngine::resolved_threads(std::size_t jobs) const {
   return std::max(threads, 1u);
 }
 
-std::vector<RunResult> SweepEngine::run_many(const Explorer& explorer,
-                                             const ExplorerConfig& config,
-                                             int n) const {
-  RDSE_REQUIRE(n >= 0, "SweepEngine::run_many: negative run count");
-  std::vector<RunResult> out(static_cast<std::size_t>(n));
-  if (n == 0) return out;
-
-  ThreadPool pool(resolved_threads(static_cast<std::size_t>(n)));
-  pool.parallel_for_index(
-      static_cast<std::size_t>(n), [&explorer, &config, &out](std::size_t i) {
-        ExplorerConfig c = config;
-        c.seed = config.seed + static_cast<std::uint64_t>(i);
-        out[i] = explorer.run(c);
-      });
-  return out;
-}
-
 std::vector<MapperResult> SweepEngine::run_mapper_many(
     const Mapper& mapper, const TaskGraph& tg, const Architecture& arch,
-    const MapperConfig& config, int n) const {
+    const ExplorerConfig& config, int n) const {
   RDSE_REQUIRE(n >= 0, "SweepEngine::run_mapper_many: negative run count");
   std::vector<MapperResult> out(static_cast<std::size_t>(n));
   if (n == 0) return out;
@@ -49,7 +32,7 @@ std::vector<MapperResult> SweepEngine::run_mapper_many(
   ThreadPool pool(resolved_threads(static_cast<std::size_t>(n)));
   pool.parallel_for_index(static_cast<std::size_t>(n),
                           [&mapper, &tg, &arch, &config, &out](std::size_t i) {
-                            MapperConfig c = config;
+                            ExplorerConfig c = config;
                             c.seed = config.seed +
                                      static_cast<std::uint64_t>(i);
                             out[i] = mapper.run(tg, arch, c);

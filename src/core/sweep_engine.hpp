@@ -24,7 +24,6 @@
 namespace rdse {
 
 class Mapper;
-struct MapperConfig;
 struct MapperResult;
 
 /// One grid point of a sweep: a complete (architecture, exploration config)
@@ -83,24 +82,18 @@ class SweepEngine {
   /// `threads` == 0 picks the hardware concurrency (at least 1).
   explicit SweepEngine(unsigned threads = 0) : threads_(threads) {}
 
-  /// Parallel counterpart of Explorer::run_many: `n` independent runs with
-  /// seeds config.seed .. config.seed + n - 1 dispatched as pool jobs and
-  /// returned in seed order. `n` == 0 returns an empty vector; `n` < 0
+  /// `n` independent runs of one registered mapper with seeds config.seed
+  /// .. config.seed + n - 1, dispatched as pool jobs and returned in seed
+  /// order — bit-identical to the serial loop for any thread count (with
+  /// the anneal mapper, to Explorer::run_many in every field a
+  /// MapperResult carries). `n` == 0 returns an empty vector; `n` < 0
   /// throws Error. Any job failure propagates as the job's exception after
-  /// the batch barrier.
-  [[nodiscard]] std::vector<RunResult> run_many(const Explorer& explorer,
-                                                const ExplorerConfig& config,
-                                                int n) const;
-
-  /// Mapper-portfolio counterpart of run_many: `n` independent runs of one
-  /// registered mapper with seeds config.seed .. config.seed + n - 1,
-  /// dispatched as pool jobs and returned in seed order — bit-identical to
-  /// the serial loop for any thread count. Deterministic mappers still run
-  /// once per seed (their results are identical by contract, which the
-  /// property suite asserts).
+  /// the batch barrier. Deterministic mappers still run once per seed
+  /// (their results are identical by contract, which the property suite
+  /// asserts).
   [[nodiscard]] std::vector<MapperResult> run_mapper_many(
       const Mapper& mapper, const TaskGraph& tg, const Architecture& arch,
-      const MapperConfig& config, int n) const;
+      const ExplorerConfig& config, int n) const;
 
   /// Run every (point, run) pair of the sweep as one pool job. The task
   /// graph must outlive the call; each point's architecture is copied into

@@ -54,52 +54,6 @@ struct HalfEdge {
   TimeNs weight = 0;
 };
 
-/// Thin view adapting a packed half-edge array back to the historical
-/// "span of edge ids" shape, so non-hot callers (topological sorts,
-/// boundary scans, DOT export, ...) iterate edge ids exactly as before.
-class EdgeIdView {
- public:
-  class iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = EdgeId;
-    using difference_type = std::ptrdiff_t;
-
-    iterator() = default;
-    explicit iterator(const HalfEdge* p) : p_(p) {}
-    EdgeId operator*() const { return p_->edge; }
-    iterator& operator++() {
-      ++p_;
-      return *this;
-    }
-    iterator operator++(int) {
-      iterator t = *this;
-      ++p_;
-      return t;
-    }
-    friend bool operator==(iterator a, iterator b) = default;
-
-   private:
-    const HalfEdge* p_ = nullptr;
-  };
-
-  EdgeIdView() = default;
-  explicit EdgeIdView(std::span<const HalfEdge> half) : half_(half) {}
-
-  [[nodiscard]] iterator begin() const { return iterator(half_.data()); }
-  [[nodiscard]] iterator end() const {
-    return iterator(half_.data() + half_.size());
-  }
-  [[nodiscard]] std::size_t size() const { return half_.size(); }
-  [[nodiscard]] bool empty() const { return half_.empty(); }
-  [[nodiscard]] EdgeId operator[](std::size_t i) const {
-    return half_[i].edge;
-  }
-
- private:
-  std::span<const HalfEdge> half_;
-};
-
 class Digraph {
  public:
   struct Edge {
@@ -176,9 +130,9 @@ class Digraph {
     RDSE_REQUIRE(edge_alive(edge), "Digraph::edge: edge not alive");
     return edges_[edge];
   }
-  /// Unchecked endpoint access for ids the caller just obtained from
-  /// in_edges()/out_edges() of the same graph (relaxation and chain-diff
-  /// inner loops — the liveness re-check is measurable there).
+  /// Unchecked endpoint access for ids the caller knows are live
+  /// (relaxation and chain-diff inner loops — the liveness re-check is
+  /// measurable there).
   [[nodiscard]] const Edge& edge_unchecked(EdgeId edge) const {
     RDSE_DCHECK(edge_alive(edge), "Digraph::edge_unchecked: edge not alive");
     return edges_[edge];
@@ -194,8 +148,9 @@ class Digraph {
     return weight_;
   }
 
-  /// Packed half-edge adjacency — the hot-loop view: one contiguous array
-  /// of (neighbor, edge id, weight) records per node and direction.
+  /// Packed half-edge adjacency, the one way to walk a node's live edges:
+  /// one contiguous array of (neighbor, edge id, weight) records per node
+  /// and direction.
   [[nodiscard]] std::span<const HalfEdge> out_half(NodeId node) const {
     RDSE_DCHECK(node < node_count(), "Digraph::out_half: node out of range");
     return out_[node];
@@ -203,17 +158,6 @@ class Digraph {
   [[nodiscard]] std::span<const HalfEdge> in_half(NodeId node) const {
     RDSE_DCHECK(node < node_count(), "Digraph::in_half: node out of range");
     return in_[node];
-  }
-
-  /// Outgoing / incoming live edge ids of a node (thin view over the packed
-  /// arrays; non-hot callers are untouched by the layout change).
-  [[nodiscard]] EdgeIdView out_edges(NodeId node) const {
-    RDSE_DCHECK(node < node_count(), "Digraph::out_edges: node out of range");
-    return EdgeIdView(out_[node]);
-  }
-  [[nodiscard]] EdgeIdView in_edges(NodeId node) const {
-    RDSE_DCHECK(node < node_count(), "Digraph::in_edges: node out of range");
-    return EdgeIdView(in_[node]);
   }
 
   [[nodiscard]] std::size_t out_degree(NodeId node) const {

@@ -31,9 +31,8 @@ LongestPathResult longest_path(const WeightedDag& dag) {
   r.finish.assign(g.node_count(), 0);
   for (NodeId v : *order) {
     TimeNs s = release_of(dag, v);
-    for (EdgeId e : g.in_edges(v)) {
-      const NodeId u = g.edge(e).src;
-      s = std::max(s, r.finish[u] + dag.edge_weight[e]);
+    for (const HalfEdge& h : g.in_half(v)) {
+      s = std::max(s, r.finish[h.node] + dag.edge_weight[h.edge]);
     }
     r.start[v] = s;
     r.finish[v] = s + dag.node_weight[v];
@@ -60,9 +59,9 @@ std::vector<NodeId> critical_path(const WeightedDag& dag,
   while (true) {
     const TimeNs s = r.start[v];
     NodeId best_pred = kInvalidNode;
-    for (EdgeId e : g.in_edges(v)) {
-      const NodeId u = g.edge(e).src;
-      if (r.finish[u] + dag.edge_weight[e] == s) {
+    for (const HalfEdge& h : g.in_half(v)) {
+      const NodeId u = h.node;
+      if (r.finish[u] + dag.edge_weight[h.edge] == s) {
         if (best_pred == kInvalidNode || u < best_pred) {
           best_pred = u;
         }

@@ -106,9 +106,9 @@ U128 count_linear_extensions_bruteforce(const Digraph& g) {
     for (NodeId v = 0; v < n; ++v) {
       if (placed[v] || indeg[v] != 0) continue;
       placed[v] = true;
-      for (EdgeId e : g.out_edges(v)) --indeg[g.edge(e).dst];
+      for (const HalfEdge& h : g.out_half(v)) --indeg[h.node];
       rec(depth + 1);
-      for (EdgeId e : g.out_edges(v)) ++indeg[g.edge(e).dst];
+      for (const HalfEdge& h : g.out_half(v)) ++indeg[h.node];
       placed[v] = false;
     }
   };

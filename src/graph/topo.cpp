@@ -41,9 +41,8 @@ std::vector<std::uint32_t> asap_levels(const Digraph& g) {
   RDSE_REQUIRE(order.has_value(), "asap_levels: graph is cyclic");
   std::vector<std::uint32_t> level(g.node_count(), 0);
   for (NodeId v : *order) {
-    for (EdgeId e : g.out_edges(v)) {
-      const NodeId w = g.edge(e).dst;
-      level[w] = std::max(level[w], level[v] + 1);
+    for (const HalfEdge& h : g.out_half(v)) {
+      level[h.node] = std::max(level[h.node], level[v] + 1);
     }
   }
   return level;
@@ -73,8 +72,8 @@ bool reaches(const Digraph& g, NodeId from, NodeId to) {
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    for (EdgeId e : g.out_edges(v)) {
-      const NodeId w = g.edge(e).dst;
+    for (const HalfEdge& h : g.out_half(v)) {
+      const NodeId w = h.node;
       if (w == to) return true;
       if (!seen[w]) {
         seen[w] = true;

@@ -19,8 +19,8 @@ void context_boundary_into(const TaskGraph& tg, const Solution& sol,
   };
   for (TaskId t : members) {
     bool has_inner_pred = false;
-    for (EdgeId e : tg.digraph().in_edges(t)) {
-      if (in_context(tg.digraph().edge(e).src)) {
+    for (const HalfEdge& h : tg.digraph().in_half(t)) {
+      if (in_context(h.node)) {
         has_inner_pred = true;
         break;
       }
@@ -28,8 +28,8 @@ void context_boundary_into(const TaskGraph& tg, const Solution& sol,
     if (!has_inner_pred) out.initials.push_back(t);
 
     bool has_inner_succ = false;
-    for (EdgeId e : tg.digraph().out_edges(t)) {
-      if (in_context(tg.digraph().edge(e).dst)) {
+    for (const HalfEdge& h : tg.digraph().out_half(t)) {
+      if (in_context(h.node)) {
         has_inner_succ = true;
         break;
       }

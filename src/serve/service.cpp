@@ -382,19 +382,14 @@ JsonValue ExplorationService::execute(const Request& request,
   if (request.op == RequestOp::kExplore) {
     // Every strategy — the annealer included — runs through the mapper
     // registry, so the service has exactly one explore code path.
-    MapperConfig mc;
-    mc.seed = request.seed;
-    mc.iterations = request.iterations;
-    mc.warmup_iterations = request.warmup;
-    mc.schedule = request.schedule;
-    mc.batch = request.batch;
-    mc.cancel = cancel;
+    config.schedule = request.schedule;
+    config.batch = request.batch;
     const std::unique_ptr<Mapper> mapper = make_mapper(request.mapper);
     const Architecture arch = make_cpu_fpga_architecture(
         request.clbs, model.tr_per_clb, model.bus_bytes_per_second);
     const SweepEngine engine(config_.run_threads);
     const std::vector<MapperResult> results =
-        engine.run_mapper_many(*mapper, model.app.graph, arch, mc,
+        engine.run_mapper_many(*mapper, model.app.graph, arch, config,
                                request.runs);
     JsonValue doc = JsonValue::object();
     doc.set("model", model.app.name);

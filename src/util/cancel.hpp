@@ -5,12 +5,12 @@
 ///
 /// A CancelToken is owned by the request issuer (the serve front door, a
 /// CLI driver, a test) and threaded *by pointer* through the configuration
-/// structs (AnnealConfig, ExplorerConfig, MapperConfig, GaConfig). The
-/// engines poll it between iterations — never mid-evaluation — and bail
-/// out by throwing Cancelled, which unwinds through the thread-pool job
-/// barrier to the caller. Throwing (instead of returning partial results)
-/// is what guarantees the serve layer's contract: a deadline-expired run
-/// produces a deterministic error response, never a partial payload.
+/// structs (AnnealConfig, ExplorerConfig, GaConfig). The engines poll it
+/// between iterations — never mid-evaluation — and bail out by throwing
+/// Cancelled, which unwinds through the thread-pool job barrier to the
+/// caller. Throwing (instead of returning partial results) is what
+/// guarantees the serve layer's contract: a deadline-expired run produces
+/// a deterministic error response, never a partial payload.
 ///
 /// The token is thread-safe: many worker threads may poll one token while
 /// another thread cancels it. A null token pointer means "never cancelled"

@@ -127,19 +127,6 @@ JsonValue& JsonValue::set(std::string key, JsonValue value) {
   kind_error("object", kind());
 }
 
-bool JsonValue::erase(std::string_view key) {
-  if (auto* o = std::get_if<std::vector<Member>>(&data_)) {
-    for (auto it = o->begin(); it != o->end(); ++it) {
-      if (it->first == key) {
-        o->erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-  kind_error("object", kind());
-}
-
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (const auto* o = std::get_if<std::vector<Member>>(&data_)) {
     for (const Member& m : *o) {

@@ -57,21 +57,18 @@ class JsonValue {
   [[nodiscard]] const std::string& as_string() const;
 
   /// Array access. push_back() throws unless this is an array. The mutable
-  /// items() overload supports in-place rewriting of nested documents
-  /// (e.g. stripping volatile fields before caching a payload).
+  /// items() overload supports in-place rewriting of nested documents.
   void push_back(JsonValue value);
   [[nodiscard]] const std::vector<JsonValue>& items() const;
   [[nodiscard]] std::vector<JsonValue>& items();
 
   /// Object access. set() replaces an existing key in place; find() returns
-  /// nullptr when absent; at() throws Error when absent; erase() removes a
-  /// key and reports whether it was present.
+  /// nullptr when absent; at() throws Error when absent.
   JsonValue& set(std::string key, JsonValue value);
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
   [[nodiscard]] JsonValue* find(std::string_view key);
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
   [[nodiscard]] const std::vector<Member>& members() const;
-  bool erase(std::string_view key);
 
   /// Element count of an array or object; throws Error otherwise.
   [[nodiscard]] std::size_t size() const;

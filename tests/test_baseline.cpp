@@ -5,9 +5,8 @@
 
 #include "baseline/clustering.hpp"
 #include "baseline/genetic.hpp"
-#include "baseline/hill_climb.hpp"
 #include "baseline/list_scheduler.hpp"
-#include "baseline/random_search.hpp"
+#include "baseline/mapper.hpp"
 #include "mapping/validation.hpp"
 #include "model/motion_detection.hpp"
 
@@ -185,8 +184,18 @@ TEST_F(BaselineFixture, GaRequiresCpuAndRc) {
   EXPECT_THROW(GeneticPartitioner(app.graph, no_rc), Error);
 }
 
+/// Run a registered mapper with only a seed and a budget set.
+MapperResult run_mapper(const char* name, const TaskGraph& tg,
+                        const Architecture& arch, std::int64_t iterations,
+                        std::uint64_t seed) {
+  ExplorerConfig config;
+  config.seed = seed;
+  config.iterations = iterations;
+  return make_mapper(name)->run(tg, arch, config);
+}
+
 TEST_F(BaselineFixture, RandomSearchFindsFeasibleBest) {
-  const MapperResult r = run_random_search(app.graph, arch, 300, 11);
+  const MapperResult r = run_mapper("random", app.graph, arch, 300, 11);
   EXPECT_EQ(r.evaluations, 300);
   EXPECT_GT(r.best_cost_ms, 0.0);
   EXPECT_LE(r.best_cost_ms, 76.4 + 1e-9);
@@ -194,13 +203,13 @@ TEST_F(BaselineFixture, RandomSearchFindsFeasibleBest) {
 }
 
 TEST_F(BaselineFixture, RandomSearchMoreSamplesNeverWorse) {
-  const MapperResult small = run_random_search(app.graph, arch, 50, 13);
-  const MapperResult large = run_random_search(app.graph, arch, 500, 13);
+  const MapperResult small = run_mapper("random", app.graph, arch, 50, 13);
+  const MapperResult large = run_mapper("random", app.graph, arch, 500, 13);
   EXPECT_LE(large.best_cost_ms, small.best_cost_ms);
 }
 
 TEST_F(BaselineFixture, HillClimbImprovesAndStaysValid) {
-  const MapperResult r = run_hill_climb(app.graph, arch, 4'000, 17);
+  const MapperResult r = run_mapper("hill_climb", app.graph, arch, 4'000, 17);
   require_valid(app.graph, r.best_architecture, r.best_solution);
   EXPECT_LT(to_ms(r.best_metrics.makespan),
             r.counters.at("initial_makespan_ms").as_number());
@@ -215,7 +224,7 @@ TEST_F(BaselineFixture, AnnealingBeatsRandomSearchOnEqualEvaluations) {
   config.warmup_iterations = 300;
   config.record_trace = false;
   const RunResult sa = explorer.run(config);
-  const MapperResult rs = run_random_search(app.graph, arch, 3'300, 19);
+  const MapperResult rs = run_mapper("random", app.graph, arch, 3'300, 19);
   EXPECT_LT(to_ms(sa.best_metrics.makespan), rs.best_cost_ms);
 }
 

@@ -142,7 +142,7 @@ TEST(MapperPortfolio, EveryMapperIsValidAndSeedDeterministic) {
   // The cross-mapper property suite: on 50 random task graphs, every
   // registered mapper returns a solution the validator accepts, and a
   // repeated run with the same config is bit-identical.
-  MapperConfig config;
+  ExplorerConfig config;
   config.seed = 77;
   config.iterations = 300;
   config.warmup_iterations = 40;
@@ -172,8 +172,8 @@ TEST(MapperPortfolio, DeterministicMappersIgnoreTheSeedAndBudget) {
   const Application app = make_motion_detection_app();
   const Architecture arch = make_cpu_fpga_architecture(
       2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
-  MapperConfig c1;
-  MapperConfig c2;
+  ExplorerConfig c1;
+  ExplorerConfig c2;
   c2.seed = 424'242;
   c2.iterations = 17;
   c2.warmup_iterations = 0;
@@ -188,11 +188,89 @@ TEST(MapperPortfolio, DeterministicMappersIgnoreTheSeedAndBudget) {
   }
 }
 
+void expect_metrics_equal(const Metrics& a, const Metrics& b) {
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.init_reconfig, b.init_reconfig);
+  EXPECT_EQ(a.dyn_reconfig, b.dyn_reconfig);
+  EXPECT_EQ(a.comm_cross, b.comm_cross);
+  EXPECT_EQ(a.sw_busy, b.sw_busy);
+  EXPECT_EQ(a.hw_busy, b.hw_busy);
+  EXPECT_EQ(a.n_contexts, b.n_contexts);
+  EXPECT_EQ(a.sw_tasks, b.sw_tasks);
+  EXPECT_EQ(a.hw_tasks, b.hw_tasks);
+  EXPECT_EQ(a.clbs_loaded, b.clbs_loaded);
+  EXPECT_EQ(a.max_context_clbs, b.max_context_clbs);
+}
+
+/// The names of a result's counters, comma-joined in order.
+std::string counter_names(const MapperResult& r) {
+  std::string names;
+  for (const auto& [name, value] : r.counters.members()) {
+    names += names.empty() ? name : "," + name;
+  }
+  return names;
+}
+
+TEST(MapperPortfolio, HillClimbIsAGreedyZeroWarmupExplorerRun) {
+  const Application app = make_motion_detection_app();
+  const Architecture arch = make_cpu_fpga_architecture(
+      2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+  ExplorerConfig config;
+  config.seed = 5;
+  config.iterations = 1'500;
+  const MapperResult hc =
+      make_mapper("hill_climb")->run(app.graph, arch, config);
+
+  ExplorerConfig greedy;
+  greedy.seed = config.seed;
+  greedy.iterations = config.iterations;
+  greedy.warmup_iterations = 0;
+  greedy.schedule = ScheduleKind::kGreedy;
+  const RunResult ref = Explorer(app.graph, arch).run(greedy);
+
+  EXPECT_EQ(hc.best_solution, ref.best_solution);
+  expect_metrics_equal(hc.best_metrics, ref.best_metrics);
+  EXPECT_EQ(hc.evaluations, ref.anneal.accepted + ref.anneal.rejected);
+  EXPECT_EQ(counter_names(hc),
+            "iterations_run,accepted,rejected,infeasible,initial_makespan_ms");
+  EXPECT_EQ(hc.counters.at("iterations_run").as_int(),
+            ref.anneal.iterations_run);
+  EXPECT_EQ(hc.counters.at("accepted").as_int(), ref.anneal.accepted);
+  EXPECT_EQ(hc.counters.at("rejected").as_int(), ref.anneal.rejected);
+  EXPECT_EQ(hc.counters.at("infeasible").as_int(), ref.anneal.infeasible);
+  EXPECT_EQ(hc.counters.at("initial_makespan_ms").as_number(),
+            to_ms(ref.initial_metrics.makespan));
+}
+
+TEST(MapperPortfolio, StochasticNonAnnealersIgnoreTheAnnealerKnobs) {
+  // Serve's cache key drops warmup, schedule and batch for every mapper
+  // but the annealer, so setting them must not change a bit of the result.
+  const Application app = make_motion_detection_app();
+  const Architecture arch = make_cpu_fpga_architecture(
+      2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+  ExplorerConfig plain;
+  plain.seed = 9;
+  plain.iterations = 800;
+  ExplorerConfig knobs = plain;
+  knobs.warmup_iterations = 333;
+  knobs.schedule = ScheduleKind::kGeometric;
+  knobs.batch = 4;
+  for (const char* name : {"hill_climb", "random", "ga"}) {
+    const auto mapper = make_mapper(name);
+    const MapperResult a = mapper->run(app.graph, arch, plain);
+    const MapperResult b = mapper->run(app.graph, arch, knobs);
+    EXPECT_EQ(a.best_solution, b.best_solution) << name;
+    expect_metrics_equal(a.best_metrics, b.best_metrics);
+    EXPECT_EQ(a.evaluations, b.evaluations) << name;
+    EXPECT_EQ(a.counters.dump(), b.counters.dump()) << name;
+  }
+}
+
 TEST(MapperPortfolio, ListSchedulersBeatSoftwareOnlyOnMotionDetection) {
   const Application app = make_motion_detection_app();
   const Architecture arch = make_cpu_fpga_architecture(
       2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
-  const MapperConfig config;
+  const ExplorerConfig config;
   const double sw_only = to_ms(app.graph.total_sw_time());
   for (const char* name : {"heft", "peft"}) {
     const MapperResult r = make_mapper(name)->run(app.graph, arch, config);

@@ -328,15 +328,15 @@ bool reference_reorder_sw(const TaskGraph& tg, const Architecture& arch,
     ADD_FAILURE() << "task " << t << " missing from its processor order";
     return j;
   };
-  for (EdgeId e : g.in_edges(vs)) {
-    const TaskId p = g.edge(e).src;
+  for (const HalfEdge& h : g.in_half(vs)) {
+    const TaskId p = h.node;
     if (sol.placement(p).resource == ps.resource &&
         sol.placement(p).context == -1) {
       lo = std::max(lo, index_without_vs(p) + 1);
     }
   }
-  for (EdgeId e : g.out_edges(vs)) {
-    const TaskId s = g.edge(e).dst;
+  for (const HalfEdge& h : g.out_half(vs)) {
+    const TaskId s = h.node;
     if (sol.placement(s).resource == ps.resource &&
         sol.placement(s).context == -1) {
       hi = std::min(hi, index_without_vs(s));

@@ -1,10 +1,11 @@
 /// Tests for the sharded sweep layer: bit-identity of the parallel
-/// run_many/sweep paths with their serial counterparts across thread
+/// run_mapper_many/sweep paths with their serial counterparts across thread
 /// counts, seed-order stability, edge cases (empty sweeps, zero runs) and
 /// exception propagation from failing run jobs.
 
 #include <gtest/gtest.h>
 
+#include "baseline/mapper.hpp"
 #include "core/report.hpp"
 #include "core/sweep_engine.hpp"
 #include "model/motion_detection.hpp"
@@ -28,6 +29,25 @@ void expect_run_equal(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.anneal.infeasible, b.anneal.infeasible);
   EXPECT_EQ(a.anneal.best_cost, b.anneal.best_cost);
   EXPECT_EQ(a.trace.size(), b.trace.size());
+}
+
+/// An anneal-mapper run against the Explorer run it wraps: every field a
+/// MapperResult carries must match exactly.
+void expect_mapper_run_equal(const MapperResult& a, const RunResult& b) {
+  EXPECT_TRUE(a.best_solution == b.best_solution);
+  EXPECT_EQ(a.best_metrics.makespan, b.best_metrics.makespan);
+  EXPECT_EQ(a.best_metrics.init_reconfig, b.best_metrics.init_reconfig);
+  EXPECT_EQ(a.best_metrics.dyn_reconfig, b.best_metrics.dyn_reconfig);
+  EXPECT_EQ(a.best_metrics.n_contexts, b.best_metrics.n_contexts);
+  EXPECT_EQ(a.best_metrics.hw_tasks, b.best_metrics.hw_tasks);
+  EXPECT_EQ(a.evaluations, b.anneal.accepted + b.anneal.rejected);
+  EXPECT_EQ(a.counters.at("iterations_run").as_int(),
+            b.anneal.iterations_run);
+  EXPECT_EQ(a.counters.at("accepted").as_int(), b.anneal.accepted);
+  EXPECT_EQ(a.counters.at("rejected").as_int(), b.anneal.rejected);
+  EXPECT_EQ(a.counters.at("infeasible").as_int(), b.anneal.infeasible);
+  EXPECT_EQ(a.counters.at("best_iteration").as_int(),
+            b.anneal.best_iteration);
 }
 
 /// Bit-exact aggregate comparison over every statistic that does not
@@ -72,32 +92,35 @@ class SweepEngineFixture : public ::testing::Test {
   Architecture arch;
 };
 
-TEST_F(SweepEngineFixture, RunManyBitIdenticalToSerialAcrossThreadCounts) {
+TEST_F(SweepEngineFixture, RunMapperManyMatchesExplorerRunManyAcrossThreads) {
   const Explorer explorer(app.graph, arch);
   const ExplorerConfig config = small_config();
+  const auto anneal = make_mapper("anneal");
   const int n = 4;
   const std::vector<RunResult> serial = explorer.run_many(config, n);
   const RunAggregate serial_agg = Explorer::aggregate(serial, app.deadline);
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     const SweepEngine engine(threads);
-    const std::vector<RunResult> parallel =
-        engine.run_many(explorer, config, n);
+    const std::vector<MapperResult> parallel =
+        engine.run_mapper_many(*anneal, app.graph, arch, config, n);
     ASSERT_EQ(parallel.size(), serial.size()) << "threads " << threads;
     for (int i = 0; i < n; ++i) {
-      expect_run_equal(parallel[static_cast<std::size_t>(i)],
-                       serial[static_cast<std::size_t>(i)]);
+      expect_mapper_run_equal(parallel[static_cast<std::size_t>(i)],
+                              serial[static_cast<std::size_t>(i)]);
     }
-    expect_aggregate_equal(Explorer::aggregate(parallel, app.deadline),
+    expect_aggregate_equal(aggregate_mapper_results(parallel, app.deadline),
                            serial_agg);
   }
 }
 
-TEST_F(SweepEngineFixture, RunManyMergesInSeedOrder) {
+TEST_F(SweepEngineFixture, RunMapperManyMergesInSeedOrder) {
   const Explorer explorer(app.graph, arch);
   const ExplorerConfig config = small_config();
   const SweepEngine engine(8);
-  const std::vector<RunResult> batch = engine.run_many(explorer, config, 3);
+  const auto anneal = make_mapper("anneal");
+  const std::vector<MapperResult> batch =
+      engine.run_mapper_many(*anneal, app.graph, arch, config, 3);
 
   // Slot i must hold exactly the run seeded config.seed + i, regardless of
   // the order the pool finished the jobs in.
@@ -105,7 +128,7 @@ TEST_F(SweepEngineFixture, RunManyMergesInSeedOrder) {
     ExplorerConfig single = config;
     single.seed = config.seed + static_cast<std::uint64_t>(i);
     const RunResult ref = explorer.run(single);
-    expect_run_equal(batch[static_cast<std::size_t>(i)], ref);
+    expect_mapper_run_equal(batch[static_cast<std::size_t>(i)], ref);
   }
 }
 
@@ -119,8 +142,12 @@ TEST_F(SweepEngineFixture, ZeroRunsAreAllowedNegativeThrow) {
   EXPECT_THROW((void)explorer.run_many(config, -1), Error);
 
   const SweepEngine engine(2);
-  EXPECT_TRUE(engine.run_many(explorer, config, 0).empty());
-  EXPECT_THROW((void)engine.run_many(explorer, config, -1), Error);
+  const auto anneal = make_mapper("anneal");
+  const auto run = [&](int n) {
+    return engine.run_mapper_many(*anneal, app.graph, arch, config, n);
+  };
+  EXPECT_TRUE(run(0).empty());
+  EXPECT_THROW((void)run(-1), Error);
 }
 
 TEST_F(SweepEngineFixture, EmptySweepEdgeCases) {
@@ -238,11 +265,12 @@ TEST_F(SweepEngineFixture, ExceptionFromFailingRunJobPropagates) {
   EXPECT_THROW((void)engine.run(app.graph, spec), Error);
 
   // A run job that fails mid-flight (negative iteration budget rejected by
-  // the annealer) propagates out of run_many the same way.
-  const Explorer explorer(app.graph, arch);
+  // the annealer) propagates out of run_mapper_many the same way.
   ExplorerConfig bad = small_config();
   bad.iterations = -5;
-  EXPECT_THROW((void)engine.run_many(explorer, bad, 2), Error);
+  const auto anneal = make_mapper("anneal");
+  EXPECT_THROW((void)engine.run_mapper_many(*anneal, app.graph, arch, bad, 2),
+               Error);
 }
 
 TEST_F(SweepEngineFixture, SweepReportAndJsonArtifactAgree) {

@@ -154,29 +154,6 @@ TEST(Digraph, SwapAndPopDetachKeepsBackIndexesValid) {
   EXPECT_EQ(g.find_edge(0, 2), e2);
 }
 
-TEST(Digraph, EdgeIdViewMatchesHalfEdges) {
-  Digraph g(4);
-  const EdgeId a = g.add_edge(0, 1, 5);
-  const EdgeId b = g.add_edge(0, 2, 6);
-  const EdgeId c = g.add_edge(0, 3, 7);
-  std::vector<EdgeId> ids;
-  for (EdgeId e : g.out_edges(0)) ids.push_back(e);
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(ids[0], a);
-  EXPECT_EQ(ids[1], b);
-  EXPECT_EQ(ids[2], c);
-  EXPECT_EQ(g.out_edges(0).size(), 3u);
-  EXPECT_FALSE(g.out_edges(0).empty());
-  EXPECT_EQ(g.out_edges(0)[1], b);
-  // View and packed array expose the same records in the same order.
-  const auto half = g.out_half(0);
-  for (std::size_t i = 0; i < half.size(); ++i) {
-    EXPECT_EQ(g.out_edges(0)[i], half[i].edge);
-    EXPECT_EQ(g.edge(half[i].edge).dst, half[i].node);
-    EXPECT_EQ(g.edge_weight(half[i].edge), half[i].weight);
-  }
-}
-
 // ---- parked edges -----------------------------------------------------------
 
 TEST(DigraphPark, AddEdgeNeverHandsOutAParkedId) {

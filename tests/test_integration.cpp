@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "baseline/genetic.hpp"
-#include "baseline/random_search.hpp"
 #include "core/explorer.hpp"
 #include "graph/dot.hpp"
 #include "mapping/validation.hpp"

@@ -122,7 +122,7 @@ TEST_F(CancelExplorerTest, ExpiredDeadlineUnwindsAsDeadlineExceeded) {
 TEST_F(CancelExplorerTest, EveryMapperHonoursAPreFiredToken) {
   CancelToken token;
   token.cancel();
-  MapperConfig config;
+  ExplorerConfig config;
   config.iterations = 2'000;
   config.cancel = &token;
   for (const std::string& name : mapper_names()) {
@@ -133,7 +133,7 @@ TEST_F(CancelExplorerTest, EveryMapperHonoursAPreFiredToken) {
 }
 
 TEST_F(CancelExplorerTest, EveryMapperIgnoresANullToken) {
-  MapperConfig config;
+  ExplorerConfig config;
   config.iterations = 300;
   config.warmup_iterations = 50;
   for (const std::string& name : mapper_names()) {

@@ -389,6 +389,59 @@ TEST(RdseCli, SweepRejectsTheOtherAxisFlags) {
             std::string::npos);
 }
 
+TEST(RdseCli, ExploreRejectsCheckpointEveryWithoutCheckpoint) {
+  // Nothing would be checkpointed, so the flag would be read and dropped.
+  const CliOutcome alone =
+      run_cli({"explore", "--checkpoint-every=5", "--quiet"});
+  EXPECT_EQ(alone.status, 1);
+  EXPECT_NE(alone.err.find("option --checkpoint-every: requires "
+                           "--checkpoint or --resume"),
+            std::string::npos);
+
+  // It stays valid beside --checkpoint, and on its own path with --resume.
+  const std::string ckpt = temp_path("rdse-cli-every.ckpt");
+  const char* path = ckpt.c_str();
+  const CliOutcome saved = run_cli(
+      {"explore", "--checkpoint", path, "--checkpoint-every=5000", "--quiet"});
+  EXPECT_EQ(saved.status, 0) << saved.err;
+  const CliOutcome resumed = run_cli(
+      {"explore", "--resume", path, "--checkpoint-every=50", "--quiet"});
+  EXPECT_EQ(resumed.status, 0) << resumed.err;
+}
+
+TEST(RdseCli, HelpStatesEachCommandsIterationDefault) {
+  // explore and bench run 20 000 cooling iterations, sweep 15 000.
+  const std::string usage = run_cli({"help"}).out;
+  const auto line_of = [&usage](const std::string& section) {
+    const std::size_t at = usage.find("--iters N", usage.find(section));
+    if (at == std::string::npos) return std::string();
+    return usage.substr(at, usage.find('\n', at) - at);
+  };
+  EXPECT_NE(line_of("common options:").find("[20000]"), std::string::npos);
+  EXPECT_NE(line_of("sweep options:").find("[15000]"), std::string::npos);
+
+  const std::string json = temp_path("rdse-cli-default-iters.json");
+  const CliOutcome r = run_cli({"explore", "--quiet", "--json", json.c_str()});
+  ASSERT_EQ(r.status, 0) << r.err;
+  std::ifstream file(json);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  EXPECT_EQ(JsonValue::parse(buffer.str()).at("iterations").as_int(), 20000);
+}
+
+TEST(RdseCli, ExploreRunsTableIsTheSameForAnyThreadCount) {
+  // The batch runs through the mapper registry's sharded engine, and its
+  // table carries no thread count: --threads 1 and 2 print the same bytes.
+  const CliOutcome one = run_cli(
+      {"explore", "--runs=3", "--iters=300", "--threads=1", "--batch=2"});
+  const CliOutcome two = run_cli(
+      {"explore", "--runs=3", "--iters=300", "--threads=2", "--batch=2"});
+  ASSERT_EQ(one.status, 0) << one.err;
+  EXPECT_NE(one.out.find("3 runs of motion_detection on 2000 CLBs"),
+            std::string::npos);
+  EXPECT_EQ(one.out, two.out);
+}
+
 TEST(RdseCli, MalformedNumericFlagFailsCleanly) {
   const CliOutcome r =
       run_cli({"sweep", "--model", "motion", "--iters", "abc", "--dry-run"});

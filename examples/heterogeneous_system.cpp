@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   Table table({"system", "price", "best ms", "meets 40 ms"});
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     const SweepPointResult& point = result.points[i];
-    const RunResult& r = point.runs.front();
+    const MapperResult& r = point.runs.front();
     table.row()
         .cell(std::string(point.label))
         .cell(spec.points[i].arch.total_price(), 0)

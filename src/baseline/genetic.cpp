@@ -1,7 +1,6 @@
 #include "baseline/genetic.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "baseline/clustering.hpp"
 #include "baseline/list_scheduler.hpp"
@@ -59,7 +58,6 @@ MapperResult GeneticPartitioner::run(const GaConfig& config) const {
   RDSE_REQUIRE(config.generations >= 1, "GA: need >= 1 generation");
   RDSE_REQUIRE(config.elites >= 0 && config.elites < config.population,
                "GA: elites out of range");
-  const auto t0 = std::chrono::steady_clock::now();
 
   Rng rng(config.seed);
   const Evaluator ev(*tg_, *arch_);
@@ -171,8 +169,6 @@ MapperResult GeneticPartitioner::run(const GaConfig& config) const {
   JsonValue history = JsonValue::array();
   for (const double cost : best_history) history.push_back(cost);
   result.counters.set("best_history", std::move(history));
-  const auto t1 = std::chrono::steady_clock::now();
-  result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return result;
 }
 

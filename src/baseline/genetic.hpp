@@ -53,7 +53,8 @@ class GeneticPartitioner {
   GeneticPartitioner(const TaskGraph& tg, const Architecture& arch);
 
   /// Returns the unified mapper result; the per-generation convergence
-  /// curve lands in counters["best_history"].
+  /// curve lands in counters["best_history"]. `wall_seconds` stays 0: the
+  /// "ga" mapper's Mapper::run times the call.
   [[nodiscard]] MapperResult run(const GaConfig& config) const;
 
   /// Deterministic decoding of a chromosome into a full solution

@@ -43,7 +43,6 @@ MapperResult explorer_result(const RunResult& run) {
   result.best_metrics = run.best_metrics;
   result.best_cost_ms = to_ms(run.best_metrics.makespan);
   result.evaluations = run.anneal.accepted + run.anneal.rejected;
-  result.wall_seconds = run.wall_seconds;
   result.counters.set("iterations_run", run.anneal.iterations_run);
   result.counters.set("accepted", run.anneal.accepted);
   result.counters.set("rejected", run.anneal.rejected);
@@ -54,7 +53,7 @@ MapperResult explorer_result(const RunResult& run) {
 class AnnealMapper final : public Mapper {
  public:
   const char* name() const override { return "anneal"; }
-  MapperResult run(const TaskGraph& tg, const Architecture& arch,
+  MapperResult map(const TaskGraph& tg, const Architecture& arch,
                    const ExplorerConfig& config) const override {
     ExplorerConfig c = config;
     c.record_trace = false;  // a MapperResult has no place for a trace
@@ -69,7 +68,7 @@ class AnnealMapper final : public Mapper {
 class GaMapper final : public Mapper {
  public:
   const char* name() const override { return "ga"; }
-  MapperResult run(const TaskGraph& tg, const Architecture& arch,
+  MapperResult map(const TaskGraph& tg, const Architecture& arch,
                    const ExplorerConfig& config) const override {
     const GeneticPartitioner ga(tg, arch);
     GaConfig c;
@@ -92,7 +91,7 @@ class GaMapper final : public Mapper {
 class HillClimbMapper final : public Mapper {
  public:
   const char* name() const override { return "hill_climb"; }
-  MapperResult run(const TaskGraph& tg, const Architecture& arch,
+  MapperResult map(const TaskGraph& tg, const Architecture& arch,
                    const ExplorerConfig& config) const override {
     ExplorerConfig c;
     c.seed = config.seed;
@@ -116,7 +115,7 @@ class HillClimbMapper final : public Mapper {
 class RandomMapper final : public Mapper {
  public:
   const char* name() const override { return "random"; }
-  MapperResult run(const TaskGraph& tg, const Architecture& arch,
+  MapperResult map(const TaskGraph& tg, const Architecture& arch,
                    const ExplorerConfig& config) const override {
     const std::int64_t samples = config.iterations;
     RDSE_REQUIRE(samples >= 1, "random mapper: need >= 1 sample");
@@ -124,7 +123,6 @@ class RandomMapper final : public Mapper {
     const auto rcs = arch.reconfigurable_ids();
     RDSE_REQUIRE(!procs.empty() && !rcs.empty(),
                  "random mapper: need a processor and an RC");
-    const auto t0 = std::chrono::steady_clock::now();
 
     Rng rng(config.seed);
     const Evaluator ev(tg, arch);
@@ -147,8 +145,6 @@ class RandomMapper final : public Mapper {
     }
     result.best_architecture = arch;
     result.counters.set("samples", samples);
-    const auto t1 = std::chrono::steady_clock::now();
-    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
     return result;
   }
 };
@@ -157,10 +153,9 @@ class ClusteringMapper final : public Mapper {
  public:
   const char* name() const override { return "clustering"; }
   bool deterministic() const override { return true; }
-  MapperResult run(const TaskGraph& tg, const Architecture& arch,
+  MapperResult map(const TaskGraph& tg, const Architecture& arch,
                    const ExplorerConfig& config) const override {
     throw_if_cancelled(config.cancel);
-    const auto t0 = std::chrono::steady_clock::now();
     // The staged [6] flow with the trivial all-hardware spatial partition:
     // every task whose fastest fitting implementation exists goes to the
     // RC, then clustering packs the contexts.
@@ -181,8 +176,6 @@ class ClusteringMapper final : public Mapper {
         tg, arch,
         decode_partition(tg, arch, hw_mask, impl, upward_ranks(tg)));
     result.counters.set("hw_selected", static_cast<std::int64_t>(hw_selected));
-    const auto t1 = std::chrono::steady_clock::now();
-    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
     return result;
   }
 };
@@ -191,20 +184,16 @@ class ListSchedulerMapper final : public Mapper {
  public:
   const char* name() const override { return "list_scheduler"; }
   bool deterministic() const override { return true; }
-  MapperResult run(const TaskGraph& tg, const Architecture& arch,
+  MapperResult map(const TaskGraph& tg, const Architecture& arch,
                    const ExplorerConfig& config) const override {
     throw_if_cancelled(config.cancel);
-    const auto t0 = std::chrono::steady_clock::now();
     // All-software priority list schedule — the paper's 76.4 ms software
     // reference point on motion detection.
     const std::vector<bool> hw_mask(tg.task_count(), false);
     const std::vector<std::uint32_t> impl(tg.task_count(), 0);
-    MapperResult result = score_decoded(
+    return score_decoded(
         tg, arch,
         decode_partition(tg, arch, hw_mask, impl, upward_ranks(tg)));
-    const auto t1 = std::chrono::steady_clock::now();
-    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-    return result;
   }
 };
 
@@ -214,8 +203,7 @@ class ListSchedulerMapper final : public Mapper {
 /// gap between the static cost model and the §4.4 evaluation is visible.
 MapperResult finish_eft(const TaskGraph& tg, const Architecture& arch,
                         const EftDecision& decision,
-                        std::span<const double> ranks,
-                        std::chrono::steady_clock::time_point t0) {
+                        std::span<const double> ranks) {
   MapperResult result = score_decoded(
       tg, arch,
       decode_partition(tg, arch, decision.hw, decision.impl, ranks));
@@ -223,8 +211,6 @@ MapperResult finish_eft(const TaskGraph& tg, const Architecture& arch,
                       decision.estimated_makespan_ms);
   result.counters.set("hw_selected",
                       static_cast<std::int64_t>(decision.hw_selected));
-  const auto t1 = std::chrono::steady_clock::now();
-  result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return result;
 }
 
@@ -232,13 +218,12 @@ class HeftMapper final : public Mapper {
  public:
   const char* name() const override { return "heft"; }
   bool deterministic() const override { return true; }
-  MapperResult run(const TaskGraph& tg, const Architecture& arch,
+  MapperResult map(const TaskGraph& tg, const Architecture& arch,
                    const ExplorerConfig& config) const override {
     throw_if_cancelled(config.cancel);
-    const auto t0 = std::chrono::steady_clock::now();
     const HeftCosts costs = make_heft_costs(tg, arch);
     const std::vector<double> ranks = heft_upward_ranks(tg, costs);
-    return finish_eft(tg, arch, eft_select(tg, costs, ranks), ranks, t0);
+    return finish_eft(tg, arch, eft_select(tg, costs, ranks), ranks);
   }
 };
 
@@ -246,19 +231,27 @@ class PeftMapper final : public Mapper {
  public:
   const char* name() const override { return "peft"; }
   bool deterministic() const override { return true; }
-  MapperResult run(const TaskGraph& tg, const Architecture& arch,
+  MapperResult map(const TaskGraph& tg, const Architecture& arch,
                    const ExplorerConfig& config) const override {
     throw_if_cancelled(config.cancel);
-    const auto t0 = std::chrono::steady_clock::now();
     const HeftCosts costs = make_heft_costs(tg, arch);
     const PeftTables tables = peft_oct(tg, costs);
     return finish_eft(tg, arch,
                       eft_select(tg, costs, tables.rank, tables.oct),
-                      tables.rank, t0);
+                      tables.rank);
   }
 };
 
 }  // namespace
+
+MapperResult Mapper::run(const TaskGraph& tg, const Architecture& arch,
+                         const ExplorerConfig& config) const {
+  const auto t0 = std::chrono::steady_clock::now();
+  MapperResult result = map(tg, arch, config);
+  const auto t1 = std::chrono::steady_clock::now();
+  result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  return result;
+}
 
 const std::vector<std::string>& mapper_names() {
   static const std::vector<std::string> kNames = {
@@ -301,19 +294,6 @@ std::unique_ptr<Mapper> make_mapper(const std::string& name) {
 
 bool mapper_is_deterministic(const std::string& name) {
   return make_mapper(name)->deterministic();
-}
-
-RunAggregate aggregate_mapper_results(std::span<const MapperResult> results,
-                                      TimeNs deadline) {
-  std::vector<Metrics> metrics;
-  std::vector<double> walls;
-  metrics.reserve(results.size());
-  walls.reserve(results.size());
-  for (const MapperResult& r : results) {
-    metrics.push_back(r.best_metrics);
-    walls.push_back(r.wall_seconds);
-  }
-  return aggregate_metrics(metrics, walls, deadline);
 }
 
 }  // namespace rdse

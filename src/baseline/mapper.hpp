@@ -11,8 +11,9 @@
 /// hill climbing, the plain list scheduler, random sampling, HEFT and PEFT
 /// all sit behind this interface, and the registry below is the only entry
 /// point to each of them: `rdse explore --runs`, `rdse bench --mappers ...`,
-/// the serve front door and the comparison harness all run a strategy
-/// through `make_mapper(name)->run(...)`.
+/// `rdse sweep` and the serve front door all run a strategy through
+/// `make_mapper(name)->run(...)`, batched by SweepEngine
+/// (core/sweep_engine.hpp).
 ///
 /// The registry mirrors src/model/registry: `known_mapper_names()` for
 /// messages/usage, `mapper_names()` for iteration, `make_mapper(name)` for
@@ -76,8 +77,14 @@ class Mapper {
 
   /// Map the task graph onto the architecture. The returned solution is
   /// always feasible (it passed the evaluator); callers may additionally
-  /// require_valid() it.
-  [[nodiscard]] virtual MapperResult run(const TaskGraph& tg,
+  /// require_valid() it. This is the one place a mapper run is timed:
+  /// `wall_seconds` covers the whole strategy call.
+  [[nodiscard]] MapperResult run(const TaskGraph& tg, const Architecture& arch,
+                                 const ExplorerConfig& config) const;
+
+ private:
+  /// The strategy itself; it leaves `wall_seconds` to run().
+  [[nodiscard]] virtual MapperResult map(const TaskGraph& tg,
                                          const Architecture& arch,
                                          const ExplorerConfig& config) const
       = 0;
@@ -99,9 +106,5 @@ class Mapper {
 /// Build the mapper registered under `name`; throws Error (naming the known
 /// mappers) when the name is not registered.
 [[nodiscard]] std::unique_ptr<Mapper> make_mapper(const std::string& name);
-
-/// Aggregate repeated mapper runs (same statistics as Explorer::aggregate).
-[[nodiscard]] RunAggregate aggregate_mapper_results(
-    std::span<const MapperResult> results, TimeNs deadline);
 
 }  // namespace rdse

@@ -20,7 +20,6 @@
 
 #include "baseline/mapper.hpp"
 #include "core/checkpoint.hpp"
-#include "core/mapper_bench.hpp"
 #include "core/report.hpp"
 #include "core/sweep_engine.hpp"
 #include "mapping/io.hpp"
@@ -121,7 +120,8 @@ serve options:
   --queue N         max requests waiting for a worker         [16]
   --cache N         solution-cache entries (0 disables)       [128]
   --run-threads N   threads per multi-run/sweep execution     [1]
-  --max-iters N     per-request iteration cap (iters+warmup)  [1000000]
+  --max-iters N     per-request iteration cap: grid points (1 for an
+                    explore) x runs x batch x (iters+warmup)  [2000000]
   --persist PATH    crash-safe solution-cache database (rdse.cachedb.v2):
                     loaded and verified at startup; every fresh result is
                     appended durably; compacted from the live cache at
@@ -400,14 +400,13 @@ int cmd_explore(const Options& opts, std::ostream& out) {
     return finish_explore(model, clbs, config, result, json_path, quiet, out);
   }
 
-  // A batch runs the anneal mapper the way serve's explore and `rdse
-  // bench` do: one registry entry, one sharded engine.
-  const SweepEngine engine(threads);
-  const std::vector<MapperResult> results =
-      engine.run_mapper_many(*make_mapper("anneal"), model.app.graph, arch,
-                             config, runs);
-  const RunAggregate agg =
-      aggregate_mapper_results(results, model.app.deadline);
+  // A batch is a one-point sweep of the anneal mapper, as serve's explore
+  // runs it.
+  const std::string anneal[] = {"anneal"};
+  const SweepSpec spec =
+      mapper_sweep(anneal, arch, config, runs, model.app.deadline, "", clbs);
+  const SweepResult batch = SweepEngine(threads).run(model.app.graph, spec);
+  const RunAggregate& agg = batch.points.front().aggregate;
   if (quiet) return 0;
   Table table({"runs", "mean ms", "sd", "best ms", "worst ms", "contexts",
                "hit rate"});
@@ -465,30 +464,28 @@ int cmd_bench(const Options& opts, std::ostream& out) {
   const std::string prefix = opts.get_string("json-prefix", "");
   RDSE_REQUIRE(runs >= 1, "option --runs: need at least one run per mapper");
 
-  MapperMatrixSpec spec;
   const std::string csv = opts.get_string("mappers", "");
-  spec.mappers = csv.empty() ? mapper_names() : parse_mapper_list(csv);
-  RDSE_REQUIRE(!spec.mappers.empty(), "option --mappers: empty list");
-  spec.config = base_config(opts, 20'000);
-  spec.config.schedule =
+  const std::vector<std::string> mappers =
+      csv.empty() ? mapper_names() : parse_mapper_list(csv);
+  RDSE_REQUIRE(!mappers.empty(), "option --mappers: empty list");
+  ExplorerConfig config = base_config(opts, 20'000);
+  config.schedule =
       parse_schedule(opts.get_string("schedule", "modified-lam"));
-  spec.runs_per_mapper = runs;
-  spec.deadline = model.app.deadline;
-  spec.model = model.app.name;
-  spec.label = model.app.name + " @ " + std::to_string(clbs) + " CLBs";
-  spec.x = static_cast<double>(clbs);
 
   const Architecture arch = make_cpu_fpga_architecture(
       clbs, model.tr_per_clb, model.bus_bytes_per_second);
-  const SweepEngine engine(threads);
-  const MapperMatrixResult matrix =
-      run_mapper_matrix(engine, model.app.graph, arch, spec);
+  const std::string label =
+      model.app.name + " @ " + std::to_string(clbs) + " CLBs";
+  // Every mapper's seed batch shares one pool; the points share one label.
+  const SweepSpec spec = mapper_sweep(mappers, arch, config, runs,
+                                      model.app.deadline, label, clbs);
+  const SweepResult result = SweepEngine(threads).run(model.app.graph, spec);
 
-  if (!quiet) out << describe_mapper_matrix(matrix);
+  if (!quiet) out << describe_mapper_sweep(result);
   if (!prefix.empty()) {
-    for (const MapperMatrixEntry& entry : matrix.entries) {
-      write_artifact(mapper_artifact_path(prefix, entry.mapper),
-                     mapper_matrix_entry_to_json(matrix, entry), out, quiet);
+    for (const SweepPointResult& point : result.points) {
+      const JsonValue doc = mapper_point_to_json(result, point, model.app.name);
+      write_artifact(prefix + "-" + point.mapper + ".json", doc, out, quiet);
     }
   }
   return 0;
@@ -896,7 +893,7 @@ int cmd_serve(const Options& opts, std::ostream& out) {
   config.service.queue_capacity = static_cast<std::size_t>(queue);
   config.service.cache_capacity = static_cast<std::size_t>(cache);
   config.service.run_threads = static_cast<unsigned>(run_threads);
-  config.service.max_iterations = opts.get_int("max-iters", 1'000'000);
+  config.service.max_iterations = opts.get_int("max-iters", 2'000'000);
   RDSE_REQUIRE(config.service.max_iterations >= 1,
                "option --max-iters: need a positive cap");
   config.service.persist_path = opts.get_string("persist", "");

@@ -5,7 +5,6 @@
 
 #include "core/checkpoint.hpp"
 #include "util/assert.hpp"
-#include "util/statistics.hpp"
 
 namespace rdse {
 
@@ -56,54 +55,6 @@ std::vector<RunResult> Explorer::run_many(const ExplorerConfig& config,
     out.push_back(run(c));
   }
   return out;
-}
-
-RunAggregate aggregate_metrics(std::span<const Metrics> metrics,
-                               std::span<const double> wall_seconds,
-                               TimeNs deadline) {
-  RDSE_REQUIRE(!metrics.empty(), "aggregate: no results");
-  RDSE_REQUIRE(metrics.size() == wall_seconds.size(),
-               "aggregate: metrics/wall size mismatch");
-  RunAggregate agg;
-  agg.runs = static_cast<int>(metrics.size());
-  std::vector<double> makespans;
-  makespans.reserve(metrics.size());
-  int hits = 0;
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    const Metrics& m = metrics[i];
-    makespans.push_back(to_ms(m.makespan));
-    agg.mean_init_reconfig_ms += to_ms(m.init_reconfig);
-    agg.mean_dyn_reconfig_ms += to_ms(m.dyn_reconfig);
-    agg.mean_contexts += m.n_contexts;
-    agg.mean_hw_tasks += m.hw_tasks;
-    agg.mean_wall_seconds += wall_seconds[i];
-    if (deadline > 0 && m.makespan <= deadline) ++hits;
-  }
-  const auto n = static_cast<double>(metrics.size());
-  agg.mean_makespan_ms = mean_of(makespans);
-  agg.stddev_makespan_ms = stddev_of(makespans);
-  agg.best_makespan_ms = min_of(makespans);
-  agg.worst_makespan_ms = max_of(makespans);
-  agg.mean_init_reconfig_ms /= n;
-  agg.mean_dyn_reconfig_ms /= n;
-  agg.mean_contexts /= n;
-  agg.mean_hw_tasks /= n;
-  agg.mean_wall_seconds /= n;
-  agg.deadline_hit_rate = deadline > 0 ? static_cast<double>(hits) / n : 0.0;
-  return agg;
-}
-
-RunAggregate Explorer::aggregate(const std::vector<RunResult>& results,
-                                 TimeNs deadline) {
-  std::vector<Metrics> metrics;
-  std::vector<double> walls;
-  metrics.reserve(results.size());
-  walls.reserve(results.size());
-  for (const RunResult& r : results) {
-    metrics.push_back(r.best_metrics);
-    walls.push_back(r.wall_seconds);
-  }
-  return aggregate_metrics(metrics, walls, deadline);
 }
 
 }  // namespace rdse

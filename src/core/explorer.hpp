@@ -6,7 +6,6 @@
 /// public entry point.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "anneal/annealer.hpp"
@@ -60,29 +59,6 @@ struct RunResult {
   RunResult() : best_solution(0), best_architecture(Bus(1)) {}
 };
 
-/// Aggregates over repeated runs (Fig. 3 averages 100 runs per point).
-struct RunAggregate {
-  int runs = 0;
-  double mean_makespan_ms = 0.0;
-  double stddev_makespan_ms = 0.0;
-  double best_makespan_ms = 0.0;
-  double worst_makespan_ms = 0.0;
-  double mean_init_reconfig_ms = 0.0;
-  double mean_dyn_reconfig_ms = 0.0;
-  double mean_contexts = 0.0;
-  double mean_hw_tasks = 0.0;
-  double mean_wall_seconds = 0.0;
-  /// Fraction of runs whose best solution met the deadline (if any).
-  double deadline_hit_rate = 0.0;
-};
-
-/// Aggregate repeated-run statistics from per-run best metrics and wall
-/// times (the shared core of Explorer::aggregate and the mapper-portfolio
-/// aggregation). The two spans must be the same non-zero length.
-[[nodiscard]] RunAggregate aggregate_metrics(
-    std::span<const Metrics> metrics, std::span<const double> wall_seconds,
-    TimeNs deadline);
-
 class Explorer {
  public:
   /// The architecture is copied; the task graph must outlive the explorer.
@@ -94,19 +70,13 @@ class Explorer {
 
   /// Run `n` explorations with seeds config.seed, config.seed+1, ...
   ///
-  /// Contract: `n` == 0 is valid and returns an empty vector (so front-ends
-  /// can pass user-supplied run counts straight through); `n` < 0 throws
-  /// Error. This is the serial reference path: SweepEngine::run_mapper_many
-  /// with the anneal mapper shards the same runs over a thread pool and is
+  /// Contract: `n` == 0 is valid and returns an empty vector; `n` < 0
+  /// throws Error. This is the serial reference path: a SweepEngine point
+  /// of the anneal mapper shards the same runs over a thread pool and is
   /// bit-identical to this loop in every field a MapperResult carries
   /// except wall-clock times.
   [[nodiscard]] std::vector<RunResult> run_many(const ExplorerConfig& config,
                                                 int n) const;
-
-  /// Aggregate repeated-run statistics (deadline from `deadline`, 0 = none).
-  /// Requires at least one result.
-  [[nodiscard]] static RunAggregate aggregate(
-      const std::vector<RunResult>& results, TimeNs deadline);
 
   [[nodiscard]] const TaskGraph& task_graph() const { return *tg_; }
   [[nodiscard]] const Architecture& architecture() const { return arch_; }

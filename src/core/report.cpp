@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/ascii_plot.hpp"
+#include "util/assert.hpp"
 #include "util/table.hpp"
 
 namespace rdse {
@@ -224,18 +225,83 @@ JsonValue sweep_point_to_json(const std::string& label, double x,
   return aggregate_to_json(a, std::move(point));
 }
 
-JsonValue sweep_to_json(const SweepResult& sweep) {
+namespace {
+
+/// The members every rdse.sweep.v1 artifact opens with.
+JsonValue sweep_header_to_json(const SweepResult& sweep) {
   JsonValue doc = JsonValue::object();
   doc.set("schema", "rdse.sweep.v1");
   doc.set("name", sweep.name);
   doc.set("axis_label", sweep.axis_label);
   doc.set("deadline_ms", to_ms(sweep.deadline));
+  return doc;
+}
+
+double mean_evaluations(const SweepPointResult& point) {
+  double evals = 0.0;
+  for (const MapperResult& r : point.runs) {
+    evals += static_cast<double>(r.evaluations);
+  }
+  return evals / static_cast<double>(point.runs.size());
+}
+
+}  // namespace
+
+JsonValue sweep_to_json(const SweepResult& sweep) {
+  JsonValue doc = sweep_header_to_json(sweep);
   JsonValue points = JsonValue::array();
   for (const SweepPointResult& p : sweep.points) {
     points.push_back(sweep_point_to_json(p.label, p.x, p.aggregate));
   }
   doc.set("points", std::move(points));
   return doc;
+}
+
+JsonValue mapper_point_to_json(const SweepResult& sweep,
+                               const SweepPointResult& point,
+                               const std::string& model) {
+  RDSE_REQUIRE(!point.runs.empty(), "mapper_point_to_json: point has no runs");
+  JsonValue doc = sweep_header_to_json(sweep);
+  doc.set("model", model);
+  doc.set("mapper", point.mapper);
+  doc.set("deterministic", mapper_is_deterministic(point.mapper));
+  doc.set("mean_evaluations", mean_evaluations(point));
+  doc.set("counters", point.runs.front().counters);
+  JsonValue points = JsonValue::array();
+  points.push_back(sweep_point_to_json(point.label, point.x, point.aggregate));
+  doc.set("points", std::move(points));
+  return doc;
+}
+
+std::string describe_mapper_sweep(const SweepResult& sweep) {
+  Table table({"mapper", "runs", "mean ms", "sd", "best ms", "worst ms",
+               "contexts", "hw tasks", "evals", "hit rate", "wall s"});
+  for (const SweepPointResult& p : sweep.points) {
+    const RunAggregate& a = p.aggregate;
+    std::string name = p.mapper;
+    if (mapper_is_deterministic(p.mapper)) name += " *";
+    table.row()
+        .cell(std::move(name))
+        .cell(static_cast<std::int64_t>(a.runs))
+        .cell(a.mean_makespan_ms, 2)
+        .cell(a.stddev_makespan_ms, 2)
+        .cell(a.best_makespan_ms, 2)
+        .cell(a.worst_makespan_ms, 2)
+        .cell(a.mean_contexts, 2)
+        .cell(a.mean_hw_tasks, 1)
+        .cell(mean_evaluations(p), 0)
+        .cell(a.deadline_hit_rate, 2)
+        .cell(a.mean_wall_seconds, 3);
+  }
+  std::ostringstream os;
+  std::string title = "mapper matrix: ";
+  if (!sweep.points.empty()) title += sweep.points.front().label;
+  if (sweep.deadline > 0) {
+    title += " (deadline " + format_ms(sweep.deadline) + ")";
+  }
+  title += " — * = deterministic";
+  table.print(os, title);
+  return os.str();
 }
 
 std::vector<std::string> validate_sweep_json(const JsonValue& artifact) {

@@ -66,6 +66,20 @@ void print_parallel_report(std::ostream& os, const TaskGraph& tg,
 /// top-level fields (model name, dry_run, ...) before dumping.
 [[nodiscard]] JsonValue sweep_to_json(const SweepResult& sweep);
 
+/// One `rdse bench` artifact (rdse.sweep.v1) for one mapper point of a
+/// mapper_sweep: the sweep metadata, the model, the point's mapper and its
+/// determinism flag, the mean evaluation count, the first run's counters
+/// and the point itself under the label every mapper shares. Like
+/// sweep_to_json it writes no wall-clock or thread-count field. The point
+/// must have runs.
+[[nodiscard]] JsonValue mapper_point_to_json(const SweepResult& sweep,
+                                             const SweepPointResult& point,
+                                             const std::string& model);
+
+/// The `rdse bench` comparison table: one row per mapper point, "*"
+/// marking the deterministic mappers, with each mapper's mean wall time.
+[[nodiscard]] std::string describe_mapper_sweep(const SweepResult& sweep);
+
 /// Check a parsed artifact against the rdse.sweep.v1 schema. Returns a
 /// human-readable message per violation; empty means valid. Unknown
 /// fields are ignored, so older artifacts that still carry "threads" and

@@ -3,11 +3,11 @@
 #include <exception>
 #include <future>
 #include <initializer_list>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "arch/architecture.hpp"
-#include "baseline/mapper.hpp"
 #include "core/report.hpp"
 #include "core/sweep_engine.hpp"
 #include "model/registry.hpp"
@@ -43,6 +43,26 @@ JsonValue counters_json(
     doc.set(name, static_cast<std::int64_t>(count));
   }
   return doc;
+}
+
+/// True when the request's whole work — grid points (1 for an explore) x
+/// runs x batch x (iters + warmup) — exceeds `cap`. Each factor is >= 1,
+/// so comparing against cap / total before multiplying never overflows.
+bool exceeds_work_cap(const Request& request, std::int64_t cap) {
+  std::int64_t points = 1;
+  if (request.op == RequestOp::kSweep && request.axis == "device-size") {
+    points = std::ssize(request.sweep_sizes());
+  } else if (request.op == RequestOp::kSweep) {
+    points = std::ssize(request.sweep_schedules());
+  }
+  const std::int64_t factors[] = {points, request.runs, request.batch,
+                                  request.iterations + request.warmup};
+  std::int64_t total = 1;
+  for (const std::int64_t factor : factors) {
+    if (factor > cap / total) return true;
+    total *= factor;
+  }
+  return false;
 }
 
 std::string plain_response(RequestOp op, JsonValue payload) {
@@ -260,13 +280,14 @@ ExplorationService::Handled ExplorationService::handle(
 std::string ExplorationService::run_work_request(const Request& request,
                                                  bool replayed) {
   const std::string key = canonical_key(request);
-  if (request.iterations + request.warmup > config_.max_iterations) {
+  if (exceeds_work_cap(request, config_.max_iterations)) {
     if (replayed) journal_event("cancelled", key);
     const std::lock_guard<std::mutex> lock(mutex_);
     ++errors_;
     return make_error_response(
-        "request exceeds the per-run iteration cap (" +
-        std::to_string(config_.max_iterations) + ")");
+        "request exceeds the iteration cap (" +
+        std::to_string(config_.max_iterations) +
+        "): points x runs x batch x (iters + warmup)");
   }
 
   const std::string fingerprint = fnv1a64_hex(key);
@@ -379,18 +400,19 @@ JsonValue ExplorationService::execute(const Request& request,
   config.record_trace = false;
   config.cancel = cancel;
 
+  const SweepEngine engine(config_.run_threads);
   if (request.op == RequestOp::kExplore) {
-    // Every strategy — the annealer included — runs through the mapper
-    // registry, so the service has exactly one explore code path.
+    // An explore is a one-point sweep of the requested mapper, the
+    // annealer included.
     config.schedule = request.schedule;
     config.batch = request.batch;
-    const std::unique_ptr<Mapper> mapper = make_mapper(request.mapper);
     const Architecture arch = make_cpu_fpga_architecture(
         request.clbs, model.tr_per_clb, model.bus_bytes_per_second);
-    const SweepEngine engine(config_.run_threads);
-    const std::vector<MapperResult> results =
-        engine.run_mapper_many(*mapper, model.app.graph, arch, config,
-                               request.runs);
+    const std::string mapper[] = {request.mapper};
+    const SweepSpec spec = mapper_sweep(mapper, arch, config, request.runs,
+                                        model.app.deadline, "", request.clbs);
+    const SweepResult batch = engine.run(model.app.graph, spec);
+    const SweepPointResult& point = batch.points.front();
     JsonValue doc = JsonValue::object();
     doc.set("model", model.app.name);
     doc.set("mapper", request.mapper);
@@ -398,11 +420,10 @@ JsonValue ExplorationService::execute(const Request& request,
     doc.set("runs", static_cast<std::int64_t>(request.runs));
     doc.set("deadline_ms", to_ms(model.app.deadline));
     if (request.runs == 1) {
-      doc.set("best", metrics_payload(results.front().best_metrics,
+      doc.set("best", metrics_payload(point.runs.front().best_metrics,
                                       model.app.deadline));
     } else {
-      doc.set("aggregate", aggregate_to_json(aggregate_mapper_results(
-                               results, model.app.deadline)));
+      doc.set("aggregate", aggregate_to_json(point.aggregate));
     }
     return doc;
   }
@@ -419,7 +440,6 @@ JsonValue ExplorationService::execute(const Request& request,
                                    model.bus_bytes_per_second),
         config, request.runs, model.app.deadline);
   }
-  const SweepEngine engine(config_.run_threads);
   JsonValue doc = sweep_to_json(engine.run(model.app.graph, spec));
   doc.set("model", model.app.name);
   return doc;

@@ -44,9 +44,11 @@ struct ServiceConfig {
   /// SweepEngine threads per request (0 = hardware concurrency). Keep the
   /// product workers * run_threads near the core count.
   unsigned run_threads = 1;
-  /// Reject requests whose per-run iteration budget (iters + warmup)
-  /// exceeds this cap — one oversized request must not starve the queue.
-  std::int64_t max_iterations = 1'000'000;
+  /// Reject requests whose whole work — grid points (1 for an explore) x
+  /// runs x batch x (iters + warmup) — exceeds this cap, so one oversized
+  /// request cannot starve the queue. The default admits the protocol's
+  /// default sweep (13 x 5 x 16 200 = 1 053 000).
+  std::int64_t max_iterations = 2'000'000;
   std::int64_t retry_after_ms = 250;
   /// Path of the persisted solution cache (serve/persist.hpp); empty
   /// disables persistence.

@@ -9,8 +9,8 @@
 #include "baseline/heft.hpp"
 #include "baseline/mapper.hpp"
 #include "baseline/peft.hpp"
-#include "core/mapper_bench.hpp"
 #include "core/report.hpp"
+#include "core/sweep_engine.hpp"
 #include "mapping/validation.hpp"
 #include "model/generators.hpp"
 #include "model/motion_detection.hpp"
@@ -280,54 +280,70 @@ TEST(MapperPortfolio, ListSchedulersBeatSoftwareOnlyOnMotionDetection) {
   }
 }
 
+TEST(MapperPortfolio, EveryMapperReportsItsWallTime) {
+  // Mapper::run times every strategy in one place, so no mapper can forget.
+  const Application app = make_motion_detection_app();
+  const Architecture arch = make_cpu_fpga_architecture(
+      2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+  ExplorerConfig config;
+  config.iterations = 300;
+  config.warmup_iterations = 30;
+  for (const std::string& name : mapper_names()) {
+    const MapperResult r = make_mapper(name)->run(app.graph, arch, config);
+    EXPECT_GT(r.wall_seconds, 0.0) << name;
+  }
+}
+
 TEST(MapperMatrix, ArtifactsValidateAndShareThePointLabel) {
   const Application app = make_motion_detection_app();
   const Architecture arch = make_cpu_fpga_architecture(
       2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
-  const SweepEngine engine(2);
+  const std::string label = "motion @ 2000 CLBs";
+  ExplorerConfig config;
+  config.iterations = 500;
+  config.warmup_iterations = 50;
+  const std::vector<std::string> mappers = {"heft", "anneal"};
+  const SweepSpec spec =
+      mapper_sweep(mappers, arch, config, 2, app.deadline, label, 2000.0);
+  const SweepResult matrix = SweepEngine(2).run(app.graph, spec);
 
-  MapperMatrixSpec spec;
-  spec.mappers = {"heft", "anneal"};
-  spec.config.iterations = 500;
-  spec.config.warmup_iterations = 50;
-  spec.runs_per_mapper = 2;
-  spec.deadline = app.deadline;
-  spec.model = "motion";
-  spec.label = "motion @ 2000 CLBs";
-  spec.x = 2000.0;
-  const MapperMatrixResult matrix =
-      run_mapper_matrix(engine, app.graph, arch, spec);
-
-  ASSERT_EQ(matrix.entries.size(), 2u);
-  for (const MapperMatrixEntry& entry : matrix.entries) {
+  ASSERT_EQ(matrix.points.size(), 2u);
+  for (const SweepPointResult& entry : matrix.points) {
     ASSERT_EQ(entry.runs.size(), 2u);
-    const JsonValue doc = mapper_matrix_entry_to_json(matrix, entry);
+    const JsonValue doc = mapper_point_to_json(matrix, entry, "motion");
     EXPECT_TRUE(validate_sweep_json(doc).empty()) << entry.mapper;
+    EXPECT_EQ(doc.at("name").as_string(), "mapper-bench");
     EXPECT_EQ(doc.at("mapper").as_string(), entry.mapper);
+    EXPECT_EQ(doc.at("deterministic").as_bool(),
+              mapper_is_deterministic(entry.mapper));
     const JsonValue& point = doc.at("points").items().front();
-    EXPECT_EQ(point.at("label").as_string(), spec.label);
+    EXPECT_EQ(point.at("label").as_string(), label);
     EXPECT_EQ(point.at("runs").as_int(), 2);
     // No wall-clock fields anywhere: the artifact must be a pure function
     // of (model, mapper, seed, budget).
     EXPECT_EQ(doc.find("wall_seconds"), nullptr);
     EXPECT_EQ(point.find("mean_wall_seconds"), nullptr);
   }
-  EXPECT_TRUE(matrix.entries.front().deterministic);   // heft
-  EXPECT_FALSE(matrix.entries.back().deterministic);   // anneal
+  EXPECT_EQ(matrix.points.front().mapper, "heft");
+  EXPECT_EQ(matrix.points.back().mapper, "anneal");
+  const std::string table = describe_mapper_sweep(matrix);
+  EXPECT_NE(table.find("mapper matrix: " + label), std::string::npos);
+  EXPECT_NE(table.find("heft *"), std::string::npos);
+  EXPECT_EQ(table.find("anneal *"), std::string::npos);
 
   // The artifacts are sharding-invariant: a serial engine writes the same
   // bytes (no thread count, no wall clock).
-  const MapperMatrixResult serial =
-      run_mapper_matrix(SweepEngine(1), app.graph, arch, spec);
-  for (std::size_t i = 0; i < matrix.entries.size(); ++i) {
-    EXPECT_EQ(mapper_matrix_entry_to_json(serial, serial.entries[i]).dump(),
-              mapper_matrix_entry_to_json(matrix, matrix.entries[i]).dump())
-        << matrix.entries[i].mapper;
+  const SweepResult serial = SweepEngine(1).run(app.graph, spec);
+  for (std::size_t i = 0; i < matrix.points.size(); ++i) {
+    EXPECT_EQ(mapper_point_to_json(serial, serial.points[i], "motion").dump(),
+              mapper_point_to_json(matrix, matrix.points[i], "motion").dump())
+        << matrix.points[i].mapper;
   }
 
-  spec.mappers = {"bogus"};
-  EXPECT_THROW((void)run_mapper_matrix(engine, app.graph, arch, spec),
-               Error);
+  const std::vector<std::string> bogus = {"bogus"};
+  const SweepSpec unknown =
+      mapper_sweep(bogus, arch, config, 2, app.deadline, label, 2000.0);
+  EXPECT_THROW((void)SweepEngine(2).run(app.graph, unknown), Error);
 }
 
 }  // namespace

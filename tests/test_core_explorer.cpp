@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "core/explorer.hpp"
 #include "core/report.hpp"
+#include "core/sweep_engine.hpp"
 #include "mapping/validation.hpp"
 #include "model/motion_detection.hpp"
 
@@ -143,8 +145,18 @@ TEST_F(ExplorerFixture, RunManyAggregates) {
   config.record_trace = false;
   const auto results = explorer.run_many(config, 4);
   ASSERT_EQ(results.size(), 4u);
-  const RunAggregate agg = Explorer::aggregate(results, app.deadline);
+  // The same seeds as a one-point anneal batch on the one batch runner.
+  const std::string anneal[] = {"anneal"};
+  const SweepSpec spec =
+      mapper_sweep(anneal, arch, config, 4, app.deadline, "", 2000.0);
+  const SweepResult batch = SweepEngine(1).run(app.graph, spec);
+  const RunAggregate& agg = batch.points[0].aggregate;
   EXPECT_EQ(agg.runs, 4);
+  double best = to_ms(results[0].best_metrics.makespan);
+  for (const RunResult& r : results) {
+    best = std::min(best, to_ms(r.best_metrics.makespan));
+  }
+  EXPECT_EQ(agg.best_makespan_ms, best);
   EXPECT_GE(agg.best_makespan_ms, 0.0);
   EXPECT_LE(agg.best_makespan_ms, agg.mean_makespan_ms);
   EXPECT_LE(agg.mean_makespan_ms, agg.worst_makespan_ms);

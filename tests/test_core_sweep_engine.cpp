@@ -1,45 +1,53 @@
-/// Tests for the sharded sweep layer: bit-identity of the parallel
-/// run_mapper_many/sweep paths with their serial counterparts across thread
-/// counts, seed-order stability, edge cases (empty sweeps, zero runs) and
-/// exception propagation from failing run jobs.
+/// Tests for the one batch runner: bit-identity of SweepEngine::run with
+/// the serial Explorer::run_many loop and with per-seed mapper calls across
+/// thread counts, mixed-mapper grids, seed-order stability, edge cases
+/// (empty sweeps, zero runs, unknown mappers) and exception propagation
+/// from failing run jobs.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
 
 #include "baseline/mapper.hpp"
 #include "core/report.hpp"
 #include "core/sweep_engine.hpp"
 #include "model/motion_detection.hpp"
+#include "util/cancel.hpp"
 #include "util/json.hpp"
 
 namespace rdse {
 namespace {
 
-/// Every deterministic field of two runs must match exactly; wall_seconds
-/// is the only field allowed to differ between serial and sharded paths.
-void expect_run_equal(const RunResult& a, const RunResult& b) {
+void expect_metrics_equal(const Metrics& a, const Metrics& b) {
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.init_reconfig, b.init_reconfig);
+  EXPECT_EQ(a.dyn_reconfig, b.dyn_reconfig);
+  EXPECT_EQ(a.comm_cross, b.comm_cross);
+  EXPECT_EQ(a.sw_busy, b.sw_busy);
+  EXPECT_EQ(a.hw_busy, b.hw_busy);
+  EXPECT_EQ(a.n_contexts, b.n_contexts);
+  EXPECT_EQ(a.sw_tasks, b.sw_tasks);
+  EXPECT_EQ(a.hw_tasks, b.hw_tasks);
+  EXPECT_EQ(a.clbs_loaded, b.clbs_loaded);
+  EXPECT_EQ(a.max_context_clbs, b.max_context_clbs);
+}
+
+/// Every field of two mapper runs must match exactly; wall_seconds is the
+/// only field allowed to differ between serial and sharded paths.
+void expect_run_equal(const MapperResult& a, const MapperResult& b) {
   EXPECT_TRUE(a.best_solution == b.best_solution);
-  EXPECT_EQ(a.best_metrics.makespan, b.best_metrics.makespan);
-  EXPECT_EQ(a.best_metrics.init_reconfig, b.best_metrics.init_reconfig);
-  EXPECT_EQ(a.best_metrics.dyn_reconfig, b.best_metrics.dyn_reconfig);
-  EXPECT_EQ(a.best_metrics.n_contexts, b.best_metrics.n_contexts);
-  EXPECT_EQ(a.best_metrics.hw_tasks, b.best_metrics.hw_tasks);
-  EXPECT_EQ(a.initial_metrics.makespan, b.initial_metrics.makespan);
-  EXPECT_EQ(a.anneal.accepted, b.anneal.accepted);
-  EXPECT_EQ(a.anneal.rejected, b.anneal.rejected);
-  EXPECT_EQ(a.anneal.infeasible, b.anneal.infeasible);
-  EXPECT_EQ(a.anneal.best_cost, b.anneal.best_cost);
-  EXPECT_EQ(a.trace.size(), b.trace.size());
+  expect_metrics_equal(a.best_metrics, b.best_metrics);
+  EXPECT_EQ(a.best_cost_ms, b.best_cost_ms);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.counters.dump(), b.counters.dump());
 }
 
 /// An anneal-mapper run against the Explorer run it wraps: every field a
 /// MapperResult carries must match exactly.
 void expect_mapper_run_equal(const MapperResult& a, const RunResult& b) {
   EXPECT_TRUE(a.best_solution == b.best_solution);
-  EXPECT_EQ(a.best_metrics.makespan, b.best_metrics.makespan);
-  EXPECT_EQ(a.best_metrics.init_reconfig, b.best_metrics.init_reconfig);
-  EXPECT_EQ(a.best_metrics.dyn_reconfig, b.best_metrics.dyn_reconfig);
-  EXPECT_EQ(a.best_metrics.n_contexts, b.best_metrics.n_contexts);
-  EXPECT_EQ(a.best_metrics.hw_tasks, b.best_metrics.hw_tasks);
+  expect_metrics_equal(a.best_metrics, b.best_metrics);
   EXPECT_EQ(a.evaluations, b.anneal.accepted + b.anneal.rejected);
   EXPECT_EQ(a.counters.at("iterations_run").as_int(),
             b.anneal.iterations_run);
@@ -88,39 +96,48 @@ class SweepEngineFixture : public ::testing::Test {
                              app.deadline);
   }
 
+  /// A seeded batch of one mapper: the one-point sweep `rdse explore
+  /// --runs` and serve's explore run.
+  SweepSpec one_point_spec(const ExplorerConfig& config, int runs) const {
+    const std::string anneal[] = {"anneal"};
+    return mapper_sweep(anneal, arch, config, runs, app.deadline, "", 2000.0);
+  }
+
   Application app;
   Architecture arch;
 };
 
-TEST_F(SweepEngineFixture, RunMapperManyMatchesExplorerRunManyAcrossThreads) {
+TEST_F(SweepEngineFixture, OnePointSweepMatchesExplorerRunManyAcrossThreads) {
   const Explorer explorer(app.graph, arch);
   const ExplorerConfig config = small_config();
-  const auto anneal = make_mapper("anneal");
   const int n = 4;
   const std::vector<RunResult> serial = explorer.run_many(config, n);
-  const RunAggregate serial_agg = Explorer::aggregate(serial, app.deadline);
 
+  std::vector<RunAggregate> aggregates;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    const SweepEngine engine(threads);
-    const std::vector<MapperResult> parallel =
-        engine.run_mapper_many(*anneal, app.graph, arch, config, n);
+    const SweepResult sweep =
+        SweepEngine(threads).run(app.graph, one_point_spec(config, n));
+    ASSERT_EQ(sweep.points.size(), 1u);
+    const std::vector<MapperResult>& parallel = sweep.points[0].runs;
     ASSERT_EQ(parallel.size(), serial.size()) << "threads " << threads;
     for (int i = 0; i < n; ++i) {
       expect_mapper_run_equal(parallel[static_cast<std::size_t>(i)],
                               serial[static_cast<std::size_t>(i)]);
     }
-    expect_aggregate_equal(aggregate_mapper_results(parallel, app.deadline),
-                           serial_agg);
+    EXPECT_EQ(sweep.points[0].aggregate.runs, n);
+    aggregates.push_back(sweep.points[0].aggregate);
   }
+  expect_aggregate_equal(aggregates[1], aggregates[0]);
+  expect_aggregate_equal(aggregates[2], aggregates[0]);
 }
 
-TEST_F(SweepEngineFixture, RunMapperManyMergesInSeedOrder) {
+TEST_F(SweepEngineFixture, OnePointSweepMergesInSeedOrder) {
   const Explorer explorer(app.graph, arch);
   const ExplorerConfig config = small_config();
-  const SweepEngine engine(8);
-  const auto anneal = make_mapper("anneal");
-  const std::vector<MapperResult> batch =
-      engine.run_mapper_many(*anneal, app.graph, arch, config, 3);
+  const SweepResult sweep =
+      SweepEngine(8).run(app.graph, one_point_spec(config, 3));
+  const std::vector<MapperResult>& batch = sweep.points[0].runs;
+  ASSERT_EQ(batch.size(), 3u);
 
   // Slot i must hold exactly the run seeded config.seed + i, regardless of
   // the order the pool finished the jobs in.
@@ -142,11 +159,13 @@ TEST_F(SweepEngineFixture, ZeroRunsAreAllowedNegativeThrow) {
   EXPECT_THROW((void)explorer.run_many(config, -1), Error);
 
   const SweepEngine engine(2);
-  const auto anneal = make_mapper("anneal");
   const auto run = [&](int n) {
-    return engine.run_mapper_many(*anneal, app.graph, arch, config, n);
+    return engine.run(app.graph, one_point_spec(config, n));
   };
-  EXPECT_TRUE(run(0).empty());
+  const SweepResult none = run(0);
+  ASSERT_EQ(none.points.size(), 1u);
+  EXPECT_TRUE(none.points[0].runs.empty());
+  EXPECT_EQ(none.points[0].aggregate.runs, 0);
   EXPECT_THROW((void)run(-1), Error);
 }
 
@@ -190,11 +209,16 @@ TEST_F(SweepEngineFixture, SinglePointSweepMatchesSerialRunMany) {
 
   const Explorer serial(app.graph, spec.points[0].arch);
   const std::vector<RunResult> ref = serial.run_many(small_config(), 3);
+  double best = to_ms(ref[0].best_metrics.makespan);
+  double worst = best;
   for (std::size_t r = 0; r < ref.size(); ++r) {
-    expect_run_equal(sweep.points[0].runs[r], ref[r]);
+    expect_mapper_run_equal(sweep.points[0].runs[r], ref[r]);
+    best = std::min(best, to_ms(ref[r].best_metrics.makespan));
+    worst = std::max(worst, to_ms(ref[r].best_metrics.makespan));
   }
-  expect_aggregate_equal(sweep.points[0].aggregate,
-                         Explorer::aggregate(ref, app.deadline));
+  EXPECT_EQ(sweep.points[0].aggregate.runs, 3);
+  EXPECT_EQ(sweep.points[0].aggregate.best_makespan_ms, best);
+  EXPECT_EQ(sweep.points[0].aggregate.worst_makespan_ms, worst);
 }
 
 TEST_F(SweepEngineFixture, DeviceSweepBitIdenticalAcrossThreadCounts) {
@@ -227,8 +251,65 @@ TEST_F(SweepEngineFixture, DeviceSweepBitIdenticalAcrossThreadCounts) {
     const std::vector<RunResult> serial_runs =
         serial.run_many(spec.points[p].config, spec.runs_per_point);
     for (std::size_t r = 0; r < serial_runs.size(); ++r) {
-      expect_run_equal(ref.points[p].runs[r], serial_runs[r]);
+      expect_mapper_run_equal(ref.points[p].runs[r], serial_runs[r]);
     }
+  }
+}
+
+TEST_F(SweepEngineFixture, MixedMapperGridMatchesSerialMapperRuns) {
+  // Three mappers on three devices in one grid: the points share one pool,
+  // yet every run equals the serial registry call for its seed.
+  const std::pair<const char*, std::int32_t> cells[] = {
+      {"anneal", 400}, {"heft", 800}, {"ga", 2000}};
+  SweepSpec spec;
+  spec.name = "mixed";
+  spec.runs_per_point = 2;
+  spec.deadline = app.deadline;
+  for (const auto& [mapper, clbs] : cells) {
+    Architecture device = make_cpu_fpga_architecture(
+        clbs, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+    spec.points.emplace_back(mapper, clbs, std::move(device), small_config(),
+                             mapper);
+  }
+
+  std::vector<SweepResult> results;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    results.push_back(SweepEngine(threads).run(app.graph, spec));
+  }
+  for (std::size_t p = 0; p < spec.points.size(); ++p) {
+    const SweepPoint& point = spec.points[p];
+    const auto mapper = make_mapper(point.mapper);
+    for (std::size_t r = 0; r < 2; ++r) {
+      ExplorerConfig c = point.config;
+      c.seed = point.config.seed + r;
+      const MapperResult serial = mapper->run(app.graph, point.arch, c);
+      for (const SweepResult& sweep : results) {
+        ASSERT_EQ(sweep.points[p].runs.size(), 2u);
+        EXPECT_EQ(sweep.points[p].mapper, point.mapper);
+        expect_run_equal(sweep.points[p].runs[r], serial);
+      }
+    }
+    expect_aggregate_equal(results[1].points[p].aggregate,
+                           results[0].points[p].aggregate);
+    expect_aggregate_equal(results[2].points[p].aggregate,
+                           results[0].points[p].aggregate);
+  }
+}
+
+TEST_F(SweepEngineFixture, UnknownMapperFailsBeforeAnyJobRuns) {
+  // The first point would fail with "cancelled" as soon as one of its jobs
+  // ran; the error must instead name the unknown mapper on the last point.
+  CancelToken fired;
+  fired.cancel();
+  SweepSpec spec = small_device_spec(2);
+  spec.points[0].config.cancel = &fired;
+  spec.points.back().mapper = "bogus";
+  try {
+    (void)SweepEngine(2).run(app.graph, spec);
+    FAIL() << "an unknown mapper name ran";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'bogus'"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -249,8 +330,8 @@ TEST_F(SweepEngineFixture, ScheduleSweepCarriesPerPointSchedules) {
     EXPECT_LE(p.aggregate.best_makespan_ms, 76.4);
   }
   // Different schedules must actually have cooled differently.
-  EXPECT_NE(sweep.points[0].runs[0].anneal.accepted,
-            sweep.points[1].runs[0].anneal.accepted);
+  EXPECT_NE(sweep.points[0].runs[0].counters.at("accepted").as_int(),
+            sweep.points[1].runs[0].counters.at("accepted").as_int());
 }
 
 TEST_F(SweepEngineFixture, ExceptionFromFailingRunJobPropagates) {
@@ -265,12 +346,10 @@ TEST_F(SweepEngineFixture, ExceptionFromFailingRunJobPropagates) {
   EXPECT_THROW((void)engine.run(app.graph, spec), Error);
 
   // A run job that fails mid-flight (negative iteration budget rejected by
-  // the annealer) propagates out of run_mapper_many the same way.
+  // the annealer) propagates out of a one-point batch the same way.
   ExplorerConfig bad = small_config();
   bad.iterations = -5;
-  const auto anneal = make_mapper("anneal");
-  EXPECT_THROW((void)engine.run_mapper_many(*anneal, app.graph, arch, bad, 2),
-               Error);
+  EXPECT_THROW((void)engine.run(app.graph, one_point_spec(bad, 2)), Error);
 }
 
 TEST_F(SweepEngineFixture, SweepReportAndJsonArtifactAgree) {

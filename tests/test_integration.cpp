@@ -6,6 +6,7 @@
 
 #include "baseline/genetic.hpp"
 #include "core/explorer.hpp"
+#include "core/sweep_engine.hpp"
 #include "graph/dot.hpp"
 #include "mapping/validation.hpp"
 #include "model/generators.hpp"
@@ -84,32 +85,22 @@ TEST(Integration, DeviceSweepHasPaperShape) {
   // is at least as good as both the tiny and the huge device, and context
   // counts decrease with size.
   const Application app = make_motion_detection_app();
-  double tiny_ms = 0, mid_ms = 0, huge_ms = 0;
-  double tiny_ctx = 0, huge_ctx = 0;
-  for (const std::int32_t clbs : {150, 800, 10'000}) {
-    Architecture arch = make_cpu_fpga_architecture(
-        clbs, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
-    Explorer explorer(app.graph, arch);
-    ExplorerConfig config;
-    config.seed = 5;
-    config.iterations = 6'000;
-    config.warmup_iterations = 600;
-    config.record_trace = false;
-    const auto results = explorer.run_many(config, 3);
-    const RunAggregate agg = Explorer::aggregate(results, app.deadline);
-    if (clbs == 150) {
-      tiny_ms = agg.mean_makespan_ms;
-      tiny_ctx = agg.mean_contexts;
-    } else if (clbs == 800) {
-      mid_ms = agg.mean_makespan_ms;
-    } else {
-      huge_ms = agg.mean_makespan_ms;
-      huge_ctx = agg.mean_contexts;
-    }
-  }
-  EXPECT_LE(mid_ms, tiny_ms + 1e-9);
-  EXPECT_LE(mid_ms, huge_ms + 5.0);  // plateau may sit slightly above
-  EXPECT_GT(tiny_ctx, huge_ctx);
+  ExplorerConfig config;
+  config.seed = 5;
+  config.iterations = 6'000;
+  config.warmup_iterations = 600;
+  const std::int32_t sizes[] = {150, 800, 10'000};
+  const SweepSpec spec =
+      device_size_sweep(sizes, kMotionDetectionTrPerClb,
+                        kMotionDetectionBusRate, config, 3, app.deadline);
+  const SweepResult sweep = SweepEngine(1).run(app.graph, spec);
+  const RunAggregate& tiny = sweep.points[0].aggregate;
+  const RunAggregate& mid = sweep.points[1].aggregate;
+  const RunAggregate& huge = sweep.points[2].aggregate;
+  EXPECT_LE(mid.mean_makespan_ms, tiny.mean_makespan_ms + 1e-9);
+  // The plateau may sit slightly above.
+  EXPECT_LE(mid.mean_makespan_ms, huge.mean_makespan_ms + 5.0);
+  EXPECT_GT(tiny.mean_contexts, huge.mean_contexts);
 }
 
 TEST(Integration, SyntheticApplicationsExploreCleanly) {
@@ -163,15 +154,15 @@ TEST(Integration, QualityImprovesWithIterationBudget) {
   const Application app = make_motion_detection_app();
   Architecture arch = make_cpu_fpga_architecture(
       2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
-  Explorer explorer(app.graph, arch);
   auto mean_at = [&](std::int64_t iters) {
     ExplorerConfig config;
     config.seed = 100;
     config.iterations = iters;
     config.warmup_iterations = 300;
-    config.record_trace = false;
-    const auto results = explorer.run_many(config, 4);
-    return Explorer::aggregate(results, 0).mean_makespan_ms;
+    const std::string anneal[] = {"anneal"};
+    const SweepSpec spec = mapper_sweep(anneal, arch, config, 4, 0, "", 2000.0);
+    const SweepResult batch = SweepEngine(1).run(app.graph, spec);
+    return batch.points[0].aggregate.mean_makespan_ms;
   };
   const double lo = mean_at(300);
   const double hi = mean_at(8'000);

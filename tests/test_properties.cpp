@@ -157,13 +157,14 @@ TEST_P(RandomInstance, ParallelSweepMatchesSerialExplorationPerPoint) {
       ExplorerConfig c = point.config;
       c.seed = point.config.seed + static_cast<std::uint64_t>(r);
       const RunResult ref = serial.run(c);
-      const RunResult& got =
+      const MapperResult& got =
           sweep.points[static_cast<std::size_t>(p)]
               .runs[static_cast<std::size_t>(r)];
-      ASSERT_EQ(got.anneal.best_cost, ref.anneal.best_cost)
+      ASSERT_EQ(got.best_metrics.makespan, ref.best_metrics.makespan)
           << "point " << p << " run " << r;
-      ASSERT_EQ(got.best_metrics.makespan, ref.best_metrics.makespan);
-      ASSERT_EQ(got.anneal.accepted, ref.anneal.accepted);
+      ASSERT_EQ(got.counters.at("accepted").as_int(), ref.anneal.accepted);
+      ASSERT_EQ(got.counters.at("best_iteration").as_int(),
+                ref.anneal.best_iteration);
       ASSERT_TRUE(got.best_solution == ref.best_solution);
     }
   }

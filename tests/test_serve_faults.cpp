@@ -824,6 +824,37 @@ TEST_F(FaultFsTest, ServicePoisonJournalEntryIsCancelledNotFatal) {
   EXPECT_EQ(restarted.stats().journal.replayed, 0u);
 }
 
+TEST_F(FaultFsTest, ServiceReplayOverTheWorkCapIsCancelledNotRun) {
+  // Work journaled under a larger cap and replayed under this one: each run
+  // fits, the whole request does not, so the replay closes it out as
+  // cancelled without running it.
+  ServiceConfig config = fast_config();
+  config.max_iterations = 1'000;
+  config.journal_path = db_path("journal-over-cap.ndjson");
+  const std::string line =
+      R"({"op": "explore", "iters": 500, "warmup": 100, "runs": 2})";
+  const std::string key = canonical_key(parse_request(JsonValue::parse(line)));
+  {
+    WorkJournal journal(config.journal_path);
+    ASSERT_TRUE(journal.append("accepted", key));
+  }
+  {
+    ExplorationService service(config);
+    EXPECT_EQ(service.stats().journal.replayed, 1u);
+    for (int i = 0; i < 2'000; ++i) {
+      const ServiceStats stats = service.stats();
+      if (stats.errors + stats.completed > 0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.errors, 1u);
+    EXPECT_EQ(stats.completed, 0u);
+    EXPECT_EQ(stats.journal.appends, 1u);  // the "cancelled" record only
+  }
+  ExplorationService restarted(config);
+  EXPECT_EQ(restarted.stats().journal.replayed, 0u);
+}
+
 // -------------------------------------------------- deadlines and drain
 
 TEST(ServeDeadline, ExpiredDeadlineReturnsErrorAndFreesTheWorker) {

@@ -122,7 +122,32 @@ TEST(ExplorationService, MalformedAndOversizedRequestsAreErrors) {
   EXPECT_FALSE(too_big.ok);
   EXPECT_NE(too_big.response.find("iteration cap"), std::string::npos);
 
-  EXPECT_EQ(service.stats().errors, 3u);
+  // The cap bounds the whole request: every run fits the per-run budget
+  // (600 + 100), but runs, grid points and batch probes multiply it past
+  // 1000.
+  const std::string multiplied_lines[] = {
+      R"({"op": "explore", "iters": 600, "warmup": 100, "runs": 2})",
+      R"({"op": "sweep", "sizes": [400, 800], "runs": 1, "iters": 600, )"
+      R"("warmup": 100})",
+      R"({"op": "explore", "iters": 600, "warmup": 100, "batch": 2})"};
+  for (const std::string& line : multiplied_lines) {
+    const auto multiplied = service.handle(line);
+    EXPECT_FALSE(multiplied.ok) << line;
+    EXPECT_NE(multiplied.response.find("iteration cap"), std::string::npos)
+        << multiplied.response;
+  }
+
+  // 8192 runs x 1024 probes x 2^41 iterations is 2^64: a product that
+  // wraps to 0 would admit it, and the deadline keeps that failure short.
+  const auto wrapped = service.handle(
+      R"({"op": "explore", "runs": 8192, "batch": 1024, )"
+      R"("iters": 1099511627776, "warmup": 1099511627776, "timeout_ms": 1})");
+  EXPECT_FALSE(wrapped.ok);
+  EXPECT_NE(wrapped.response.find("iteration cap"), std::string::npos)
+      << wrapped.response;
+
+  EXPECT_EQ(service.stats().errors, 7u);
+  EXPECT_EQ(service.stats().cache.entries, 1u);
 }
 
 TEST(ExplorationService, StatusAndPingAnswerInline) {

@@ -1,16 +1,15 @@
 #pragma once
 /// \file bench_common.hpp
 /// \brief Shared scaffolding for the experiment harnesses: scale knobs
-/// (environment / command line), uniform headers and the `main` wrapper
-/// that turns a bad flag into a one-line error.
+/// (command line), uniform headers and the `main` wrapper that turns a bad
+/// flag into a one-line error.
 ///
-/// Knobs (command line beats environment):
-///   --runs    / RDSE_RUNS     repetitions per sweep point (paper: 100)
-///   --iters   / RDSE_ITERS    cooling iterations per exploration
-///   --full    / RDSE_FULL     paper-scale settings (runs=100)
-///   --seed    / RDSE_SEED     base seed
-///   --threads / RDSE_THREADS  sweep worker threads (0 = hardware; results
-///                             are identical for any value)
+/// Knobs:
+///   --runs    repetitions per sweep point (paper: 100)
+///   --iters   cooling iterations per exploration
+///   --warmup  infinite-temperature warm-up iterations
+///   --full    paper-scale settings (runs=100)
+///   --seed    base seed
 
 #include <cstdint>
 #include <exception>
@@ -27,7 +26,6 @@ struct Scale {
   std::int64_t iters = 15'000;
   std::int64_t warmup = 1'200;
   std::uint64_t seed = 1;
-  unsigned threads = 0;
   bool full = false;
 };
 
@@ -36,14 +34,11 @@ inline Scale parse_scale(int argc, char** argv, int default_runs = 20,
   static constexpr std::string_view kBoolFlags[] = {"full"};
   const Options opts = Options::parse(argc, argv, kBoolFlags);
   Scale s;
-  s.full = opts.get_flag("full", "RDSE_FULL");
-  s.runs = static_cast<int>(
-      opts.get_int("runs", s.full ? 100 : default_runs, "RDSE_RUNS"));
-  s.iters = opts.get_int("iters", default_iters, "RDSE_ITERS");
+  s.full = opts.get_flag("full");
+  s.runs = static_cast<int>(opts.get_int("runs", s.full ? 100 : default_runs));
+  s.iters = opts.get_int("iters", default_iters);
   s.warmup = opts.get_int("warmup", 1'200);
-  s.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1, "RDSE_SEED"));
-  s.threads =
-      static_cast<unsigned>(opts.get_int("threads", 0, "RDSE_THREADS"));
+  s.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
   return s;
 }
 

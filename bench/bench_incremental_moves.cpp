@@ -319,11 +319,9 @@ void write_json(const std::string& path, std::int64_t moves,
 
 static int run_bench(int argc, char** argv) {
   const Options opts = Options::parse(argc, argv);
-  const std::int64_t moves = opts.get_int("moves", 20'000, "RDSE_MOVES");
-  const auto seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1, "RDSE_SEED"));
-  const int repeats =
-      static_cast<int>(opts.get_int("repeat", 3, "RDSE_REPEAT"));
+  const std::int64_t moves = opts.get_int("moves", 20'000);
+  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  const int repeats = static_cast<int>(opts.get_int("repeat", 3));
   const std::string json = opts.get_string("json", "");
 
   std::vector<ModelReport> reports;

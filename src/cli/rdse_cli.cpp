@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -51,15 +51,19 @@ commands:
 
 common options:
   --model NAME      application model: motion | synthetic:N  [motion]
-  --seed N          base RNG seed                            [1]
-  --iters N         cooling iterations per run               [20000]
+  --seed N          base RNG seed, 0 .. 2^53-1               [1]
+  --iters N         cooling iterations per run, 1 .. 2^40    [20000]
   --warmup N        infinite-temperature warm-up iterations  [1200]
   --threads N       worker threads (0 = hardware)            [0]
   --quiet           suppress tables/plots (artifacts still written)
+  The run flags of explore, bench and sweep are the fields of serve's
+  explore and sweep requests and go through the same parser: the same
+  defaults and bounds, and an out-of-range value is an error, not wrapped.
 
 explore options:
-  --clbs N          FPGA size in CLBs                        [2000]
-  --runs N          independent seeded runs (0 is allowed)   [1]
+  --clbs N          FPGA size in CLBs, 1 .. 1000000          [2000]
+  --runs N          independent seeded runs, 0 .. 100000     [1]
+                    (0 validates the other flags and runs nothing)
   --batch K         candidate moves probed per annealing step [1]
                     (best-of-K then Metropolis; 1 = classic path)
   --schedule NAME   modified-lam | lam-delosme | geometric | greedy
@@ -92,7 +96,7 @@ sweep options:
   --sizes CSV       device sizes (device-size axis only)     [Fig. 3 sizes]
   --schedules CSV   schedule names (schedule axis only)      [all four]
   --clbs N          FPGA size (schedule axis only)           [2000]
-  --runs N          runs per sweep point                     [5]
+  --runs N          runs per sweep point, 1 .. 100000        [5]
   --iters N         cooling iterations per run               [15000]
   --json PATH       write the rdse.sweep.v1 artifact (no wall-clock or
                     thread-count fields: byte-identical for any --threads)
@@ -120,8 +124,10 @@ serve options:
   --queue N         max requests waiting for a worker         [16]
   --cache N         solution-cache entries (0 disables)       [128]
   --run-threads N   threads per multi-run/sweep execution     [1]
-  --max-iters N     per-request iteration cap: grid points (1 for an
-                    explore) x runs x batch x (iters+warmup)  [2000000]
+  --max-iters N     per-request work cap: grid points (1 for an explore)
+                    x runs x per-run cost: batch x (iters+warmup) for
+                    anneal, iters for ga, random and hill_climb, 1 for a
+                    seed-independent mapper                   [2000000]
   --persist PATH    crash-safe solution-cache database (rdse.cachedb.v2):
                     loaded and verified at startup; every fresh result is
                     appended durably; compacted from the live cache at
@@ -157,10 +163,6 @@ device-size study with:  rdse sweep --model motion --runs 100
 (README "Reproducing §5" lists all three studies.)
 )";
 
-ModelSpec load_model(const Options& opts) {
-  return load_model_spec(opts.get_string("model", "motion", "RDSE_MODEL"));
-}
-
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
   std::string item;
@@ -171,21 +173,52 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-std::vector<std::int32_t> parse_sizes(const std::string& csv) {
-  std::vector<std::int32_t> sizes;
-  for (const std::string& item : split_csv(csv)) {
-    std::int32_t value = 0;
-    const auto res =
-        std::from_chars(item.data(), item.data() + item.size(), value);
-    // Whole-token parse: "4o0" must be an error, not a 4-CLB sweep point.
-    if (res.ec != std::errc() || res.ptr != item.data() + item.size()) {
-      throw Error("option --sizes: expected integer list, got '" + item +
-                  "'");
-    }
-    sizes.push_back(value);
+/// The run flags of explore, bench and sweep are serve's request fields of
+/// the same name: written into a request document, their defaults and
+/// bounds are serve::parse_request's. Every bound lies below 2^53, so a
+/// value the document's doubles would round is rejected, never run.
+JsonValue request_document(const Options& opts, const char* op) {
+  JsonValue doc = JsonValue::object();
+  doc.set("op", op);
+  for (const char* key : {"model", "schedule", "axis"}) {
+    if (const auto value = opts.get(key)) doc.set(key, *value);
   }
-  RDSE_REQUIRE(!sizes.empty(), "option --sizes: empty list");
-  return sizes;
+  for (const char* key : {"clbs", "runs", "seed", "iters", "warmup", "batch"}) {
+    if (opts.get(key)) doc.set(key, opts.get_int(key, 0));
+  }
+  if (const auto csv = opts.get("sizes")) {
+    JsonValue sizes = JsonValue::array();
+    for (const std::string& item : split_csv(*csv)) {
+      std::int64_t value = 0;
+      const char* last = item.data() + item.size();
+      const auto res = std::from_chars(item.data(), last, value);
+      // Whole-token parse: "4o0" must be an error, not a 4-CLB sweep point.
+      if (res.ec != std::errc() || res.ptr != last) {
+        throw Error("option --sizes: expected integer list, got '" + item +
+                    "'");
+      }
+      sizes.push_back(value);
+    }
+    doc.set("sizes", std::move(sizes));
+  }
+  if (const auto csv = opts.get("schedules")) {
+    JsonValue schedules = JsonValue::array();
+    for (const std::string& name : split_csv(*csv)) schedules.push_back(name);
+    doc.set("schedules", std::move(schedules));
+  }
+  return doc;
+}
+
+/// A thread or worker count, stored as `unsigned`: a value that does not
+/// fit is an error, not a wrap (4294967297 workers would start one).
+unsigned unsigned_flag(const Options& opts, const std::string& name,
+                       std::int64_t def) {
+  constexpr std::int64_t kMax = std::numeric_limits<unsigned>::max();
+  const std::int64_t value = opts.get_int(name, def);
+  RDSE_REQUIRE(value >= 0 && value <= kMax,
+               "option --" + name + ": need an integer in [0, " +
+                   std::to_string(kMax) + "], got " + std::to_string(value));
+  return static_cast<unsigned>(value);
 }
 
 /// explore/sweep take no positional operands; a stray token is usually a
@@ -202,16 +235,6 @@ void require_axis_flag_absent(const Options& opts, const std::string& flag,
                               const std::string& axis) {
   RDSE_REQUIRE(!opts.get(flag).has_value(),
                "option --" + flag + ": only valid with --axis " + axis);
-}
-
-ExplorerConfig base_config(const Options& opts, std::int64_t default_iters) {
-  ExplorerConfig config;
-  config.seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1, "RDSE_SEED"));
-  config.iterations = opts.get_int("iters", default_iters, "RDSE_ITERS");
-  config.warmup_iterations = opts.get_int("warmup", 1'200);
-  config.record_trace = false;
-  return config;
 }
 
 void write_artifact(const std::string& path, const JsonValue& doc,
@@ -354,17 +377,20 @@ int cmd_explore(const Options& opts, std::ostream& out) {
   opts.require_known(kFlags);
   require_no_positionals(opts);
 
-  const ModelSpec model = load_model(opts);
-  const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
-  const int runs = static_cast<int>(opts.get_int("runs", 1));
-  const auto threads =
-      static_cast<unsigned>(opts.get_int("threads", 0, "RDSE_THREADS"));
+  // `--runs 0` is a CLI no-op that serve's bounds reject: every other flag
+  // is validated as a one-run request before it is answered.
+  JsonValue fields = request_document(opts, "explore");
+  const bool no_runs =
+      fields.find("runs") && fields.at("runs").as_number() == 0;
+  if (no_runs) fields.set("runs", 1);
+  const serve::Request request = serve::parse_request(fields);
+  const int runs = no_runs ? 0 : request.runs;
+  const unsigned threads = unsigned_flag(opts, "threads", 0);
   const bool quiet = opts.get_flag("quiet");
   const std::string checkpoint_path = opts.get_string("checkpoint", "");
   const std::int64_t checkpoint_every =
       opts.get_int("checkpoint-every", 1'000);
   const std::string json_path = opts.get_string("json", "");
-  RDSE_REQUIRE(runs >= 0, "option --runs: negative run count");
   RDSE_REQUIRE(checkpoint_every >= 1,
                "option --checkpoint-every: need at least one iteration");
   RDSE_REQUIRE(checkpoint_path.empty() || runs == 1,
@@ -376,35 +402,26 @@ int cmd_explore(const Options& opts, std::ostream& out) {
   RDSE_REQUIRE(json_path.empty() || runs == 1,
                "option --json: requires --runs 1");
 
-  ExplorerConfig config = base_config(opts, 20'000);
-  config.schedule =
-      parse_schedule(opts.get_string("schedule", "modified-lam"));
-  config.batch = static_cast<int>(opts.get_int("batch", 1));
-  RDSE_REQUIRE(config.batch >= 1, "option --batch: need at least one probe");
-
-  const Architecture arch = make_cpu_fpga_architecture(
-      clbs, model.tr_per_clb, model.bus_bytes_per_second);
-
+  const ModelSpec model = load_model_spec(request.model);
+  const SweepSpec spec = serve::plan_request(request, model);
   if (runs == 0) {
     out << "0 runs requested — nothing to explore\n";
     return 0;
   }
   if (runs == 1) {
-    const Explorer explorer(model.app.graph, arch);
+    const SweepPoint& point = spec.points.front();
+    const Explorer explorer(model.app.graph, point.arch);
     if (!checkpoint_path.empty()) {
-      CheckpointableExplorer session(explorer, config);
-      return run_checkpointed(model, clbs, session, checkpoint_path,
+      CheckpointableExplorer session(explorer, point.config);
+      return run_checkpointed(model, request.clbs, session, checkpoint_path,
                               checkpoint_every, json_path, quiet, out);
     }
-    const RunResult result = explorer.run(config);
-    return finish_explore(model, clbs, config, result, json_path, quiet, out);
+    const RunResult result = explorer.run(point.config);
+    return finish_explore(model, request.clbs, point.config, result,
+                          json_path, quiet, out);
   }
 
-  // A batch is a one-point sweep of the anneal mapper, as serve's explore
-  // runs it.
-  const std::string anneal[] = {"anneal"};
-  const SweepSpec spec =
-      mapper_sweep(anneal, arch, config, runs, model.app.deadline, "", clbs);
+  // A batch is the one-point sweep serve's explore runs.
   const SweepResult batch = SweepEngine(threads).run(model.app.graph, spec);
   const RunAggregate& agg = batch.points.front().aggregate;
   if (quiet) return 0;
@@ -420,7 +437,7 @@ int cmd_explore(const Options& opts, std::ostream& out) {
       .cell(agg.deadline_hit_rate, 2);
   // No thread count in the title: the table is the same for any --threads.
   table.print(out, std::to_string(runs) + " runs of " + model.app.name +
-                       " on " + std::to_string(clbs) + " CLBs");
+                       " on " + std::to_string(request.clbs) + " CLBs");
   return 0;
 }
 
@@ -455,30 +472,27 @@ int cmd_bench(const Options& opts, std::ostream& out) {
   opts.require_known(kFlags);
   require_no_positionals(opts);
 
-  const ModelSpec model = load_model(opts);
-  const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
-  const int runs = static_cast<int>(opts.get_int("runs", 3));
-  const auto threads =
-      static_cast<unsigned>(opts.get_int("threads", 0, "RDSE_THREADS"));
+  JsonValue fields = request_document(opts, "explore");
+  if (!fields.find("runs")) fields.set("runs", 3);  // bench's own default
+  const serve::Request request = serve::parse_request(fields);
+  const unsigned threads = unsigned_flag(opts, "threads", 0);
   const bool quiet = opts.get_flag("quiet");
   const std::string prefix = opts.get_string("json-prefix", "");
-  RDSE_REQUIRE(runs >= 1, "option --runs: need at least one run per mapper");
 
   const std::string csv = opts.get_string("mappers", "");
   const std::vector<std::string> mappers =
       csv.empty() ? mapper_names() : parse_mapper_list(csv);
   RDSE_REQUIRE(!mappers.empty(), "option --mappers: empty list");
-  ExplorerConfig config = base_config(opts, 20'000);
-  config.schedule =
-      parse_schedule(opts.get_string("schedule", "modified-lam"));
 
-  const Architecture arch = make_cpu_fpga_architecture(
-      clbs, model.tr_per_clb, model.bus_bytes_per_second);
+  // The mappers run on the point an explore of this request plans, and
+  // every mapper's seed batch shares one pool; the points share one label.
+  const ModelSpec model = load_model_spec(request.model);
+  const SweepPoint plan = serve::plan_request(request, model).points.front();
   const std::string label =
-      model.app.name + " @ " + std::to_string(clbs) + " CLBs";
-  // Every mapper's seed batch shares one pool; the points share one label.
-  const SweepSpec spec = mapper_sweep(mappers, arch, config, runs,
-                                      model.app.deadline, label, clbs);
+      model.app.name + " @ " + std::to_string(request.clbs) + " CLBs";
+  const SweepSpec spec =
+      mapper_sweep(mappers, plan.arch, plan.config, request.runs,
+                   model.app.deadline, label, plan.x);
   const SweepResult result = SweepEngine(threads).run(model.app.graph, spec);
 
   if (!quiet) out << describe_mapper_sweep(result);
@@ -500,50 +514,21 @@ int cmd_sweep(const Options& opts, std::ostream& out) {
   opts.require_known(kFlags);
   require_no_positionals(opts);
 
-  const ModelSpec model = load_model(opts);
-  const std::string axis = opts.get_string("axis", "device-size");
-  const int runs = static_cast<int>(opts.get_int("runs", 5));
-  const auto threads =
-      static_cast<unsigned>(opts.get_int("threads", 0, "RDSE_THREADS"));
+  const serve::Request request =
+      serve::parse_request(request_document(opts, "sweep"));
+  if (request.axis == "device-size") {
+    require_axis_flag_absent(opts, "schedules", "schedule");
+    require_axis_flag_absent(opts, "clbs", "schedule");
+  } else {
+    require_axis_flag_absent(opts, "sizes", "device-size");
+  }
+  const unsigned threads = unsigned_flag(opts, "threads", 0);
   const bool dry_run = opts.get_flag("dry-run");
   const bool quiet = opts.get_flag("quiet");
   const std::string json_path = opts.get_string("json", "");
-  RDSE_REQUIRE(runs >= 0, "option --runs: negative run count");
 
-  const ExplorerConfig config = base_config(opts, 15'000);
-
-  SweepSpec spec;
-  if (axis == "device-size") {
-    require_axis_flag_absent(opts, "schedules", "schedule");
-    require_axis_flag_absent(opts, "clbs", "schedule");
-    std::vector<std::int32_t> sizes(std::begin(kFig3DeviceSizes),
-                                    std::end(kFig3DeviceSizes));
-    if (const auto csv = opts.get("sizes")) sizes = parse_sizes(*csv);
-    spec = device_size_sweep(sizes, model.tr_per_clb,
-                             model.bus_bytes_per_second, config, runs,
-                             model.app.deadline);
-  } else if (axis == "schedule") {
-    require_axis_flag_absent(opts, "sizes", "device-size");
-    const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
-    std::vector<ScheduleKind> kinds(std::begin(kAllSchedules),
-                                    std::end(kAllSchedules));
-    if (const auto csv = opts.get("schedules")) {
-      kinds.clear();
-      for (const std::string& name : split_csv(*csv)) {
-        kinds.push_back(parse_schedule(name));
-      }
-    }
-    RDSE_REQUIRE(!kinds.empty(), "option --schedules: empty list");
-    spec = schedule_sweep(
-        kinds,
-        make_cpu_fpga_architecture(clbs, model.tr_per_clb,
-                                   model.bus_bytes_per_second),
-        config, runs, model.app.deadline);
-  } else {
-    throw Error("unknown sweep axis '" + axis +
-                "' (known: device-size, schedule)");
-  }
-
+  const ModelSpec model = load_model_spec(request.model);
+  const SweepSpec spec = serve::plan_request(request, model);
   const SweepEngine engine(threads);
   SweepSpec to_run = spec;
   if (dry_run) to_run.runs_per_point = 0;  // plan the grid, skip the work
@@ -873,26 +858,24 @@ int cmd_serve(const Options& opts, std::ostream& out) {
   require_no_positionals(opts);
 
   serve::ServerConfig config;
-  config.socket_path = opts.get_string("socket", "", "RDSE_SOCKET");
+  config.socket_path = opts.get_string("socket", "");
   RDSE_REQUIRE(!config.socket_path.empty(),
                "serve: pass the socket path via --socket PATH");
-  const std::int64_t workers = opts.get_int("workers", 2);
+  const unsigned workers = unsigned_flag(opts, "workers", 2);
   const std::int64_t queue = opts.get_int("queue", 16);
   const std::int64_t cache = opts.get_int("cache", 128);
-  const std::int64_t run_threads = opts.get_int("run-threads", 1);
   const std::int64_t idle_ms = opts.get_int("idle-timeout-ms", 30'000);
   const std::int64_t max_conns = opts.get_int("max-conns", 64);
   RDSE_REQUIRE(workers >= 1, "option --workers: need at least one worker");
   RDSE_REQUIRE(queue >= 0, "option --queue: negative queue capacity");
   RDSE_REQUIRE(cache >= 0, "option --cache: negative cache capacity");
-  RDSE_REQUIRE(run_threads >= 0, "option --run-threads: negative count");
   RDSE_REQUIRE(idle_ms >= 0, "option --idle-timeout-ms: negative timeout");
   RDSE_REQUIRE(max_conns >= 1,
                "option --max-conns: need at least one connection");
-  config.service.workers = static_cast<unsigned>(workers);
+  config.service.workers = workers;
   config.service.queue_capacity = static_cast<std::size_t>(queue);
   config.service.cache_capacity = static_cast<std::size_t>(cache);
-  config.service.run_threads = static_cast<unsigned>(run_threads);
+  config.service.run_threads = unsigned_flag(opts, "run-threads", 1);
   config.service.max_iterations = opts.get_int("max-iters", 2'000'000);
   RDSE_REQUIRE(config.service.max_iterations >= 1,
                "option --max-iters: need a positive cap");
@@ -940,7 +923,7 @@ int cmd_request(const Options& opts, std::ostream& out) {
   opts.require_known(kFlags);
   require_no_positionals(opts);
 
-  const std::string socket = opts.get_string("socket", "", "RDSE_SOCKET");
+  const std::string socket = opts.get_string("socket", "");
   RDSE_REQUIRE(!socket.empty(),
                "request: pass the socket path via --socket PATH");
   std::string text = opts.get_string("json", "");

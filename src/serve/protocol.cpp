@@ -13,23 +13,28 @@ namespace rdse::serve {
 
 namespace {
 
-/// Fetch an integer field: must be a JSON number with an integral value in
-/// [min, max]. Returns `def` when absent.
+/// `v` as an integer in [min, max], else Error "<what> in [min, max], got
+/// <v>": it names no front door, so it reads right from serve and the CLI.
+std::int64_t integer_in(const JsonValue& v, const std::string& what,
+                        std::int64_t min, std::int64_t max) {
+  if (v.kind() != JsonValue::Kind::kNumber ||
+      !(v.as_number() >= static_cast<double>(min) &&
+        v.as_number() <= static_cast<double>(max)) ||
+      v.as_number() != std::floor(v.as_number())) {
+    throw Error(what + " in [" + std::to_string(min) + ", " +
+                std::to_string(max) + "], got " + v.dump());
+  }
+  return v.as_int();
+}
+
+/// Fetch an integer field in [min, max]; `def` when absent.
 std::int64_t int_field(const JsonValue& doc, const char* key,
                        std::int64_t def, std::int64_t min,
                        std::int64_t max) {
   const JsonValue* v = doc.find(key);
   if (v == nullptr) return def;
-  if (v->kind() != JsonValue::Kind::kNumber) {
-    throw Error(std::string("request field '") + key + "' must be a number");
-  }
-  const double d = v->as_number();
-  if (!(d >= static_cast<double>(min) && d <= static_cast<double>(max)) ||
-      d != std::floor(d)) {
-    throw Error(std::string("request field '") + key +
-                "' out of range or not an integer");
-  }
-  return v->as_int();
+  return integer_in(*v, std::string("'") + key + "' must be an integer", min,
+                    max);
 }
 
 std::string string_field(const JsonValue& doc, const char* key,
@@ -37,7 +42,7 @@ std::string string_field(const JsonValue& doc, const char* key,
   const JsonValue* v = doc.find(key);
   if (v == nullptr) return def;
   if (v->kind() != JsonValue::Kind::kString) {
-    throw Error(std::string("request field '") + key + "' must be a string");
+    throw Error(std::string("'") + key + "' must be a string");
   }
   return v->as_string();
 }
@@ -137,9 +142,10 @@ Request parse_request(const JsonValue& doc) {
       int_field(doc, "clbs", request.clbs, 1, 1'000'000));
   request.runs =
       static_cast<int>(int_field(doc, "runs", request.runs, 1, 100'000));
+  // Above 2^53 - 1 a JSON number cannot tell neighbouring seeds apart.
   request.seed = static_cast<std::uint64_t>(
       int_field(doc, "seed", static_cast<std::int64_t>(request.seed), 0,
-                std::int64_t{1} << 62));
+                (std::int64_t{1} << 53) - 1));
   request.iterations = int_field(doc, "iters", request.iterations, 1,
                                  std::int64_t{1} << 40);
   request.warmup =
@@ -169,25 +175,22 @@ Request parse_request(const JsonValue& doc) {
   }
   if (const JsonValue* sizes = doc.find("sizes")) {
     if (sizes->kind() != JsonValue::Kind::kArray || sizes->size() == 0) {
-      throw Error("request field 'sizes' must be a non-empty array");
+      throw Error("'sizes' must be a non-empty list");
     }
     for (const JsonValue& item : sizes->items()) {
-      if (item.kind() != JsonValue::Kind::kNumber ||
-          item.as_number() != std::floor(item.as_number()) ||
-          item.as_number() < 1.0 || item.as_number() > 1e6) {
-        throw Error("request field 'sizes' must hold integers >= 1");
-      }
-      request.sizes.push_back(static_cast<std::int32_t>(item.as_int()));
+      request.sizes.push_back(static_cast<std::int32_t>(
+          integer_in(item, "'sizes' must hold integers", 1, 1'000'000)));
     }
   }
   if (const JsonValue* schedules = doc.find("schedules")) {
     if (schedules->kind() != JsonValue::Kind::kArray ||
         schedules->size() == 0) {
-      throw Error("request field 'schedules' must be a non-empty array");
+      throw Error("'schedules' must be a non-empty list");
     }
     for (const JsonValue& item : schedules->items()) {
       if (item.kind() != JsonValue::Kind::kString) {
-        throw Error("request field 'schedules' must hold schedule names");
+        throw Error("'schedules' must hold schedule names, got " +
+                    item.dump());
       }
       request.schedules.push_back(parse_schedule(item.as_string()));
     }
@@ -254,6 +257,37 @@ JsonValue normalized_request(const Request& request) {
 
 std::string canonical_key(const Request& request) {
   return normalized_request(request).dump();
+}
+
+SweepSpec plan_request(const Request& request, const ModelSpec& model,
+                       const CancelToken* cancel) {
+  RDSE_REQUIRE(request.op == RequestOp::kExplore ||
+                   request.op == RequestOp::kSweep,
+               "plan_request: not a work request");
+  ExplorerConfig config;
+  config.seed = request.seed;
+  config.iterations = request.iterations;
+  config.warmup_iterations = request.warmup;
+  config.schedule = request.schedule;  // the defaults on a sweep request
+  config.batch = request.batch;
+  config.record_trace = false;
+  config.cancel = cancel;
+  if (request.op == RequestOp::kSweep && request.axis == "device-size") {
+    return device_size_sweep(request.sweep_sizes(), model.tr_per_clb,
+                             model.bus_bytes_per_second, config,
+                             request.runs, model.app.deadline);
+  }
+  const Architecture arch = make_cpu_fpga_architecture(
+      request.clbs, model.tr_per_clb, model.bus_bytes_per_second);
+  if (request.op == RequestOp::kSweep) {
+    return schedule_sweep(request.sweep_schedules(), arch, config,
+                          request.runs, model.app.deadline);
+  }
+  // An explore is a one-point sweep of the requested mapper, the annealer
+  // included.
+  const std::string mapper[] = {request.mapper};
+  return mapper_sweep(mapper, arch, config, request.runs, model.app.deadline,
+                      "", request.clbs);
 }
 
 std::string make_error_response(const std::string& message,

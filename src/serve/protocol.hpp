@@ -1,13 +1,15 @@
 #pragma once
 /// \file protocol.hpp
 /// \brief The `rdse serve` wire protocol: newline-delimited JSON requests
-/// and responses over a local stream socket.
+/// and responses over a local stream socket. Request is also how the
+/// `rdse explore`, `bench` and `sweep` commands describe their work.
 ///
 /// One request is one JSON object on one line. Parsing is strict — unknown
 /// fields, wrong types, non-integral counts and out-of-range values are
-/// rejected with an error response instead of being silently defaulted;
-/// this is the hardened front door that untrusted request traffic flows
-/// through. Operations:
+/// rejected with an error naming the field and its range instead of being
+/// silently defaulted; this is the hardened front door that untrusted
+/// request traffic flows through. Every bound lies below 2^53, so a number
+/// a double would round is rejected. Operations:
 ///
 ///   {"op": "explore", "model": "motion", "mapper": "anneal",
 ///    "clbs": 2000, "runs": 1, "seed": 1, "iters": 20000, "warmup": 1200,
@@ -38,6 +40,8 @@
 #include <vector>
 
 #include "anneal/schedule.hpp"
+#include "core/sweep_engine.hpp"
+#include "model/registry.hpp"
 #include "util/json.hpp"
 
 namespace rdse::serve {
@@ -61,7 +65,7 @@ struct Request {
   std::string mapper = "anneal";  ///< explore only; a registered mapper name
   std::int32_t clbs = 2'000;
   int runs = 1;
-  std::uint64_t seed = 1;
+  std::uint64_t seed = 1;  ///< [0, 2^53 - 1]: exact as a JSON number
   std::int64_t iterations = 20'000;
   std::int64_t warmup = 1'200;
   ScheduleKind schedule = ScheduleKind::kModifiedLam;
@@ -94,6 +98,13 @@ struct Request {
 
 /// Cache key: the compact dump of normalized_request().
 [[nodiscard]] std::string canonical_key(const Request& request);
+
+/// The one plan of a work request, for serve and the CLI alike: an explore
+/// is a one-point mapper_sweep on a `clbs`-CLB device (label "", x = clbs),
+/// a sweep its axis grid. Every point's config carries `cancel`.
+[[nodiscard]] SweepSpec plan_request(const Request& request,
+                                     const ModelSpec& model,
+                                     const CancelToken* cancel = nullptr);
 
 /// Error response line (no trailing newline). `retry_after_ms` >= 0 adds
 /// the backpressure hint field.

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "arch/architecture.hpp"
+#include "baseline/mapper.hpp"
 #include "core/report.hpp"
 #include "core/sweep_engine.hpp"
 #include "model/registry.hpp"
@@ -45,9 +45,12 @@ JsonValue counters_json(
   return doc;
 }
 
-/// True when the request's whole work — grid points (1 for an explore) x
-/// runs x batch x (iters + warmup) — exceeds `cap`. Each factor is >= 1,
-/// so comparing against cap / total before multiplying never overflows.
+/// True when the request's work, in the knobs its cache key keeps (so one
+/// key has one cost), exceeds `cap`: grid points (1 for an explore) x runs
+/// x per-run cost, which is batch x (iters + warmup) for the annealer,
+/// iters for ga, random and hill_climb, and 1 for a seed-independent
+/// mapper. Each factor is >= 1, so comparing against cap / total before
+/// multiplying never overflows.
 bool exceeds_work_cap(const Request& request, std::int64_t cap) {
   std::int64_t points = 1;
   if (request.op == RequestOp::kSweep && request.axis == "device-size") {
@@ -55,8 +58,12 @@ bool exceeds_work_cap(const Request& request, std::int64_t cap) {
   } else if (request.op == RequestOp::kSweep) {
     points = std::ssize(request.sweep_schedules());
   }
-  const std::int64_t factors[] = {points, request.runs, request.batch,
-                                  request.iterations + request.warmup};
+  const bool anneal = request.mapper == "anneal";  // a sweep's, at K = 1
+  std::int64_t per_probe = request.iterations;
+  if (anneal) per_probe += request.warmup;
+  if (mapper_is_deterministic(request.mapper)) per_probe = 1;
+  const std::int64_t factors[] = {points, request.runs,
+                                  anneal ? request.batch : 1, per_probe};
   std::int64_t total = 1;
   for (const std::int64_t factor : factors) {
     if (factor > cap / total) return true;
@@ -287,7 +294,8 @@ std::string ExplorationService::run_work_request(const Request& request,
     return make_error_response(
         "request exceeds the iteration cap (" +
         std::to_string(config_.max_iterations) +
-        "): points x runs x batch x (iters + warmup)");
+        "): points x runs x per-run cost (anneal: batch x (iters + warmup);"
+        " ga, random, hill_climb: iters; other mappers: 1)");
   }
 
   const std::string fingerprint = fnv1a64_hex(key);
@@ -393,55 +401,27 @@ std::string ExplorationService::run_work_request(const Request& request,
 JsonValue ExplorationService::execute(const Request& request,
                                       const CancelToken* cancel) const {
   const ModelSpec model = load_model_spec(request.model);
-  ExplorerConfig config;
-  config.seed = request.seed;
-  config.iterations = request.iterations;
-  config.warmup_iterations = request.warmup;
-  config.record_trace = false;
-  config.cancel = cancel;
-
-  const SweepEngine engine(config_.run_threads);
-  if (request.op == RequestOp::kExplore) {
-    // An explore is a one-point sweep of the requested mapper, the
-    // annealer included.
-    config.schedule = request.schedule;
-    config.batch = request.batch;
-    const Architecture arch = make_cpu_fpga_architecture(
-        request.clbs, model.tr_per_clb, model.bus_bytes_per_second);
-    const std::string mapper[] = {request.mapper};
-    const SweepSpec spec = mapper_sweep(mapper, arch, config, request.runs,
-                                        model.app.deadline, "", request.clbs);
-    const SweepResult batch = engine.run(model.app.graph, spec);
-    const SweepPointResult& point = batch.points.front();
-    JsonValue doc = JsonValue::object();
+  const SweepSpec spec = plan_request(request, model, cancel);
+  const SweepResult result =
+      SweepEngine(config_.run_threads).run(model.app.graph, spec);
+  if (request.op == RequestOp::kSweep) {
+    JsonValue doc = sweep_to_json(result);
     doc.set("model", model.app.name);
-    doc.set("mapper", request.mapper);
-    doc.set("clbs", static_cast<std::int64_t>(request.clbs));
-    doc.set("runs", static_cast<std::int64_t>(request.runs));
-    doc.set("deadline_ms", to_ms(model.app.deadline));
-    if (request.runs == 1) {
-      doc.set("best", metrics_payload(point.runs.front().best_metrics,
-                                      model.app.deadline));
-    } else {
-      doc.set("aggregate", aggregate_to_json(point.aggregate));
-    }
     return doc;
   }
-
-  SweepSpec spec;
-  if (request.axis == "device-size") {
-    spec = device_size_sweep(request.sweep_sizes(), model.tr_per_clb,
-                             model.bus_bytes_per_second, config,
-                             request.runs, model.app.deadline);
-  } else {
-    spec = schedule_sweep(
-        request.sweep_schedules(),
-        make_cpu_fpga_architecture(request.clbs, model.tr_per_clb,
-                                   model.bus_bytes_per_second),
-        config, request.runs, model.app.deadline);
-  }
-  JsonValue doc = sweep_to_json(engine.run(model.app.graph, spec));
+  const SweepPointResult& point = result.points.front();
+  JsonValue doc = JsonValue::object();
   doc.set("model", model.app.name);
+  doc.set("mapper", request.mapper);
+  doc.set("clbs", static_cast<std::int64_t>(request.clbs));
+  doc.set("runs", static_cast<std::int64_t>(request.runs));
+  doc.set("deadline_ms", to_ms(model.app.deadline));
+  if (request.runs == 1) {
+    doc.set("best", metrics_payload(point.runs.front().best_metrics,
+                                    model.app.deadline));
+  } else {
+    doc.set("aggregate", aggregate_to_json(point.aggregate));
+  }
   return doc;
 }
 

@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <charconv>
-#include <cstdlib>
 #include <string_view>
 
 #include "util/assert.hpp"
@@ -61,23 +60,16 @@ void Options::require_known(std::span<const std::string_view> allowed) const {
   }
 }
 
-std::optional<std::string> Options::get(const std::string& name,
-                                        const std::string& env_name) const {
+std::optional<std::string> Options::get(const std::string& name) const {
   if (const auto it = values_.find(name); it != values_.end()) {
     return it->second;
-  }
-  if (!env_name.empty()) {
-    if (const char* env = std::getenv(env_name.c_str());
-        env != nullptr && env[0] != '\0') {
-      return std::string(env);
-    }
   }
   return std::nullopt;
 }
 
-std::int64_t Options::get_int(const std::string& name, std::int64_t def,
-                              const std::string& env_name) const {
-  const auto v = get(name, env_name);
+std::int64_t Options::get_int(const std::string& name,
+                              std::int64_t def) const {
+  const auto v = get(name);
   if (!v) return def;
   // Whole-token parse: std::stoll would accept "10abc" as 10 and silently
   // run with a truncated value. from_chars also rejects leading whitespace
@@ -91,9 +83,8 @@ std::int64_t Options::get_int(const std::string& name, std::int64_t def,
   return value;
 }
 
-double Options::get_double(const std::string& name, double def,
-                           const std::string& env_name) const {
-  const auto v = get(name, env_name);
+double Options::get_double(const std::string& name, double def) const {
+  const auto v = get(name);
   if (!v) return def;
   double value = 0.0;
   const char* last = v->data() + v->size();
@@ -104,15 +95,14 @@ double Options::get_double(const std::string& name, double def,
   return value;
 }
 
-std::string Options::get_string(const std::string& name, std::string def,
-                                const std::string& env_name) const {
-  const auto v = get(name, env_name);
+std::string Options::get_string(const std::string& name,
+                                std::string def) const {
+  const auto v = get(name);
   return v ? *v : def;
 }
 
-bool Options::get_flag(const std::string& name,
-                       const std::string& env_name) const {
-  const auto v = get(name, env_name);
+bool Options::get_flag(const std::string& name) const {
+  const auto v = get(name);
   if (!v) return false;
   return *v != "0" && *v != "false" && *v != "off" && !v->empty();
 }

@@ -1,8 +1,8 @@
 #pragma once
 /// \file cli.hpp
-/// \brief Minimal command-line / environment option parsing for the example
-/// and bench binaries (`--key=value`, `--flag`; environment fallback so the
-/// bench harness can be scaled via RDSE_* variables without editing code).
+/// \brief Minimal command-line option parsing for `rdse` and the example and
+/// bench binaries (`--key=value`, `--key value`, `--flag`). Options come
+/// from the command line only: no environment variable changes what runs.
 
 #include <cstdint>
 #include <map>
@@ -29,23 +29,17 @@ class Options {
     return parse(argc, argv, {});
   }
 
-  /// Look up --name, else environment variable env_name (if non-empty),
-  /// else nothing.
-  [[nodiscard]] std::optional<std::string> get(
-      const std::string& name, const std::string& env_name = "") const;
+  /// The value of --name, or nothing when it was not given.
+  [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
 
   /// Numeric getters parse the whole token ("10abc" and "1.5x" are errors,
   /// not 10 and 1.5) and throw Error on any malformed value.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t def,
-                                     const std::string& env_name = "") const;
-  [[nodiscard]] double get_double(const std::string& name, double def,
-                                  const std::string& env_name = "") const;
+                                     std::int64_t def) const;
+  [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] std::string get_string(const std::string& name,
-                                       std::string def,
-                                       const std::string& env_name = "") const;
-  [[nodiscard]] bool get_flag(const std::string& name,
-                              const std::string& env_name = "") const;
+                                       std::string def) const;
+  [[nodiscard]] bool get_flag(const std::string& name) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

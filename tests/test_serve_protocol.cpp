@@ -1,10 +1,12 @@
 /// Tests for the serve wire protocol: strict request validation, canonical
-/// normalization (defaults explicit, irrelevant fields dropped) and the
-/// response envelopes.
+/// normalization (defaults explicit, irrelevant fields dropped), the one
+/// request-to-sweep planner and the response envelopes.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "serve/protocol.hpp"
 #include "util/assert.hpp"
@@ -75,6 +77,89 @@ TEST(ServeProtocol, MalformedRequestsAreRejected) {
   for (const char* text : bad) {
     EXPECT_THROW((void)parse(text), Error) << "input: " << text;
   }
+}
+
+TEST(ServeProtocol, SeedsAreExactAsJsonNumbers) {
+  // 2^53 - 1 is the last seed a double holds apart from its neighbours.
+  EXPECT_EQ(parse(R"({"op": "explore", "seed": 9007199254740991})").seed,
+            9'007'199'254'740'991u);
+  EXPECT_EQ(parse(R"({"op": "sweep", "seed": 0})").seed, 0u);
+  // 2^53 and 2^53 + 1 parse to the same double; both are rejected.
+  const char* over[] = {
+      R"({"op": "explore", "seed": 9007199254740992})",
+      R"({"op": "explore", "seed": 9007199254740993})",
+      R"({"op": "sweep", "seed": 9007199254740992})",
+  };
+  for (const char* text : over) {
+    EXPECT_THROW((void)parse(text), Error) << "input: " << text;
+  }
+}
+
+TEST(ServeProtocol, RejectionsNameTheFieldAndItsRange) {
+  // The same text reads right from serve and after an `rdse` command.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"op": "explore", "clbs": 0})",
+       "'clbs' must be an integer in [1, 1000000], got 0"},
+      {R"({"op": "explore", "runs": 1.5})",
+       "'runs' must be an integer in [1, 100000], got 1.5"},
+      {R"({"op": "explore", "iters": "many"})",
+       "'iters' must be an integer in [1, 1099511627776], got \"many\""},
+      {R"({"op": "explore", "batch": 1025})",
+       "'batch' must be an integer in [1, 1024], got 1025"},
+      {R"({"op": "sweep", "sizes": [400, 0]})",
+       "'sizes' must hold integers in [1, 1000000], got 0"},
+      {R"({"op": "sweep", "sizes": []})", "'sizes' must be a non-empty list"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), message) << "input: " << text;
+    }
+  }
+}
+
+TEST(ServeProtocol, PlanIsAOnePointMapperSweepOrTheAxisGrid) {
+  const ModelSpec model = load_model_spec("motion");
+  const Request ga = parse(
+      R"({"op": "explore", "mapper": "ga", "clbs": 700, "runs": 3, )"
+      R"("seed": 5, "iters": 900, "warmup": 40, "batch": 2, )"
+      R"("schedule": "greedy"})");
+  const SweepSpec explore = plan_request(ga, model);
+  EXPECT_EQ(explore.name, "mapper-bench");
+  EXPECT_EQ(explore.runs_per_point, 3);
+  EXPECT_EQ(explore.deadline, model.app.deadline);
+  ASSERT_EQ(explore.points.size(), 1u);
+  const SweepPoint& point = explore.points.front();
+  EXPECT_EQ(point.mapper, "ga");
+  EXPECT_EQ(point.label, "");
+  EXPECT_EQ(point.x, 700.0);
+  EXPECT_EQ(point.config.seed, 5u);
+  EXPECT_EQ(point.config.iterations, 900);
+  EXPECT_EQ(point.config.warmup_iterations, 40);
+  EXPECT_EQ(point.config.batch, 2);
+  EXPECT_EQ(point.config.schedule, ScheduleKind::kGreedy);
+  EXPECT_FALSE(point.config.record_trace);
+
+  const SweepSpec sizes = plan_request(parse(R"({"op": "sweep"})"), model);
+  EXPECT_EQ(sizes.name, "device-size");
+  EXPECT_EQ(sizes.runs_per_point, 5);
+  ASSERT_EQ(sizes.points.size(), std::size(kFig3DeviceSizes));
+  EXPECT_EQ(sizes.points.front().label, "100 CLBs");
+  EXPECT_EQ(sizes.points.front().config.iterations, 15'000);
+
+  const CancelToken token;
+  const Request greedy = parse(
+      R"({"op": "sweep", "axis": "schedule", "schedules": ["greedy"], )"
+      R"("clbs": 900})");
+  const SweepSpec schedules = plan_request(greedy, model, &token);
+  EXPECT_EQ(schedules.name, "schedule");
+  ASSERT_EQ(schedules.points.size(), 1u);
+  EXPECT_EQ(schedules.points.front().config.schedule, ScheduleKind::kGreedy);
+  EXPECT_EQ(schedules.points.front().config.cancel, &token);
+
+  EXPECT_THROW((void)plan_request(parse(R"({"op": "ping"})"), model), Error);
 }
 
 TEST(ServeProtocol, NormalizationMakesDefaultsExplicit) {

@@ -150,6 +150,40 @@ TEST(ExplorationService, MalformedAndOversizedRequestsAreErrors) {
   EXPECT_EQ(service.stats().cache.entries, 1u);
 }
 
+TEST(ExplorationService, WorkCapChargesOnlyWhatRuns) {
+  // A run costs what its cache key keeps: 1 for a seed-independent mapper,
+  // iters for random, batch x (iters + warmup) for the annealer.
+  ServiceConfig config = fast_config();
+  config.max_iterations = 1'000;
+  ExplorationService service(config);
+
+  const auto heft =
+      service.handle(R"({"op": "explore", "mapper": "heft", "runs": 100})");
+  EXPECT_TRUE(heft.ok) << heft.response;
+  // Its same-key spelling is the same entry, so both doors agree.
+  const auto respelled = service.handle(
+      R"({"op": "explore", "mapper": "heft", "runs": 100, "iters": 1, )"
+      R"("warmup": 0})");
+  EXPECT_EQ(as_cached(heft.response), respelled.response);
+
+  const auto random = service.handle(
+      R"({"op": "explore", "mapper": "random", "iters": 600, )"
+      R"("warmup": 1099511627776})");
+  EXPECT_TRUE(random.ok) << random.response;
+
+  const char* over[] = {
+      R"({"op": "explore", "mapper": "random", "iters": 1001})",
+      R"({"op": "explore", "mapper": "ga", "iters": 600, "runs": 2})",
+      R"({"op": "explore", "mapper": "heft", "runs": 1001})"};
+  for (const char* line : over) {
+    const auto rejected = service.handle(line);
+    EXPECT_FALSE(rejected.ok) << line;
+    EXPECT_NE(rejected.response.find("iteration cap (1000)"),
+              std::string::npos)
+        << rejected.response;
+  }
+}
+
 TEST(ExplorationService, StatusAndPingAnswerInline) {
   ExplorationService service(fast_config());
   const auto ping = service.handle(R"({"op": "ping"})");

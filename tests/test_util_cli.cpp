@@ -1,11 +1,13 @@
-/// Tests for the option parser (key=value forms, environment fallback,
-/// unknown-flag rejection, malformed values) and for the `rdse` CLI driver:
-/// subcommand dispatch, exit codes, dry-run artifact emission and report
-/// re-rendering — all exercised in process through cli::run.
+/// Tests for the option parser (key=value forms, unknown-flag rejection,
+/// malformed values) and for the `rdse` CLI driver: subcommand dispatch,
+/// exit codes, dry-run artifact emission, report re-rendering, and the run
+/// flags that serve's request parser bounds — all exercised in process
+/// through cli::run.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -14,9 +16,11 @@
 
 #include "cli/rdse_cli.hpp"
 #include "core/report.hpp"
+#include "serve/service.hpp"
 #include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/table.hpp"
 
 namespace rdse {
 namespace {
@@ -166,6 +170,14 @@ TEST(RdseCli, ExploreWithZeroRunsDoesNotCrash) {
   const CliOutcome r = run_cli({"explore", "--model", "motion", "--runs=0"});
   EXPECT_EQ(r.status, 0);
   EXPECT_NE(r.out.find("nothing to explore"), std::string::npos);
+  // Every other flag is still validated before nothing runs.
+  const CliOutcome model =
+      run_cli({"explore", "--runs=0", "--model", "teapot"});
+  EXPECT_EQ(model.status, 1);
+  EXPECT_NE(model.err.find("unknown model 'teapot'"), std::string::npos);
+  const CliOutcome clbs = run_cli({"explore", "--runs=0", "--clbs=0"});
+  EXPECT_EQ(clbs.status, 1);
+  EXPECT_NE(clbs.err.find("'clbs' must be"), std::string::npos);
 }
 
 TEST(RdseCli, ExploreAggregatesRepeatedRuns) {
@@ -460,6 +472,153 @@ TEST(RdseCli, ArtifactShortWriteIsReportedNotSwallowed) {
   EXPECT_EQ(r.status, 1);
   EXPECT_NE(r.err.find("failed writing '/dev/full'"), std::string::npos);
   EXPECT_EQ(r.out.find("wrote /dev/full"), std::string::npos);
+}
+
+// ------------------------------------------- one request parser, two doors
+
+JsonValue read_json(const std::string& path) {
+  std::ifstream file(path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return JsonValue::parse(buffer.str());
+}
+
+/// The `result` payload serve answers `line` with.
+JsonValue serve_payload(const std::string& line) {
+  serve::ExplorationService service;
+  const auto handled = service.handle(line);
+  EXPECT_TRUE(handled.ok) << handled.response;
+  return JsonValue::parse(handled.response).at("result");
+}
+
+TEST(RdseCli, RunFlagsOutsideTheRequestBoundsNameTheirField) {
+  // A narrowing cast would run each as a value nobody typed (2000 CLBs,
+  // 2 runs, K = 2, seed ffffffffffffffff); the request bounds reject them.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--clbs=4294969296", "'clbs' must be an integer in [1, 1000000]"},
+      {"--runs=4294967298", "'runs' must be an integer in [1, 100000]"},
+      {"--batch=4294967298", "'batch' must be an integer in [1, 1024]"},
+      {"--seed=-1", "'seed' must be an integer in [0, 9007199254740991]"},
+  };
+  for (const auto& [flag, message] : cases) {
+    const CliOutcome r =
+        run_cli({"explore", flag, "--iters=300", "--warmup=60", "--quiet"});
+    EXPECT_EQ(r.status, 1) << flag;
+    EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+  }
+  // Zero runs or iterations plan nothing to measure: --dry-run plans.
+  const CliOutcome runs = run_cli({"sweep", "--runs=0", "--quiet"});
+  EXPECT_EQ(runs.status, 1);
+  EXPECT_NE(runs.err.find("'runs' must be"), std::string::npos) << runs.err;
+  const CliOutcome iters = run_cli({"sweep", "--iters=0", "--dry-run"});
+  EXPECT_EQ(iters.status, 1);
+  EXPECT_NE(iters.err.find("'iters' must be"), std::string::npos);
+}
+
+TEST(RdseCli, SeedsStopAtTwoToThe53) {
+  // 2^53 is the first seed a JSON number cannot keep apart from its
+  // neighbour; the CLI sends its flags through the same parser.
+  const CliOutcome top =
+      run_cli({"explore", "--seed=9007199254740991", "--iters=300",
+               "--warmup=60", "--quiet"});
+  EXPECT_EQ(top.status, 0) << top.err;
+  const CliOutcome over =
+      run_cli({"explore", "--seed=9007199254740992", "--iters=300",
+               "--warmup=60", "--quiet"});
+  EXPECT_EQ(over.status, 1);
+  EXPECT_NE(over.err.find("'seed' must be an integer in "
+                          "[0, 9007199254740991], got 9007199254740992"),
+            std::string::npos)
+      << over.err;
+}
+
+TEST(RdseCli, EnvironmentVariablesDoNotChangeTheRun) {
+  const std::string plain = temp_path("rdse-cli-env-plain.json");
+  const std::string with_env = temp_path("rdse-cli-env-set.json");
+  ASSERT_EQ(run_cli({"explore", "--quiet", "--json", plain.c_str()}).status,
+            0);
+  ::setenv("RDSE_ITERS", "50", 1);
+  ::setenv("RDSE_SEED", "9", 1);
+  ::setenv("RDSE_MODEL", "synthetic:30", 1);
+  const CliOutcome r = run_cli({"explore", "--quiet", "--json",
+                                with_env.c_str()});
+  ::unsetenv("RDSE_ITERS");
+  ::unsetenv("RDSE_SEED");
+  ::unsetenv("RDSE_MODEL");
+  ASSERT_EQ(r.status, 0) << r.err;
+  EXPECT_EQ(read_json(with_env).dump(), read_json(plain).dump());
+}
+
+TEST(RdseCli, ThreadAndWorkerCountsMustFitUnsigned) {
+  // Stored as unsigned, -1 and 2^32 + 1 would wrap to 4294967295 and 1.
+  const CliOutcome explore = run_cli({"explore", "--runs=2", "--threads=-1",
+                                      "--iters=300", "--warmup=60"});
+  EXPECT_EQ(explore.status, 1);
+  EXPECT_NE(explore.err.find("option --threads: need an integer in "
+                             "[0, 4294967295], got -1"),
+            std::string::npos)
+      << explore.err;
+  const CliOutcome sweep =
+      run_cli({"sweep", "--threads=4294967296", "--dry-run", "--quiet"});
+  EXPECT_EQ(sweep.status, 1);
+  EXPECT_NE(sweep.err.find("option --threads"), std::string::npos);
+  const CliOutcome bench = run_cli({"bench", "--mappers=heft", "--runs=1",
+                                    "--threads=-1", "--quiet"});
+  EXPECT_EQ(bench.status, 1);
+  EXPECT_NE(bench.err.find("option --threads"), std::string::npos);
+  // The socket's directory does not exist, so a daemon that got past its
+  // flags would fail at bind instead of starting.
+  const std::string socket = temp_path("no-such-dir/rdse.sock");
+  const std::pair<const char*, const char*> serve_cases[] = {
+      {"--workers=4294967297", "option --workers: need an integer"},
+      {"--run-threads=4294967297", "option --run-threads: need an integer"},
+  };
+  for (const auto& [flag, message] : serve_cases) {
+    const CliOutcome serve = run_cli({"serve", "--socket", socket.c_str(),
+                                      flag, "--quiet"});
+    EXPECT_EQ(serve.status, 1) << flag;
+    EXPECT_NE(serve.err.find(message), std::string::npos) << serve.err;
+  }
+}
+
+TEST(RdseCli, SweepArtifactIsServesSweepPayload) {
+  const std::string path = temp_path("rdse-cli-sweep-vs-serve.json");
+  const CliOutcome r = run_cli(
+      {"sweep", "--sizes", "400,800", "--runs", "2", "--iters", "400",
+       "--warmup", "80", "--quiet", "--json", path.c_str()});
+  ASSERT_EQ(r.status, 0) << r.err;
+  const JsonValue artifact = read_json(path);
+  const JsonValue payload = serve_payload(
+      R"({"op": "sweep", "sizes": [400, 800], "runs": 2, "iters": 400, )"
+      R"("warmup": 80})");
+  // The artifact is the payload plus its trailing "dry_run" flag.
+  JsonValue without_flag = JsonValue::object();
+  for (const auto& [key, value] : artifact.members()) {
+    if (key != "dry_run") without_flag.set(key, value);
+  }
+  EXPECT_FALSE(artifact.at("dry_run").as_bool());
+  EXPECT_EQ(without_flag.dump(), payload.dump());
+}
+
+TEST(RdseCli, ExploreRunsTablePrintsServesAggregate) {
+  const CliOutcome r =
+      run_cli({"explore", "--runs=3", "--iters=400", "--warmup=80"});
+  ASSERT_EQ(r.status, 0) << r.err;
+  const JsonValue agg =
+      serve_payload(R"({"op": "explore", "runs": 3, "iters": 400, )"
+                    R"("warmup": 80})")
+          .at("aggregate");
+  Table table({"runs", "mean ms", "sd", "best ms", "worst ms", "contexts",
+               "hit rate"});
+  table.row().cell(agg.at("runs").as_int());
+  for (const char* field :
+       {"mean_makespan_ms", "stddev_makespan_ms", "best_makespan_ms",
+        "worst_makespan_ms", "mean_contexts", "deadline_hit_rate"}) {
+    table.cell(agg.at(field).as_number(), 2);
+  }
+  std::ostringstream expected;
+  table.print(expected, "3 runs of motion_detection on 2000 CLBs");
+  EXPECT_EQ(r.out, expected.str());
 }
 
 // ------------------------------------------------- rdse serve/request flags

@@ -167,22 +167,6 @@ TEST(Options, DefaultsWhenAbsent) {
   EXPECT_FALSE(o.get_flag("missing"));
 }
 
-TEST(Options, EnvFallback) {
-  ::setenv("RDSE_TEST_OPT", "123", 1);
-  const char* argv[] = {"prog"};
-  const Options o = Options::parse(1, argv);
-  EXPECT_EQ(o.get_int("whatever", 0, "RDSE_TEST_OPT"), 123);
-  ::unsetenv("RDSE_TEST_OPT");
-}
-
-TEST(Options, CommandLineBeatsEnv) {
-  ::setenv("RDSE_TEST_OPT2", "5", 1);
-  const char* argv[] = {"prog", "--n=9"};
-  const Options o = Options::parse(2, argv);
-  EXPECT_EQ(o.get_int("n", 0, "RDSE_TEST_OPT2"), 9);
-  ::unsetenv("RDSE_TEST_OPT2");
-}
-
 TEST(Options, BadIntegerThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   const Options o = Options::parse(2, argv);

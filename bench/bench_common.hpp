@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -35,10 +36,12 @@ inline Scale parse_scale(int argc, char** argv, int default_runs = 20,
   const Options opts = Options::parse(argc, argv, kBoolFlags);
   Scale s;
   s.full = opts.get_flag("full");
-  s.runs = static_cast<int>(opts.get_int("runs", s.full ? 100 : default_runs));
+  s.runs = static_cast<int>(opts.get_int_in(
+      "runs", s.full ? 100 : default_runs, 1, std::numeric_limits<int>::max()));
   s.iters = opts.get_int("iters", default_iters);
   s.warmup = opts.get_int("warmup", 1'200);
-  s.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  s.seed = static_cast<std::uint64_t>(
+      opts.get_int_in("seed", 1, 0, std::numeric_limits<std::int64_t>::max()));
   return s;
 }
 

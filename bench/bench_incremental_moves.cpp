@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -320,8 +321,10 @@ void write_json(const std::string& path, std::int64_t moves,
 static int run_bench(int argc, char** argv) {
   const Options opts = Options::parse(argc, argv);
   const std::int64_t moves = opts.get_int("moves", 20'000);
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  const int repeats = static_cast<int>(opts.get_int("repeat", 3));
+  const auto seed = static_cast<std::uint64_t>(
+      opts.get_int_in("seed", 1, 0, std::numeric_limits<std::int64_t>::max()));
+  const int repeats = static_cast<int>(
+      opts.get_int_in("repeat", 3, 1, std::numeric_limits<int>::max()));
   const std::string json = opts.get_string("json", "");
 
   std::vector<ModelReport> reports;

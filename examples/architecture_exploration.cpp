@@ -8,6 +8,7 @@
 /// Usage: architecture_exploration [--seed N] [--iters N]
 
 #include <iostream>
+#include <limits>
 
 #include "core/explorer.hpp"
 #include "core/report.hpp"
@@ -17,7 +18,8 @@
 int main(int argc, char** argv) {
   using namespace rdse;
   const Options opts = Options::parse(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 7));
+  const auto seed = static_cast<std::uint64_t>(
+      opts.get_int_in("seed", 7, 0, std::numeric_limits<std::int64_t>::max()));
   const std::int64_t iters = opts.get_int("iters", 25'000);
 
   const Application app = make_motion_detection_app();

@@ -9,6 +9,7 @@
 /// Usage: device_sizing [--runs N] [--iters N] [--threads N]
 
 #include <iostream>
+#include <limits>
 
 #include "core/report.hpp"
 #include "core/sweep_engine.hpp"
@@ -18,9 +19,11 @@
 int main(int argc, char** argv) {
   using namespace rdse;
   const Options opts = Options::parse(argc, argv);
-  const int runs = static_cast<int>(opts.get_int("runs", 5));
+  const int runs = static_cast<int>(
+      opts.get_int_in("runs", 5, 1, std::numeric_limits<int>::max()));
   const std::int64_t iters = opts.get_int("iters", 8'000);
-  const auto threads = static_cast<unsigned>(opts.get_int("threads", 0));
+  const auto threads = static_cast<unsigned>(
+      opts.get_int_in("threads", 0, 0, std::numeric_limits<unsigned>::max()));
 
   const Application app = make_motion_detection_app();
   const std::int32_t sizes[] = {200, 400, 600, 800, 1200, 2000, 4000};

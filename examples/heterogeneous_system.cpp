@@ -13,6 +13,7 @@
 /// Usage: heterogeneous_system [--seed N] [--iters N] [--threads N]
 
 #include <iostream>
+#include <limits>
 
 #include "core/report.hpp"
 #include "core/sweep_engine.hpp"
@@ -23,9 +24,11 @@
 int main(int argc, char** argv) {
   using namespace rdse;
   const Options opts = Options::parse(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 5));
+  const auto seed = static_cast<std::uint64_t>(
+      opts.get_int_in("seed", 5, 0, std::numeric_limits<std::int64_t>::max()));
   const std::int64_t iters = opts.get_int("iters", 15'000);
-  const auto threads = static_cast<unsigned>(opts.get_int("threads", 0));
+  const auto threads = static_cast<unsigned>(
+      opts.get_int_in("threads", 0, 0, std::numeric_limits<unsigned>::max()));
 
   const Application app = make_motion_detection_app();
 

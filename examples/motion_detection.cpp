@@ -7,6 +7,7 @@
 /// Usage: motion_detection [--seed N] [--iters N] [--clbs N] [--csv]
 
 #include <iostream>
+#include <limits>
 
 #include "core/explorer.hpp"
 #include "core/report.hpp"
@@ -18,9 +19,11 @@ int main(int argc, char** argv) {
   using namespace rdse;
   static constexpr std::string_view kBoolFlags[] = {"csv"};
   const Options opts = Options::parse(argc, argv, kBoolFlags);
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 3));
+  const auto seed = static_cast<std::uint64_t>(
+      opts.get_int_in("seed", 3, 0, std::numeric_limits<std::int64_t>::max()));
   const std::int64_t iters = opts.get_int("iters", 20'000);
-  const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2000));
+  const auto clbs = static_cast<std::int32_t>(opts.get_int_in(
+      "clbs", 2000, 1, std::numeric_limits<std::int32_t>::max()));
 
   const Application app = make_motion_detection_app();
   Architecture arch = make_cpu_fpga_architecture(

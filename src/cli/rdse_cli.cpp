@@ -213,12 +213,8 @@ JsonValue request_document(const Options& opts, const char* op) {
 /// fit is an error, not a wrap (4294967297 workers would start one).
 unsigned unsigned_flag(const Options& opts, const std::string& name,
                        std::int64_t def) {
-  constexpr std::int64_t kMax = std::numeric_limits<unsigned>::max();
-  const std::int64_t value = opts.get_int(name, def);
-  RDSE_REQUIRE(value >= 0 && value <= kMax,
-               "option --" + name + ": need an integer in [0, " +
-                   std::to_string(kMax) + "], got " + std::to_string(value));
-  return static_cast<unsigned>(value);
+  return static_cast<unsigned>(
+      opts.get_int_in(name, def, 0, std::numeric_limits<unsigned>::max()));
 }
 
 /// explore/sweep take no positional operands; a stray token is usually a

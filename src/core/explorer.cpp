@@ -13,17 +13,18 @@ Explorer::Explorer(const TaskGraph& tg, Architecture arch)
   tg.validate();
   RDSE_REQUIRE(!arch_.processor_ids().empty(),
                "Explorer: architecture needs at least one processor");
+  all_software_ = Solution::all_software(tg, arch_.processor_ids().front());
 }
 
 Solution Explorer::initial_solution(InitKind kind, Rng& rng) const {
   const ResourceId proc = arch_.processor_ids().front();
   switch (kind) {
     case InitKind::kAllSoftware:
-      return Solution::all_software(*tg_, proc);
+      return all_software_;
     case InitKind::kRandomPartition: {
       const auto rcs = arch_.reconfigurable_ids();
       if (rcs.empty()) {
-        return Solution::all_software(*tg_, proc);
+        return all_software_;
       }
       return Solution::random_partition(*tg_, arch_, proc, rcs.front(), rng);
     }

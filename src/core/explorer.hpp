@@ -82,11 +82,14 @@ class Explorer {
   [[nodiscard]] const Architecture& architecture() const { return arch_; }
 
   /// Build the configured initial solution (exposed for tests/examples).
+  /// The all-software start draws no random number, so it is built once,
+  /// with the explorer, and every run and replica gets a copy.
   [[nodiscard]] Solution initial_solution(InitKind kind, Rng& rng) const;
 
  private:
   const TaskGraph* tg_;
   Architecture arch_;
+  Solution all_software_{0};
 };
 
 }  // namespace rdse

@@ -89,6 +89,11 @@ class DseProblem final : public AnnealProblem {
     if (!inc_) return std::nullopt;
     return inc_->stats();
   }
+  /// The incremental evaluator, for inspection (tests); nullptr when
+  /// running with full_eval.
+  [[nodiscard]] const IncrementalEvaluator* incremental_evaluator() const {
+    return inc_.get();
+  }
   /// Toggle the incremental evaluator's per-phase micro-profile (no-op in
   /// full_eval mode); see IncrementalEvalStats::profile_*_ns.
   void set_incremental_profile(bool on) {

@@ -13,12 +13,23 @@ NodeId Digraph::add_node() {
   return static_cast<NodeId>(out_.size() - 1);
 }
 
-void Digraph::reserve_edges(std::size_t edges) {
-  edges_.reserve(edges);
-  weight_.reserve(edges);
-  state_.reserve(edges);
-  out_pos_.reserve(edges);
-  in_pos_.reserve(edges);
+Digraph Digraph::parked_copy(const Digraph& source, std::size_t edge_room) {
+  RDSE_REQUIRE(source.free_.empty(),
+               "Digraph::parked_copy: source has removed edges");
+  Digraph g(source.node_count());
+  const std::size_t ids = source.edges_.size();
+  const std::size_t room = std::max(edge_room, ids);
+  g.edges_.reserve(room);
+  g.edges_.assign(source.edges_.begin(), source.edges_.end());
+  g.weight_.reserve(room);
+  g.weight_.assign(source.weight_.begin(), source.weight_.end());
+  g.state_.reserve(room);
+  g.state_.assign(ids, EdgeState::kParked);
+  g.out_pos_.reserve(room);
+  g.out_pos_.assign(ids, 0);
+  g.in_pos_.reserve(room);
+  g.in_pos_.assign(ids, 0);
+  return g;
 }
 
 void Digraph::reserve_degree(NodeId node, std::size_t out, std::size_t in) {
@@ -28,8 +39,7 @@ void Digraph::reserve_degree(NodeId node, std::size_t out, std::size_t in) {
   in_[node].reserve(in);
 }
 
-EdgeId Digraph::allocate_edge(NodeId src, NodeId dst, TimeNs weight,
-                              EdgeState state) {
+EdgeId Digraph::add_edge(NodeId src, NodeId dst, TimeNs weight) {
   RDSE_REQUIRE(src < node_count() && dst < node_count(),
                "Digraph::add_edge: node id out of range");
   RDSE_REQUIRE(src != dst, "Digraph::add_edge: self loops are not allowed");
@@ -39,26 +49,17 @@ EdgeId Digraph::allocate_edge(NodeId src, NodeId dst, TimeNs weight,
     free_.pop_back();
     edges_[id] = Edge{src, dst};
     weight_[id] = weight;
-    state_[id] = state;
+    state_[id] = EdgeState::kLive;
   } else {
     id = static_cast<EdgeId>(edges_.size());
     edges_.push_back(Edge{src, dst});
     weight_.push_back(weight);
-    state_.push_back(state);
+    state_.push_back(EdgeState::kLive);
     out_pos_.push_back(0);
     in_pos_.push_back(0);
   }
-  return id;
-}
-
-EdgeId Digraph::add_edge(NodeId src, NodeId dst, TimeNs weight) {
-  const EdgeId id = allocate_edge(src, dst, weight, EdgeState::kLive);
   attach(id);
   return id;
-}
-
-EdgeId Digraph::add_parked_edge(NodeId src, NodeId dst, TimeNs weight) {
-  return allocate_edge(src, dst, weight, EdgeState::kParked);
 }
 
 void Digraph::attach(EdgeId edge) {

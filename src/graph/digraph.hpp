@@ -26,9 +26,10 @@
 /// removed edge, but its id stays reserved (never handed out again by
 /// `add_edge`) together with its endpoints and weight, so `unpark_edge`
 /// re-attaches it under the same id. A parked edge is not live: traversals,
-/// `edge_count()` and `edge()` do not see it. `add_parked_edge` inserts an
-/// edge parked from the start. The incremental evaluator parks the
-/// communication edges a processor's total order already implies.
+/// `edge_count()` and `edge()` do not see it. `parked_copy` builds a graph
+/// whose edges all start parked, in one bulk step. The incremental
+/// evaluator parks the communication edges a processor's total order
+/// already implies.
 
 #include <cstdint>
 #include <span>
@@ -64,12 +65,18 @@ class Digraph {
   Digraph() = default;
   explicit Digraph(std::size_t node_count);
 
+  /// A graph on `source`'s nodes holding every edge of `source` parked
+  /// under the same id, with its endpoints and weight, in one bulk copy:
+  /// nothing is attached and no id is free, so `unpark_edge` attaches an
+  /// edge with the weight it was copied with and `add_edge` hands out ids
+  /// after the copied ones. Per-edge storage is reserved for `edge_room`
+  /// ids, so adding edges up to that many ids never reallocates it.
+  /// `source` must have no removed edges.
+  [[nodiscard]] static Digraph parked_copy(const Digraph& source,
+                                           std::size_t edge_room);
+
   /// Append a node, returning its id (ids are dense, 0..node_count-1).
   NodeId add_node();
-
-  /// Reserve per-edge storage for `edges` edge ids (a builder that knows
-  /// its edge count allocates once instead of growing).
-  void reserve_edges(std::size_t edges);
 
   /// Reserve adjacency room for `out` outgoing and `in` incoming live edges
   /// of `node`: attaching up to that many never reallocates.
@@ -85,12 +92,6 @@ class Digraph {
   /// (the search graph may stack a communication edge and a
   /// sequentialization edge on the same node pair). Self-loops are rejected.
   EdgeId add_edge(NodeId src, NodeId dst, TimeNs weight = 0);
-
-  /// Insert an edge src -> dst straight into the parked state: its id is
-  /// allocated as add_edge allocates one and keeps the endpoints and
-  /// weight, but nothing is attached until unpark_edge — O(1). Builds a
-  /// sparse graph without attaching edges only to park them again.
-  EdgeId add_parked_edge(NodeId src, NodeId dst, TimeNs weight = 0);
 
   /// Remove a live edge by id — O(1) via the per-edge back-index
   /// (swap-and-pop in both adjacency arrays).
@@ -183,10 +184,6 @@ class Digraph {
  private:
   enum class EdgeState : std::uint8_t { kFree, kLive, kParked };
 
-  /// Allocate an id for src -> dst (recycled from the free list if any)
-  /// in `state`, without attaching it.
-  EdgeId allocate_edge(NodeId src, NodeId dst, TimeNs weight,
-                       EdgeState state);
   /// Append `edge`'s half-edge records (and back-indexes) to both
   /// adjacency arrays; the edge counts as live from here on.
   void attach(EdgeId edge);

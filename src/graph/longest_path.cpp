@@ -15,6 +15,14 @@ TimeNs release_of(const WeightedDag& dag, NodeId v) {
 
 LongestPathResult longest_path(const WeightedDag& dag) {
   RDSE_REQUIRE(dag.graph != nullptr, "longest_path: null graph");
+  const auto order = topological_order(*dag.graph);
+  RDSE_REQUIRE(order.has_value(), "longest_path: graph is cyclic");
+  return longest_path(dag, *order);
+}
+
+LongestPathResult longest_path(const WeightedDag& dag,
+                               std::span<const NodeId> order) {
+  RDSE_REQUIRE(dag.graph != nullptr, "longest_path: null graph");
   const Digraph& g = *dag.graph;
   RDSE_REQUIRE(dag.node_weight.size() == g.node_count(),
                "longest_path: node_weight size mismatch");
@@ -22,14 +30,13 @@ LongestPathResult longest_path(const WeightedDag& dag) {
                "longest_path: edge_weight size mismatch");
   RDSE_REQUIRE(dag.release.empty() || dag.release.size() == g.node_count(),
                "longest_path: release size mismatch");
-
-  const auto order = topological_order(g);
-  RDSE_REQUIRE(order.has_value(), "longest_path: graph is cyclic");
+  RDSE_REQUIRE(order.size() == g.node_count(),
+               "longest_path: order size mismatch");
 
   LongestPathResult r;
   r.start.assign(g.node_count(), 0);
   r.finish.assign(g.node_count(), 0);
-  for (NodeId v : *order) {
+  for (NodeId v : order) {
     TimeNs s = release_of(dag, v);
     for (const HalfEdge& h : g.in_half(v)) {
       s = std::max(s, r.finish[h.node] + dag.edge_weight[h.edge]);

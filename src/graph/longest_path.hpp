@@ -48,6 +48,12 @@ struct WeightedDag {
 /// Full forward evaluation. Throws rdse::Error if the graph is cyclic.
 [[nodiscard]] LongestPathResult longest_path(const WeightedDag& dag);
 
+/// The same forward pass in `order`, a topological order of the graph that
+/// the caller has already computed (its cycle verdict), so the graph is
+/// not sorted twice.
+[[nodiscard]] LongestPathResult longest_path(const WeightedDag& dag,
+                                             std::span<const NodeId> order);
+
 /// Extract one critical path (node sequence from a source to the critical
 /// sink) from a completed evaluation.
 [[nodiscard]] std::vector<NodeId> critical_path(const WeightedDag& dag,

@@ -24,12 +24,12 @@
 /// move layer treats as infeasible.
 ///
 /// The builder always emits the full G'. The incremental evaluator builds
-/// a sparse copy (sched/incremental_eval.hpp): each communication edge
-/// between two tasks on the same processor is added straight into the
-/// parked state (Digraph::add_parked_edge), never attached. The processor's
-/// Esw chain already orders such a pair, so the sparse copy has the same
-/// longest path and the same feasibility as long as every parked edge runs
-/// forward in the order. Both realizations share begin_search_graph and
+/// a sparse copy (sched/incremental_eval.hpp): it copies the application
+/// edges in parked (Digraph::parked_copy) and attaches only those whose
+/// endpoints do not share a processor. The processor's Esw chain already
+/// orders such a pair, so the sparse copy has the same longest path and
+/// the same feasibility as long as every parked edge runs forward in the
+/// order. Both realizations share begin_search_graph and
 /// add_sequentialization_edges; only the application-edge pass differs.
 
 #include <cstdint>

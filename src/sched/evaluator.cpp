@@ -39,13 +39,14 @@ std::optional<EvalDetail> Evaluator::evaluate_detailed(
     const Solution& sol) const {
   EvalDetail d;
   d.search_graph = build_search_graph(*tg_, *arch_, sol);
-  if (!is_acyclic(d.search_graph.graph)) {
+  const auto order = topological_order(d.search_graph.graph);
+  if (!order.has_value()) {
     return std::nullopt;
   }
   const WeightedDag dag{&d.search_graph.graph, d.search_graph.node_weight,
                         d.search_graph.graph.edge_weights(),
                         d.search_graph.release};
-  d.lp = longest_path(dag);
+  d.lp = longest_path(dag, *order);
   d.metrics.makespan = d.lp.makespan;
   fill_static_metrics(*tg_, *arch_, sol, d.search_graph, d.metrics);
   return d;

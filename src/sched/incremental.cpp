@@ -35,27 +35,30 @@ MaxMultiplicity max_and_multiplicity(std::span<const TimeNs> finish) {
 
 // ---- DeltaRelaxer ----------------------------------------------------------
 
-void DeltaRelaxer::reset(const WeightedDag& dag) {
-  const LongestPathResult r = longest_path(dag);  // throws if cyclic
-  start_ = r.start;
-  finish_ = r.finish;
+bool DeltaRelaxer::reset(const WeightedDag& dag) {
+  // One sort is the cycle verdict, the ranks and the first relaxation's
+  // order.
+  std::optional<std::vector<NodeId>> order = topological_order(*dag.graph);
+  if (!order.has_value()) return false;
+  LongestPathResult r = longest_path(dag, *order);
+  start_ = std::move(r.start);
+  finish_ = std::move(r.finish);
   const MaxMultiplicity m = max_and_multiplicity(finish_);
   RDSE_ASSERT(m.max == r.makespan);
   makespan_ = m.max;
   count_at_max_ = m.count;
 
-  const auto order = topological_order(*dag.graph);
-  RDSE_ASSERT(order.has_value());
-  order_ = *order;
-  rank_.assign(dag.graph->node_count(), 0);
-  for (std::size_t i = 0; i < order->size(); ++i) {
-    rank_[(*order)[i]] = static_cast<std::uint32_t>(i);
+  order_ = std::move(*order);
+  rank_.assign(order_.size(), 0);
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    rank_[order_[i]] = static_cast<std::uint32_t>(i);
   }
 
   journal_.clear();
   rank_journal_.clear();
   order_journal_.clear();
   probe_valid_ = false;
+  return true;
 }
 
 void DeltaRelaxer::rollback_ranks() {

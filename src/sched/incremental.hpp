@@ -122,9 +122,11 @@ struct DeltaRelaxStats {
 /// (asserted via the journal/scratch capacity watermarks in tests).
 class DeltaRelaxer {
  public:
-  /// Bind to the initial committed snapshot (full relaxation; the graph must
-  /// be acyclic).
-  void reset(const WeightedDag& dag);
+  /// Bind to the initial committed snapshot: one topological sort of the
+  /// graph gives the cycle verdict, the ranks and the order of the full
+  /// relaxation. Returns false, leaving the relaxer as it was, when the
+  /// graph is cyclic. The relaxer keeps no reference to `dag`.
+  [[nodiscard]] bool reset(const WeightedDag& dag);
 
   /// Evaluate the edited graph against the committed fixed point.
   ///  - `seeds`: every node whose local relaxation inputs changed (release,

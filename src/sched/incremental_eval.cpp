@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "graph/topo.hpp"
 #include "util/assert.hpp"
 
 namespace rdse {
@@ -16,8 +15,15 @@ std::optional<Metrics> IncrementalEvaluator::reset(const Architecture& arch,
   SearchGraph next;
   begin_search_graph(next, *tg_, arch, sol);
   const Digraph& app = tg_->digraph();
-  next.graph = Digraph(tg_->task_count());
-  next.graph.reserve_edges(tg_->comm_count() + tg_->task_count());
+  // Application edges keep their TaskGraph ids and start parked, copied in
+  // bulk. Past them, room for two sequentialization edges per task: at
+  // most one Esw edge per task, and as many Ehw edges again, which covers
+  // what annealing runs from the all-software start add. The edge table
+  // is then allocated once per reset instead of doubling partway through
+  // a run (a state with more Ehw edges still grows it as it needs).
+  const std::size_t edge_room = tg_->comm_count() + 2 * tg_->task_count();
+  next.graph = Digraph::parked_copy(app, edge_room);
+  next.edge_kind.reserve(edge_room);
   // Adjacency room for every application edge plus one Esw edge each way,
   // so a move that unparks an edge attaches it without reallocating.
   for (TaskId t = 0; t < tg_->task_count(); ++t) {
@@ -31,11 +37,12 @@ std::optional<Metrics> IncrementalEvaluator::reset(const Architecture& arch,
                      : 0;
   }
 
-  // Application edges keep their TaskGraph ids. One between two tasks on
-  // one processor goes straight into the parked state: the zero-weight Esw
-  // chain orders the pair, so the edge never raises a start time, and G' is
-  // acyclic iff the sparse graph is and every parked edge runs forward.
-  // Each bus transfer time is computed once, for the weight and the memo.
+  // An application edge between two tasks on one processor stays parked:
+  // the zero-weight Esw chain orders the pair, so the edge never raises a
+  // start time, and G' is acyclic iff the sparse graph is and every parked
+  // edge runs forward. Every other edge is attached, in id order, with its
+  // weight. Each bus transfer time is computed once, for the weight and
+  // the memo.
   std::vector<TimeNs> bus_time(tg_->comm_count());
   std::int64_t parked = 0;
   for (EdgeId e = 0; e < tg_->comm_count(); ++e) {
@@ -46,18 +53,20 @@ std::optional<Metrics> IncrementalEvaluator::reset(const Architecture& arch,
       if (sol.order_position(c.src) > sol.order_position(c.dst)) {
         return std::nullopt;  // runs backwards: a cycle through the chain
       }
-      next.graph.add_parked_edge(c.src, c.dst);
       ++parked;
     } else {
       const TimeNs w = co_located(sol, c.src, c.dst) ? 0 : bus_time[e];
-      next.graph.add_edge(c.src, c.dst, w);
+      next.graph.unpark_edge(e);
+      next.graph.set_edge_weight(e, w);
       next.comm_cross += w;
     }
   }
   SearchGraphCache realized;
   realized.begin_build();
   add_sequentialization_edges(next, *tg_, arch, sol, &realized);
-  if (!is_acyclic(next.graph)) return std::nullopt;
+  const WeightedDag dag{&next.graph, next.node_weight,
+                        next.graph.edge_weights(), next.release};
+  if (!relaxer_.reset(dag)) return std::nullopt;
 
   // ---- acyclic: adopt the state ------------------------------------------
   sg_ = std::move(next);
@@ -66,9 +75,6 @@ std::optional<Metrics> IncrementalEvaluator::reset(const Architecture& arch,
   bus_time_.swap(bus_time);
   task_on_proc_.swap(on_proc);
   comm_parked_ = parked;
-  const WeightedDag dag{&sg_.graph, sg_.node_weight,
-                        sg_.graph.edge_weights(), sg_.release};
-  relaxer_.reset(dag);
 
   // Index the sequentialization edges: an Esw edge is its endpoints'
   // links, an Ehw edge joins its source RC's list. They follow the

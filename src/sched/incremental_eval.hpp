@@ -12,10 +12,12 @@
 ///    zero-weight Esw chain already orders such a pair, so the edge can
 ///    never raise a start time, and G' is acyclic iff the sparse graph is
 ///    and every parked edge runs forward in its processor's order. reset()
-///    builds this graph directly in one pass, reserving those edges parked
-///    (Digraph::add_parked_edge), and is the start's cycle verdict.
-///    Staging a moved task parks, unparks or re-weights its communication
-///    edges;
+///    builds this graph in bulk: the application edges are copied in
+///    parked under their own ids (Digraph::parked_copy) with room for the
+///    run's sequentialization edges, the edges that cross processors are
+///    attached in id order, and one topological sort is the start's cycle
+///    verdict, the relaxer's ranks and its first relaxation. Staging a
+///    moved task parks, unparks or re-weights its communication edges;
 ///  - the committed search graph is edited in place — node weights and
 ///    communication-edge weights of the moved tasks are updated, and only
 ///    the sequentialization edges (Esw/Ehw) and release times the move can
@@ -109,13 +111,15 @@ class IncrementalEvaluator {
 
   /// Re-synchronize with a new committed state (initial solution, or an
   /// external replacement such as replica exchange) in one pass, and return
-  /// its metrics, equal to Evaluator::evaluate's. The sparse graph is built
-  /// directly: application edges keep their TaskGraph ids, and one whose
-  /// endpoints share a processor is reserved straight into the parked state
-  /// after an order check. This realization is also the state's cycle
-  /// verdict: on a cyclic state (a parked edge running backwards, or a
-  /// cyclic sparse graph) it returns std::nullopt and leaves the evaluator
-  /// exactly as it was. The state must pass validate_structure
+  /// its metrics, equal to Evaluator::evaluate's. The sparse graph starts
+  /// as a parked copy of the application graph (every edge keeps its
+  /// TaskGraph id), with edge room for two sequentialization edges per
+  /// task beyond it, so a run does not regrow the edge table; an edge whose
+  /// endpoints share a processor stays parked after an order check, and
+  /// every other one is attached. This realization is also the state's
+  /// cycle verdict: on a cyclic state (a parked edge running backwards, or
+  /// a cyclic sparse graph) it returns std::nullopt and leaves the
+  /// evaluator exactly as it was. The state must pass validate_structure
   /// (mapping/validation.hpp).
   [[nodiscard]] std::optional<Metrics> reset(const Architecture& arch,
                                              const Solution& sol);

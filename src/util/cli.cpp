@@ -83,6 +83,16 @@ std::int64_t Options::get_int(const std::string& name,
   return value;
 }
 
+std::int64_t Options::get_int_in(const std::string& name, std::int64_t def,
+                                 std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t value = get_int(name, def);
+  RDSE_REQUIRE(value >= lo && value <= hi,
+               "option --" + name + ": need an integer in [" +
+                   std::to_string(lo) + ", " + std::to_string(hi) +
+                   "], got " + std::to_string(value));
+  return value;
+}
+
 double Options::get_double(const std::string& name, double def) const {
   const auto v = get(name);
   if (!v) return def;

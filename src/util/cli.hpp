@@ -36,6 +36,13 @@ class Options {
   /// not 10 and 1.5) and throw Error on any malformed value.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t def) const;
+  /// get_int for a value that must lie in [lo, hi], the one way to read a
+  /// flag stored in a narrower or unsigned type: a value outside throws
+  /// Error naming the flag and its range ("option --threads: need an
+  /// integer in [0, 4294967295], got -1") instead of being narrowed.
+  [[nodiscard]] std::int64_t get_int_in(const std::string& name,
+                                        std::int64_t def, std::int64_t lo,
+                                        std::int64_t hi) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] std::string get_string(const std::string& name,
                                        std::string def) const;

@@ -131,7 +131,10 @@ double mean_of(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;
   for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
+  // The rounded sum can put the quotient just outside the sample (three
+  // 63.7s average to 63.70000000000001); the true mean never is.
+  return std::clamp(s / static_cast<double>(xs.size()), min_of(xs),
+                    max_of(xs));
 }
 
 double stddev_of(std::span<const double> xs) {

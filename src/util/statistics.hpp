@@ -151,7 +151,10 @@ class Histogram {
   std::uint64_t total_ = 0;
 };
 
-/// Batch helpers for experiment aggregation.
+/// Batch helpers for experiment aggregation. mean_of is the sum-based mean
+/// clamped into the sample's [min, max], so n equal values read that value;
+/// stddev_of is the sample standard deviation around it, so their spread
+/// is exactly 0.
 [[nodiscard]] double mean_of(std::span<const double> xs);
 [[nodiscard]] double stddev_of(std::span<const double> xs);
 [[nodiscard]] double min_of(std::span<const double> xs);

@@ -176,6 +176,30 @@ TEST_F(ExplorerFixture, AllSoftwareInitSupported) {
   EXPECT_EQ(r.initial_metrics.hw_tasks, 0);
 }
 
+TEST_F(ExplorerFixture, AllSoftwareStartIsACopyThatDrawsNoRandomNumber) {
+  const Explorer explorer(app.graph, arch);
+  const Solution reference =
+      Solution::all_software(app.graph, arch.processor_ids().front());
+  Rng rng(77);
+  const Rng::State before = rng.state();
+  EXPECT_TRUE(explorer.initial_solution(InitKind::kAllSoftware, rng) ==
+              reference);
+  EXPECT_TRUE(explorer.initial_solution(InitKind::kAllSoftware, rng) ==
+              reference);
+  EXPECT_EQ(rng.state().words, before.words);
+  EXPECT_EQ(rng.state().has_cached_normal, before.has_cached_normal);
+
+  // Without a reconfigurable circuit the random partition is the same
+  // all-software start, also drawn from nothing.
+  Architecture cpu_only{Bus(kMotionDetectionBusRate)};
+  cpu_only.add_processor("cpu0");
+  const Explorer software(app.graph, cpu_only);
+  EXPECT_TRUE(software.initial_solution(InitKind::kRandomPartition, rng) ==
+              Solution::all_software(app.graph,
+                                     cpu_only.processor_ids().front()));
+  EXPECT_EQ(rng.state().words, before.words);
+}
+
 TEST_F(ExplorerFixture, AdaptiveMoveMixRuns) {
   Explorer explorer(app.graph, arch);
   ExplorerConfig config;

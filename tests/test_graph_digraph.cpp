@@ -259,83 +259,131 @@ TEST(DigraphPark, ParkedEdgeAccessThrows) {
   EXPECT_NO_THROW((void)g.edge(e));
 }
 
-TEST(DigraphAddParked, ReservedIdIsNeverHandedOutByAddEdge) {
+/// A four-node source graph with distinct weights, every edge live.
+Digraph weighted_source() {
   Digraph g(4);
-  const EdgeId live = g.add_edge(0, 1, 3);
-  const EdgeId parked = g.add_parked_edge(1, 2, 7);
-  EXPECT_EQ(parked, live + 1);  // allocated like add_edge's next id
-  EXPECT_TRUE(g.edge_parked(parked));
-  EXPECT_FALSE(g.edge_alive(parked));
-  EXPECT_EQ(g.out_degree(1), 0u);
-  EXPECT_EQ(g.in_degree(2), 0u);
-  g.check_consistency();
-  // Free ids are recycled; the reserved one never is.
-  g.remove_edge(live);
-  EXPECT_EQ(g.add_edge(2, 3), live);
-  for (int i = 0; i < 20; ++i) {
-    const EdgeId e = g.add_edge(static_cast<NodeId>(i % 3),
-                                static_cast<NodeId>(i % 3 + 1));
-    EXPECT_NE(e, parked);
-    if (i % 2 == 0) g.remove_edge(e);
-  }
-  EXPECT_TRUE(g.edge_parked(parked));
-  g.check_consistency();
-  // A reserved id recycles a free slot like add_edge does.
-  const EdgeId spare = g.add_edge(0, 3);
-  g.remove_edge(spare);
-  EXPECT_EQ(g.add_parked_edge(0, 2), spare);
-  EXPECT_TRUE(g.edge_parked(spare));
-  g.check_consistency();
-  EXPECT_THROW((void)g.add_parked_edge(1, 1), Error);
-  EXPECT_THROW((void)g.add_parked_edge(0, 9), Error);
+  (void)g.add_edge(0, 1, 3);
+  (void)g.add_edge(1, 2, 7);
+  (void)g.add_edge(0, 2, 5);
+  (void)g.add_edge(2, 3, 9);
+  return g;
 }
 
-TEST(DigraphAddParked, UnparkAttachesWithTheReservedWeight) {
-  Digraph g(3);
-  const EdgeId a = g.add_parked_edge(0, 1, 11);
-  const EdgeId b = g.add_edge(1, 2, 22);
+TEST(DigraphParkedCopy, KeepsEveryIdAndEndpointAndCountsNoLiveEdge) {
+  const Digraph source = weighted_source();
+  const Digraph g = Digraph::parked_copy(source, 0);
+  EXPECT_EQ(g.node_count(), source.node_count());
+  EXPECT_EQ(g.edge_capacity(), source.edge_capacity());
+  EXPECT_EQ(g.edge_count(), 0u);
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(g.out_degree(v), 0u);
+    EXPECT_EQ(g.in_degree(v), 0u);
+  }
+  g.check_consistency();
+  // Every id is parked; attached, each has its source edge's endpoints.
+  Digraph all = g;
+  for (EdgeId e = 0; e < source.edge_capacity(); ++e) {
+    EXPECT_TRUE(g.edge_parked(e)) << "edge " << e;
+    EXPECT_FALSE(g.edge_alive(e)) << "edge " << e;
+    EXPECT_THROW((void)g.edge(e), Error);
+    all.unpark_edge(e);
+    EXPECT_EQ(all.edge(e).src, source.edge(e).src) << "edge " << e;
+    EXPECT_EQ(all.edge(e).dst, source.edge(e).dst) << "edge " << e;
+  }
+  EXPECT_EQ(all.edge_count(), source.edge_count());
+  all.check_consistency();
+}
+
+TEST(DigraphParkedCopy, UnparkAttachesWithTheCopiedWeight) {
+  Digraph g = Digraph::parked_copy(weighted_source(), 0);
+  const EdgeId a = 1;  // 1 -> 2, weight 7
+  const EdgeId b = g.add_edge(1, 3, 22);
   g.unpark_edge(a);
   g.check_consistency();
   EXPECT_TRUE(g.edge_alive(a));
-  EXPECT_EQ(g.edge(a).src, 0u);
-  EXPECT_EQ(g.edge(a).dst, 1u);
-  EXPECT_EQ(g.edge_weight(a), 11);
-  ASSERT_EQ(g.out_half(0).size(), 1u);
-  EXPECT_EQ(g.out_half(0)[0].edge, a);
-  EXPECT_EQ(g.out_half(0)[0].weight, 11);
-  ASSERT_EQ(g.in_half(1).size(), 1u);
-  EXPECT_EQ(g.in_half(1)[0].weight, 11);
+  EXPECT_EQ(g.edge(a).src, 1u);
+  EXPECT_EQ(g.edge(a).dst, 2u);
+  EXPECT_EQ(g.edge_weight(a), 7);
+  ASSERT_EQ(g.out_half(1).size(), 2u);
+  EXPECT_EQ(g.out_half(1)[1].edge, a);  // attached after the live b
+  EXPECT_EQ(g.out_half(1)[1].weight, 7);
+  ASSERT_EQ(g.in_half(2).size(), 1u);
+  EXPECT_EQ(g.in_half(2)[0].weight, 7);
   // From here it behaves as any live edge: park, unpark, re-weight.
   g.park_edge(a);
   g.unpark_edge(a);
   g.set_edge_weight(a, 12);
-  EXPECT_EQ(g.in_half(1)[0].weight, 12);
+  EXPECT_EQ(g.in_half(2)[0].weight, 12);
   EXPECT_EQ(g.edge_weight(b), 22);
   g.check_consistency();
 }
 
-TEST(DigraphAddParked, EdgeCountCountsLiveEdgesOnly) {
-  Digraph g(3);
-  (void)g.add_parked_edge(0, 1);
-  (void)g.add_parked_edge(1, 2);
+TEST(DigraphParkedCopy, AddEdgeNeverHandsOutAParkedId) {
+  const Digraph source = weighted_source();
+  Digraph g = Digraph::parked_copy(source, 0);
+  const EdgeId first = g.add_edge(3, 0, 1);
+  EXPECT_EQ(first, source.edge_capacity());  // after the copied ids
+  g.check_consistency();
+  // Free ids are recycled; the parked ones never are.
+  g.remove_edge(first);
+  EXPECT_EQ(g.add_edge(1, 3), first);
+  for (int i = 0; i < 20; ++i) {
+    const EdgeId e = g.add_edge(static_cast<NodeId>(i % 3),
+                                static_cast<NodeId>(i % 3 + 1));
+    EXPECT_GE(e, source.edge_capacity());
+    if (i % 2 == 0) g.remove_edge(e);
+  }
+  for (EdgeId e = 0; e < source.edge_capacity(); ++e) {
+    EXPECT_TRUE(g.edge_parked(e)) << "edge " << e;
+  }
+  g.check_consistency();
+}
+
+TEST(DigraphParkedCopy, EdgeCountCountsLiveEdgesOnly) {
+  Digraph g = Digraph::parked_copy(weighted_source(), 0);
   EXPECT_EQ(g.edge_count(), 0u);
-  EXPECT_EQ(g.edge_capacity(), 2u);
-  const EdgeId c = g.add_edge(0, 2);
+  EXPECT_EQ(g.edge_capacity(), 4u);
+  const EdgeId c = g.add_edge(3, 0);
   EXPECT_EQ(g.edge_count(), 1u);
   g.unpark_edge(0);
   EXPECT_EQ(g.edge_count(), 2u);
   g.remove_edge(c);
   EXPECT_EQ(g.edge_count(), 1u);
-  EXPECT_EQ(g.edge_capacity(), 3u);
+  EXPECT_EQ(g.edge_capacity(), 5u);
+  g.check_consistency();
+}
+
+TEST(DigraphParkedCopy, ParkedSourceEdgesStayParkedAndRemovedOnesAreRejected) {
+  Digraph source = weighted_source();
+  source.park_edge(2);
+  const Digraph g = Digraph::parked_copy(source, 0);
+  EXPECT_TRUE(g.edge_parked(2));
+  EXPECT_EQ(g.edge_count(), 0u);
+  // A removed edge would leave a free id with no edge to copy.
+  source.remove_edge(3);
+  EXPECT_THROW((void)Digraph::parked_copy(source, 0), Error);
+}
+
+TEST(DigraphParkedCopy, EdgeRoomHoldsAddedEdgesWithoutReallocating) {
+  const Digraph source = weighted_source();
+  Digraph g = Digraph::parked_copy(source, source.edge_capacity() + 6);
+  const TimeNs* table = g.edge_weights().data();
+  for (int i = 0; i < 6; ++i) {
+    (void)g.add_edge(static_cast<NodeId>(i % 3),
+                     static_cast<NodeId>(i % 3 + 1), i);
+  }
+  EXPECT_EQ(g.edge_capacity(), source.edge_capacity() + 6);
+  EXPECT_EQ(g.edge_weights().data(), table);
   g.check_consistency();
 }
 
 TEST(Digraph, ReserveDegreeAttachesWithoutReallocating) {
-  Digraph g(4);
-  g.reserve_edges(8);
+  Digraph source(4);
+  (void)source.add_edge(0, 1);
+  Digraph g = Digraph::parked_copy(source, 8);
   g.reserve_degree(0, 3, 0);
   g.reserve_degree(3, 0, 3);
-  const EdgeId a = g.add_parked_edge(0, 1);
+  const EdgeId a = 0;  // 0 -> 1, parked
   (void)g.add_edge(0, 2);
   const HalfEdge* out0 = g.out_half(0).data();
   (void)g.add_edge(0, 3);

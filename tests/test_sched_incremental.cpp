@@ -99,7 +99,7 @@ TEST(DeltaRelaxer, ProbeMatchesFullRelaxAndCommitAdvances) {
   m.release.assign(30, 0);
 
   DeltaRelaxer relaxer;
-  relaxer.reset(m.dag());
+  ASSERT_TRUE(relaxer.reset(m.dag()));
   EXPECT_EQ(relaxer.makespan(), m.full_makespan());
 
   for (int step = 0; step < 300; ++step) {
@@ -190,7 +190,7 @@ TEST(DeltaRelaxer, NoSeedsRelaxesNothing) {
   }
   m.release.assign(20, 0);
   DeltaRelaxer relaxer;
-  relaxer.reset(m.dag());
+  ASSERT_TRUE(relaxer.reset(m.dag()));
   const auto probed = relaxer.probe(m.dag(), {}, {});
   ASSERT_TRUE(probed.has_value());
   EXPECT_EQ(*probed, relaxer.makespan());
@@ -211,7 +211,7 @@ TEST(DeltaRelaxer, RankRepairHandlesDescendingInsertions) {
   m.node_weight = {2, 3, 4, 5, 7};
   m.release.assign(5, 0);
   DeltaRelaxer relaxer;
-  relaxer.reset(m.dag());
+  ASSERT_TRUE(relaxer.reset(m.dag()));
 
   Mirror cand = m;
   const EdgeId e = cand.graph.add_edge(4, 1);
@@ -246,7 +246,7 @@ TEST(DeltaRelaxer, CycleAcrossTwoInsertedEdgesIsDetected) {
   m.node_weight = {1, 1, 1};
   m.release.assign(3, 0);
   DeltaRelaxer relaxer;
-  relaxer.reset(m.dag());
+  ASSERT_TRUE(relaxer.reset(m.dag()));
 
   Mirror cand = m;
   std::vector<EdgeId> new_edges;
@@ -278,7 +278,7 @@ TEST(DeltaRelaxer, DiscardRestoresCommittedValuesBitExactly) {
   }
   m.release.assign(25, 0);
   DeltaRelaxer relaxer;
-  relaxer.reset(m.dag());
+  ASSERT_TRUE(relaxer.reset(m.dag()));
 
   const auto committed_full = longest_path(m.dag());
   for (int step = 0; step < 50; ++step) {
@@ -318,7 +318,7 @@ TEST(DeltaRelaxer, SteadyStateProbesDoNotGrowScratch) {
   for (auto& w : m.node_weight) w = rng.uniform_int(1, 100);
   m.release.assign(40, 0);
   DeltaRelaxer relaxer;
-  relaxer.reset(m.dag());
+  ASSERT_TRUE(relaxer.reset(m.dag()));
 
   // A fixed lap of descending insertions (some close a cycle), each probed
   // and discarded, so every lap repeats the same repairs; weight-only
@@ -387,7 +387,7 @@ TEST(DeltaRelaxer, ChainWindowRepairsMatchFullRelax) {
   m.release[z] = 50'000;  // z's edges change the chain's finish times
 
   DeltaRelaxer relaxer;
-  relaxer.reset(m.dag());
+  ASSERT_TRUE(relaxer.reset(m.dag()));
   const auto expect_values = [&](const Mirror& want, const char* what,
                                  int round) {
     const LongestPathResult full = longest_path(want.dag());
@@ -496,7 +496,7 @@ TEST(DeltaRelaxer, TwoWaySearchStopsAtTheSmallerSide) {
     // window's top and the rest of the window shifts down one.
     Mirror m = id_ranked(6, {{1, 4}}, {{4, 5}});
     DeltaRelaxer relaxer;
-    relaxer.reset(m.dag());
+    ASSERT_TRUE(relaxer.reset(m.dag()));
     ASSERT_EQ(ranks_of(relaxer, 6),
               (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
     Mirror cand = m;
@@ -513,7 +513,7 @@ TEST(DeltaRelaxer, TwoWaySearchStopsAtTheSmallerSide) {
     // pop per side), so x moves to the window's bottom.
     Mirror m = id_ranked(6, {{0, 3}}, {{4, 5}});
     DeltaRelaxer relaxer;
-    relaxer.reset(m.dag());
+    ASSERT_TRUE(relaxer.reset(m.dag()));
     Mirror cand = m;
     const EdgeId e = cand.graph.add_edge(4, 0, 1);
     ASSERT_TRUE(probe_and_check(relaxer, cand, {e}));
@@ -550,7 +550,7 @@ TEST(DeltaRelaxer, TwoWaySearchCertifiesCyclesFromEitherSideAndMidway) {
                         Case{"sides meet midway", 6, 5}}) {
     Mirror m = id_ranked(c.n, {{0, static_cast<NodeId>(c.n - 1)}});
     DeltaRelaxer relaxer;
-    relaxer.reset(m.dag());
+    ASSERT_TRUE(relaxer.reset(m.dag()));
     Mirror cand = m;
     const EdgeId back = cand.graph.add_edge(static_cast<NodeId>(c.n - 1), 0);
     EXPECT_FALSE(probe_and_check(relaxer, cand, {back})) << c.what;
@@ -572,7 +572,7 @@ TEST(DeltaRelaxer, PendingBatchEdgesAreNotSearched) {
   // search, against x's 11-node backward side (21 pops).
   Mirror m = id_ranked(22, {{1, 10}, {11, 20}}, {{10, 21}});
   DeltaRelaxer relaxer;
-  relaxer.reset(m.dag());
+  ASSERT_TRUE(relaxer.reset(m.dag()));
   Mirror cand = m;
   const EdgeId first = cand.graph.add_edge(21, 0, 1);
   const EdgeId second = cand.graph.add_edge(0, 11, 1);
@@ -600,7 +600,7 @@ TEST(DeltaRelaxer, TwoWayRepairAgreesWithTheFullReferenceOn200RandomDags) {
     }
     m.release.assign(n, 0);
     DeltaRelaxer relaxer;
-    relaxer.reset(m.dag());
+    ASSERT_TRUE(relaxer.reset(m.dag()));
     relaxer.check_ranks(m.graph);
     for (int step = 0; step < 12; ++step) {
       SCOPED_TRACE(testing::Message() << "dag " << dag << ", step " << step);
@@ -659,7 +659,7 @@ TEST(DeltaRelaxer, CommitWithoutProbeThrows) {
   std::vector<TimeNs> ew(g.edge_capacity(), 0);
   std::vector<TimeNs> rel(3, 0);
   DeltaRelaxer relaxer;
-  relaxer.reset(WeightedDag{&g, nw, ew, rel});
+  ASSERT_TRUE(relaxer.reset(WeightedDag{&g, nw, ew, rel}));
   EXPECT_THROW(relaxer.commit(), Error);
 }
 

@@ -15,8 +15,9 @@
 /// processor parked, verdicts and metrics still equal the full Evaluator's
 /// on dense graphs under order-violating moves, and commit/discard keep
 /// exactly those edges parked. Sparse reset: reset builds the full G' with
-/// exactly those edges reserved parked, a second reset equals a fresh
-/// evaluator's, and a cyclic state is rejected without touching anything.
+/// exactly those edges parked, a second reset equals a fresh evaluator's,
+/// a cyclic state is rejected without touching anything, and an annealing
+/// run never regrows the edge table that reset reserved.
 
 #include <gtest/gtest.h>
 
@@ -764,6 +765,46 @@ TEST(SparseReset, LargeSyntheticStartAgreesWithFullEvaluation) {
                        "synthetic:5000, all-software");
   EXPECT_EQ(incremental.incremental_stats()->comm_edges_parked,
             static_cast<std::int64_t>(tg.comm_count()));
+}
+
+// Reset reserves the edge table for the sequentialization edges a run adds,
+// so no evaluation of an annealing run regrows it (a regrowth copies every
+// edge id's slots and first-touches twice the pages, inside the reconcile
+// phase). The shape is the replica-exchange one: synthetic:500 from the
+// all-software start, 1 200 warm-up and 12 000 cooling iterations.
+TEST(SparseReset, AnnealingRunNeverRegrowsTheEdgeTable) {
+  const ModelSpec spec = load_model_spec("synthetic:500");
+  const TaskGraph& tg = spec.app.graph;
+  const Architecture arch = make_cpu_fpga_architecture(
+      2000, spec.tr_per_clb, spec.bus_bytes_per_second);
+  const Solution start = Solution::all_software(tg, kCpu0);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::string where = "seed " + std::to_string(seed);
+    DseProblem problem(tg, arch, start);
+    const IncrementalEvaluator* inc = problem.incremental_evaluator();
+    ASSERT_NE(inc, nullptr);
+    const Digraph& graph = inc->search_graph().graph;
+    const TimeNs* table = graph.edge_weights().data();
+    int regrowths = 0;
+    std::size_t high_water = graph.edge_capacity();
+    AnnealConfig config;
+    config.seed = seed;
+    config.warmup_iterations = 1'200;
+    config.iterations = 12'000;
+    config.on_iteration = [&](const IterationStat&) {
+      if (graph.edge_weights().data() != table) {
+        table = graph.edge_weights().data();
+        ++regrowths;
+      }
+      high_water = std::max(high_water, graph.edge_capacity());
+    };
+    AnnealEngine engine(problem, config);
+    (void)engine.run_to_completion();
+    EXPECT_EQ(regrowths, 0) << where;
+    // The run used ids past one per application edge and one per task, so
+    // the reserve is what kept the table in place.
+    EXPECT_GT(high_water, tg.comm_count() + tg.task_count()) << where;
+  }
 }
 
 

@@ -159,7 +159,15 @@ TEST(ExplorationService, WorkCapChargesOnlyWhatRuns) {
 
   const auto heft =
       service.handle(R"({"op": "explore", "mapper": "heft", "runs": 100})");
-  EXPECT_TRUE(heft.ok) << heft.response;
+  ASSERT_TRUE(heft.ok) << heft.response;
+  // Every heft run ends at one makespan, so the batch reads exactly it and
+  // a spread of exactly 0 (a plain sum-based mean read 64.98033399999991
+  // with a spread of 8.6e-14).
+  const JsonValue aggregate =
+      JsonValue::parse(heft.response).at("result").at("aggregate");
+  EXPECT_EQ(aggregate.at("mean_makespan_ms").as_number(), 64.980334);
+  EXPECT_EQ(aggregate.at("best_makespan_ms").as_number(), 64.980334);
+  EXPECT_EQ(aggregate.at("stddev_makespan_ms").as_number(), 0.0);
   // Its same-key spelling is the same entry, so both doors agree.
   const auto respelled = service.handle(
       R"({"op": "explore", "mapper": "heft", "runs": 100, "iters": 1, )"

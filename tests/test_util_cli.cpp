@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/rdse_cli.hpp"
@@ -107,6 +109,46 @@ TEST(Options, MissingOrMalformedValuesThrow) {
   }
   EXPECT_THROW((void)parse({"--rate", "fast"}).get_double("rate", 0.0),
                Error);
+}
+
+TEST(Options, RangedIntegersAreBoundedNotNarrowed) {
+  constexpr std::int64_t kUintMax = 4'294'967'295;
+  // Both ends of the range are accepted, and a missing flag reads `def`.
+  EXPECT_EQ(parse({"--threads=0"}).get_int_in("threads", 3, 0, kUintMax), 0);
+  EXPECT_EQ(parse({"--threads=4294967295"})
+                .get_int_in("threads", 3, 0, kUintMax),
+            kUintMax);
+  EXPECT_EQ(parse({}).get_int_in("threads", 3, 0, kUintMax), 3);
+  // One past either end is an error naming the flag and its range, never
+  // a wrapped value (4294967297 would narrow to 1).
+  const std::pair<const char*, const char*> cases[] = {
+      {"--threads=-1",
+       "option --threads: need an integer in [0, 4294967295], got -1"},
+      {"--threads=4294967296",
+       "option --threads: need an integer in [0, 4294967295], got "
+       "4294967296"},
+      {"--threads=4294967297",
+       "option --threads: need an integer in [0, 4294967295], got "
+       "4294967297"},
+  };
+  for (const auto& [arg, message] : cases) {
+    try {
+      (void)parse({arg}).get_int_in("threads", 0, 0, kUintMax);
+      FAIL() << arg << ": expected Error";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), message) << arg;
+    }
+  }
+  // A default outside the range is as wrong as a flag, and a malformed
+  // value still fails as get_int does.
+  EXPECT_THROW((void)parse({}).get_int_in("runs", 0, 1, 10), Error);
+  try {
+    (void)parse({"--runs=2x"}).get_int_in("runs", 1, 1, 10);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("expected integer, got '2x'"),
+              std::string::npos);
+  }
 }
 
 // --------------------------------------------------------------- cli driver

@@ -198,5 +198,16 @@ TEST(BatchStats, MinMaxMean) {
   EXPECT_DOUBLE_EQ(mean_of(xs), 2.0);
 }
 
+TEST(BatchStats, IdenticalValuesAggregateToTheirOneValue) {
+  // Summed, three 63.7s divide to 63.70000000000001 and spread by 8.7e-15.
+  const std::vector<double> same{63.7, 63.7, 63.7};
+  EXPECT_EQ(mean_of(same), 63.7);
+  EXPECT_EQ(stddev_of(same), 0.0);
+  // A mean inside the sample's range is the plain sum-based one.
+  const std::vector<double> mixed{63.7, 63.7, 64.1};
+  EXPECT_EQ(mean_of(mixed), (63.7 + 63.7 + 64.1) / 3.0);
+  EXPECT_GT(stddev_of(mixed), 0.0);
+}
+
 }  // namespace
 }  // namespace rdse

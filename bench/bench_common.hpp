@@ -1,8 +1,8 @@
 #pragma once
 /// \file bench_common.hpp
 /// \brief Shared scaffolding for the experiment harnesses: scale knobs
-/// (command line), uniform headers and the `main` wrapper that turns a bad
-/// flag into a one-line error.
+/// (command line) and uniform headers. Each `main` forwards to `run_main`
+/// (util/cli.hpp), which turns a bad flag into a one-line error.
 ///
 /// Knobs:
 ///   --runs    repetitions per sweep point (paper: 100)
@@ -12,7 +12,6 @@
 ///   --seed    base seed
 
 #include <cstdint>
-#include <exception>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -38,8 +37,10 @@ inline Scale parse_scale(int argc, char** argv, int default_runs = 20,
   s.full = opts.get_flag("full");
   s.runs = static_cast<int>(opts.get_int_in(
       "runs", s.full ? 100 : default_runs, 1, std::numeric_limits<int>::max()));
-  s.iters = opts.get_int("iters", default_iters);
-  s.warmup = opts.get_int("warmup", 1'200);
+  s.iters = opts.get_int_in("iters", default_iters, 0,
+                            std::numeric_limits<std::int64_t>::max());
+  s.warmup = opts.get_int_in("warmup", 1'200, 0,
+                             std::numeric_limits<std::int64_t>::max());
   s.seed = static_cast<std::uint64_t>(
       opts.get_int_in("seed", 1, 0, std::numeric_limits<std::int64_t>::max()));
   return s;
@@ -54,20 +55,6 @@ inline void print_header(const std::string& experiment_id,
             << " warmup=" << scale.warmup << " seed=" << scale.seed
             << (scale.full ? " (paper scale)" : "")
             << "\n############################################################\n";
-}
-
-/// Every bench `main` forwards here, so a bad flag (or any other failure)
-/// is reported the way `rdse` reports it: one "<bench>: <message>" line on
-/// stderr and exit status 1, never an uncaught-exception abort.
-inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
-  const std::string_view path = argc > 0 ? argv[0] : "bench";
-  const std::string_view name = path.substr(path.find_last_of('/') + 1);
-  try {
-    return body(argc, argv);
-  } catch (const std::exception& e) {  // rdse::Error among them
-    std::cerr << name << ": " << e.what() << '\n';
-    return 1;
-  }
 }
 
 }  // namespace rdse::bench

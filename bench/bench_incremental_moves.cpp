@@ -362,5 +362,5 @@ static int run_bench(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, run_bench);
+  return run_main(argc, argv, run_bench);
 }

@@ -15,12 +15,15 @@
 #include "model/motion_detection.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_example(int argc, char** argv) {
   using namespace rdse;
   const Options opts = Options::parse(argc, argv);
   const auto seed = static_cast<std::uint64_t>(
       opts.get_int_in("seed", 7, 0, std::numeric_limits<std::int64_t>::max()));
-  const std::int64_t iters = opts.get_int("iters", 25'000);
+  const std::int64_t iters = opts.get_int_in(
+      "iters", 25'000, 0, std::numeric_limits<std::int64_t>::max());
 
   const Application app = make_motion_detection_app();
 
@@ -60,4 +63,10 @@ int main(int argc, char** argv) {
   const bool met = result.best_metrics.makespan <= app.deadline;
   std::cout << (met ? "deadline met\n" : "deadline MISSED\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rdse::run_main(argc, argv, run_example);
 }

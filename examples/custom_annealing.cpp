@@ -11,9 +11,12 @@
 #include "anneal/problems/bipartition.hpp"
 #include "anneal/problems/continuous.hpp"
 #include "graph/generators.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run_example(int /*argc*/, char** /*argv*/) {
   using namespace rdse;
 
   Table table({"problem", "schedule", "initial", "best", "accept %"});
@@ -68,4 +71,10 @@ int main() {
 
   table.print(std::cout, "generic annealing engine on validation problems");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rdse::run_main(argc, argv, run_example);
 }

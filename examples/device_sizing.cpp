@@ -16,12 +16,15 @@
 #include "model/motion_detection.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_example(int argc, char** argv) {
   using namespace rdse;
   const Options opts = Options::parse(argc, argv);
   const int runs = static_cast<int>(
       opts.get_int_in("runs", 5, 1, std::numeric_limits<int>::max()));
-  const std::int64_t iters = opts.get_int("iters", 8'000);
+  const std::int64_t iters = opts.get_int_in(
+      "iters", 8'000, 0, std::numeric_limits<std::int64_t>::max());
   const auto threads = static_cast<unsigned>(
       opts.get_int_in("threads", 0, 0, std::numeric_limits<unsigned>::max()));
 
@@ -55,4 +58,10 @@ int main(int argc, char** argv) {
     std::cout << "\nno swept device met the constraint in every run\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rdse::run_main(argc, argv, run_example);
 }

@@ -21,12 +21,15 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_example(int argc, char** argv) {
   using namespace rdse;
   const Options opts = Options::parse(argc, argv);
   const auto seed = static_cast<std::uint64_t>(
       opts.get_int_in("seed", 5, 0, std::numeric_limits<std::int64_t>::max()));
-  const std::int64_t iters = opts.get_int("iters", 15'000);
+  const std::int64_t iters = opts.get_int_in(
+      "iters", 15'000, 0, std::numeric_limits<std::int64_t>::max());
   const auto threads = static_cast<unsigned>(
       opts.get_int_in("threads", 0, 0, std::numeric_limits<unsigned>::max()));
 
@@ -89,4 +92,10 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout, "heterogeneous systems on " + app.name);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rdse::run_main(argc, argv, run_example);
 }

@@ -15,13 +15,16 @@
 #include "util/ascii_plot.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_example(int argc, char** argv) {
   using namespace rdse;
   static constexpr std::string_view kBoolFlags[] = {"csv"};
   const Options opts = Options::parse(argc, argv, kBoolFlags);
   const auto seed = static_cast<std::uint64_t>(
       opts.get_int_in("seed", 3, 0, std::numeric_limits<std::int64_t>::max()));
-  const std::int64_t iters = opts.get_int("iters", 20'000);
+  const std::int64_t iters = opts.get_int_in(
+      "iters", 20'000, 0, std::numeric_limits<std::int64_t>::max());
   const auto clbs = static_cast<std::int32_t>(opts.get_int_in(
       "clbs", 2000, 1, std::numeric_limits<std::int32_t>::max()));
 
@@ -63,4 +66,10 @@ int main(int argc, char** argv) {
             << (met ? " <= " : " > ") << format_ms(app.deadline)
             << (met ? "  (met)" : "  (MISSED)") << '\n';
   return met ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rdse::run_main(argc, argv, run_example);
 }

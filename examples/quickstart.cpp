@@ -12,8 +12,11 @@
 #include "core/explorer.hpp"
 #include "core/report.hpp"
 #include "model/task_graph.hpp"
+#include "util/cli.hpp"
 
-int main() {
+namespace {
+
+int run_example(int /*argc*/, char** /*argv*/) {
   using namespace rdse;
 
   // 1. A small video pipeline: grab -> filter -> {edges, histogram} -> fuse.
@@ -57,4 +60,10 @@ int main() {
             << "\n";
   print_run_report(std::cout, app, result);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rdse::run_main(argc, argv, run_example);
 }

@@ -24,9 +24,11 @@
 ///  - kReorderContexts: swap two adjacent contexts of an RC (temporal
 ///    re-sequencing beyond what reassignments reach).
 ///
-/// Moves mutate a *candidate* Solution (and, for m3/m4, a candidate
-/// Architecture); feasibility (graph acyclicity) is judged afterwards by
-/// evaluation, per §4.3 "a move will not be performed if a cycle appears".
+/// Moves mutate the Solution they are given (and, for m3/m4, the
+/// Architecture) through its mutators, which log how to undo each change:
+/// DseProblem draws into its current state and undoes a move that is not
+/// kept. Feasibility (graph acyclicity) is judged afterwards by evaluation,
+/// per §4.3 "a move will not be performed if a cycle appears".
 
 #include <cstdint>
 #include <optional>
@@ -78,10 +80,12 @@ struct MoveOutcome {
   bool applied = false;  ///< false: the draw was null (§4.2 m1-on-ASIC etc.)
 };
 
-/// Draw and realize one move on the candidate state. Returns the outcome;
-/// when `applied` is false the candidate is untouched. The caller evaluates
-/// the candidate afterwards and rejects it if the realized search graph is
-/// cyclic or a capacity bound broke.
+/// Draw and realize one move on the given state. Returns the outcome; when
+/// `applied` is false the solution is untouched (a failed m4 still leaves a
+/// tombstoned architecture slot). The caller evaluates the state afterwards
+/// and undoes the move if the realized search graph is cyclic. The draw
+/// depends only on the state, the configuration and `rng`, so the same
+/// three give the same move again.
 [[nodiscard]] MoveOutcome generate_move(const TaskGraph& tg,
                                         Architecture& arch, Solution& sol,
                                         const MoveConfig& config, Rng& rng);

@@ -14,12 +14,11 @@ DseProblem::DseProblem(const TaskGraph& tg, Architecture arch,
       weights_(weights),
       arch_(std::move(arch)),
       sol_(std::move(initial)),
-      cand_{arch_, sol_},
       batch_(batch),
       best_arch_(arch_),
       best_sol_(sol_) {
   RDSE_REQUIRE(batch_ >= 1, "DseProblem: batch must be >= 1");
-  if (batch_ > 1) spare_.emplace(ProbeBuffers{arch_, sol_});
+  sol_.clear_touched();  // the first move's journal starts here
   if (!full_eval) inc_ = std::make_unique<IncrementalEvaluator>(*tg_);
   metrics_ = checked_metrics(arch_, sol_, /*as_current=*/true);
   cost_ = cost_of(metrics_, arch_);
@@ -65,104 +64,104 @@ Metrics DseProblem::checked_metrics(const Architecture& arch,
 }
 
 void DseProblem::reset_state(Architecture arch, Solution sol) {
+  RDSE_REQUIRE(!pending_, "reset_state: a proposed move is pending");
   metrics_ = checked_metrics(arch, sol, /*as_current=*/true);
   arch_ = std::move(arch);
   sol_ = std::move(sol);
+  sol_.clear_touched();
   cost_ = cost_of(metrics_, arch_);
-  cand_.arch_stale = cand_.sol_stale = true;
-  if (spare_) spare_->arch_stale = spare_->sol_stale = true;
 }
 
 void DseProblem::restore_best_state(Architecture arch, Solution sol) {
+  RDSE_REQUIRE(!pending_, "restore_best_state: a proposed move is pending");
   best_metrics_ = checked_metrics(arch, sol, /*as_current=*/false);
   best_arch_ = std::move(arch);
   best_sol_ = std::move(sol);
 }
 
-void DseProblem::refresh(ProbeBuffers& probe) const {
-  // Storage-reusing copy assignments, skipped entirely when the buffer
-  // still holds the current state.
-  if (probe.arch_stale) {
-    probe.arch = arch_;
-    probe.arch_stale = false;
+MoveConfig DseProblem::draw_config(Rng& rng) {
+  if (!mix_) return move_config_;
+  // Adaptive move-mix (EXP-A2): the controller picks the class, the §4.2
+  // operand draws stay random.
+  const auto kind = static_cast<MoveKind>(mix_->pick(rng));
+  MoveConfig forced = move_config_;
+  // Force the auxiliary classes or fall back to the m1/m2 dispatch.
+  switch (kind) {
+    case MoveKind::kChangeImpl: forced.p_change_impl = 1.0; break;
+    case MoveKind::kReorderContexts:
+      forced.p_change_impl = 0.0;
+      forced.p_reorder_contexts = 1.0;
+      break;
+    case MoveKind::kRemoveResource:
+    case MoveKind::kCreateResource:
+      forced.p_change_impl = 0.0;
+      forced.p_reorder_contexts = 0.0;
+      forced.p_zero = move_config_.p_zero > 0.0 ? 1.0 : 0.0;
+      break;
+    default:
+      forced.p_change_impl = 0.0;
+      forced.p_reorder_contexts = 0.0;
+      break;
   }
-  if (probe.sol_stale) {
-    probe.sol = sol_;
-    probe.sol_stale = false;
-  }
-  probe.sol.clear_touched();
+  return forced;
 }
 
-MoveOutcome DseProblem::generate_move_into(Rng& rng, ProbeBuffers& probe) {
-  if (mix_) {
-    // Adaptive move-mix (EXP-A2): the controller picks the class, the
-    // §4.2 operand draws stay random.
-    const auto kind = static_cast<MoveKind>(mix_->pick(rng));
-    MoveConfig forced = move_config_;
-    // Force the auxiliary classes or fall back to the m1/m2 dispatch.
-    switch (kind) {
-      case MoveKind::kChangeImpl:
-        forced.p_change_impl = 1.0;
-        break;
-      case MoveKind::kReorderContexts:
-        forced.p_change_impl = 0.0;
-        forced.p_reorder_contexts = 1.0;
-        break;
-      case MoveKind::kRemoveResource:
-      case MoveKind::kCreateResource:
-        forced.p_change_impl = 0.0;
-        forced.p_reorder_contexts = 0.0;
-        forced.p_zero = move_config_.p_zero > 0.0 ? 1.0 : 0.0;
-        break;
-      default:
-        forced.p_change_impl = 0.0;
-        forced.p_reorder_contexts = 0.0;
-        break;
-    }
-    return generate_move(*tg_, probe.arch, probe.sol, forced, rng);
-  }
-  return generate_move(*tg_, probe.arch, probe.sol, move_config_, rng);
+MoveOutcome DseProblem::apply_draw(const MoveConfig& config, Rng& rng) {
+  if (config.p_zero > 0.0) saved_arch_ = arch_;
+  return generate_move(*tg_, arch_, sol_, config, rng);
 }
 
-std::optional<Metrics> DseProblem::evaluate(const ProbeBuffers& probe) {
-  // Hot path: evaluate the probe as a delta against the committed state —
-  // only the realizations of the resources the move touched are recomputed,
-  // and only the affected region of G' is re-relaxed. The full-evaluation
-  // path is the A/B reference (bit-identical).
+void DseProblem::undo_draw(MoveKind kind) {
+  sol_.undo();
+  if (kind == MoveKind::kRemoveResource || kind == MoveKind::kCreateResource) {
+    arch_ = std::move(*saved_arch_);
+  }
+}
+
+std::optional<Metrics> DseProblem::evaluate() {
+  // Hot path: evaluate the move as a delta against the committed state —
+  // only the realizations of the resources it touched are recomputed, and
+  // only the affected region of G' is re-relaxed. The full-evaluation path
+  // is the A/B reference (bit-identical).
   if (inc_) {
-    return inc_->evaluate_candidate(probe.arch, probe.sol,
-                                    probe.sol.touched_resources(),
-                                    probe.sol.touched_tasks());
+    return inc_->evaluate_candidate(arch_, sol_, sol_.touched_resources(),
+                                    sol_.touched_tasks());
   }
-  return Evaluator(*tg_, probe.arch).evaluate(probe.sol);
+  return Evaluator(*tg_, arch_).evaluate(sol_);
 }
 
 bool DseProblem::propose(Rng& rng) {
   // Probe K moves against the committed state and hand the cheapest
   // feasible one to the engine's Metropolis test ("best of K, then
-  // Metropolis"). The cheapest probe so far stays in cand_; a later probe
-  // is drawn into spare_ and swapped in only when strictly cheaper, so a
-  // tie keeps the earlier probe. Losing probes count as rejections for the
+  // Metropolis"). Every probe is drawn into the current state, and each
+  // one that does not become the candidate is undone at once. The
+  // candidate stays applied until the next probe is drawn; if a later
+  // probe does not displace it (only a strictly cheaper one does, so a tie
+  // keeps the earlier probe), it is drawn again from the RNG state saved
+  // just before its draw — generate_move depends only on the state, the
+  // configuration and the RNG. Losing probes count as rejections for the
   // adaptive move mix; the per-class counters see every probe, so
   // `evaluated` measures real evaluator work.
+  RDSE_REQUIRE(!pending_, "propose: the last proposed move is pending");
   bool have_cand = false;
+  bool cand_applied = false;
+  Rng cand_rng = rng;
+  MoveConfig cand_config = move_config_;
   // The uncommitted delta the incremental evaluator holds, if any.
   enum class Staged { kNone, kCand, kLoser } staged = Staged::kNone;
   for (int k = 0; k < batch_; ++k) {
-    ProbeBuffers& probe = have_cand ? *spare_ : cand_;
-    refresh(probe);
-    const MoveOutcome outcome = generate_move_into(rng, probe);
+    if (cand_applied) {
+      undo_draw(cand_kind_);
+      cand_applied = false;
+    }
+    const MoveConfig config = draw_config(rng);
+    const Rng before_draw = rng;
+    const MoveOutcome outcome = apply_draw(config, rng);
     const auto move_class = static_cast<std::size_t>(outcome.kind);
     MoveClassStats& stats = move_stats_[move_class];
     ++stats.drawn;
-    if (outcome.applied) probe.sol_stale = true;
-    // m3/m4 mutate the probe's architecture. A failed m4 still leaves a
-    // tombstoned slot behind; a failed m3 returns before mutating anything.
-    const bool arch_mutated =
-        outcome.kind == MoveKind::kCreateResource ||
-        (outcome.applied && outcome.kind == MoveKind::kRemoveResource);
-    if (arch_mutated) probe.arch_stale = true;
     if (!outcome.applied) {
+      undo_draw(outcome.kind);
       ++stats.null_draws;
       if (mix_) mix_->report(move_class, false);
       continue;
@@ -174,63 +173,68 @@ bool DseProblem::propose(Rng& rng) {
       inc_->discard();
       staged = Staged::kNone;
     }
-    const std::optional<Metrics> m = evaluate(probe);
+    const std::optional<Metrics> m = evaluate();
     if (!m.has_value()) {
       // §4.3: the realized G' has a cycle — the move "will not be performed".
+      undo_draw(outcome.kind);
       ++stats.infeasible;
       if (mix_) mix_->report(move_class, false);
       continue;
     }
     ++stats.evaluated;
-    const double cost = cost_of(*m, probe.arch);
+    const double cost = cost_of(*m, arch_);
     const bool cheaper = !have_cand || cost < cand_cost_;
     if (inc_) staged = cheaper ? Staged::kCand : Staged::kLoser;
     if (!cheaper) {
+      undo_draw(outcome.kind);
       if (mix_) mix_->report(move_class, false);
       continue;
     }
-    if (have_cand) {
-      if (mix_) mix_->report(static_cast<std::size_t>(cand_kind_), false);
-      std::swap(cand_, *spare_);  // the touched journal travels too
+    if (have_cand && mix_) {
+      mix_->report(static_cast<std::size_t>(cand_kind_), false);
     }
     cand_metrics_ = *m;
     cand_cost_ = cost;
     cand_kind_ = outcome.kind;
-    cand_arch_mutated_ = arch_mutated;
+    cand_rng = before_draw;
+    cand_config = config;
     have_cand = true;
+    cand_applied = true;
   }
 
   if (staged == Staged::kLoser) inc_->discard();
-  if (inc_ && have_cand && staged != Staged::kCand) {
-    // Re-stage the candidate's delta against the committed state so
-    // accept() can commit it. The probe already proved feasibility, and
-    // replaying the identical (candidate, journal) pair is deterministic.
-    const std::optional<Metrics> m = evaluate(cand_);
-    RDSE_ASSERT(m.has_value());
+  if (have_cand && !cand_applied) {
+    const MoveOutcome again = apply_draw(cand_config, cand_rng);
+    RDSE_ASSERT(again.applied && again.kind == cand_kind_);
+    if (inc_ && staged != Staged::kCand) {
+      // Re-stage the candidate's delta against the committed state so
+      // accept() can commit it. The probe already proved feasibility, and
+      // the same move from the same state stages the same delta.
+      const std::optional<Metrics> m = evaluate();
+      RDSE_ASSERT(m.has_value());
+    }
   }
+  pending_ = have_cand;
   return have_cand;
 }
 
 void DseProblem::accept() {
+  RDSE_REQUIRE(pending_, "accept: no proposed move");
   if (inc_) inc_->commit();
-  if (cand_arch_mutated_) {
-    arch_ = cand_.arch;  // deep clone, m3/m4 only — see cand_arch_mutated_
-    if (spare_) spare_->arch_stale = true;
-    cand_arch_mutated_ = false;
-  }
-  sol_ = cand_.sol;
-  if (spare_) spare_->sol_stale = true;
+  sol_.clear_touched();  // keep the move: drop its undo log
   metrics_ = cand_metrics_;
   cost_ = cand_cost_;
-  cand_.arch_stale = false;  // current == candidate again
-  cand_.sol_stale = false;
+  pending_ = false;
   auto& stats = move_stats_[static_cast<std::size_t>(cand_kind_)];
   ++stats.accepted;
   if (mix_) mix_->report(static_cast<std::size_t>(cand_kind_), true);
 }
 
 void DseProblem::reject() {
+  RDSE_REQUIRE(pending_, "reject: no proposed move");
   if (inc_) inc_->discard();  // rolling back a delta costs nothing
+  undo_draw(cand_kind_);
+  pending_ = false;
   if (mix_) mix_->report(static_cast<std::size_t>(cand_kind_), false);
 }
 

@@ -5,11 +5,13 @@
 /// (optionally blended with system price and a deadline penalty for the
 /// architecture-exploration mode of [11]).
 ///
-/// propose() is one loop for every batch size K: it draws K moves against
-/// the committed state, keeps the cheapest feasible one in the candidate
-/// buffers (a later probe, drawn into spare buffers, replaces it only when
-/// strictly cheaper) and leaves its delta staged in the incremental
-/// evaluator for accept()/reject(). K = 1 is the classic one-probe step.
+/// Moves change the current state in place. propose() is one loop for
+/// every batch size K: it draws K moves against the committed state,
+/// undoing each probe that is not the cheapest feasible one so far (a later
+/// probe replaces the cheapest only when strictly cheaper), leaves the
+/// winner applied and its delta staged in the incremental evaluator, and
+/// accept() keeps it while reject() undoes it. K = 1 is the classic
+/// one-probe step.
 
 #include <array>
 #include <memory>
@@ -68,7 +70,8 @@ class DseProblem final : public AnnealProblem {
   void reject() override;
   void snapshot_best() override;
 
-  // Inspection.
+  // Inspection. Between a successful propose() and its accept() or
+  // reject(), the current state is the candidate.
   [[nodiscard]] const Solution& current_solution() const { return sol_; }
   [[nodiscard]] const Architecture& current_architecture() const {
     return arch_;
@@ -108,12 +111,13 @@ class DseProblem final : public AnnealProblem {
   /// exchange): validates, re-evaluates, and updates the current cost. The
   /// best-so-far snapshot and move statistics are left untouched; callers
   /// driving an AnnealEngine must follow up with notify_state_replaced().
-  /// An invalid state throws and leaves the problem as it was.
+  /// An invalid state, or a move pending between propose() and its
+  /// accept() or reject(), throws and leaves the problem as it was.
   void reset_state(Architecture arch, Solution sol);
 
   /// Checkpoint restore: replace the best-so-far snapshot (validated and
-  /// re-evaluated; an invalid state throws and leaves the problem as it
-  /// was). The construction sequence of a resumed problem takes
+  /// re-evaluated; an invalid state or a pending move throws and leaves the
+  /// problem as it was). The construction sequence of a resumed problem takes
   /// the checkpointed *current* state through the constructor and the
   /// engine's initial snapshot_best() clobbers best with it; this puts the
   /// checkpointed best back.
@@ -142,45 +146,40 @@ class DseProblem final : public AnnealProblem {
   Metrics checked_metrics(const Architecture& arch, const Solution& sol,
                           bool as_current);
 
-  /// One probe's move buffers: copies of the current state for a move to
-  /// mutate. A stale flag marks a copy that may differ from the current
-  /// state and is re-copied before the next draw; skipping the copy after
-  /// null draws and accepted moves keeps the hot path allocation-free.
-  struct ProbeBuffers {
-    Architecture arch;
-    Solution sol;
-    bool arch_stale = true;
-    bool sol_stale = true;
-  };
-  /// Re-copy the stale parts of `probe` and clear its mutation journal.
-  void refresh(ProbeBuffers& probe) const;
-  /// One §4.2 move draw into `probe` (adaptive-mix forcing included).
-  MoveOutcome generate_move_into(Rng& rng, ProbeBuffers& probe);
-  /// Evaluate `probe` against the committed state; nullopt when its G' is
-  /// cyclic. In incremental mode a feasible probe's delta stays staged.
-  std::optional<Metrics> evaluate(const ProbeBuffers& probe);
+  /// The move configuration of the next draw: the adaptive mix, when on,
+  /// picks the class (drawing from `rng`) and forces it.
+  MoveConfig draw_config(Rng& rng);
+  /// Apply one §4.2 draw to the current state, saving the architecture
+  /// first when the draw can be m3/m4 (p_zero > 0).
+  MoveOutcome apply_draw(const MoveConfig& config, Rng& rng);
+  /// Undo an apply_draw() of class `kind` (applied or null): replay the
+  /// Solution's undo log and, for m3/m4, restore the saved architecture —
+  /// a failed m4 leaves a tombstoned slot behind.
+  void undo_draw(MoveKind kind);
+  /// Evaluate the current state, a committed one plus one move; nullopt
+  /// when its G' is cyclic. In incremental mode a feasible move's delta
+  /// stays staged.
+  std::optional<Metrics> evaluate();
 
   const TaskGraph* tg_;
   MoveConfig move_config_;
   CostWeights weights_;
 
+  /// The current state, which is the candidate between propose() and
+  /// accept() or reject(); the metrics and cost are the committed ones.
   Architecture arch_;
   Solution sol_;
   Metrics metrics_;
   double cost_ = 0.0;
+  /// The architecture before the applied draw, when it could be m3/m4.
+  std::optional<Architecture> saved_arch_;
 
   /// The candidate: the cheapest feasible probe of the current step.
-  ProbeBuffers cand_;
   Metrics cand_metrics_;
   double cand_cost_ = 0.0;
   MoveKind cand_kind_ = MoveKind::kReassign;
-  /// True when the candidate's move mutated its architecture (m3/m4).
-  /// accept() deep-clones the architecture (unique_ptr resources) only
-  /// then — every other move leaves arch_ == cand_.arch already.
-  bool cand_arch_mutated_ = false;
-  /// Probes 2..K of a step are drawn here and swapped into cand_ only when
-  /// strictly cheaper. Built only when K > 1.
-  std::optional<ProbeBuffers> spare_;
+  /// A candidate move is applied to the current state.
+  bool pending_ = false;
   /// Probes evaluated per annealing step (K).
   int batch_ = 1;
 

@@ -33,6 +33,13 @@ bool slots_equal(const Slots& a, const Slots& b) {
   return true;
 }
 
+/// Move a member list's last entry (a task just inserted) to `slot`,
+/// keeping the order of the others.
+void move_back_to(std::vector<TaskId>& members, std::size_t slot) {
+  std::rotate(members.begin() + static_cast<std::ptrdiff_t>(slot),
+              members.end() - 1, members.end());
+}
+
 }  // namespace
 
 Solution::Solution(std::size_t task_count)
@@ -180,6 +187,10 @@ void Solution::remove_task(TaskId task) {
     auto& order = proc_order_[p.resource];
     const std::size_t pos = order_pos_[task];
     if (pos < order.size() && order[pos] == task) {
+      undo_.push_back({.op = UndoEntry::Op::kRemovedFromOrder,
+                       .task = task,
+                       .resource = p.resource,
+                       .slot = static_cast<std::uint32_t>(pos)});
       order.erase(order.begin() + static_cast<std::ptrdiff_t>(pos));
       renumber(order, pos, order.size());
       p = Placement{};
@@ -193,6 +204,14 @@ void Solution::remove_task(TaskId task) {
     auto& members = contexts[static_cast<std::size_t>(p.context)];
     const auto pos = std::find(members.begin(), members.end(), task);
     RDSE_ASSERT(pos != members.end());
+    undo_.push_back({.op = UndoEntry::Op::kRemovedFromContext,
+                     .collapsed = members.size() == 1,
+                     .task = task,
+                     .resource = p.resource,
+                     .slot = static_cast<std::uint32_t>(pos - members.begin()),
+                     .context = p.context,
+                     .impl = p.impl,
+                     .clbs = task_clb_[task]});
     members.erase(pos);
     auto& sums = rc_ctx_clbs_[p.resource];
     sums[static_cast<std::size_t>(p.context)] -= task_clb_[task];
@@ -214,6 +233,12 @@ void Solution::remove_task(TaskId task) {
     auto& members = asic_tasks_[p.resource];
     const auto pos = std::find(members.begin(), members.end(), task);
     if (pos != members.end()) {
+      undo_.push_back(
+          {.op = UndoEntry::Op::kRemovedFromAsic,
+           .task = task,
+           .resource = p.resource,
+           .slot = static_cast<std::uint32_t>(pos - members.begin()),
+           .impl = p.impl});
       members.erase(pos);
       p = Placement{};
       return;
@@ -229,6 +254,7 @@ void Solution::insert_on_processor(TaskId task, ResourceId processor,
                "insert_on_processor: task already assigned");
   touch(processor);
   touch_task(task);
+  undo_.push_back({.op = UndoEntry::Op::kInserted, .task = task});
   auto& order = slot_at(proc_order_, processor);
   position = std::min(position, order.size());
   order.insert(order.begin() + static_cast<std::ptrdiff_t>(position), task);
@@ -247,6 +273,7 @@ void Solution::insert_in_context(TaskId task, ResourceId rc, std::size_t ctx,
                    std::to_string(context_count(rc)) + " contexts)");
   touch(rc);
   touch_task(task);
+  undo_.push_back({.op = UndoEntry::Op::kInserted, .task = task});
   rc_contexts_[rc][ctx].push_back(task);
   rc_ctx_clbs_[rc][ctx] += clbs;
   task_clb_[task] = clbs;
@@ -260,6 +287,7 @@ void Solution::insert_on_asic(TaskId task, ResourceId asic,
                "insert_on_asic: task already assigned");
   touch(asic);
   touch_task(task);
+  undo_.push_back({.op = UndoEntry::Op::kInserted, .task = task});
   slot_at(asic_tasks_, asic).push_back(task);
   placement_[task] = Placement{asic, -1, impl};
 }
@@ -295,6 +323,9 @@ void Solution::reposition(TaskId task, std::size_t new_position) {
   const ResourceId processor = placement_[task].resource;
   touch(processor);
   touch_task(task);
+  undo_.push_back({.op = UndoEntry::Op::kRepositioned,
+                   .task = task,
+                   .slot = static_cast<std::uint32_t>(old_position)});
   auto& order = proc_order_[processor];
   new_position = std::min(new_position, order.size() - 1);
   // Same result as erase-then-insert, but only the span between the two
@@ -317,6 +348,10 @@ void Solution::set_impl(TaskId task, std::uint32_t impl, std::int32_t clbs) {
                "set_impl: task is not on a reconfigurable circuit");
   touch(placement_[task].resource);
   touch_task(task);
+  undo_.push_back({.op = UndoEntry::Op::kImplChanged,
+                   .task = task,
+                   .impl = placement_[task].impl,
+                   .clbs = task_clb_[task]});
   rc_ctx_clbs_[placement_[task].resource]
               [static_cast<std::size_t>(placement_[task].context)] +=
       clbs - task_clb_[task];
@@ -329,6 +364,10 @@ void Solution::swap_contexts(ResourceId rc, std::size_t a, std::size_t b) {
                "swap_contexts: context index out of range");
   if (a == b) return;
   touch(rc);
+  undo_.push_back({.op = UndoEntry::Op::kContextsSwapped,
+                   .resource = rc,
+                   .slot = static_cast<std::uint32_t>(a),
+                   .context = static_cast<std::int32_t>(b)});
   std::swap(rc_contexts_[rc][a], rc_contexts_[rc][b]);
   std::swap(rc_ctx_clbs_[rc][a], rc_ctx_clbs_[rc][b]);
   for (Placement& q : placement_) {
@@ -339,6 +378,42 @@ void Solution::swap_contexts(ResourceId rc, std::size_t a, std::size_t b) {
       q.context = static_cast<std::int32_t>(a);
     }
   }
+}
+
+void Solution::undo() {
+  // Each inverse is a mutator call, which logs an entry of its own;
+  // truncating to the replayed entry's index drops it with the entry.
+  for (std::size_t n = undo_.size(); n-- > 0;) {
+    const UndoEntry e = undo_[n];
+    switch (e.op) {
+      case UndoEntry::Op::kInserted: remove_task(e.task); break;
+      case UndoEntry::Op::kRemovedFromOrder:
+        insert_on_processor(e.task, e.resource, e.slot);
+        break;
+      case UndoEntry::Op::kRemovedFromContext: {
+        // A collapse renumbered the contexts behind it: re-create the
+        // context at its old index before putting the task back.
+        const auto ctx = static_cast<std::size_t>(e.context);
+        if (e.collapsed) {
+          spawn_context_after(e.resource, ctx == 0 ? kFront : ctx - 1);
+        }
+        insert_in_context(e.task, e.resource, ctx, e.impl, e.clbs);
+        move_back_to(rc_contexts_[e.resource][ctx], e.slot);
+        break;
+      }
+      case UndoEntry::Op::kRemovedFromAsic:
+        insert_on_asic(e.task, e.resource, e.impl);
+        move_back_to(asic_tasks_[e.resource], e.slot);
+        break;
+      case UndoEntry::Op::kRepositioned: reposition(e.task, e.slot); break;
+      case UndoEntry::Op::kImplChanged: set_impl(e.task, e.impl, e.clbs); break;
+      case UndoEntry::Op::kContextsSwapped:
+        swap_contexts(e.resource, e.slot, static_cast<std::size_t>(e.context));
+        break;
+    }
+    undo_.resize(n);
+  }
+  clear_touched();
 }
 
 void Solution::check_mirrors() const {

@@ -16,10 +16,12 @@
 /// the one place the §4.3 spawn rule and the §3.3 Ehw weights get a
 /// context's occupancy from. *Semantic* feasibility — capacity bounds,
 /// acyclicity of the induced search graph — is enforced by the move layer
-/// and checked by mapping/validation.hpp. Solutions are value types: the
-/// annealer copies them to stage candidates. They deliberately hold no
-/// pointers to the task graph or architecture; methods that need those take
-/// them as parameters, so a Solution can outlive architecture snapshots.
+/// and checked by mapping/validation.hpp. Solutions are value types that
+/// the annealer changes in place: every mutator logs how to invert itself,
+/// so a rejected move is undone instead of staged in a copy. They
+/// deliberately hold no pointers to the task graph or architecture;
+/// methods that need those take them as parameters, so a Solution can
+/// outlive architecture snapshots.
 
 #include <cstdint>
 #include <span>
@@ -141,6 +143,8 @@ class Solution {
 
   /// Create an empty context right after `after` (pass npos to prepend at
   /// the front, or context_count()-1 to append). Returns the new index.
+  /// The spawn logs no undo entry: an insert into the new context must
+  /// follow, and undoing that insert collapses the context again.
   std::size_t spawn_context_after(ResourceId rc, std::size_t after);
   static constexpr std::size_t kFront = static_cast<std::size_t>(-1);
 
@@ -159,11 +163,13 @@ class Solution {
   void check_mirrors() const;
 
   // ---- mutation journal ---------------------------------------------------
+  // What the mutators changed since the last clear_touched(): the touched
+  // resources and tasks, and an undo log of how to invert each change. The
+  // journal is copied with the solution and ignored by operator==.
 
   /// Resources whose assignment, ordering or implementation content has been
   /// modified by a mutator since the last clear_touched(). The incremental
-  /// evaluator uses this to scope re-realization of the search graph; the
-  /// journal is copied with the solution and ignored by operator==.
+  /// evaluator uses this to scope re-realization of the search graph.
   [[nodiscard]] std::span<const ResourceId> touched_resources() const {
     return touched_;
   }
@@ -175,10 +181,17 @@ class Solution {
   [[nodiscard]] std::span<const TaskId> touched_tasks() const {
     return touched_tasks_;
   }
+  /// Start a new journal: the changes so far are kept (a move is accepted).
   void clear_touched() {
     touched_.clear();
     touched_tasks_.clear();
+    undo_.clear();
   }
+  /// Revert every change since the last clear_touched() by replaying the
+  /// undo log backwards through the mutators, then clear the journal. The
+  /// state is restored exactly: placements, every processor order and the
+  /// order of every context's and ASIC's members.
+  void undo();
 
   /// Semantic equality (placements and mirrors; the journal is ignored —
   /// and so are trailing/empty mirror slots, which only record that a
@@ -186,6 +199,30 @@ class Solution {
   [[nodiscard]] bool operator==(const Solution& other) const;
 
  private:
+  /// How to invert one mutator call, replayed by undo() through the
+  /// mutators themselves.
+  struct UndoEntry {
+    enum class Op : std::uint8_t {
+      kInserted,            ///< remove_task(task)
+      kRemovedFromOrder,    ///< insert_on_processor(task, resource, slot)
+      kRemovedFromContext,  ///< re-spawn if collapsed, insert at slot
+      kRemovedFromAsic,     ///< insert_on_asic, back at member slot
+      kRepositioned,        ///< reposition(task, slot)
+      kImplChanged,         ///< set_impl(task, impl, clbs)
+      kContextsSwapped,     ///< swap_contexts(resource, slot, context)
+    };
+    Op op = Op::kInserted;
+    bool collapsed = false;  ///< the context was destroyed by the removal
+    TaskId task = 0;
+    ResourceId resource = kInvalidResource;
+    /// The old order slot, the index among a context's or an ASIC's
+    /// members, or the first of two swapped contexts.
+    std::uint32_t slot = 0;
+    std::int32_t context = -1;  ///< context index (second swapped one)
+    std::uint32_t impl = 0;     ///< the old implementation
+    std::int32_t clbs = 0;      ///< and its CLB count
+  };
+
   void touch(ResourceId id);
   void touch_task(TaskId id);
   /// Refresh the position mirror for order slots [begin, end).
@@ -197,7 +234,7 @@ class Solution {
   // ids (a slot for a resource the solution never saw is simply empty) —
   // the accessors on the annealing hot path (processor_order,
   // context_tasks, context_count) are one indexed load instead of a tree
-  // walk, and the per-move candidate copy reuses inner capacity.
+  // walk.
   /// processor id -> total order
   std::vector<std::vector<TaskId>> proc_order_;
   /// task id -> index in its processor's total order. Meaningful only for
@@ -220,6 +257,8 @@ class Solution {
   /// Resources / tasks modified since clear_touched() (deduplicated, tiny).
   std::vector<ResourceId> touched_;
   std::vector<TaskId> touched_tasks_;
+  /// One entry per mutator call since clear_touched(), oldest first.
+  std::vector<UndoEntry> undo_;
 };
 
 }  // namespace rdse

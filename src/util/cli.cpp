@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
 #include <charconv>
+#include <exception>
+#include <iostream>
 #include <string_view>
 
 #include "util/assert.hpp"
@@ -115,6 +117,17 @@ bool Options::get_flag(const std::string& name) const {
   const auto v = get(name);
   if (!v) return false;
   return *v != "0" && *v != "false" && *v != "off" && !v->empty();
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  const std::string_view path = argc > 0 ? argv[0] : "rdse";
+  const std::string_view name = path.substr(path.find_last_of('/') + 1);
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {  // rdse::Error among them
+    std::cerr << name << ": " << e.what() << '\n';
+    return 1;
+  }
 }
 
 }  // namespace rdse

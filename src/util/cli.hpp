@@ -1,8 +1,9 @@
 #pragma once
 /// \file cli.hpp
 /// \brief Minimal command-line option parsing for `rdse` and the example and
-/// bench binaries (`--key=value`, `--key value`, `--flag`). Options come
-/// from the command line only: no environment variable changes what runs.
+/// bench binaries (`--key=value`, `--key value`, `--flag`), and the `main`
+/// wrapper of the example and bench binaries. Options come from the
+/// command line only: no environment variable changes what runs.
 
 #include <cstdint>
 #include <map>
@@ -61,5 +62,11 @@ class Options {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Every example and bench `main` forwards here, so a bad flag (or any
+/// other failure) is reported the way `rdse` reports it: one
+/// "<binary>: <message>" line on stderr and exit status 1, never an
+/// uncaught-exception abort.
+int run_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace rdse

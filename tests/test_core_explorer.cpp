@@ -498,6 +498,43 @@ TEST_F(ExplorerFixture, RejectedRestoreBestStateLeavesTheProblemAsItWas) {
   }
 }
 
+TEST_F(ExplorerFixture, StateReplacementWithAMovePendingThrows) {
+  // Between propose() and accept()/reject() the current state is the
+  // candidate, so replacing it (or the best) would strand the move.
+  for (const bool full_eval : {false, true}) {
+    Rng init(13);
+    const Solution start =
+        Solution::random_partition(app.graph, arch, kCpu, kFpga, init);
+    DseProblem problem(app.graph, arch, start, MoveConfig{}, CostWeights{},
+                       false, full_eval);
+    DseProblem twin(app.graph, arch, start, MoveConfig{}, CostWeights{},
+                    false, full_eval);
+    Rng ra(31);
+    Rng rb(31);
+    bool pending = false;
+    while (!pending) {
+      pending = problem.propose(ra);
+      ASSERT_EQ(pending, twin.propose(rb));
+    }
+    const Solution candidate = problem.current_solution();
+    const Solution best = problem.best_solution();
+    const double cost = problem.cost();
+    const double candidate_cost = problem.candidate_cost();
+    EXPECT_THROW(problem.reset_state(arch, start), Error);
+    EXPECT_THROW(problem.restore_best_state(arch, start), Error);
+    EXPECT_EQ(problem.current_solution(), candidate);
+    EXPECT_EQ(problem.best_solution(), best);
+    EXPECT_EQ(problem.cost(), cost);
+    EXPECT_EQ(problem.candidate_cost(), candidate_cost);
+    // The move is still pending: rejecting it restores the start, and the
+    // problem goes on in step with its twin.
+    problem.reject();
+    twin.reject();
+    EXPECT_EQ(problem.current_solution(), start);
+    expect_lockstep(problem, twin, 32, 200);
+  }
+}
+
 TEST(ExplorerGuards, RequiresProcessor) {
   const Application app = make_motion_detection_app();
   Architecture no_cpu{Bus(1'000)};

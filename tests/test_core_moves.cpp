@@ -1,11 +1,13 @@
 /// Tests for the §4.2 move classes: realization semantics, §4.3 spawn rule,
 /// null-move cases, a fuzz property — no move sequence may ever corrupt the
-/// solution (cyclic realizations are legal and rejected by evaluation) — and
-/// draw-for-draw equivalence of m1 with its linear-walk reference.
+/// solution (cyclic realizations are legal and rejected by evaluation) —
+/// draw-for-draw equivalence of m1 with its linear-walk reference, and the
+/// Solution's undo log: undoing any draw restores the state exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "core/moves.hpp"
 #include "mapping/validation.hpp"
@@ -438,6 +440,89 @@ TEST_P(ReorderSwReference, MirrorMatchesLinearWalkDrawForDraw) {
 
 INSTANTIATE_TEST_SUITE_P(DenseGraphs, ReorderSwReference,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+// ---- undo log: every draw reverts exactly ----------------------------------
+
+/// test_properties' random-application shape.
+Application undo_app(std::uint64_t seed, std::size_t n) {
+  AppGenParams params;
+  params.dag.node_count = n;
+  params.dag.max_width = 4;
+  params.hw_capable_fraction = 0.85;
+  Rng rng(seed);
+  return random_application(params, rng);
+}
+
+std::size_t largest_asic(const Solution& sol, const Architecture& arch) {
+  std::size_t n = 0;
+  for (ResourceId id : arch.ids_of(ResourceKind::kAsic)) {
+    n = std::max(n, sol.asic_tasks(id).size());
+  }
+  return n;
+}
+
+/// Every move class, drawn from random-partition starts (many contexts, so
+/// spawns and collapses happen), is undone and compared with a copy taken
+/// before the draw. The walk keeps every other applied draw, so the undo
+/// starts from many states. DseProblem runs on this path for every
+/// proposal and its full and incremental evaluators share it, so their
+/// lockstep suites cannot see an undo bug; this suite can.
+TEST(MoveUndo, UndoRestoresEveryDrawExactlyOn100RandomGraphs) {
+  MoveConfig config;
+  config.p_zero = 0.05;  // m3/m4
+  config.p_change_impl = 0.3;
+  config.p_reorder_contexts = 0.2;
+  config.p_resource_target = 0.3;
+  std::array<int, kMoveKindCount> undone{};
+  int spawns_undone = 0;
+  int collapses_undone = 0;
+  int asic_undos = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const Application app = undo_app(seed * 613 + 5, 8 + (seed % 7) * 4);
+    for (const std::int32_t clbs : {400, 2000}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(clbs) + " CLBs");
+      Architecture arch =
+          make_cpu_fpga_architecture(clbs, from_us(15.0), 20'000'000);
+      Rng rng(seed * 7919 + static_cast<std::uint64_t>(clbs));
+      Solution sol = Solution::random_partition(app.graph, arch, 0, 1, rng);
+      bool keep = false;
+      for (int i = 0; i < 150; ++i) {
+        const Architecture arch_before = arch;
+        const Solution before = sol;
+        const std::size_t contexts_before = total_contexts(sol, arch);
+        const std::size_t asic_before = largest_asic(sol, arch);
+        const MoveOutcome out =
+            generate_move(app.graph, arch, sol, config, rng);
+        if (out.applied) {
+          sol.check_mirrors();
+          keep = !keep;
+          if (keep) {
+            sol.clear_touched();
+            continue;
+          }
+          ++undone[static_cast<std::size_t>(out.kind)];
+          const std::size_t contexts_after = total_contexts(sol, arch);
+          spawns_undone += contexts_after > contexts_before ? 1 : 0;
+          collapses_undone += contexts_after < contexts_before ? 1 : 0;
+          asic_undos += asic_before >= 2 ? 1 : 0;
+        }
+        sol.undo();
+        arch = arch_before;  // m3/m4: the architecture is the caller's
+        ASSERT_EQ(sol, before) << "draw " << i << ", " << to_string(out.kind);
+        ASSERT_TRUE(sol.touched_tasks().empty());
+        ASSERT_TRUE(sol.touched_resources().empty());
+        sol.check_mirrors();
+      }
+    }
+  }
+  for (std::size_t k = 0; k < kMoveKindCount; ++k) {
+    EXPECT_GT(undone[k], 20) << to_string(static_cast<MoveKind>(k));
+  }
+  EXPECT_GT(spawns_undone, 100);
+  EXPECT_GT(collapses_undone, 100);
+  EXPECT_GT(asic_undos, 20);
+}
 
 TEST(MoveNames, AllKindsHaveNames) {
   for (std::size_t k = 0; k < kMoveKindCount; ++k) {

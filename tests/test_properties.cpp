@@ -10,6 +10,7 @@
 #include "graph/dot.hpp"
 #include "mapping/validation.hpp"
 #include "model/generators.hpp"
+#include "sched/evaluator.hpp"
 #include "sched/timeline.hpp"
 
 namespace rdse {
@@ -392,6 +393,98 @@ TEST(BatchedProbes, SeedDeterminismAndFullEvalIdentityOn50RandomGraphs) {
       FAIL() << "instance seed " << seed;
     }
   }
+}
+
+// ---- moves in place: what an undone move leaves behind --------------------
+
+/// The architecture facts a leftover m3/m4 would change: a failed m4 leaves
+/// a tombstoned slot, which would shift slot_count and every later id.
+void expect_same_architecture(const Architecture& a, const Architecture& b,
+                              const std::string& where) {
+  EXPECT_EQ(a.slot_count(), b.slot_count()) << where;
+  EXPECT_EQ(a.live_ids(), b.live_ids()) << where;
+}
+
+/// DseProblem draws every probe into its current state. After a reject()
+/// or a propose() that found nothing (every probe null or cyclic), the
+/// current state must equal a copy taken before the propose(); after a
+/// successful one it must be that state plus the candidate's move alone,
+/// every losing probe undone.
+TEST(InPlaceMoves, UndoneProbesLeaveTheCommittedState) {
+  std::int64_t rejected = 0;
+  std::int64_t empty_proposals = 0;
+  std::int64_t losing_probes = 0;
+  std::int64_t failed_m4 = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const Application app = make_app(seed * 389 + 3, 10 + (seed % 5) * 4);
+    // A 60-CLB device cannot hold most tasks, and neither can the FPGAs
+    // an m4 clones from it: those draws fail after adding a slot.
+    const std::int32_t clbs[] = {60, 400, 2000};
+    Architecture arch = make_cpu_fpga_architecture(clbs[seed % 3],
+                                                   from_us(15.0), 20'000'000);
+    Rng init(seed * 17 + 1);
+    const Solution initial =
+        Solution::random_partition(app.graph, arch, 0, 1, init);
+    for (const int batch : {1, 4}) {
+      for (const double p_zero : {0.0, 0.2}) {
+        MoveConfig mc;
+        mc.p_zero = p_zero;
+        DseProblem problem(app.graph, arch, initial, mc, {},
+                           /*adaptive_move_mix=*/seed % 3 == 0,
+                           /*full_eval=*/false, batch);
+        Rng rng(seed * 31 + static_cast<std::uint64_t>(batch));
+        Rng coin(seed ^ 0x5EEDu);
+        std::int64_t proposed = 0;
+        for (int i = 0; i < 150; ++i) {
+          const std::string where =
+              "seed " + std::to_string(seed) + ", K " +
+              std::to_string(batch) + ", p_zero " + std::to_string(p_zero) +
+              ", step " + std::to_string(i);
+          const Solution sol_before = problem.current_solution();
+          const Architecture arch_before = problem.current_architecture();
+          const double cost_before = problem.cost();
+          if (!problem.propose(rng)) {
+            ++empty_proposals;
+            ASSERT_EQ(problem.current_solution(), sol_before) << where;
+            expect_same_architecture(problem.current_architecture(),
+                                     arch_before, where);
+            continue;
+          }
+          ++proposed;
+          // The current state is the candidate alone: the losing probes
+          // were undone.
+          const auto m = Evaluator(app.graph, problem.current_architecture())
+                             .evaluate(problem.current_solution());
+          ASSERT_TRUE(m.has_value()) << where;
+          ASSERT_EQ(problem.cost_of(*m, problem.current_architecture()),
+                    problem.candidate_cost())
+              << where;
+          if (coin.bernoulli(0.5)) {
+            problem.accept();
+            continue;
+          }
+          problem.reject();
+          ++rejected;
+          ASSERT_EQ(problem.current_solution(), sol_before) << where;
+          expect_same_architecture(problem.current_architecture(),
+                                   arch_before, where);
+          ASSERT_EQ(problem.cost(), cost_before) << where;
+        }
+        std::int64_t evaluated = 0;
+        for (const MoveClassStats& k : problem.move_stats()) {
+          evaluated += k.evaluated;
+        }
+        losing_probes += evaluated - proposed;
+        const auto m4 = static_cast<std::size_t>(MoveKind::kCreateResource);
+        failed_m4 += problem.move_stats()[m4].null_draws;
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 1'000);
+  EXPECT_GT(empty_proposals, 1'000);
+  EXPECT_GT(losing_probes, 1'000);  // at K = 4
+  EXPECT_GT(failed_m4, 10);
 }
 
 TEST(DotExport, PlainGraphAndStyles) {

@@ -4,43 +4,38 @@
 
 namespace rdse {
 
-Architecture::Architecture(const Architecture& other) : bus_(other.bus_) {
-  resources_.reserve(other.resources_.size());
-  for (const auto& r : other.resources_) {
-    resources_.push_back(r ? r->clone() : nullptr);
-  }
-  live_count_ = other.live_count_;
-}
-
-Architecture& Architecture::operator=(const Architecture& other) {
-  if (this != &other) {
-    Architecture copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
+ResourceId Architecture::add(Resource resource) {
+  resources_.emplace_back(std::move(resource));
+  ++live_count_;
+  return static_cast<ResourceId>(resources_.size() - 1);
 }
 
 ResourceId Architecture::add_processor(std::string name, double price,
                                        double speed_factor) {
-  resources_.push_back(
-      std::make_unique<Processor>(std::move(name), price, speed_factor));
-  ++live_count_;
-  return static_cast<ResourceId>(resources_.size() - 1);
+  RDSE_REQUIRE(speed_factor > 0.0,
+               "Architecture::add_processor: non-positive speed factor");
+  Resource cpu(ResourceKind::kProcessor, std::move(name), price);
+  cpu.speed_factor_ = speed_factor;
+  return add(std::move(cpu));
 }
 
 ResourceId Architecture::add_asic(std::string name, double price) {
-  resources_.push_back(std::make_unique<Asic>(std::move(name), price));
-  ++live_count_;
-  return static_cast<ResourceId>(resources_.size() - 1);
+  return add(Resource(ResourceKind::kAsic, std::move(name), price));
 }
 
 ResourceId Architecture::add_reconfigurable(std::string name,
                                             std::int32_t n_clbs,
                                             TimeNs tr_per_clb) {
-  resources_.push_back(std::make_unique<ReconfigurableCircuit>(
-      std::move(name), n_clbs, tr_per_clb));
-  ++live_count_;
-  return static_cast<ResourceId>(resources_.size() - 1);
+  RDSE_REQUIRE(n_clbs > 0,
+               "Architecture::add_reconfigurable: non-positive CLB count");
+  RDSE_REQUIRE(tr_per_clb >= 0,
+               "Architecture::add_reconfigurable: negative "
+               "reconfiguration time");
+  Resource rc(ResourceKind::kReconfigurable, std::move(name),
+              50.0 + 0.05 * static_cast<double>(n_clbs));
+  rc.n_clbs_ = n_clbs;
+  rc.tr_per_clb_ = tr_per_clb;
+  return add(std::move(rc));
 }
 
 void Architecture::remove(ResourceId id) {
@@ -49,18 +44,17 @@ void Architecture::remove(ResourceId id) {
   --live_count_;
 }
 
-const ReconfigurableCircuit& Architecture::reconfigurable(
-    ResourceId id) const {
+const Resource& Architecture::reconfigurable(ResourceId id) const {
   const Resource& r = resource(id);
   RDSE_REQUIRE(r.kind() == ResourceKind::kReconfigurable,
                "Architecture::reconfigurable: wrong resource kind");
-  return static_cast<const ReconfigurableCircuit&>(r);
+  return r;
 }
 
 std::vector<ResourceId> Architecture::live_ids() const {
   std::vector<ResourceId> out;
   for (ResourceId id = 0; id < resources_.size(); ++id) {
-    if (resources_[id]) out.push_back(id);
+    if (alive(id)) out.push_back(id);
   }
   return out;
 }
@@ -68,7 +62,7 @@ std::vector<ResourceId> Architecture::live_ids() const {
 std::vector<ResourceId> Architecture::ids_of(ResourceKind kind) const {
   std::vector<ResourceId> out;
   for (ResourceId id = 0; id < resources_.size(); ++id) {
-    if (resources_[id] && resources_[id]->kind() == kind) {
+    if (alive(id) && resources_[id]->kind() == kind) {
       out.push_back(id);
     }
   }

@@ -5,10 +5,11 @@
 ///
 /// Resource ids stay stable across removals (slots are tombstoned), because
 /// solutions and moves hold ids while the architecture-exploration moves
-/// m3/m4 add and remove resources. The container deep-clones on copy so the
-/// annealer can snapshot candidate systems.
+/// m3/m4 add and remove resources. Resources are values, so copying an
+/// Architecture (the annealer snapshots candidate systems) copies values,
+/// and a reference returned by resource() lasts until the next add.
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "arch/bus.hpp"
@@ -21,11 +22,9 @@ class Architecture {
  public:
   explicit Architecture(Bus bus) : bus_(bus) {}
 
-  Architecture(const Architecture& other);
-  Architecture& operator=(const Architecture& other);
-  Architecture(Architecture&&) noexcept = default;
-  Architecture& operator=(Architecture&&) noexcept = default;
-
+  /// The one way to build each kind of resource. A processor's execution
+  /// time is tsw / `speed_factor`; a reconfigurable circuit costs 50 + 0.05
+  /// per CLB.
   ResourceId add_processor(std::string name, double price = 100.0,
                            double speed_factor = 1.0);
   ResourceId add_asic(std::string name, double price = 400.0);
@@ -36,7 +35,7 @@ class Architecture {
   void remove(ResourceId id);
 
   [[nodiscard]] bool alive(ResourceId id) const {
-    return id < resources_.size() && resources_[id] != nullptr;
+    return id < resources_.size() && resources_[id].has_value();
   }
   /// Total slots ever allocated (iterate ids in [0, slot_count())).
   [[nodiscard]] std::size_t slot_count() const { return resources_.size(); }
@@ -47,8 +46,8 @@ class Architecture {
     RDSE_REQUIRE(alive(id), "Architecture::resource: resource not alive");
     return *resources_[id];
   }
-  [[nodiscard]] const ReconfigurableCircuit& reconfigurable(
-      ResourceId id) const;
+  /// resource(id), checked to be a reconfigurable circuit.
+  [[nodiscard]] const Resource& reconfigurable(ResourceId id) const;
 
   [[nodiscard]] std::vector<ResourceId> live_ids() const;
   [[nodiscard]] std::vector<ResourceId> ids_of(ResourceKind kind) const;
@@ -65,7 +64,9 @@ class Architecture {
   [[nodiscard]] double total_price() const;
 
  private:
-  std::vector<std::unique_ptr<Resource>> resources_;
+  ResourceId add(Resource resource);
+
+  std::vector<std::optional<Resource>> resources_;  // nullopt: tombstone
   std::size_t live_count_ = 0;
   Bus bus_;
 };

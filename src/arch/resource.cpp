@@ -1,7 +1,5 @@
 #include "arch/resource.hpp"
 
-#include "util/assert.hpp"
-
 namespace rdse {
 
 const char* to_string(ResourceKind kind) {
@@ -11,29 +9,6 @@ const char* to_string(ResourceKind kind) {
     case ResourceKind::kReconfigurable: return "reconfigurable";
   }
   return "?";
-}
-
-const char* to_string(OrderKind kind) {
-  switch (kind) {
-    case OrderKind::kTotal: return "total";
-    case OrderKind::kPartial: return "partial";
-    case OrderKind::kGtlp: return "gtlp";
-  }
-  return "?";
-}
-
-ReconfigurableCircuit::ReconfigurableCircuit(std::string name,
-                                             std::int32_t n_clbs,
-                                             TimeNs tr_per_clb,
-                                             double price_base,
-                                             double price_per_clb)
-    : Resource(std::move(name),
-               price_base + price_per_clb * static_cast<double>(n_clbs)),
-      n_clbs_(n_clbs),
-      tr_per_clb_(tr_per_clb) {
-  RDSE_REQUIRE(n_clbs > 0, "ReconfigurableCircuit: non-positive CLB count");
-  RDSE_REQUIRE(tr_per_clb >= 0,
-               "ReconfigurableCircuit: negative reconfiguration time");
 }
 
 }  // namespace rdse

@@ -1,22 +1,23 @@
 #pragma once
 /// \file resource.hpp
-/// \brief The polymorphic Processing Element hierarchy of §3.3 / Fig. 1.
+/// \brief The Processing Element of §3.3 / Fig. 1 as one value type.
 ///
 /// "Class Processing Element belongs to the Resource class of the system,
-/// which is abstract and polymorphic." The execution-order discipline a
-/// resource imposes on the tasks assigned to it is the polymorphic behaviour
-/// (the paper's abstract PE.schedule method):
-///   - Processor: total order (sequential execution);
+/// which is abstract and polymorphic." Here the paper's abstract class is
+/// one concrete value whose kind selects the execution-order discipline it
+/// imposes on the tasks assigned to it:
+///   - processor: total order (sequential execution);
 ///   - ASIC: partial order (maximal parallelism);
-///   - ReconfigurableCircuit: globally total, locally partial (GTLP) — the
+///   - reconfigurable circuit: globally total, locally partial (GTLP) — the
 ///     ordered run-time contexts are sequential, tasks within one context
 ///     are parallel.
 /// The search-graph builder (mapping/search_graph.hpp) materializes the
-/// discipline as sequentialization edges, driven by order_kind().
+/// discipline as sequentialization edges. A resource is built only through
+/// Architecture's add_processor, add_asic and add_reconfigurable.
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/time.hpp"
@@ -33,131 +34,77 @@ enum class ResourceKind : std::uint8_t {
   kReconfigurable,
 };
 
-/// Execution-order discipline imposed on co-located tasks.
-enum class OrderKind : std::uint8_t {
-  kTotal,    ///< sequential (programmable processor)
-  kPartial,  ///< maximal parallelism (ASIC)
-  kGtlp,     ///< globally total over contexts, locally partial (DRLC)
-};
-
 [[nodiscard]] const char* to_string(ResourceKind kind);
-[[nodiscard]] const char* to_string(OrderKind kind);
 
-/// Abstract processing element.
+/// A processing element: a kind, a name, a price and the fields of its
+/// kind, whose reads check the kind in Debug and sanitizer builds.
+///   - processor: `speed_factor` supports heterogeneous multiprocessor
+///     systems; a task's execution time is tsw / speed_factor (the
+///     application estimates are calibrated for a 1.0x reference core);
+///   - ASIC: no fields of its own, no reconfiguration and no area
+///     constraint (the fastest implementation of each assigned function is
+///     synthesized side by side);
+///   - reconfigurable circuit (§3.2): NCLB logic blocks and a
+///     reconfiguration time tR per CLB (partial reconfiguration: loading a
+///     context of n CLBs costs tR * n). Its contexts are part of the
+///     Solution (temporal partitioning), not of the static architecture.
 class Resource {
  public:
-  Resource(std::string name, double price)
-      : name_(std::move(name)), price_(price) {}
-  virtual ~Resource() = default;
-
-  Resource(const Resource&) = default;
-  Resource& operator=(const Resource&) = delete;
-
-  [[nodiscard]] virtual ResourceKind kind() const = 0;
-  [[nodiscard]] virtual OrderKind order_kind() const = 0;
-  /// Polymorphic deep copy (architecture exploration snapshots the system).
-  [[nodiscard]] virtual std::unique_ptr<Resource> clone() const = 0;
-
+  [[nodiscard]] ResourceKind kind() const { return kind_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Relative unit cost used by the architecture-exploration cost function.
   [[nodiscard]] double price() const { return price_; }
 
- private:
-  std::string name_;
-  double price_;
-};
-
-/// Programmable processor: executes its tasks sequentially in the total
-/// order chosen by the search algorithm (enforced through Esw edges).
-/// `speed_factor` supports heterogeneous multiprocessor systems: a task's
-/// execution time on this processor is tsw / speed_factor (the application
-/// estimates are calibrated for a 1.0x reference core).
-class Processor final : public Resource {
- public:
-  explicit Processor(std::string name, double price = 100.0,
-                     double speed_factor = 1.0)
-      : Resource(std::move(name), price), speed_factor_(speed_factor) {
-    RDSE_REQUIRE(speed_factor > 0.0, "Processor: non-positive speed factor");
+  /// Processor speed relative to the reference core.
+  [[nodiscard]] double speed_factor() const {
+    RDSE_DCHECK(kind_ == ResourceKind::kProcessor,
+                "speed_factor: not a processor");
+    return speed_factor_;
   }
-
-  [[nodiscard]] ResourceKind kind() const override {
-    return ResourceKind::kProcessor;
-  }
-  [[nodiscard]] OrderKind order_kind() const override {
-    return OrderKind::kTotal;
-  }
-  [[nodiscard]] std::unique_ptr<Resource> clone() const override {
-    return std::make_unique<Processor>(*this);
-  }
-
-  [[nodiscard]] double speed_factor() const { return speed_factor_; }
-
-  /// Execution time of a task with reference software time `sw_time`.
+  /// Execution time on this processor of a task with reference software
+  /// time `sw_time`.
   [[nodiscard]] TimeNs execution_time(TimeNs sw_time) const {
+    RDSE_DCHECK(kind_ == ResourceKind::kProcessor,
+                "execution_time: not a processor");
     if (speed_factor_ == 1.0) return sw_time;
     return static_cast<TimeNs>(
         static_cast<double>(sw_time) / speed_factor_ + 0.5);
   }
 
- private:
-  double speed_factor_;
-};
-
-/// Dedicated circuit: tasks execute with maximal parallelism, no
-/// reconfiguration, no area constraint (the fastest implementation of each
-/// assigned function is synthesized side by side).
-class Asic final : public Resource {
- public:
-  explicit Asic(std::string name, double price = 400.0)
-      : Resource(std::move(name), price) {}
-
-  [[nodiscard]] ResourceKind kind() const override {
-    return ResourceKind::kAsic;
-  }
-  [[nodiscard]] OrderKind order_kind() const override {
-    return OrderKind::kPartial;
-  }
-  [[nodiscard]] std::unique_ptr<Resource> clone() const override {
-    return std::make_unique<Asic>(*this);
-  }
-};
-
-/// Dynamically reconfigurable logic circuit (§3.2): NCLB logic blocks, a
-/// reconfiguration time tR per CLB (partial reconfiguration: loading a
-/// context of n CLBs costs tR * n), and GTLP execution of its contexts.
-/// The contexts themselves are part of the Solution (temporal partitioning),
-/// not of the static architecture.
-class ReconfigurableCircuit final : public Resource {
- public:
-  ReconfigurableCircuit(std::string name, std::int32_t n_clbs,
-                        TimeNs tr_per_clb, double price_base = 50.0,
-                        double price_per_clb = 0.05);
-
-  [[nodiscard]] ResourceKind kind() const override {
-    return ResourceKind::kReconfigurable;
-  }
-  [[nodiscard]] OrderKind order_kind() const override {
-    return OrderKind::kGtlp;
-  }
-  [[nodiscard]] std::unique_ptr<Resource> clone() const override {
-    return std::make_unique<ReconfigurableCircuit>(*this);
-  }
-
   /// Total number of CLBs in the device (context capacity bound).
-  [[nodiscard]] std::int32_t n_clbs() const { return n_clbs_; }
+  [[nodiscard]] std::int32_t n_clbs() const {
+    RDSE_DCHECK(kind_ == ResourceKind::kReconfigurable,
+                "n_clbs: not a reconfigurable circuit");
+    return n_clbs_;
+  }
   /// Reconfiguration time per CLB.
-  [[nodiscard]] TimeNs tr_per_clb() const { return tr_per_clb_; }
+  [[nodiscard]] TimeNs tr_per_clb() const {
+    RDSE_DCHECK(kind_ == ResourceKind::kReconfigurable,
+                "tr_per_clb: not a reconfigurable circuit");
+    return tr_per_clb_;
+  }
   /// Time to (re)configure a context occupying `clbs` logic blocks.
   /// Inline: the incremental evaluator calls this for every context of
   /// every touched RC on every move.
   [[nodiscard]] TimeNs reconfiguration_time(std::int32_t clbs) const {
+    RDSE_DCHECK(kind_ == ResourceKind::kReconfigurable,
+                "reconfiguration_time: not a reconfigurable circuit");
     RDSE_DCHECK(clbs >= 0, "reconfiguration_time: negative CLB count");
     return tr_per_clb_ * static_cast<TimeNs>(clbs);
   }
 
  private:
-  std::int32_t n_clbs_;
-  TimeNs tr_per_clb_;
+  friend class Architecture;
+
+  Resource(ResourceKind kind, std::string name, double price)
+      : kind_(kind), name_(std::move(name)), price_(price) {}
+
+  ResourceKind kind_;
+  std::string name_;
+  double price_;
+  double speed_factor_ = 1.0;
+  std::int32_t n_clbs_ = 0;
+  TimeNs tr_per_clb_ = 0;
 };
 
 }  // namespace rdse

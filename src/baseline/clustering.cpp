@@ -9,7 +9,7 @@
 namespace rdse {
 
 std::vector<std::vector<TaskId>> cluster_into_contexts(
-    const TaskGraph& tg, const ReconfigurableCircuit& dev,
+    const TaskGraph& tg, const Resource& dev,
     const std::vector<bool>& hw_mask,
     const std::vector<std::uint32_t>& impl_choice) {
   RDSE_REQUIRE(hw_mask.size() == tg.task_count(),

@@ -25,7 +25,7 @@ namespace rdse {
 /// Throws if a selected task has no implementation or does not fit an empty
 /// device.
 [[nodiscard]] std::vector<std::vector<TaskId>> cluster_into_contexts(
-    const TaskGraph& tg, const ReconfigurableCircuit& dev,
+    const TaskGraph& tg, const Resource& dev,
     const std::vector<bool>& hw_mask,
     const std::vector<std::uint32_t>& impl_choice);
 

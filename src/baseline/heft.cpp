@@ -13,9 +13,8 @@ HeftCosts make_heft_costs(const TaskGraph& tg, const Architecture& arch) {
   const auto rcs = arch.reconfigurable_ids();
   RDSE_REQUIRE(!procs.empty(), "make_heft_costs: no processor");
   RDSE_REQUIRE(!rcs.empty(), "make_heft_costs: no reconfigurable circuit");
-  const auto& proc =
-      static_cast<const Processor&>(arch.resource(procs.front()));
-  const ReconfigurableCircuit& dev = arch.reconfigurable(rcs.front());
+  const Resource& proc = arch.resource(procs.front());
+  const Resource& dev = arch.reconfigurable(rcs.front());
 
   HeftCosts costs;
   costs.sw_ms.resize(tg.task_count(), 0.0);

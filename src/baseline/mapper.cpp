@@ -161,7 +161,7 @@ class ClusteringMapper final : public Mapper {
     // RC, then clustering packs the contexts.
     const auto rcs = arch.reconfigurable_ids();
     RDSE_REQUIRE(!rcs.empty(), "clustering mapper: no reconfigurable circuit");
-    const ReconfigurableCircuit& dev = arch.reconfigurable(rcs.front());
+    const Resource& dev = arch.reconfigurable(rcs.front());
     std::vector<bool> hw_mask(tg.task_count(), false);
     std::vector<std::uint32_t> impl(tg.task_count(), 0);
     int hw_selected = 0;

@@ -209,12 +209,14 @@ JsonValue request_document(const Options& opts, const char* op) {
   return doc;
 }
 
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
 /// A thread or worker count, stored as `unsigned`: a value that does not
 /// fit is an error, not a wrap (4294967297 workers would start one).
 unsigned unsigned_flag(const Options& opts, const std::string& name,
-                       std::int64_t def) {
+                       std::int64_t def, std::int64_t lo = 0) {
   return static_cast<unsigned>(
-      opts.get_int_in(name, def, 0, std::numeric_limits<unsigned>::max()));
+      opts.get_int_in(name, def, lo, std::numeric_limits<unsigned>::max()));
 }
 
 /// explore/sweep take no positional operands; a stray token is usually a
@@ -348,11 +350,10 @@ int cmd_explore_resume(const Options& opts, std::ostream& out) {
   RDSE_REQUIRE(body.at("kind").as_string() == "explore",
                "checkpoint: '" + path + "' is not an explore checkpoint");
   const ModelSpec model = load_model_spec(body.at("model").as_string());
-  const auto clbs = static_cast<std::int32_t>(body.at("clbs").as_int());
-  const std::int64_t checkpoint_every =
-      opts.get_int("checkpoint-every", body.at("checkpoint_every").as_int());
-  RDSE_REQUIRE(checkpoint_every >= 1,
-               "option --checkpoint-every: need at least one iteration");
+  const auto clbs = static_cast<std::int32_t>(body.at("clbs").as_int_in(
+      1, 1'000'000, "checkpoint: 'clbs' must be an integer"));
+  const std::int64_t checkpoint_every = opts.get_int_in(
+      "checkpoint-every", body.at("checkpoint_every").as_int(), 1, kInt64Max);
 
   Architecture arch = make_cpu_fpga_architecture(
       clbs, model.tr_per_clb, model.bus_bytes_per_second);
@@ -385,10 +386,8 @@ int cmd_explore(const Options& opts, std::ostream& out) {
   const bool quiet = opts.get_flag("quiet");
   const std::string checkpoint_path = opts.get_string("checkpoint", "");
   const std::int64_t checkpoint_every =
-      opts.get_int("checkpoint-every", 1'000);
+      opts.get_int_in("checkpoint-every", 1'000, 1, kInt64Max);
   const std::string json_path = opts.get_string("json", "");
-  RDSE_REQUIRE(checkpoint_every >= 1,
-               "option --checkpoint-every: need at least one iteration");
   RDSE_REQUIRE(checkpoint_path.empty() || runs == 1,
                "option --checkpoint: requires --runs 1");
   // Without --checkpoint nothing is saved, and dropping the flag silently
@@ -857,28 +856,20 @@ int cmd_serve(const Options& opts, std::ostream& out) {
   config.socket_path = opts.get_string("socket", "");
   RDSE_REQUIRE(!config.socket_path.empty(),
                "serve: pass the socket path via --socket PATH");
-  const unsigned workers = unsigned_flag(opts, "workers", 2);
-  const std::int64_t queue = opts.get_int("queue", 16);
-  const std::int64_t cache = opts.get_int("cache", 128);
-  const std::int64_t idle_ms = opts.get_int("idle-timeout-ms", 30'000);
-  const std::int64_t max_conns = opts.get_int("max-conns", 64);
-  RDSE_REQUIRE(workers >= 1, "option --workers: need at least one worker");
-  RDSE_REQUIRE(queue >= 0, "option --queue: negative queue capacity");
-  RDSE_REQUIRE(cache >= 0, "option --cache: negative cache capacity");
-  RDSE_REQUIRE(idle_ms >= 0, "option --idle-timeout-ms: negative timeout");
-  RDSE_REQUIRE(max_conns >= 1,
-               "option --max-conns: need at least one connection");
-  config.service.workers = workers;
-  config.service.queue_capacity = static_cast<std::size_t>(queue);
-  config.service.cache_capacity = static_cast<std::size_t>(cache);
+  config.service.workers = unsigned_flag(opts, "workers", 2, 1);
+  config.service.queue_capacity =
+      static_cast<std::size_t>(opts.get_int_in("queue", 16, 0, kInt64Max));
+  config.service.cache_capacity =
+      static_cast<std::size_t>(opts.get_int_in("cache", 128, 0, kInt64Max));
   config.service.run_threads = unsigned_flag(opts, "run-threads", 1);
-  config.service.max_iterations = opts.get_int("max-iters", 2'000'000);
-  RDSE_REQUIRE(config.service.max_iterations >= 1,
-               "option --max-iters: need a positive cap");
+  config.service.max_iterations =
+      opts.get_int_in("max-iters", 2'000'000, 1, kInt64Max);
   config.service.persist_path = opts.get_string("persist", "");
   config.service.journal_path = opts.get_string("journal", "");
-  config.idle_timeout_ms = idle_ms;
-  config.max_connections = static_cast<std::size_t>(max_conns);
+  config.idle_timeout_ms =
+      opts.get_int_in("idle-timeout-ms", 30'000, 0, kInt64Max);
+  config.max_connections =
+      static_cast<std::size_t>(opts.get_int_in("max-conns", 64, 1, kInt64Max));
 
   // Fault-injection harness (tests only): RDSE_FAULTFS arms write/fsync/
   // rename faults in the persistence path.
@@ -935,14 +926,11 @@ int cmd_request(const Options& opts, std::ostream& out) {
   }
   RDSE_REQUIRE(!text.empty(),
                "request: pass the request via --json DOC or --file PATH");
-  const std::int64_t timeout_ms = opts.get_int("timeout-ms", 0);
-  RDSE_REQUIRE(timeout_ms >= 0, "option --timeout-ms: negative timeout");
-  const std::int64_t retries = opts.get_int("retries", 0);
-  const std::int64_t retry_base_ms = opts.get_int("retry-base-ms", 100);
-  RDSE_REQUIRE(retries >= 0 && retries <= 1'000,
-               "option --retries: need 0..1000");
-  RDSE_REQUIRE(retry_base_ms >= 0,
-               "option --retry-base-ms: negative delay");
+  const std::int64_t timeout_ms =
+      opts.get_int_in("timeout-ms", 0, 0, kInt64Max);
+  const std::int64_t retries = opts.get_int_in("retries", 0, 0, 1'000);
+  const std::int64_t retry_base_ms =
+      opts.get_int_in("retry-base-ms", 100, 0, kInt64Max);
   constexpr std::int64_t kRetryCapMs = 10'000;  // caps the total wait too
 
   // Validate locally and re-dump compactly: the wire protocol is one line

@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -13,6 +14,15 @@
 namespace rdse {
 
 namespace {
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// doc[key] as an integer in [min, max]: a decoded field is never narrowed.
+std::int64_t int_in(const JsonValue& doc, const char* key, std::int64_t min,
+                    std::int64_t max) {
+  return doc.at(key).as_int_in(
+      min, max, std::string("checkpoint: '") + key + "' must be an integer");
+}
 
 const char* init_kind_name(InitKind kind) {
   switch (kind) {
@@ -128,17 +138,14 @@ JsonValue architecture_to_json(const Architecture& arch) {
     slot.set("price", res.price());
     switch (res.kind()) {
       case ResourceKind::kProcessor:
-        slot.set("speed_factor",
-                 static_cast<const Processor&>(res).speed_factor());
+        slot.set("speed_factor", res.speed_factor());
         break;
       case ResourceKind::kAsic:
         break;
-      case ResourceKind::kReconfigurable: {
-        const auto& rc = static_cast<const ReconfigurableCircuit&>(res);
-        slot.set("n_clbs", static_cast<std::int64_t>(rc.n_clbs()));
-        slot.set("tr_per_clb", rc.tr_per_clb());
+      case ResourceKind::kReconfigurable:
+        slot.set("n_clbs", static_cast<std::int64_t>(res.n_clbs()));
+        slot.set("tr_per_clb", res.tr_per_clb());
         break;
-      }
     }
     slots.push_back(std::move(slot));
   }
@@ -165,7 +172,7 @@ Architecture architecture_from_json(const JsonValue& doc) {
       (void)arch.add_asic(name, price);
     } else if (kind == "reconfigurable") {
       const ResourceId id = arch.add_reconfigurable(
-          name, static_cast<std::int32_t>(slot.at("n_clbs").as_int()),
+          name, static_cast<std::int32_t>(int_in(slot, "n_clbs", 1, kIntMax)),
           slot.at("tr_per_clb").as_int());
       // add_reconfigurable derives the price from its CLB count; every
       // creation site in the library does the same, so a mismatch means
@@ -205,12 +212,13 @@ Metrics metrics_from_json(const JsonValue& doc) {
   m.comm_cross = doc.at("comm_cross").as_int();
   m.sw_busy = doc.at("sw_busy").as_int();
   m.hw_busy = doc.at("hw_busy").as_int();
-  m.n_contexts = static_cast<int>(doc.at("n_contexts").as_int());
-  m.sw_tasks = static_cast<int>(doc.at("sw_tasks").as_int());
-  m.hw_tasks = static_cast<int>(doc.at("hw_tasks").as_int());
-  m.clbs_loaded = static_cast<std::int32_t>(doc.at("clbs_loaded").as_int());
+  m.n_contexts = static_cast<int>(int_in(doc, "n_contexts", 0, kIntMax));
+  m.sw_tasks = static_cast<int>(int_in(doc, "sw_tasks", 0, kIntMax));
+  m.hw_tasks = static_cast<int>(int_in(doc, "hw_tasks", 0, kIntMax));
+  m.clbs_loaded =
+      static_cast<std::int32_t>(int_in(doc, "clbs_loaded", 0, kIntMax));
   m.max_context_clbs =
-      static_cast<std::int32_t>(doc.at("max_context_clbs").as_int());
+      static_cast<std::int32_t>(int_in(doc, "max_context_clbs", 0, kIntMax));
   return m;
 }
 
@@ -246,7 +254,7 @@ void shared_config_from_json(const JsonValue& doc, ExplorerConfig& config) {
   config.cost = cost_weights_from_json(doc.at("cost"));
   config.adaptive_move_mix = doc.at("adaptive_move_mix").as_bool();
   config.full_eval = doc.at("full_eval").as_bool();
-  config.batch = static_cast<int>(doc.at("batch").as_int());
+  config.batch = static_cast<int>(int_in(doc, "batch", 1, kIntMax));
   config.freeze_after = doc.at("freeze_after").as_int();
   config.record_trace = false;
 }
@@ -289,7 +297,7 @@ ParallelExplorerConfig parallel_explorer_config_from_json(
     const JsonValue& doc) {
   ParallelExplorerConfig config;
   shared_config_from_json(doc, config);
-  config.replicas = static_cast<int>(doc.at("replicas").as_int());
+  config.replicas = static_cast<int>(int_in(doc, "replicas", 1, kIntMax));
   config.exchange_interval = doc.at("exchange_interval").as_int();
   config.replica_schedules.clear();
   for (const JsonValue& kind : doc.at("replica_schedules").items()) {
@@ -322,6 +330,18 @@ void check_config(const ParallelExplorerConfig& config) {
   RDSE_REQUIRE(config.iterations >= 0 && config.warmup_iterations >= 0 &&
                    config.exchange_interval >= 0,
                "ParallelExplorer: negative iteration counts");
+}
+
+/// A checkpointed system: the architecture under "<which>_architecture"
+/// and the solution under "<which>_solution", whose records must name that
+/// architecture's resources.
+std::pair<Architecture, Solution> system_from_json(const TaskGraph& tg,
+                                                   const JsonValue& doc,
+                                                   const std::string& which) {
+  Architecture arch = architecture_from_json(doc.at(which + "_architecture"));
+  Solution sol =
+      solution_from_text(tg, arch, doc.at(which + "_solution").as_string());
+  return {std::move(arch), std::move(sol)};
 }
 
 /// The start of every run.
@@ -362,8 +382,10 @@ struct SessionReplica {
   SessionReplica& operator=(const SessionReplica&) = delete;
 
   SessionReplica(const Explorer& explorer, const ExplorerConfig& config)
-      : SessionReplica(explorer.task_graph(), config, explorer.architecture(),
-                       initial_solution(explorer, config.init, config.seed)) {}
+      : SessionReplica(
+            explorer.task_graph(), config,
+            {explorer.architecture(),
+             initial_solution(explorer, config.init, config.seed)}) {}
 
   /// Resume: the checkpointed current state, then the engine's counters,
   /// RNG and schedule over the fresh-start values, then the best state
@@ -371,14 +393,11 @@ struct SessionReplica {
   SessionReplica(const TaskGraph& tg, const ExplorerConfig& config,
                  const JsonValue& initial, const JsonValue& doc,
                  const JsonValue& engine_state)
-      : SessionReplica(
-            tg, config, architecture_from_json(doc.at("current_architecture")),
-            solution_from_text(tg, doc.at("current_solution").as_string())) {
+      : SessionReplica(tg, config, system_from_json(tg, doc, "current")) {
     initial_metrics = metrics_from_json(initial);
     engine.load_state(engine_state);
-    problem.restore_best_state(
-        architecture_from_json(doc.at("best_architecture")),
-        solution_from_text(tg, doc.at("best_solution").as_string()));
+    auto [best_arch, best_sol] = system_from_json(tg, doc, "best");
+    problem.restore_best_state(std::move(best_arch), std::move(best_sol));
     problem.set_move_stats(move_stats_from_json(doc.at("move_stats")));
     if (const JsonValue* mix = doc.find("move_mix")) {
       RDSE_REQUIRE(problem.move_mix() != nullptr,
@@ -388,12 +407,12 @@ struct SessionReplica {
   }
 
   SessionReplica(const TaskGraph& tg, const ExplorerConfig& config,
-                 Architecture arch, Solution start)
+                 std::pair<Architecture, Solution> start)
       : seed(config.seed),
         schedule(config.schedule),
-        problem(tg, std::move(arch), std::move(start), config.moves,
-                config.cost, config.adaptive_move_mix, config.full_eval,
-                config.batch),
+        problem(tg, std::move(start.first), std::move(start.second),
+                config.moves, config.cost, config.adaptive_move_mix,
+                config.full_eval, config.batch),
         initial_metrics(problem.current_metrics()),
         engine(problem, anneal_config(config)) {}
 

@@ -9,7 +9,7 @@ namespace {
 
 /// Implementation indices of `task` that fit an empty context of `dev`.
 std::vector<std::uint32_t> fitting_impls(const Task& task,
-                                         const ReconfigurableCircuit& dev) {
+                                         const Resource& dev) {
   std::vector<std::uint32_t> out;
   for (std::uint32_t k = 0; k < task.hw.size(); ++k) {
     if (task.hw.at(k).clbs <= dev.n_clbs()) out.push_back(k);

@@ -1,7 +1,9 @@
 #include "mapping/io.hpp"
 
+#include <charconv>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -70,27 +72,51 @@ std::string solution_to_text(const TaskGraph& tg, const Solution& sol) {
   return os.str();
 }
 
-Solution solution_from_text(const TaskGraph& tg, const std::string& text) {
+Solution solution_from_text(const TaskGraph& tg, const Architecture& arch,
+                            const std::string& text) {
   const auto index = name_index(tg);
   Solution sol(tg.task_count());
 
-  auto lookup = [&index](const std::string& name, std::size_t line_no) {
+  // A task a record assigns: known, and not assigned before.
+  auto claim = [&index, &sol](const std::string& name, std::size_t line_no) {
     const auto it = index.find(name);
     if (it == index.end()) fail(line_no, "unknown task '" + name + "'");
+    if (sol.placement(it->second).assigned()) {
+      fail(line_no, "task '" + name + "' assigned twice");
+    }
     return it->second;
   };
-  auto split_impl = [](const std::string& token, std::size_t line_no,
-                       std::string& name, std::uint32_t& impl) {
+  // A `task:impl` token: a claimed task and one of its implementations.
+  auto claim_impl = [&claim, &tg](const std::string& token,
+                                  std::size_t line_no) {
     const auto colon = token.rfind(':');
     if (colon == std::string::npos || colon + 1 >= token.size()) {
       fail(line_no, "expected task:impl, got '" + token + "'");
     }
-    name = token.substr(0, colon);
-    try {
-      impl = static_cast<std::uint32_t>(std::stoul(token.substr(colon + 1)));
-    } catch (const std::exception&) {
+    const TaskId t = claim(token.substr(0, colon), line_no);
+    std::uint32_t impl = 0;
+    const char* last = token.data() + token.size();
+    const auto res = std::from_chars(token.data() + colon + 1, last, impl);
+    if (res.ec != std::errc() || res.ptr != last) {
       fail(line_no, "bad implementation index in '" + token + "'");
     }
+    if (impl >= tg.task(t).hw.size()) {
+      fail(line_no, "implementation index out of range for '" +
+                        tg.task(t).name + "'");
+    }
+    return std::pair{t, impl};
+  };
+  // A record's resource: a live resource of the record's kind. The id sizes
+  // the Solution's per-resource tables, so it is never taken on trust.
+  auto live_resource = [&arch](std::istringstream& ls, ResourceKind kind,
+                               std::size_t line_no) {
+    ResourceId id = 0;
+    if (!(ls >> id)) fail(line_no, "bad resource id");
+    if (!arch.alive(id) || arch.resource(id).kind() != kind) {
+      fail(line_no, "resource " + std::to_string(id) + " is not a live " +
+                        to_string(kind));
+    }
+    return id;
   };
 
   std::istringstream is(text);
@@ -129,22 +155,20 @@ Solution solution_from_text(const TaskGraph& tg, const std::string& text) {
       continue;
     }
     if (keyword == "proc") {
-      ResourceId id = 0;
-      if (!(ls >> id)) fail(line_no, "bad resource id");
+      const ResourceId id =
+          live_resource(ls, ResourceKind::kProcessor, line_no);
       std::string name;
       while (ls >> name) {
-        const TaskId t = lookup(name, line_no);
-        if (sol.placement(t).assigned()) {
-          fail(line_no, "task '" + name + "' assigned twice");
-        }
+        const TaskId t = claim(name, line_no);
         sol.insert_on_processor(t, id, sol.processor_order(id).size());
       }
       continue;
     }
     if (keyword == "context") {
-      ResourceId id = 0;
+      const ResourceId id =
+          live_resource(ls, ResourceKind::kReconfigurable, line_no);
       std::size_t ctx = 0;
-      if (!(ls >> id >> ctx)) fail(line_no, "bad context header");
+      if (!(ls >> ctx)) fail(line_no, "bad context header");
       auto& expected = next_context[id];
       if (ctx != expected) {
         fail(line_no, "contexts must be listed in order (expected " +
@@ -157,17 +181,7 @@ Solution solution_from_text(const TaskGraph& tg, const std::string& text) {
       std::string token;
       bool any = false;
       while (ls >> token) {
-        std::string name;
-        std::uint32_t impl = 0;
-        split_impl(token, line_no, name, impl);
-        const TaskId t = lookup(name, line_no);
-        if (sol.placement(t).assigned()) {
-          fail(line_no, "task '" + name + "' assigned twice");
-        }
-        if (impl >= tg.task(t).hw.size()) {
-          fail(line_no, "implementation index out of range for '" + name +
-                            "'");
-        }
+        const auto [t, impl] = claim_impl(token, line_no);
         sol.insert_in_context(t, id, ctx, impl, tg.task(t).hw.at(impl).clbs);
         any = true;
       }
@@ -175,17 +189,10 @@ Solution solution_from_text(const TaskGraph& tg, const std::string& text) {
       continue;
     }
     if (keyword == "asic") {
-      ResourceId id = 0;
-      if (!(ls >> id)) fail(line_no, "bad resource id");
+      const ResourceId id = live_resource(ls, ResourceKind::kAsic, line_no);
       std::string token;
       while (ls >> token) {
-        std::string name;
-        std::uint32_t impl = 0;
-        split_impl(token, line_no, name, impl);
-        const TaskId t = lookup(name, line_no);
-        if (sol.placement(t).assigned()) {
-          fail(line_no, "task '" + name + "' assigned twice");
-        }
+        const auto [t, impl] = claim_impl(token, line_no);
         sol.insert_on_asic(t, id, impl);
       }
       continue;

@@ -18,6 +18,7 @@
 
 #include <string>
 
+#include "arch/architecture.hpp"
 #include "mapping/solution.hpp"
 #include "model/task_graph.hpp"
 
@@ -27,10 +28,13 @@ namespace rdse {
 [[nodiscard]] std::string solution_to_text(const TaskGraph& tg,
                                            const Solution& sol);
 
-/// Parse a solution saved by solution_to_text. Throws rdse::Error with a
-/// line diagnostic on malformed input, unknown task names, duplicate
+/// Parse a solution saved by solution_to_text onto `arch`. Throws
+/// rdse::Error with a line diagnostic on malformed input, unknown task
+/// names, a resource id that is not a live resource of the record's kind,
+/// an implementation index that is not a whole in-range integer, duplicate
 /// assignments or incomplete coverage.
 [[nodiscard]] Solution solution_from_text(const TaskGraph& tg,
+                                          const Architecture& arch,
                                           const std::string& text);
 
 }  // namespace rdse

@@ -173,8 +173,7 @@ TimeNs assigned_exec_time(const TaskGraph& tg, const Architecture& arch,
                                  "' is unassigned");
   const Resource& res = arch.resource(p.resource);
   if (res.kind() == ResourceKind::kProcessor) {
-    return static_cast<const Processor&>(res).execution_time(
-        tg.task(t).sw_time);
+    return res.execution_time(tg.task(t).sw_time);
   }
   const auto& impls = tg.task(t).hw;
   RDSE_REQUIRE(p.impl < impls.size(),
@@ -228,7 +227,7 @@ void add_sequentialization_edges(SearchGraph& sg, const TaskGraph& tg,
   for (ResourceId rc : arch.reconfigurable_ids()) {
     const std::size_t n_ctx = sol.context_count(rc);
     if (n_ctx == 0) continue;
-    const ReconfigurableCircuit& dev = arch.reconfigurable(rc);
+    const Resource& dev = arch.reconfigurable(rc);
 
     const RcRealization* real;
     if (cache != nullptr) {
@@ -266,7 +265,7 @@ void account_contexts(SearchGraph& sg, const Architecture& arch,
         arch.resource(rc).kind() != ResourceKind::kReconfigurable) {
       continue;
     }
-    const ReconfigurableCircuit& dev = arch.reconfigurable(rc);
+    const Resource& dev = arch.reconfigurable(rc);
     const std::size_t n_ctx = sol.context_count(rc);
     sg.n_contexts += static_cast<int>(n_ctx);
     for (std::size_t c = 0; c < n_ctx; ++c) {

@@ -72,7 +72,7 @@ Solution Solution::random_partition(const TaskGraph& tg,
                                     const Architecture& arch,
                                     ResourceId processor, ResourceId rc,
                                     Rng& rng) {
-  const ReconfigurableCircuit& dev = arch.reconfigurable(rc);
+  const Resource& dev = arch.reconfigurable(rc);
 
   std::vector<TaskId> candidates;
   for (TaskId t = 0; t < tg.task_count(); ++t) {

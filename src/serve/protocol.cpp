@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string_view>
 
 #include "baseline/mapper.hpp"
@@ -13,28 +12,15 @@ namespace rdse::serve {
 
 namespace {
 
-/// `v` as an integer in [min, max], else Error "<what> in [min, max], got
-/// <v>": it names no front door, so it reads right from serve and the CLI.
-std::int64_t integer_in(const JsonValue& v, const std::string& what,
-                        std::int64_t min, std::int64_t max) {
-  if (v.kind() != JsonValue::Kind::kNumber ||
-      !(v.as_number() >= static_cast<double>(min) &&
-        v.as_number() <= static_cast<double>(max)) ||
-      v.as_number() != std::floor(v.as_number())) {
-    throw Error(what + " in [" + std::to_string(min) + ", " +
-                std::to_string(max) + "], got " + v.dump());
-  }
-  return v.as_int();
-}
-
-/// Fetch an integer field in [min, max]; `def` when absent.
+/// Fetch an integer field in [min, max]; `def` when absent. The error
+/// names no front door, so it reads right from serve and the CLI.
 std::int64_t int_field(const JsonValue& doc, const char* key,
                        std::int64_t def, std::int64_t min,
                        std::int64_t max) {
   const JsonValue* v = doc.find(key);
   if (v == nullptr) return def;
-  return integer_in(*v, std::string("'") + key + "' must be an integer", min,
-                    max);
+  return v->as_int_in(min, max,
+                      std::string("'") + key + "' must be an integer");
 }
 
 std::string string_field(const JsonValue& doc, const char* key,
@@ -179,7 +165,7 @@ Request parse_request(const JsonValue& doc) {
     }
     for (const JsonValue& item : sizes->items()) {
       request.sizes.push_back(static_cast<std::int32_t>(
-          integer_in(item, "'sizes' must hold integers", 1, 1'000'000)));
+          item.as_int_in(1, 1'000'000, "'sizes' must hold integers")));
     }
   }
   if (const JsonValue* schedules = doc.find("schedules")) {

@@ -90,6 +90,18 @@ std::int64_t JsonValue::as_int() const {
   return static_cast<std::int64_t>(d);
 }
 
+std::int64_t JsonValue::as_int_in(std::int64_t min, std::int64_t max,
+                                  const std::string& what) const {
+  const double* d = std::get_if<double>(&data_);
+  if (d == nullptr ||
+      !(*d >= static_cast<double>(min) && *d <= static_cast<double>(max)) ||
+      *d != std::floor(*d)) {
+    throw Error(what + " in [" + std::to_string(min) + ", " +
+                std::to_string(max) + "], got " + dump());
+  }
+  return as_int();
+}
+
 const std::string& JsonValue::as_string() const {
   if (const std::string* s = std::get_if<std::string>(&data_)) return *s;
   kind_error("string", kind());

@@ -54,6 +54,10 @@ class JsonValue {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] std::int64_t as_int() const;
+  /// A whole number in [min, max], else Error "<what> in [min, max], got
+  /// <value>": a field read through it is never narrowed or wrapped.
+  [[nodiscard]] std::int64_t as_int_in(std::int64_t min, std::int64_t max,
+                                       const std::string& what) const;
   [[nodiscard]] const std::string& as_string() const;
 
   /// Array access. push_back() throws unless this is an array. The mutable

@@ -27,19 +27,17 @@ TEST(Bus, RejectsBadInput) {
 }
 
 TEST(Resource, KindsAndOrders) {
-  const Processor p("cpu");
-  const Asic a("asic");
-  const ReconfigurableCircuit rc("fpga", 1000, from_us(22.5));
-  EXPECT_EQ(p.kind(), ResourceKind::kProcessor);
-  EXPECT_EQ(p.order_kind(), OrderKind::kTotal);
-  EXPECT_EQ(a.order_kind(), OrderKind::kPartial);
-  EXPECT_EQ(rc.order_kind(), OrderKind::kGtlp);
-  EXPECT_STREQ(to_string(rc.kind()), "reconfigurable");
-  EXPECT_STREQ(to_string(OrderKind::kGtlp), "gtlp");
+  Architecture arch{Bus(1'000)};
+  const ResourceId p = arch.add_processor("cpu");
+  const ResourceId rc = arch.add_reconfigurable("fpga", 1000, from_us(22.5));
+  EXPECT_EQ(arch.resource(p).kind(), ResourceKind::kProcessor);
+  EXPECT_STREQ(to_string(arch.resource(rc).kind()), "reconfigurable");
 }
 
 TEST(Resource, ReconfigurationTimeIsLinear) {
-  const ReconfigurableCircuit rc("fpga", 2000, from_us(22.5));
+  Architecture arch{Bus(1'000)};
+  const Resource& rc =
+      arch.resource(arch.add_reconfigurable("fpga", 2000, from_us(22.5)));
   EXPECT_EQ(rc.reconfiguration_time(0), 0);
   EXPECT_EQ(rc.reconfiguration_time(1000), from_us(22'500.0));
   EXPECT_EQ(rc.reconfiguration_time(995), 995 * from_us(22.5));
@@ -52,18 +50,25 @@ TEST(Resource, ReconfigurationTimeIsLinear) {
 }
 
 TEST(Resource, RcRejectsBadGeometry) {
-  EXPECT_THROW(ReconfigurableCircuit("x", 0, 10), Error);
-  EXPECT_THROW(ReconfigurableCircuit("x", 100, -1), Error);
+  Architecture arch{Bus(1'000)};
+  EXPECT_THROW(arch.add_reconfigurable("x", 0, 10), Error);
+  EXPECT_THROW(arch.add_reconfigurable("x", 100, -1), Error);
 }
 
-TEST(Resource, CloneIsPolymorphicDeepCopy) {
-  const ReconfigurableCircuit rc("fpga", 500, from_us(10));
-  const auto copy = rc.clone();
-  const auto* rc2 = dynamic_cast<const ReconfigurableCircuit*>(copy.get());
-  ASSERT_NE(rc2, nullptr);
-  EXPECT_EQ(rc2->n_clbs(), 500);
-  EXPECT_EQ(rc2->name(), "fpga");
+#if defined(RDSE_ENABLE_DCHECKS)
+TEST(Resource, KindSpecificReadsCheckTheirKind) {
+  // Debug and sanitizer builds reject a read of another kind's field.
+  Architecture arch{Bus(1'000)};
+  const ResourceId cpu = arch.add_processor("cpu");
+  const ResourceId asic = arch.add_asic("asic");
+  const ResourceId rc = arch.add_reconfigurable("fpga", 100, from_us(10));
+  EXPECT_THROW((void)arch.resource(cpu).n_clbs(), Error);
+  EXPECT_THROW((void)arch.resource(cpu).reconfiguration_time(10), Error);
+  EXPECT_THROW((void)arch.resource(asic).tr_per_clb(), Error);
+  EXPECT_THROW((void)arch.resource(asic).execution_time(10), Error);
+  EXPECT_THROW((void)arch.resource(rc).speed_factor(), Error);
 }
+#endif
 
 TEST(Architecture, FactoryLayout) {
   const Architecture arch =
@@ -104,6 +109,10 @@ TEST(Architecture, DeepCopyIsIndependent) {
   a.add_processor("cpu0");
   const ResourceId rc = a.add_reconfigurable("fpga0", 100, 10);
   Architecture b = a;
+  // The copy keeps the kind, the name and the CLB count.
+  EXPECT_EQ(b.resource(rc).kind(), ResourceKind::kReconfigurable);
+  EXPECT_EQ(b.resource(rc).name(), "fpga0");
+  EXPECT_EQ(b.reconfigurable(rc).n_clbs(), 100);
   b.remove(rc);
   EXPECT_TRUE(a.alive(rc));
   EXPECT_FALSE(b.alive(rc));
@@ -120,9 +129,10 @@ TEST(Architecture, TotalPriceSumsLiveOnly) {
 }
 
 TEST(Architecture, RcPriceScalesWithArea) {
-  const ReconfigurableCircuit small("s", 100, 10);
-  const ReconfigurableCircuit big("b", 10'000, 10);
-  EXPECT_LT(small.price(), big.price());
+  Architecture arch{Bus(1'000)};
+  const ResourceId small = arch.add_reconfigurable("s", 100, 10);
+  const ResourceId big = arch.add_reconfigurable("b", 10'000, 10);
+  EXPECT_LT(arch.resource(small).price(), arch.resource(big).price());
 }
 
 }  // namespace

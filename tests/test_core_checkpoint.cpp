@@ -18,7 +18,9 @@
 #include "core/checkpoint.hpp"
 #include "core/explorer.hpp"
 #include "model/generators.hpp"
+#include "model/motion_detection.hpp"
 #include "util/faultfs.hpp"
+#include "util/hash.hpp"
 
 namespace rdse {
 namespace {
@@ -282,6 +284,43 @@ TEST(CheckpointSerial, StepReportsProgressAndFinish) {
   EXPECT_EQ(session.step(64), 0);  // finished session: a no-op
 }
 
+TEST(CheckpointSerial, ArchitectureExplorationStateIsPinned) {
+  // The codec of an explored platform, byte for byte against an earlier
+  // build: motion with resource moves (p_zero) and a price weight, stopped
+  // at iteration 500, where the best system has tombstoned slots, two
+  // reconfigurable circuits and an ASIC.
+  const Application app = make_motion_detection_app();
+  const Architecture arch = make_cpu_fpga_architecture(
+      2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+  ExplorerConfig config;
+  config.seed = 2;
+  config.iterations = 1'500;
+  config.warmup_iterations = 200;
+  config.batch = 3;
+  config.adaptive_move_mix = true;
+  config.moves.p_zero = 0.05;
+  config.cost.price_weight = 0.02;
+  config.record_trace = false;
+  CheckpointableExplorer session(app.graph, arch, config);
+  ASSERT_EQ(session.step(500), 500);
+
+  const JsonValue state = session.save_state();
+  const Architecture best =
+      architecture_from_json(state.at("problem").at("best_architecture"));
+  EXPECT_LT(best.resource_count(), best.slot_count());  // a tombstone
+  EXPECT_FALSE(best.ids_of(ResourceKind::kAsic).empty());
+  EXPECT_EQ(fnv1a64_hex(state.dump()), "48335b6a206e2ad6");
+  EXPECT_EQ(
+      architecture_to_json(best).dump(),
+      R"({"bus_bytes_per_second": 5e+07, "slots": [{"kind": "processor", )"
+      R"("name": "cpu0", "price": 100, "speed_factor": 1}, null, null, )"
+      R"(null, null, {"kind": "reconfigurable", "name": "fpga5", "price": )"
+      R"(150, "n_clbs": 2000, "tr_per_clb": 22500}, null, {"kind": )"
+      R"("reconfigurable", "name": "fpga7", "price": 150, "n_clbs": 2000, )"
+      R"("tr_per_clb": 22500}, {"kind": "asic", "name": "asic8", "price": )"
+      R"(400}, null, null]})");
+}
+
 // ----------------------------------------------------- parallel bit-identity
 
 TEST(CheckpointParallel, ResumeIsBitIdenticalForAnyThreadCount) {
@@ -449,6 +488,92 @@ TEST(CheckpointParallel, ResumeRejectsAZeroReplicaState) {
   state.find("config")->set("exchange_interval", -1);
   state.set("replicas", session.save_state().at("replicas"));
   EXPECT_THROW(CheckpointableParallelExplorer(app.graph, arch, state), Error);
+}
+
+// ------------------------------------------------------- integer fields
+
+/// The diagnostic a resume of `state` fails with.
+template <typename Session>
+std::string resume_error(const TaskGraph& tg, const Architecture& arch,
+                         const JsonValue& state) {
+  try {
+    const Session session(tg, arch, state);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "(resumed)";
+}
+
+/// A serial state 100 iterations into a run on a 2000-CLB device.
+JsonValue serial_state(const TaskGraph& tg, const Architecture& arch) {
+  ExplorerConfig config;
+  config.iterations = 300;
+  config.warmup_iterations = 50;
+  config.record_trace = false;
+  CheckpointableExplorer session(tg, arch, config);
+  (void)session.step(100);
+  return session.save_state();
+}
+
+// Each edit below narrowed to 32 bits is a valid field, so a decoder that
+// casts would resume a different run instead of failing.
+TEST(CheckpointIntegers, AWrappedClbCountIsRejected) {
+  // 4294969296 = 2^32 + 2000, beside the 2000-CLB price (150).
+  const Application app = make_app(31, 12);
+  const Architecture arch =
+      make_cpu_fpga_architecture(2000, from_us(15.0), 20'000'000);
+  JsonValue state = serial_state(app.graph, arch);
+  JsonValue& current = *state.find("problem")->find("current_architecture");
+  JsonValue& slot = current.find("slots")->items()[1];
+  ASSERT_EQ(slot.at("n_clbs").as_int(), 2000);
+  slot.set("n_clbs", std::int64_t{4'294'969'296});
+  EXPECT_EQ(resume_error<CheckpointableExplorer>(app.graph, arch, state),
+            "checkpoint: 'n_clbs' must be an integer in [1, 2147483647], "
+            "got 4294969296");
+}
+
+TEST(CheckpointIntegers, AWrappedBatchIsRejected) {
+  // 4294967298 = 2^32 + 2 would resume at K = 2.
+  const Application app = make_app(31, 12);
+  const Architecture arch =
+      make_cpu_fpga_architecture(2000, from_us(15.0), 20'000'000);
+  JsonValue state = serial_state(app.graph, arch);
+  state.find("config")->set("batch", std::int64_t{4'294'967'298});
+  EXPECT_EQ(resume_error<CheckpointableExplorer>(app.graph, arch, state),
+            "checkpoint: 'batch' must be an integer in [1, 2147483647], "
+            "got 4294967298");
+}
+
+TEST(CheckpointIntegers, AWrappedContextCountIsRejected) {
+  const Application app = make_app(31, 12);
+  const Architecture arch =
+      make_cpu_fpga_architecture(2000, from_us(15.0), 20'000'000);
+  JsonValue state = serial_state(app.graph, arch);
+  state.find("initial_metrics")->set("n_contexts", std::int64_t{1} << 32);
+  EXPECT_EQ(resume_error<CheckpointableExplorer>(app.graph, arch, state),
+            "checkpoint: 'n_contexts' must be an integer in [0, 2147483647], "
+            "got 4294967296");
+}
+
+TEST(CheckpointIntegers, AWrappedReplicaCountIsRejected) {
+  // 4294967297 = 2^32 + 1 beside one replica entry would resume a
+  // one-replica run.
+  const Application app = make_app(4711, 12);
+  const Architecture arch =
+      make_cpu_fpga_architecture(700, from_us(15.0), 20'000'000);
+  ParallelExplorerConfig config;
+  config.replicas = 1;
+  config.iterations = 300;
+  config.warmup_iterations = 50;
+  config.exchange_interval = 100;
+  CheckpointableParallelExplorer session(app.graph, arch, config);
+  ASSERT_TRUE(session.step());
+  JsonValue state = session.save_state();
+  state.find("config")->set("replicas", std::int64_t{4'294'967'297});
+  EXPECT_EQ(
+      resume_error<CheckpointableParallelExplorer>(app.graph, arch, state),
+      "checkpoint: 'replicas' must be an integer in [1, 2147483647], got "
+      "4294967297");
 }
 
 // -------------------------------------------------------- storage faults

@@ -519,7 +519,7 @@ TEST(HeterogeneousProcessors, SpeedFactorScalesNodeWeights) {
   const auto m = ev.evaluate(sol);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->makespan, 2 * app.graph.total_sw_time());
-  EXPECT_THROW(Processor("bad", 1.0, 0.0), Error);
+  EXPECT_THROW(arch.add_processor("bad", 1.0, 0.0), Error);
 }
 
 }  // namespace

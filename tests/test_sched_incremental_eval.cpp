@@ -877,7 +877,7 @@ Solution rc_heavy_start(const TaskGraph& tg, const Architecture& arch,
   std::sort(order.begin(), order.end(), [&level](TaskId a, TaskId b) {
     return level[a] != level[b] ? level[a] < level[b] : a < b;
   });
-  const ReconfigurableCircuit& dev = arch.reconfigurable(kRc);
+  const Resource& dev = arch.reconfigurable(kRc);
   Solution sol(tg.task_count());
   for (const TaskId t : order) {
     const Task& task = tg.task(t);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cli/rdse_cli.hpp"
+#include "core/checkpoint.hpp"
 #include "core/report.hpp"
 #include "serve/service.hpp"
 #include "util/assert.hpp"
@@ -671,11 +672,97 @@ TEST(RdseCli, ServeValidatesItsOptions) {
   const CliOutcome workers =
       run_cli({"serve", "--socket", "/tmp/x.sock", "--workers=0"});
   EXPECT_EQ(workers.status, 1);
-  EXPECT_NE(workers.err.find("at least one worker"), std::string::npos);
+  EXPECT_NE(workers.err.find("option --workers: need an integer in "
+                             "[1, 4294967295], got 0"),
+            std::string::npos);
   const CliOutcome bogus = run_cli({"serve", "--socket", "/tmp/x.sock",
                                     "--bogus=1"});
   EXPECT_EQ(bogus.status, 1);
   EXPECT_NE(bogus.err.find("unknown option --bogus"), std::string::npos);
+}
+
+TEST(RdseCli, ServeBoundsItsIntegerFlags) {
+  // The socket's directory does not exist, so a daemon that got past its
+  // flags would fail at bind instead of starting.
+  const std::string socket = "--socket=" + temp_path("no-such-dir/rdse.sock");
+  const std::pair<const char*, const char*> cases[] = {
+      {"--workers=0", "--workers: need an integer in [1, 4294967295], got 0"},
+      {"--queue=-1",
+       "--queue: need an integer in [0, 9223372036854775807], got -1"},
+      {"--cache=-1",
+       "--cache: need an integer in [0, 9223372036854775807], got -1"},
+      {"--idle-timeout-ms=-1",
+       "--idle-timeout-ms: need an integer in [0, 9223372036854775807], "
+       "got -1"},
+      {"--max-conns=0",
+       "--max-conns: need an integer in [1, 9223372036854775807], got 0"},
+      {"--max-iters=0",
+       "--max-iters: need an integer in [1, 9223372036854775807], got 0"},
+  };
+  for (const auto& [flag, message] : cases) {
+    const CliOutcome r = run_cli({"serve", socket.c_str(), flag, "--quiet"});
+    EXPECT_EQ(r.status, 1) << flag;
+    EXPECT_EQ(r.err, std::string("rdse serve: option ") + message + "\n");
+  }
+}
+
+TEST(RdseCli, RequestBoundsItsIntegerFlags) {
+  const std::string socket = "--socket=" + temp_path("no-such.sock");
+  const char* ping = R"(--json={"op": "ping"})";
+  const std::pair<const char*, const char*> cases[] = {
+      {"--timeout-ms=-1",
+       "--timeout-ms: need an integer in [0, 9223372036854775807], got -1"},
+      {"--retries=1001", "--retries: need an integer in [0, 1000], got 1001"},
+      {"--retry-base-ms=-1",
+       "--retry-base-ms: need an integer in [0, 9223372036854775807], "
+       "got -1"},
+  };
+  for (const auto& [flag, message] : cases) {
+    const CliOutcome r = run_cli({"request", socket.c_str(), ping, flag});
+    EXPECT_EQ(r.status, 1) << flag;
+    EXPECT_EQ(r.err, std::string("rdse request: option ") + message + "\n");
+  }
+}
+
+TEST(RdseCli, ExploreBoundsCheckpointEveryOnBothPaths) {
+  const std::string ckpt = temp_path("rdse-cli-every-bound.ckpt");
+  const char* path = ckpt.c_str();
+  const std::string message =
+      "rdse explore: option --checkpoint-every: need an integer in "
+      "[1, 9223372036854775807], got 0\n";
+  const CliOutcome fresh = run_cli(
+      {"explore", "--checkpoint", path, "--checkpoint-every=0", "--quiet"});
+  EXPECT_EQ(fresh.status, 1);
+  EXPECT_EQ(fresh.err, message);
+  const CliOutcome saved =
+      run_cli({"explore", "--checkpoint", path, "--quiet"});
+  ASSERT_EQ(saved.status, 0) << saved.err;
+  const CliOutcome resumed =
+      run_cli({"explore", "--resume", path, "--checkpoint-every=0", "--quiet"});
+  EXPECT_EQ(resumed.status, 1);
+  EXPECT_EQ(resumed.err, message);
+}
+
+TEST(RdseCli, ResumeRejectsASolutionOnAResourceThePlatformLacks) {
+  // The golden checkpoint resealed with its processor record moved to
+  // resource 7: the checksum holds, the id names nothing on the platform.
+  JsonValue body = load_checkpoint(std::string(RDSE_GOLDEN_DIR) +
+                                   "/checkpoint-motion-seed1-at700.json");
+  JsonValue& problem = *body.find("session")->find("problem");
+  std::string text = problem.at("current_solution").as_string();
+  const std::size_t at = text.find("\nproc 0 ");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 8, "\nproc 7 ");
+  problem.set("current_solution", text);
+  const std::string ckpt = temp_path("rdse-cli-proc7.ckpt");
+  ASSERT_TRUE(save_checkpoint(ckpt, body));
+
+  const CliOutcome r =
+      run_cli({"explore", "--resume", ckpt.c_str(), "--quiet"});
+  EXPECT_EQ(r.status, 1);
+  EXPECT_EQ(r.err,
+            "rdse explore: solution_from_text: line 3: resource 7 is not a "
+            "live processor\n");
 }
 
 TEST(RdseCli, RequestValidatesItsOptions) {
